@@ -43,7 +43,8 @@ def _load_experiment(
         grids = data.setdefault("grids", {})
         schedule = grids.get("depthSchedule", list(default_config()["grids"]["depthSchedule"]))
         clipped = [n for n in schedule if n <= depth_max]
-        grids["depthSchedule"] = clipped or [max(1, depth_max - 1), depth_max]
+        # Extrapolation needs two depths; fall back to the deepest pair allowed.
+        grids["depthSchedule"] = clipped if len(clipped) >= 2 else [depth_max - 1, depth_max]
         sampling = data.setdefault("sampling", {})
         sampling["depth"] = min(
             int(sampling.get("depth", default_config()["sampling"]["depth"])), depth_max

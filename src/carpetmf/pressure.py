@@ -26,7 +26,6 @@ from .numerics import (
     NEG_INF,
     chunked_logsumexp,
     concavity_defect,
-    grid_derivative,
     lse,
     part_from_array,
     scaled_powers,
@@ -56,17 +55,6 @@ def row_sum(
     """``log I_q(w1)`` for a single column word."""
     a1s = np.asarray(w1, dtype=np.int64).reshape(1, -1)
     return float(row_sum_log_any(psi, a1s, q, method=method, cap=cap)[0])
-
-
-def row_sum_batch(
-    psi: CylinderWeight,
-    a1s: np.ndarray,
-    q: float,
-    method: str = "auto",
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> np.ndarray:
-    """``log I_q`` for a ``(W, n)`` batch of column words."""
-    return row_sum_log_any(psi, np.asarray(a1s, dtype=np.int64), q, method=method, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +273,6 @@ class PressureCurve:
 
     def finite_value_at(self, n: int, q: float) -> float:
         return float(self.finite_values[n][self._locate(q)])
-
-    def derivative_at(self, q: float) -> float:
-        derivs = grid_derivative(self.q_grid, self.extrapolated)
-        return float(derivs[self._locate(q)])
 
 
 def pressure_curve(

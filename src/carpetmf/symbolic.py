@@ -176,9 +176,6 @@ class Ball:
     def depth(self) -> int:
         return len(self.row_word)
 
-    def log_diameter(self, system: CellSystem) -> float:
-        return -self.depth * math.log(system.r2)
-
 
 def ball(system: CellSystem, column_word: Sequence[int], row_word: Sequence[int]) -> Ball:
     """Validated :class:`Ball` constructor (checks the anisotropic lengths)."""

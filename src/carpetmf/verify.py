@@ -32,7 +32,12 @@ from .reference import (
     zero_potential_weight,
 )
 from .symbolic import row_word_count
-from .weights import CylinderWeight, normalize_to_gibbs, row_sum_log_any
+from .weights import (
+    CylinderWeight,
+    make_matrix_cocycle,
+    normalize_to_gibbs,
+    row_sum_log_any,
+)
 
 __all__ = ["CriterionResult", "run_all", "run_pipeline_bundle"]
 
@@ -167,8 +172,18 @@ def _criterion_tilt_identities() -> tuple[bool, str]:
 
 
 def _criterion_transfer_oracle() -> tuple[bool, str]:
+    n_cells = reference_system().n_cells
+    matrices = np.random.default_rng(DEFAULT_MASTER_SEED).uniform(0.05, 1.0, (n_cells, 2, 2))
+    cocycle = make_matrix_cocycle(reference_system(), 2, matrices)
+    # (weight, row-sum q values, pressure q values); the cocycle runs its
+    # Kronecker-power route, which exists at integer q >= 0 only.
+    cases = (
+        (reference_weight(), (-1.0, 0.7, 1.0, 2.0), (0.7, 2.0)),
+        (random_depth2_weight(), (-1.0, 0.7, 1.0, 2.0), (0.7, 2.0)),
+        (cocycle, (0.0, 1.0, 2.0), (0.0, 1.0, 2.0)),
+    )
     worst = 0.0
-    for psi in (reference_weight(), random_depth2_weight()):
+    for psi, row_qs, pressure_qs in cases:
         system = psi.system
         for n in (3, 5):
             total = row_word_count(system, n)
@@ -179,7 +194,7 @@ def _criterion_transfer_oracle() -> tuple[bool, str]:
                 ]
             )
             assert words.shape[0] == total
-            for q in (-1.0, 0.7, 1.0, 2.0):
+            for q in row_qs:
                 fast = row_sum_log_any(psi, words, q, method="transfer")
                 slow = row_sum_log_any(psi, words, q, method="enumerate")
                 finite = np.isfinite(fast) | np.isfinite(slow)
@@ -192,7 +207,7 @@ def _criterion_transfer_oracle() -> tuple[bool, str]:
                         )
                     ),
                 )
-            for q in (0.7, 2.0):
+            for q in pressure_qs:
                 for fn in (pressure.finite_T, pressure.finite_beta):
                     worst = max(
                         worst,

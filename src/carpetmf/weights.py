@@ -16,7 +16,9 @@ constructions are provided:
 Every weight exposes batched evaluation over digit-row arrays, and —
 when its structure allows — fast row-fiber power sums
 ``I_q(w1) = sum_{w2} psi(w1 x w2)^q`` via transfer recursions, so the deep
-regimes never enumerate the row alphabet.
+regimes never enumerate the row alphabet.  Depth-1 weights factorize over
+column letters; window weights of depth >= 2 and matrix cocycles at integer
+``q >= 0`` share one transfer kernel, :func:`prefix_transfer_log`.
 """
 
 from __future__ import annotations
@@ -155,9 +157,6 @@ class ConstantCellWeight(CylinderWeight):
 
     # -- evaluation ------------------------------------------------------
 
-    def _table_for_length(self, n: int) -> np.ndarray:
-        return self.truncated_log[n - 1] if n < self.depth else self.window_log
-
     def log_weight_arrays(self, a1s: np.ndarray, a2s: np.ndarray) -> np.ndarray:
         W, n = np.asarray(a1s).shape
         if n == 0:
@@ -215,41 +214,46 @@ class ConstantCellWeight(CylinderWeight):
         lw = np.where(ok, vals, NEG_INF)
         return lse(scaled_powers(q, lw), axis=1)
 
+    def _start_table(self) -> np.ndarray:
+        """``(r1**(k-1) + 1, r2**(k-1))`` log start states: 0 where the packed
+        first ``k-1`` column digits and the packed row state give allowed
+        cells, -inf otherwise; the last row serves out-of-range digits."""
+        k = self.depth
+        r1, r2 = self.system.r1, self.system.r2
+        a1grid = digits_of_indices(np.arange(r1 ** (k - 1)), r1, k - 1)
+        a2grid = digits_of_indices(np.arange(r2 ** (k - 1)), r2, k - 1)
+        cidx = self.system.cell_index[a1grid[:, None, :], a2grid[None, :, :]]
+        start = np.where((cidx >= 0).all(axis=2), 0.0, NEG_INF)
+        return np.vstack([start, np.full((1, r2 ** (k - 1)), NEG_INF)])
+
     def row_sum_log_batch(self, a1s: np.ndarray, q: float) -> np.ndarray:
         a1s = np.asarray(a1s, dtype=np.int64)
         W, n = a1s.shape
         if n == 0:
             return np.zeros(W)
         k = self.depth
-        r2 = self.system.r2
+        r1, r2 = self.system.r1, self.system.r2
         if n < k:
             return self._row_sum_short(a1s, q)
         if k == 1:
-            table = self.depth1_log_table()
-            letter_lse = lse(scaled_powers(q, table), axis=1)  # (r1,)
-            letter_lse = np.append(letter_lse, NEG_INF)  # slot for bad digits
-            pos = np.where((a1s >= 0) & (a1s < self.system.r1), a1s, self.system.r1)
-            return letter_lse[pos].sum(axis=1)
-        # State recursion over the last k-1 row digits, vectorized over words.
-        table_q = self._window_qtable(q)  # (r1**k, r2**k)
+            return _depth1_row_sums(self.system, self.depth1_log_table(), a1s, q)
+        # State = the last k-1 row digits.  Level 0 picks the start states by
+        # the first k-1 column digits; each later level applies the window
+        # table picked by the packed column window.  Out-of-range digits pick
+        # an all -inf row, which kills the word.
+        in_range = (a1s >= 0) & (a1s < r1)
+        safe = np.where(in_range, a1s, 0)
+        head = np.where(
+            in_range[:, : k - 1].all(axis=1), pack_digits(safe[:, : k - 1], r1), r1 ** (k - 1)
+        )
+        windows = np.lib.stride_tricks.sliding_window_view(safe, k, axis=1)
+        windows_ok = np.lib.stride_tricks.sliding_window_view(in_range, k, axis=1).all(axis=2)
+        keys = np.column_stack([head, np.where(windows_ok, pack_digits(windows, r1), r1**k)])
         S = r2 ** (k - 1)
-        a2states = digits_of_indices(np.arange(S), r2, k - 1)  # (S, k-1)
-        cidx0 = self.system.cell_index[
-            np.clip(a1s[:, : k - 1], 0, self.system.r1 - 1)[:, None, :],
-            a2states[None, :, :],
-        ]
-        in_range = ((a1s >= 0) & (a1s < self.system.r1)).all(axis=1)
-        ok0 = (cidx0 >= 0).all(axis=2) & in_range[:, None]
-        lv = np.where(ok0, 0.0, NEG_INF)  # (W, S)
-        drop = r2 ** (k - 2)
-        safe_a1 = np.clip(a1s, 0, self.system.r1 - 1)  # bad digits already -inf via ok0
-        windows = np.lib.stride_tricks.sliding_window_view(safe_a1, k, axis=1)
-        a1pack = pack_digits(windows, self.system.r1)  # (W, n-k+1)
-        for i in range(n - k + 1):
-            M = table_q[a1pack[:, i]].reshape(W, S, r2)  # [word, state, new digit]
-            x = (lv[:, :, None] + M).reshape(W, r2, drop, r2)
-            lv = lse(x, axis=1).reshape(W, S)
-        return lse(lv, axis=1)
+        steps = np.concatenate(
+            [self._window_qtable(q).reshape(r1**k, S, r2), np.full((1, S, r2), NEG_INF)]
+        )
+        return prefix_transfer_log(keys, self._start_table(), steps)
 
     # -- totals over full product words ----------------------------------
 
@@ -354,7 +358,8 @@ class MatrixCocycleWeight(CylinderWeight):
 
     Products are evaluated as scaled matrix-vector passes so a word of any
     length stays in range; only the log of the running normalizer is
-    accumulated.
+    accumulated.  Row sums at integer ``q >= 0`` and total masses are exact
+    matrix recursions (Kronecker powers for ``I_q``); other q enumerate rows.
     """
 
     def __init__(self, system: CellSystem, dim: int, matrices: np.ndarray) -> None:
@@ -396,17 +401,67 @@ class MatrixCocycleWeight(CylinderWeight):
         table[cells[:, 0], cells[:, 1]] = np.log(self.matrices[:, 0, 0])
         return table
 
-    def row_sum_log_batch(self, a1s: np.ndarray, q: float) -> np.ndarray | None:
-        if self.dim != 1:
+    def _letter_tables(self, q: float) -> np.ndarray | None:
+        """``(r1 + 1, D, D)`` log tables with ``D = dim**q``:
+        ``T[a1][s, t] = log (sum_{a2 in fiber(a1)} M(a1, a2)^{(x)q})[t, s]``,
+        plus an all -inf table for out-of-range letters.  None unless q is an
+        integer >= 0 and the tables fit ``MAX_TRANSFER_TABLE``.
+
+        Exact because ``(1^T P 1)^q = (1^{(x)q})^T P^{(x)q} 1^{(x)q}`` and
+        Kronecker powers of products are products of Kronecker powers.
+        """
+        if q < 0 or not float(q).is_integer():
             return None
-        return _depth1_row_sums(self.system, self.depth1_log_table(), a1s, q)
+        nc, d = self.system.n_cells, self.dim
+        r1 = self.system.r1
+        D = d ** int(q)
+        if max(nc, r1 + 1) * D * D > MAX_TRANSFER_TABLE:
+            return None
+        log_mt = np.log(self.matrices).transpose(0, 2, 1)  # [cell, s, t] = log M[t, s]
+        power = np.zeros((nc, 1, 1))
+        for _ in range(int(q)):
+            p = power.shape[1]
+            power = (
+                power[:, :, None, :, None] + log_mt[:, None, :, None, :]
+            ).reshape(nc, p * d, p * d)
+        columns = self.system.cells_array[:, 0]
+        tables = np.full((r1 + 1, D, D), NEG_INF)
+        for a1 in range(r1):
+            fiber = power[columns == a1]
+            if fiber.shape[0]:
+                tables[a1] = _lse_axis1(fiber[None])[0]
+        return tables
+
+    def row_sum_log_batch(self, a1s: np.ndarray, q: float) -> np.ndarray | None:
+        if self.dim == 1:
+            return _depth1_row_sums(self.system, self.depth1_log_table(), a1s, q)
+        steps = self._letter_tables(q)
+        if steps is None:
+            return None
+        a1s = np.asarray(a1s, dtype=np.int64)
+        W, n = a1s.shape
+        if n == 0:
+            return np.zeros(W)
+        r1 = self.system.r1
+        keys = np.where((a1s >= 0) & (a1s < r1), a1s, r1)
+        # The state starts at 1^{(x)q}; its first step is the start table.
+        return prefix_transfer_log(keys, _lse_axis1(steps), steps)
 
     def log_total_mass(self, m: int) -> float | None:
-        if self.dim != 1:
-            return None
         if m == 0:
             return 0.0
-        return m * float(lse(np.log(self.matrices[:, 0, 0])))
+        if self.dim == 1:
+            return m * float(lse(np.log(self.matrices[:, 0, 0])))
+        # 1^T (sum_c M_c)^m 1 by scaled matrix-vector passes.
+        total = self.matrices.sum(axis=0)
+        u = np.ones(self.dim)
+        acc = 0.0
+        for _ in range(m):
+            u = total @ u
+            norm = float(u.sum())
+            acc += math.log(norm)
+            u /= norm
+        return acc
 
 
 def make_matrix_cocycle(
@@ -431,6 +486,70 @@ def _depth1_row_sums(
     a1s = np.asarray(a1s, dtype=np.int64)
     pos = np.where((a1s >= 0) & (a1s < system.r1), a1s, system.r1)
     return letter_lse[pos].sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Prefix-shared transfer kernel
+# ---------------------------------------------------------------------------
+
+def _lse_axis1(x: np.ndarray) -> np.ndarray:
+    """log-sum-exp over axis 1, shifted by the max of each reduced column.
+
+    Pure numpy; all -inf columns give -inf.  Every output element depends
+    only on its own column, so results do not depend on the batch size.
+    """
+    peak = x.max(axis=1)
+    peak[np.isneginf(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(x - peak[:, None]).sum(axis=1)) + peak
+
+
+def prefix_transfer_log(keys: np.ndarray, start: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``log 1^T v_L`` per key sequence for a log-space transfer recursion.
+
+    ``start`` is ``(K0, S)`` and ``steps`` is ``(K, S, C)`` with ``C``
+    dividing ``S``.  Row ``i`` of the ``(W, L)`` array ``keys`` starts at
+    ``v_0 = start[keys[i, 0]]``; level ``l >= 1`` sums out axis 0 of
+    ``(v_{l-1}[:, None] + steps[keys[i, l]]).reshape(C, S)`` in log space.
+    With ``C == S`` that is a product with a dense transfer matrix; with
+    ``S = C**j`` it is a shift register of ``j`` base-``C`` digits that drops
+    its oldest digit and appends the step's column digit.
+
+    A state depends only on the keys up to its level, so the batch is walked
+    as a prefix trie: a row whose first ``l + 1`` keys equal those of the row
+    before it reuses that row's state at level ``l``.  This is exact for any
+    row order; a lexicographically sorted batch of ``W`` rows over an
+    alphabet of size ``r`` costs about ``W r / (r - 1)`` state updates instead
+    of ``W L``.  Each row's result is bit-identical however the batch is
+    split or ordered.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    W, L = keys.shape
+    if W == 0:
+        return np.empty(0)
+    differs = np.ones((W, L), dtype=bool)
+    differs[1:] = keys[1:] != keys[:-1]
+    # First level at which each row leaves the previous row's trie path.
+    first = np.where(differs.any(axis=1), differs.argmax(axis=1), L)
+    new = first == 0
+    states = start[keys[new, 0]]
+    node = np.cumsum(new) - 1  # each row's trie node at the current level
+    block = max(1, MAX_TRANSFER_TABLE // steps[0].size)  # nodes per transient
+    for level in range(1, L):
+        new = first <= level
+        parents = node[new]
+        letters = keys[new, level]
+        states = np.concatenate(
+            [
+                _lse_axis1(
+                    (states[parents[i : i + block], :, None] + steps[letters[i : i + block]])
+                    .reshape(-1, steps.shape[2], steps.shape[1])
+                )
+                for i in range(0, parents.size, block)
+            ]
+        )
+        node = np.cumsum(new) - 1
+    return _lse_axis1(states)[node]
 
 
 # ---------------------------------------------------------------------------

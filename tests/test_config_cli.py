@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from carpetmf import (
     UniformRowWeight,
     finite_beta,
+    log_total_mass,
     make_constant_cell,
     make_skew_product,
 )
@@ -232,6 +233,35 @@ def test_cli_pressure_depth_max(tmp_path):
     assert result.exit_code == 0, result.output
     body = data_lines(tmp_path / "out" / "pressure_T.csv")
     assert body[0] == "q,value_n4,value_n6,extrapolated,error"
+
+
+def test_cli_pressure_depth_max_keeps_two_depths(tmp_path):
+    # Clipping the default schedule (4, 6, ...) at 5 leaves one depth; the
+    # clip falls back to the deepest feasible pair.
+    result = invoke("pressure", "--depth-max", "5", "--out", str(tmp_path / "out"))
+    assert result.exit_code == 0, result.output
+    body = data_lines(tmp_path / "out" / "pressure_T.csv")
+    assert body[0] == "q,value_n4,value_n5,extrapolated,error"
+
+
+def test_cli_pressure_cocycle_default_schedule(tmp_path):
+    rng = np.random.default_rng(11)
+    data = default_config()
+    data["weight"] = {
+        "kind": "matrixCocycle",
+        "dimension": 2,
+        "matrices": rng.uniform(0.05, 1.0, (5, 4)).tolist(),
+    }
+    data["grids"]["qGrid"] = [1.0, 2.0, 3.0]
+    cfgfile = write_config(tmp_path, data)
+    result = invoke("pressure", "--config", str(cfgfile), "--out", str(tmp_path / "out"))
+    assert result.exit_code == 0, result.output
+    body = data_lines(tmp_path / "out" / "pressure_beta.csv")
+    assert body[0].split(",")[1:6] == [f"value_n{n}" for n in (4, 6, 8, 10, 12)]
+    cfg = load_config(cfgfile)
+    beta4 = float(next(ln for ln in body[1:] if float(ln.split(",")[0]) == 1.0).split(",")[1])
+    want = -log_total_mass(cfg.weight, 4, method="enumerate") / (4 * math.log(2))
+    assert beta4 == pytest.approx(want, rel=1e-10)
 
 
 def test_cli_rejects_malformed_config(tmp_path):
