@@ -55,16 +55,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _cells_of(path_or_cells) -> np.ndarray:
-    cells = getattr(path_or_cells, "cells", path_or_cells)
+def _cells_of(cells) -> np.ndarray:
     arr = np.asarray(cells, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("expected a path or an (n, 2) sequence of cells")
+        raise ValueError("expected an (n, 2) sequence of cells")
     return arr
 
 
 def project_numerators(
-    system: CellSystem, path_or_cells, precision: int | None = None
+    system: CellSystem, cells, precision: int | None = None
 ) -> tuple[int, int, int]:
     """Exact truncated expansions as integer numerators.
 
@@ -72,7 +71,7 @@ def project_numerators(
     ``y = y_num / r2**p`` where ``p`` is the truncation depth.  Kept in
     arbitrary-precision integers so digits can be read back without loss.
     """
-    cells = _cells_of(path_or_cells)
+    cells = _cells_of(cells)
     p = cells.shape[0] if precision is None else int(precision)
     if p < 0 or p > cells.shape[0]:
         raise ValueError(f"precision must lie in [0, {cells.shape[0]}]")
@@ -85,7 +84,7 @@ def project_numerators(
 
 
 def project_point(
-    system: CellSystem, path_or_cells, precision: int | None = None
+    system: CellSystem, cells, precision: int | None = None
 ) -> tuple[float, float]:
     """Point of ``[0, 1)^2`` under the digit-expansion projection.
 
@@ -93,7 +92,7 @@ def project_point(
     ``precision`` digits (default: the full path), so the truncation error
     is below ``r1**-precision`` and ``r2**-precision`` componentwise.
     """
-    x_num, y_num, p = project_numerators(system, path_or_cells, precision)
+    x_num, y_num, p = project_numerators(system, cells, precision)
     if p == 0:
         return 0.0, 0.0
     return x_num / system.r1**p, y_num / system.r2**p
@@ -118,7 +117,7 @@ def carpet_digits(
 
 
 def birkhoff_average_on_carpet(
-    psi: CylinderWeight, path_or_cells, steps: int | None = None
+    psi: CylinderWeight, cells, steps: int | None = None
 ) -> float:
     """Birkhoff average of the weight's potential read off the projected point.
 
@@ -129,7 +128,7 @@ def birkhoff_average_on_carpet(
     the log-weight of the first ``steps + k - 1`` recovered cells.
     """
     system = psi.system
-    cells = _cells_of(path_or_cells)
+    cells = _cells_of(cells)
     k = psi.dependence_depth or 1
     if steps is None:
         steps = cells.shape[0] - (k - 1)
@@ -191,15 +190,12 @@ def render_measure(
     n: int,
     workers: int = 1,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    output_dir: str | Path | None = None,
-    header_comments: Sequence[str] = (),
 ) -> CarpetRender:
     """Fill the depth-``n`` grid with ball masses of a normalized weight.
 
     Each grid cell receives ``log psi([w1] x [w2]) + log I_1(suffix) - log Z``
     -- exactly the per-ball mass surrogate used by the sampler, so grids and
-    sampled masses agree cell for cell.  With ``output_dir`` set, a 16-bit
-    graymap and a CSV of the charged cells are written alongside.
+    sampled masses agree cell for cell.
     """
     system = psi.system
     if n < 1:
@@ -219,12 +215,9 @@ def render_measure(
         suffix_words = digits_of_indices(
             np.arange(system.r1**m, dtype=np.int64), system.r1, m
         )
-        suffix_marginals = psi.row_sum_log_batch(suffix_words, 1.0)
-        if suffix_marginals is None:
-            suffix_marginals = np.array(
-                [row_sum_log_any(psi, word[None, :], 1.0, cap=cap)[0] for word in suffix_words]
-            )
-        suffix_marginals = suffix_marginals - log_total_mass(psi, m, cap=cap)
+        suffix_marginals = row_sum_log_any(psi, suffix_words, 1.0, cap=cap) - log_total_mass(
+            psi, m, cap=cap
+        )
 
     total_words = admissible_word_count(system, n)
     grid = np.full((n_cols, n_rows), NEG_INF)
@@ -248,13 +241,7 @@ def render_measure(
     for base_cols, rows, block in results:
         grid[base_cols[:, None] + offsets[None, :], rows[:, None]] = block
 
-    render = CarpetRender(system=system, depth=n, log_masses=grid)
-    if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_pgm16(render, out / f"render_n{n}.pgm", header_comments)
-        write_grid_csv(render, out / f"render_n{n}.csv", header_comments)
-    return render
+    return CarpetRender(system=system, depth=n, log_masses=grid)
 
 
 def write_pgm16(
@@ -377,7 +364,9 @@ def p3_scan(
     For each ``q > 0`` in ``q_set`` and depth ``n`` in the schedule, the
     defect is ``|log I_q(0^n) - log I_q((r1-1)^n)| / n``; the limit condition
     demands it to vanish.  Any empty boundary fiber leaves the defect
-    infinite and the verdict negative.
+    infinite and the verdict negative.  The scan stops at the first depth
+    whose probe would exceed ``cap`` and reports the depths probed before it
+    (it raises :class:`CapExceededError` when that is the first depth).
     """
     if any(q <= 0 for q in q_set):
         raise ValueError("the P3 condition concerns q > 0 only")
@@ -385,17 +374,21 @@ def p3_scan(
     if not depths or list(depths) != sorted(set(depths)):
         raise ValueError("depth schedule must be strictly increasing and nonempty")
     subset = 0 in system.row_alphabet and (system.r1 - 1) in system.row_alphabet
-    per_q = np.empty((len(q_set), len(depths)))
-    for j, n in enumerate(depths):
-        zeros = np.zeros((1, n), dtype=np.int64)
-        tops = np.full((1, n), system.r1 - 1, dtype=np.int64)
-        for i, q in enumerate(q_set):
-            left = row_sum(psi, zeros[0], float(q), cap=cap)
-            right = row_sum(psi, tops[0], float(q), cap=cap)
-            if left == NEG_INF or right == NEG_INF:
-                per_q[i, j] = np.inf
-            else:
-                per_q[i, j] = abs(left - right) / n
+    columns = []
+    for n in depths:
+        column = np.empty(len(q_set))
+        try:
+            for i, q in enumerate(q_set):
+                left = row_sum(psi, np.zeros(n, dtype=np.int64), float(q), cap=cap)
+                right = row_sum(psi, np.full(n, system.r1 - 1), float(q), cap=cap)
+                column[i] = np.inf if NEG_INF in (left, right) else abs(left - right) / n
+        except CapExceededError:
+            if not columns:
+                raise
+            break  # deeper probes only grow; report the depths probed so far
+        columns.append(column)
+    depths = depths[: len(columns)]
+    per_q = np.column_stack(columns)
     monotone = bool(np.all(per_q[:, 1:] <= per_q[:, :-1] + monotone_slack))
     terminal = float(per_q[:, -1].max())
     defects = tuple(float(v) for v in per_q.max(axis=0))

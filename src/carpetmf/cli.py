@@ -26,6 +26,7 @@ from .config import (
 from .numerics import mean_and_stderr
 from .reference import default_config
 from .symbolic import CapExceededError, depth_map
+from .weights import ConstantCellWeight, unwrap_shift
 
 
 def _load_experiment(
@@ -234,38 +235,23 @@ def cmd_sample(config_path, workers, out_dir, seed, depth_max) -> None:
         aux = gibbs.make_auxiliary(psi, q, level, cfg.sample_variant)
         depth = cfg.sample_depth
         horizon = cfg.sample_horizon or depth_map(cfg.system, depth)
-        log_r2 = math.log(cfg.system.r2)
-        rows = []
-        local_dims = []
-        birkhoffs = []
-        for i in range(cfg.n_samples):
-            path = gibbs.sample_path(
-                aux, depth, horizon=horizon,
-                master_seed=cfg.master_seed, sample_index=i, mass_weight=psi,
-            )
-            local = (
-                float(path.log_ball_mass[depth - 1]) / (-depth * log_r2)
-                if path.log_ball_mass is not None
-                and np.isfinite(path.log_ball_mass[depth - 1])
-                else float("nan")
-            )
-            birkhoff = (
-                float(path.birkhoff[depth - 1]) / depth
-                if path.birkhoff is not None
-                else float("nan")
-            )
-            rows.append((i, birkhoff, local))
-            if np.isfinite(local):
-                local_dims.append(local)
-            if np.isfinite(birkhoff):
-                birkhoffs.append(birkhoff)
+        cylinder, ball = gibbs.sampled_log_masses(
+            psi, aux, depth, horizon, cfg.n_samples, cfg.master_seed, workers
+        )
+        with np.errstate(invalid="ignore"):
+            local = np.where(np.isfinite(ball), ball / (-depth * math.log(cfg.system.r2)), np.nan)
+        # Only window weights have Birkhoff sums: their cylinder log-weights.
+        window = isinstance(unwrap_shift(psi), ConstantCellWeight)
+        birkhoff = cylinder / depth if window else np.full(cfg.n_samples, np.nan)
+        local_dims = local[np.isfinite(local)]
+        birkhoffs = birkhoff[np.isfinite(birkhoff)]
     except (ConfigError, CapExceededError, ValueError) as exc:
         _fail(str(exc))
     comments = io_utils.provenance_comments(cfg.sha256)
     io_utils.write_csv(
         out / "samples.csv",
         ["sampleIndex", "birkhoffAverage", "localDimension"],
-        rows,
+        zip(range(cfg.n_samples), birkhoff, local),
         comments,
     )
     summary: dict = {
@@ -278,11 +264,11 @@ def cmd_sample(config_path, workers, out_dir, seed, depth_max) -> None:
         "masterSeed": cfg.master_seed,
     }
     if len(local_dims) >= 2:
-        mean, stderr = mean_and_stderr(np.array(local_dims))
+        mean, stderr = mean_and_stderr(local_dims)
         summary["meanLocalDimension"] = mean
         summary["stderrLocalDimension"] = stderr
     if len(birkhoffs) >= 2:
-        mean, stderr = mean_and_stderr(np.array(birkhoffs))
+        mean, stderr = mean_and_stderr(birkhoffs)
         summary["meanBirkhoffAverage"] = mean
         summary["stderrBirkhoffAverage"] = stderr
     io_utils.write_json(out / "summary.json", summary, cfg.sha256)

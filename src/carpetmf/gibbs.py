@@ -32,15 +32,14 @@ from .pressure import log_total_mass, row_sum
 from .symbolic import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
-    CellSystem,
     depth_map,
     digits_of_indices,
 )
 from .weights import (
     ConstantCellWeight,
     CylinderWeight,
-    ShiftedWeight,
     row_sum_log_any,
+    unwrap_shift,
 )
 
 VARIANT_PSI_Q = "psiQ"
@@ -229,12 +228,6 @@ def _draw_from_log(rng: np.random.Generator, log_probs: np.ndarray) -> int:
     return min(idx, log_probs.size - 1)
 
 
-def _unwrap_shift(weight: CylinderWeight) -> CylinderWeight:
-    while isinstance(weight, ShiftedWeight):
-        weight = weight.base
-    return weight
-
-
 def _draw_cells(
     weight: CylinderWeight, m: int, rng: np.random.Generator, cap: int
 ) -> np.ndarray:
@@ -243,7 +236,7 @@ def _draw_cells(
     system = weight.system
     if m == 0:
         return np.empty((0, 2), dtype=np.int64)
-    core = _unwrap_shift(weight)
+    core = unwrap_shift(weight)
     if isinstance(core, AuxiliaryWeight) and core._delegate is not None:
         core = core._delegate
     table = core.depth1_log_table()
@@ -317,83 +310,62 @@ def _draw_cells_enumerate(
     return cells[np.array(prefix, dtype=np.int64)]
 
 
-@dataclass(frozen=True)
-class SamplePath:
-    """One sampled cell path plus per-depth diagnostics.
-
-    ``cells`` covers the requested depth; ``extra_columns`` extends the
-    column digits to the sampling horizon (needed to form deep balls).
-    ``log_ball_mass[j-1]`` is the mass of the depth-j ball around the path
-    under the analyzed weight (NaN where the horizon is too short), and
-    ``birkhoff`` tracks the running prefix log-weight for window weights.
-    """
-
-    cells: np.ndarray
-    extra_columns: np.ndarray
-    log_ball_mass: np.ndarray | None
-    birkhoff: np.ndarray | None
-    master_seed: int
-    sample_index: int
-
-    @property
-    def depth(self) -> int:
-        return self.cells.shape[0]
-
-
 def sample_path(
     weight: CylinderWeight,
-    depth: int,
-    horizon: int | None = None,
+    horizon: int,
     master_seed: int = 0,
     sample_index: int = 0,
-    mass_weight: CylinderWeight | None = None,
-    record_masses: bool = True,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> SamplePath:
-    """Draw one path from ``weight``'s exact cylinder process.
+) -> np.ndarray:
+    """The ``(horizon, 2)`` cells of path ``sample_index`` drawn from
+    ``weight``'s exact cylinder process on RNG stream ``sample_index``."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    return _draw_cells(weight, horizon, _rng_for_sample(master_seed, sample_index), cap)
 
-    ``mass_weight`` (default: the tilt's base when ``weight`` is auxiliary,
-    else ``weight`` itself) is the measure whose ball masses and Birkhoff sums
-    are recorded along the path.
+
+def sampled_log_masses(
+    psi: CylinderWeight,
+    weight: CylinderWeight,
+    n: int,
+    horizon: int,
+    n_samples: int,
+    master_seed: int = 0,
+    workers: int = 1,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Depth-``n`` log masses under ``psi`` of the paths ``sample_path(weight,
+    horizon, master_seed, i)``, ``i < n_samples``.
+
+    Returns each path's cylinder log-weight ``log psi(w|n)`` and ball
+    log-mass (the :func:`ball_mass` of its depth-``n`` ball, NaN when
+    ``horizon < g(n)``).  ``log Z_{g-n}`` is computed once; paths are drawn
+    and evaluated in worker-independent chunks.
     """
-    if depth < 1:
+    if n < 1:
         raise ValueError("depth must be >= 1")
-    horizon = depth if horizon is None else int(horizon)
-    if horizon < depth:
+    if horizon < n:
         raise ValueError("horizon must be >= depth")
-    if mass_weight is None:
-        mass_weight = weight.base if isinstance(weight, AuxiliaryWeight) else weight
-    rng = _rng_for_sample(master_seed, sample_index)
-    cells = _draw_cells(weight, horizon, rng, cap)
-    masses = None
-    if record_masses:
-        masses = np.full(depth, np.nan)
-        for j in range(1, depth + 1):
-            gj = depth_map(weight.system, j)
-            if gj <= horizon:
-                masses[j - 1] = ball_mass(
-                    mass_weight, cells[:gj, 0], cells[:j, 1], cap=cap
-                )
-    birkhoff = None
-    if isinstance(_unwrap_shift(mass_weight), ConstantCellWeight):
-        birkhoff = np.array(
-            [
-                float(
-                    mass_weight.log_weight_arrays(
-                        cells[None, :j, 0], cells[None, :j, 1]
-                    )[0]
-                )
-                for j in range(1, depth + 1)
-            ]
-        )
-    return SamplePath(
-        cells=cells[:depth].copy(),
-        extra_columns=cells[depth:, 0].copy(),
-        log_ball_mass=masses,
-        birkhoff=birkhoff,
-        master_seed=master_seed,
-        sample_index=sample_index,
-    )
+    g = depth_map(psi.system, n)
+    with_ball = horizon >= g
+    m = g - n
+    log_z = log_total_mass(psi, m, cap=cap) if (with_ball and m > 0) else 0.0
+
+    def chunk(lo: int, hi: int) -> np.ndarray:
+        paths = np.stack(
+            [sample_path(weight, horizon, master_seed, i, cap) for i in range(lo, hi)]
+        )  # (B, horizon, 2)
+        lw = psi.log_weight_arrays(paths[:, :n, 0], paths[:, :n, 1])
+        if not with_ball:
+            return np.column_stack([lw, np.full(lw.shape, np.nan)])
+        if m > 0:
+            return np.column_stack(
+                [lw, lw + row_sum_log_any(psi, paths[:, n:g, 0], 1.0, cap=cap) - log_z]
+            )
+        return np.column_stack([lw, lw])
+
+    masses = run_chunked_arrays(chunk, n_samples, workers=workers).reshape(-1, 2)
+    return masses[:, 0], masses[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -436,29 +408,13 @@ def local_dimension_mc(
         raise ValueError("need at least two samples")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    system = psi.system
     n = depth
-    g = depth_map(system, n)
     use_ball = aux.variant == VARIANT_PSI_Q
-    horizon = g if use_ball else n
-    m = g - n
-    denom = -n * math.log(system.r2)
-    log_z = log_total_mass(psi, m, cap=cap) if (use_ball and m > 0) else 0.0
-
-    def chunk_stats(lo: int, hi: int) -> np.ndarray:
-        batch = np.stack(
-            [
-                _draw_cells(aux, horizon, _rng_for_sample(master_seed, i), cap)
-                for i in range(lo, hi)
-            ]
-        )  # (B, horizon, 2)
-        lw = psi.log_weight_arrays(batch[:, :n, 0], batch[:, :n, 1])
-        if use_ball and m > 0:
-            lmar = row_sum_log_any(psi, batch[:, n:g, 0], 1.0, cap=cap)
-            lw = lw + lmar - log_z
-        return lw / denom
-
-    stats = run_chunked_arrays(chunk_stats, n_samples, workers=workers)
+    horizon = depth_map(psi.system, n) if use_ball else n
+    cylinder, ball = sampled_log_masses(
+        psi, aux, n, horizon, n_samples, master_seed, workers, cap
+    )
+    stats = (ball if use_ball else cylinder) / (-n * math.log(psi.system.r2))
     mean, stderr = mean_and_stderr(stats)
     return McEstimate(
         mean=mean,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp as _scipy_logsumexp
 
 NEG_INF = float("-inf")
 
@@ -28,10 +27,18 @@ MIN_CHUNK_SIZE = 512
 
 
 def lse(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """log(sum(exp(values))) with empty/all-(-inf) slices mapping to -inf."""
+    """log(sum(exp(values))) with empty/all-(-inf) slices mapping to -inf.
+
+    Each slice is shifted by its own max (non-finite peaks shift by 0), so an
+    output element depends only on its own slice and a row's value is
+    bit-identical whatever batch it sits in.
+    """
     values = np.asarray(values, dtype=float)
+    peak = np.max(values, axis=axis, keepdims=True, initial=NEG_INF)
+    peak[~np.isfinite(peak)] = 0.0
     with np.errstate(divide="ignore"):
-        return _scipy_logsumexp(values, axis=axis)
+        out = np.log(np.sum(np.exp(values - peak), axis=axis)) + np.squeeze(peak, axis=axis)
+    return out if out.ndim else out[()]
 
 
 def scaled_powers(exponent: float, log_values: np.ndarray) -> np.ndarray:

@@ -10,21 +10,23 @@ configuration is reported as skipped rather than passed.
 
 from __future__ import annotations
 
-import filecmp
+import json
 import math
+import shutil
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from . import carpet, gibbs, io_utils, pressure, spectra
+from . import carpet, gibbs, pressure, spectra
 from .config import ExperimentConfig
-from .numerics import central_derivative, mean_and_stderr
+from .numerics import central_derivative, mean_and_stderr, run_chunked_arrays
 from .reference import (
     DEFAULT_MASTER_SEED,
+    default_config,
     default_q_grid,
     random_depth2_weight,
     reference_system,
@@ -34,12 +36,16 @@ from .reference import (
 from .symbolic import row_word_count
 from .weights import (
     CylinderWeight,
+    make_constant_cell,
     make_matrix_cocycle,
     normalize_to_gibbs,
     row_sum_log_any,
 )
 
-__all__ = ["CriterionResult", "run_all", "run_pipeline_bundle"]
+__all__ = ["CriterionResult", "run_all"]
+
+#: Reference cell masses regrouped so the two fibers sum to 0.6 and 0.4.
+_SKEWED_MASSES = (0.3, 0.3, 0.1, 0.15, 0.15)
 
 
 @dataclass
@@ -249,37 +255,30 @@ def _criterion_involution() -> tuple[bool, str]:
     return ok, f"parabola defect {parabola_defect:.2e}, closed-form defect {closed_defect:.2e}"
 
 
+def _mc_pull(psi: CylinderWeight, q: float, variant: str) -> float:
+    """Pull of the tilted MC local dimension (10,000 paths, depth 30)
+    against the closed-form derivative of the variant's pressure."""
+    psi_q = variant == gibbs.VARIANT_PSI_Q
+    closed = pressure.closed_form_beta if psi_q else pressure.closed_form_T
+    target = central_derivative(lambda x: closed(psi, x), q, h=1.0 / 64)
+    aux = gibbs.make_auxiliary(psi, q, closed(psi, q), variant)
+    est = gibbs.local_dimension_mc(psi, aux, 10_000, 30, master_seed=DEFAULT_MASTER_SEED)
+    return abs(est.mean - target) / est.stderr
+
+
 def _criterion_mc_local_dimension() -> tuple[bool, str]:
     psi = reference_weight()
-    n_samples, depth = 10_000, 30
-    details = []
-    ok = True
+    pulls = {}
     for q in (0.0, 1.0, 2.0):
-        t_target = central_derivative(
-            lambda x: pressure.closed_form_T(psi, x), q, h=1.0 / 64
-        )
-        aux = gibbs.make_auxiliary(
-            psi, q, pressure.closed_form_T(psi, q), gibbs.VARIANT_PSI_TILDE_Q
-        )
-        est = gibbs.local_dimension_mc(
-            psi, aux, n_samples, depth, master_seed=DEFAULT_MASTER_SEED
-        )
-        pull = abs(est.mean - t_target) / est.stderr
-        ok &= pull <= 3.0
-        details.append(f"T'({q:g}) pull {pull:.2f}")
-        b_target = central_derivative(
-            lambda x: pressure.closed_form_beta(psi, x), q, h=1.0 / 64
-        )
-        aux = gibbs.make_auxiliary(
-            psi, q, pressure.closed_form_beta(psi, q), gibbs.VARIANT_PSI_Q
-        )
-        est = gibbs.local_dimension_mc(
-            psi, aux, n_samples, depth, master_seed=DEFAULT_MASTER_SEED
-        )
-        pull = abs(est.mean - b_target) / est.stderr
-        ok &= pull <= 3.0
-        details.append(f"beta'({q:g}) pull {pull:.2f}")
-    return ok, ", ".join(details)
+        pulls[f"T'({q:g})"] = _mc_pull(psi, q, gibbs.VARIANT_PSI_TILDE_Q)
+        pulls[f"beta'({q:g})"] = _mc_pull(psi, q, gibbs.VARIANT_PSI_Q)
+    # The reference fibers both sum to 1/2, where the two tilts coincide;
+    # unequal fiber sums (0.6 / 0.4) tell them apart.
+    skewed = make_constant_cell(reference_system(), 1, np.log(_SKEWED_MASSES))
+    pulls["skewed T'(2)"] = _mc_pull(skewed, 2.0, gibbs.VARIANT_PSI_TILDE_Q)
+    pulls["skewed beta'(2)"] = _mc_pull(skewed, 2.0, gibbs.VARIANT_PSI_Q)
+    ok = all(pull <= 3.0 for pull in pulls.values())
+    return ok, ", ".join(f"{name} pull {pull:.2f}" for name, pull in pulls.items())
 
 
 def _criterion_tau_derivative() -> tuple[bool, str]:
@@ -308,17 +307,18 @@ def _criterion_carpet_birkhoff() -> tuple[bool, str]:
         aux = gibbs.make_auxiliary(
             psi, q, pressure.closed_form_T(psi, q), gibbs.VARIANT_PSI_TILDE_Q
         )
-        averages = np.empty(n_samples)
-        for i in range(n_samples):
-            path = gibbs.sample_path(
-                aux,
-                depth,
-                master_seed=DEFAULT_MASTER_SEED,
-                sample_index=i,
-                mass_weight=psi,
-                record_masses=False,
+
+        def chunk(lo: int, hi: int) -> np.ndarray:
+            return np.array(
+                [
+                    carpet.birkhoff_average_on_carpet(
+                        psi, gibbs.sample_path(aux, depth, DEFAULT_MASTER_SEED, i)
+                    )
+                    for i in range(lo, hi)
+                ]
             )
-            averages[i] = carpet.birkhoff_average_on_carpet(psi, path)
+
+        averages = run_chunked_arrays(chunk, n_samples)
         mean, stderr = mean_and_stderr(averages)
         pull = abs(mean - target) / stderr
         ok &= pull <= 3.0
@@ -334,77 +334,47 @@ def _criterion_carpet_birkhoff() -> tuple[bool, str]:
     return ok, ", ".join(details)
 
 
-def run_pipeline_bundle(out_dir: str | Path, workers: int) -> list[Path]:
-    """Small end-to-end run writing every output format; used by the
-    determinism criterion and reusable as a smoke test."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    psi = reference_weight()
-    grid = np.linspace(-2.0, 2.0, 17)
-    comments = io_utils.provenance_comments("pipeline-bundle")
-    files = []
-    for kind in ("T", "beta"):
-        curve = pressure.pressure_curve(psi, grid, (4, 6), kind=kind, workers=workers)
-        rows = [
-            (q, *(curve.finite_values[n][i] for n in curve.depths),
-             curve.extrapolated[i], curve.error_estimate[i])
-            for i, q in enumerate(curve.q_grid)
-        ]
-        header = ["q", *(f"value_n{n}" for n in curve.depths), "extrapolated", "error"]
-        files.append(io_utils.write_csv(out / f"pressure_{kind}.csv", header, rows, comments))
-        spectrum = spectra.legendre(curve)
-        rows = [
-            (q, a, d, flag)
-            for q, a, d, flag in zip(
-                spectrum.q, spectrum.alpha, spectrum.dimension, spectrum.flags
-            )
-        ]
-        files.append(
-            io_utils.write_csv(
-                out / f"spectrum_{kind}.csv",
-                ["q", "alpha", "dimension", "flag"],
-                rows,
-                comments,
-            )
-        )
-    aux = gibbs.make_auxiliary(
-        psi, 1.0, pressure.closed_form_T(psi, 1.0), gibbs.VARIANT_PSI_TILDE_Q
-    )
-    est = gibbs.local_dimension_mc(
-        psi, aux, 64, 8, master_seed=DEFAULT_MASTER_SEED, workers=workers
-    )
-    files.append(
-        io_utils.write_csv(
-            out / "samples.csv",
-            ["sampleIndex", "localDimension"],
-            list(enumerate(est.statistics)),
-            comments,
-        )
-    )
-    render = carpet.render_measure(psi, 3, workers=workers)
-    files.append(carpet.write_pgm16(render, out / "render_n3.pgm", comments))
-    files.append(carpet.write_grid_csv(render, out / "render_n3.csv", comments))
-    return files
-
-
 def _criterion_determinism() -> tuple[bool, str]:
+    """Run the CLI commands with 1 and 4 workers into the same ``--out``
+    string (it is part of the stamped config hash) and compare the bytes.
+    1,100 samples make ``sample`` split into two chunks."""
+    from click.testing import CliRunner
+
+    from .cli import main  # here, not at the top: cli imports this module
+
+    config = default_config()
+    config["grids"] = {
+        "qGrid": [float(q) for q in np.linspace(-2.0, 2.0, 17)],
+        "depthSchedule": [4, 6],
+    }
+    config["sampling"].update(nSamples=1100, depth=8)
+    commands = (
+        ("pressure",),
+        ("spectrum",),
+        ("sample",),
+        ("render", "--depth", "3"),
+        ("boxcount", "--depth", "3"),
+    )
+    runner = CliRunner()
+    outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
-        dir1 = Path(tmp) / "w1"
-        dir4 = Path(tmp) / "w4"
-        files1 = run_pipeline_bundle(dir1, workers=1)
-        files4 = run_pipeline_bundle(dir4, workers=4)
-        names1 = sorted(p.name for p in files1)
-        names4 = sorted(p.name for p in files4)
-        if names1 != names4:
-            return False, "file sets differ between worker counts"
-        mismatches = [
-            name
-            for name in names1
-            if not filecmp.cmp(dir1 / name, dir4 / name, shallow=False)
-        ]
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = Path(tmp) / "out"
+        for workers in ("1", "4"):
+            shutil.rmtree(out, ignore_errors=True)
+            for command in commands:
+                args = [*command, "--config", str(config_path), "--out", str(out)]
+                result = runner.invoke(main, [*args, "--workers", workers])
+                if result.exit_code != 0:
+                    return False, f"{command[0]} --workers {workers} failed: {result.output}"
+            outputs[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    if sorted(outputs["1"]) != sorted(outputs["4"]):
+        return False, "file sets differ between worker counts"
+    mismatches = [name for name, blob in outputs["1"].items() if outputs["4"][name] != blob]
     if mismatches:
         return False, f"byte mismatch in {mismatches}"
-    return True, f"{len(names1)} files byte-identical for workers 1 vs 4"
+    return True, f"{len(outputs['1'])} CLI output files byte-identical for workers 1 vs 4"
 
 
 # ---------------------------------------------------------------------------

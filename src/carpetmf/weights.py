@@ -429,7 +429,7 @@ class MatrixCocycleWeight(CylinderWeight):
         for a1 in range(r1):
             fiber = power[columns == a1]
             if fiber.shape[0]:
-                tables[a1] = _lse_axis1(fiber[None])[0]
+                tables[a1] = lse(fiber, axis=0)
         return tables
 
     def row_sum_log_batch(self, a1s: np.ndarray, q: float) -> np.ndarray | None:
@@ -445,7 +445,7 @@ class MatrixCocycleWeight(CylinderWeight):
         r1 = self.system.r1
         keys = np.where((a1s >= 0) & (a1s < r1), a1s, r1)
         # The state starts at 1^{(x)q}; its first step is the start table.
-        return prefix_transfer_log(keys, _lse_axis1(steps), steps)
+        return prefix_transfer_log(keys, lse(steps, axis=1), steps)
 
     def log_total_mass(self, m: int) -> float | None:
         if m == 0:
@@ -492,18 +492,6 @@ def _depth1_row_sums(
 # Prefix-shared transfer kernel
 # ---------------------------------------------------------------------------
 
-def _lse_axis1(x: np.ndarray) -> np.ndarray:
-    """log-sum-exp over axis 1, shifted by the max of each reduced column.
-
-    Pure numpy; all -inf columns give -inf.  Every output element depends
-    only on its own column, so results do not depend on the batch size.
-    """
-    peak = x.max(axis=1)
-    peak[np.isneginf(peak)] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(x - peak[:, None]).sum(axis=1)) + peak
-
-
 def prefix_transfer_log(keys: np.ndarray, start: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """``log 1^T v_L`` per key sequence for a log-space transfer recursion.
 
@@ -541,15 +529,16 @@ def prefix_transfer_log(keys: np.ndarray, start: np.ndarray, steps: np.ndarray) 
         letters = keys[new, level]
         states = np.concatenate(
             [
-                _lse_axis1(
+                lse(
                     (states[parents[i : i + block], :, None] + steps[letters[i : i + block]])
-                    .reshape(-1, steps.shape[2], steps.shape[1])
+                    .reshape(-1, steps.shape[2], steps.shape[1]),
+                    axis=1,
                 )
                 for i in range(0, parents.size, block)
             ]
         )
         node = np.cumsum(new) - 1
-    return _lse_axis1(states)[node]
+    return lse(states, axis=1)[node]
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +719,13 @@ class ShiftedWeight(CylinderWeight):
         return inner - m * self.shift
 
 
+def unwrap_shift(weight: CylinderWeight) -> CylinderWeight:
+    """The weight under any pressure shifts."""
+    while isinstance(weight, ShiftedWeight):
+        weight = weight.base
+    return weight
+
+
 def normalize_to_gibbs(psi: CylinderWeight, pressure_estimate: float) -> ShiftedWeight:
     """Subtract ``n * pressure_estimate`` from log weights.
 
@@ -772,8 +768,13 @@ def row_sum_log_any(
         return np.zeros(W)
     r2 = weight.system.r2
     total = r2**n
-    if total > cap:
-        raise CapExceededError(f"row enumeration of {total} words exceeds cap {cap}")
+    # The batch below holds W * r2**n words of n digit cells each.
+    cells = W * total * n
+    if cells > cap:
+        raise CapExceededError(
+            f"row enumeration of {W} column words x {r2}**{n} rows builds "
+            f"{cells} digit cells, over cap {cap}"
+        )
     w2 = digits_of_indices(np.arange(total), r2, n)
     a1rep = np.repeat(a1s, total, axis=0)
     w2t = np.tile(w2, (W, 1))

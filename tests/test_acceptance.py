@@ -32,6 +32,7 @@ from carpetmf import (
     local_dimension_mc,
     lq_spectrum_empirical,
     make_auxiliary,
+    make_constant_cell,
     mcmullen_dimension,
     normalize_to_gibbs,
     row_sum_log_any,
@@ -54,16 +55,23 @@ ROW_FIBERS = {0: (0.2, 0.3), 1: (0.1, 0.15, 0.25)}
 S = 0.5
 
 
-def iq(a1: int, q: float) -> float:
-    return sum(m**q for m in ROW_FIBERS[a1]) if q != 0 else len(ROW_FIBERS[a1])
+# The same cells with masses regrouped so the fibers sum to 0.6 and 0.4 (the
+# reference fibers both sum to 0.5, where the psiQ and psiTildeQ tilts agree).
+SKEWED_FIBERS = {0: (0.3, 0.3), 1: (0.1, 0.15, 0.15)}
 
 
-def oracle_T(q: float) -> float:
-    return -math.log2(sum(iq(a, q) ** S for a in ROW_FIBERS))
+def iq(a1: int, q: float, fibers=ROW_FIBERS) -> float:
+    return sum(m**q for m in fibers[a1]) if q != 0 else len(fibers[a1])
 
 
-def oracle_beta(q: float) -> float:
-    return -math.log2(sum(iq(a, 1.0) ** (q * (1 - S)) * iq(a, q) ** S for a in ROW_FIBERS))
+def oracle_T(q: float, fibers=ROW_FIBERS) -> float:
+    return -math.log2(sum(iq(a, q, fibers) ** S for a in fibers))
+
+
+def oracle_beta(q: float, fibers=ROW_FIBERS) -> float:
+    return -math.log2(
+        sum(iq(a, 1.0, fibers) ** (q * (1 - S)) * iq(a, q, fibers) ** S for a in fibers)
+    )
 
 
 def oracle_derivative(fn, q: float, h: float = 1.0 / 64) -> float:
@@ -226,27 +234,27 @@ def test_criterion_6_legendre_involution():
 
 def test_criterion_7_mc_local_dimension():
     with budget(60.0):
-        psi = reference_weight()
+        reference = reference_weight()
+        cells = [(a1, a2) for a1, fiber in SKEWED_FIBERS.items() for a2 in range(len(fiber))]
+        skewed = make_constant_cell(
+            reference.system,
+            1,
+            {(cell,): math.log(m) for cell, m in zip(cells, sum(SKEWED_FIBERS.values(), ()))},
+        )
         n_samples, depth = 10_000, 30
-        for q in (0.0, 1.0, 2.0):
-            aux = make_auxiliary(psi, q, oracle_T(q), VARIANT_PSI_TILDE_Q)
-            est = local_dimension_mc(
-                psi, aux, n_samples, depth, master_seed=DEFAULT_MASTER_SEED
-            )
-            target = oracle_derivative(oracle_T, q)
-            assert abs(est.mean - target) <= 3 * est.stderr, (
-                f"T'({q}): mean {est.mean:.5f} vs {target:.5f} "
-                f"(pull {abs(est.mean - target) / est.stderr:.2f})"
-            )
-            aux = make_auxiliary(psi, q, oracle_beta(q), VARIANT_PSI_Q)
-            est = local_dimension_mc(
-                psi, aux, n_samples, depth, master_seed=DEFAULT_MASTER_SEED
-            )
-            target = oracle_derivative(oracle_beta, q)
-            assert abs(est.mean - target) <= 3 * est.stderr, (
-                f"beta'({q}): mean {est.mean:.5f} vs {target:.5f} "
-                f"(pull {abs(est.mean - target) / est.stderr:.2f})"
-            )
+        cases = [(reference, ROW_FIBERS, q) for q in (0.0, 1.0, 2.0)]
+        cases.append((skewed, SKEWED_FIBERS, 2.0))
+        for psi, fibers, q in cases:
+            for variant, oracle in ((VARIANT_PSI_TILDE_Q, oracle_T), (VARIANT_PSI_Q, oracle_beta)):
+                aux = make_auxiliary(psi, q, oracle(q, fibers), variant)
+                est = local_dimension_mc(
+                    psi, aux, n_samples, depth, master_seed=DEFAULT_MASTER_SEED
+                )
+                target = oracle_derivative(lambda x: oracle(x, fibers), q)
+                assert abs(est.mean - target) <= 3 * est.stderr, (
+                    f"{variant} q={q}, fibers {fibers}: mean {est.mean:.5f} vs {target:.5f} "
+                    f"(pull {abs(est.mean - target) / est.stderr:.2f})"
+                )
 
 
 def test_criterion_8_tau_derivative_match():
@@ -267,17 +275,14 @@ def test_criterion_9_carpet_birkhoff():
         for q in (0.0, 2.0):
             target = -oracle_derivative(oracle_T, q) * math.log(4)
             aux = make_auxiliary(psi, q, oracle_T(q), VARIANT_PSI_TILDE_Q)
-            averages = np.empty(n_samples)
-            for i in range(n_samples):
-                path = sample_path(
-                    aux,
-                    depth,
-                    master_seed=DEFAULT_MASTER_SEED,
-                    sample_index=i,
-                    mass_weight=psi,
-                    record_masses=False,
-                )
-                averages[i] = birkhoff_average_on_carpet(psi, path)
+            averages = np.array(
+                [
+                    birkhoff_average_on_carpet(
+                        psi, sample_path(aux, depth, DEFAULT_MASTER_SEED, i)
+                    )
+                    for i in range(n_samples)
+                ]
+            )
             mean, stderr = mean_and_stderr(averages)
             assert abs(mean - target) <= 3 * stderr, (
                 f"q={q}: mean {mean:.5f} vs {target:.5f} "

@@ -20,6 +20,7 @@ from carpetmf import (
     depth_map,
     lq_spectrum_empirical,
     make_constant_cell,
+    make_matrix_cocycle,
     normalize_to_gibbs,
     p3_scan,
     project_numerators,
@@ -54,7 +55,7 @@ def test_project_numerators_geometric(ref_system):
 
 
 def test_project_point_truncation_bound(ref_system, ref_weight):
-    path = sample_path(ref_weight, 20, master_seed=6, sample_index=0, record_masses=False)
+    path = sample_path(ref_weight, 20, master_seed=6, sample_index=0)
     x_full, y_full = project_point(ref_system, path)
     for p in (5, 10, 15):
         x_p, y_p = project_point(ref_system, path, precision=p)
@@ -72,33 +73,30 @@ def test_project_precision_validated(ref_system):
 
 
 def test_digit_round_trip_depth30(ref_system, ref_weight):
-    path = sample_path(ref_weight, 30, master_seed=8, sample_index=4, record_masses=False)
+    path = sample_path(ref_weight, 30, master_seed=8, sample_index=4)
     x_num, y_num, p = project_numerators(ref_system, path)
     recovered = carpet_digits(ref_system, x_num, y_num, p, 30)
-    assert np.array_equal(recovered, path.cells)
+    assert np.array_equal(recovered, path)
     with pytest.raises(ValueError):
         carpet_digits(ref_system, x_num, y_num, p, 31)
 
 
 def test_birkhoff_average_on_carpet(ref_weight, ref_masses):
-    path = sample_path(ref_weight, 25, master_seed=12, sample_index=0, record_masses=False)
+    path = sample_path(ref_weight, 25, master_seed=12, sample_index=0)
+    logs = [math.log(ref_masses[tuple(int(x) for x in cell)]) for cell in path]
     got = birkhoff_average_on_carpet(ref_weight, path)
-    by_hand = np.mean(
-        [math.log(ref_masses[tuple(int(x) for x in cell)]) for cell in path.cells]
-    )
-    assert got == pytest.approx(float(by_hand), abs=1e-12)
-    assert got == pytest.approx(path.birkhoff[-1] / 25, abs=1e-12)
+    assert got == pytest.approx(float(np.mean(logs)), abs=1e-12)
     # truncated-step variant averages the first few digits only
     first5 = birkhoff_average_on_carpet(ref_weight, path, steps=5)
-    assert first5 == pytest.approx(path.birkhoff[4] / 5, abs=1e-12)
+    assert first5 == pytest.approx(float(np.mean(logs[:5])), abs=1e-12)
 
 
 def test_birkhoff_average_depth2_window(depth2_weight, ref_weight):
     # a depth-2 window needs steps + 1 cells; the average is the window
     # log-weight of the recovered digits over the step count
-    path = sample_path(ref_weight, 10, master_seed=14, sample_index=1, record_masses=False)
+    path = sample_path(ref_weight, 10, master_seed=14, sample_index=1)
     got = birkhoff_average_on_carpet(depth2_weight, path, steps=9)
-    want = depth2_weight.log_weight([tuple(int(x) for x in c) for c in path.cells]) / 9
+    want = depth2_weight.log_weight([tuple(int(x) for x in c) for c in path]) / 9
     assert got == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError):
         birkhoff_average_on_carpet(depth2_weight, path, steps=10)
@@ -168,11 +166,8 @@ def test_rendered_histogram_matches_sampler(ref_weight, ref_system):
     # 40000 iid depth-6 windows cut from 2500 sampled paths; the empirical
     # depth-3 ball histogram tracks the rendered masses within four sigma
     # cell by cell, and never charges an empty cell.
-    paths = [
-        sample_path(ref_weight, 96, master_seed=17, sample_index=i, record_masses=False)
-        for i in range(2500)
-    ]
-    wins = np.concatenate([p.cells.reshape(16, 6, 2) for p in paths])
+    paths = [sample_path(ref_weight, 96, master_seed=17, sample_index=i) for i in range(2500)]
+    wins = np.concatenate([p.reshape(16, 6, 2) for p in paths])
     render = render_measure(ref_weight, 3)
     g3 = depth_map(ref_system, 3)
     col_idx = np.zeros(len(wins), dtype=np.int64)
@@ -348,3 +343,17 @@ def test_p3_scan_validation(ref_weight, ref_system):
         p3_scan(ref_system, ref_weight, depth_schedule=(4, 2))
     with pytest.raises(ValueError):
         p3_scan(ref_system, ref_weight, depth_schedule=())
+
+
+def test_p3_scan_stops_at_cap(ref_system):
+    # q = 0.5 has no transfer route on a dim-2 cocycle: the probe enumerates
+    # 4**n rows of n digits per boundary word, 24,576 cells at n = 6.
+    matrices = np.random.default_rng(3).uniform(0.05, 1.0, (ref_system.n_cells, 2, 2))
+    psi = make_matrix_cocycle(ref_system, 2, matrices)
+    report = p3_scan(ref_system, psi, depth_schedule=(2, 4, 6, 8), cap=2**14)
+    assert report.depths == (2, 4)
+    assert len(report.defects) == 2
+    full = p3_scan(ref_system, psi, depth_schedule=(2, 4))
+    assert full == report
+    with pytest.raises(CapExceededError, match="24576 digit cells"):
+        p3_scan(ref_system, psi, depth_schedule=(6, 8), cap=2**14)

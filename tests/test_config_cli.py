@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -314,6 +315,28 @@ def test_cli_sample(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["nSamples"] == 5 and summary["depth"] == 4
     assert "meanLocalDimension" in summary and "stderrLocalDimension" in summary
+
+
+def test_cli_sample_workers_deterministic(tmp_path):
+    # 1,100 samples split into two chunks; both runs write to the same --out
+    # string, which is part of the stamped config hash.
+    cfgfile = write_config(
+        tmp_path, small_config(sampling={"nSamples": 1100, "depth": 4, "masterSeed": 7})
+    )
+    out = tmp_path / "out"
+    outputs = []
+    for workers in ("1", "3"):
+        shutil.rmtree(out, ignore_errors=True)
+        result = invoke(
+            "sample", "--config", str(cfgfile), "--out", str(out), "--workers", workers
+        )
+        assert result.exit_code == 0, result.output
+        outputs.append(
+            {name: (out / name).read_bytes() for name in ("samples.csv", "summary.json")}
+        )
+    assert len(data_lines(out / "samples.csv")) == 1 + 1100
+    assert outputs[0]["samples.csv"] == outputs[1]["samples.csv"]
+    assert outputs[0]["summary.json"] == outputs[1]["summary.json"]
 
 
 def test_cli_sample_empty(tmp_path):

@@ -20,6 +20,7 @@ from carpetmf import (
     make_auxiliary,
     row_sum,
     sample_path,
+    sampled_log_masses,
 )
 from carpetmf.numerics import central_derivative
 from carpetmf.reference import zero_potential_weight
@@ -29,19 +30,12 @@ SQRT3 = math.sqrt(3)
 ROW_SIZES = {0: 2, 1: 3}
 
 
-def full_column(path, g: int) -> list[int]:
-    digits = [int(a) for a in path.cells[:, 0]] + [int(a) for a in path.extra_columns]
-    return digits[:g]
-
-
 @pytest.fixture(scope="module")
 def ref_path_batch(ref_weight):
     """2000 independent paths of depth 100 from the reference measure."""
-    paths = [
-        sample_path(ref_weight, 100, master_seed=5, sample_index=i, record_masses=False)
-        for i in range(2000)
-    ]
-    return np.stack([p.cells for p in paths])  # (2000, 100, 2)
+    return np.stack(
+        [sample_path(ref_weight, 100, master_seed=5, sample_index=i) for i in range(2000)]
+    )  # (2000, 100, 2)
 
 
 # -- auxiliary weights --------------------------------------------------------
@@ -183,18 +177,19 @@ def test_ball_masses_sum_to_one(ref_weight, ref_system):
 
 
 def test_sample_path_shapes_and_validation(ref_weight):
-    p = sample_path(ref_weight, 6, horizon=9, master_seed=1, sample_index=0)
-    assert p.depth == 6
-    assert p.cells.shape == (6, 2)
-    assert p.extra_columns.shape == (3,)
-    assert p.birkhoff is not None and p.birkhoff.shape == (6,)
-    # masses recorded exactly where the horizon covers g(j)
-    assert p.log_ball_mass.shape == (6,)
+    cells = sample_path(ref_weight, 9, master_seed=1, sample_index=0)
+    assert cells.shape == (9, 2)
     for j in range(1, 7):
-        recorded = not math.isnan(p.log_ball_mass[j - 1])
-        assert recorded == (depth_map(ref_weight.system, j) <= 9)
+        cylinder, ball = sampled_log_masses(ref_weight, ref_weight, j, 9, 3, master_seed=1)
+        assert cylinder.shape == ball.shape == (3,)
+        assert np.all(np.isfinite(cylinder))
+        # ball masses exist exactly where the horizon covers g(j)
+        assert np.isfinite(ball).all() == (depth_map(ref_weight.system, j) <= 9)
+        assert np.isnan(ball).all() == (depth_map(ref_weight.system, j) > 9)
     with pytest.raises(ValueError):
-        sample_path(ref_weight, 5, horizon=4)
+        sampled_log_masses(ref_weight, ref_weight, 5, 4, 3)
+    with pytest.raises(ValueError):
+        sampled_log_masses(ref_weight, ref_weight, 0, 4, 3)
     with pytest.raises(ValueError):
         sample_path(ref_weight, 0)
 
@@ -202,29 +197,50 @@ def test_sample_path_shapes_and_validation(ref_weight):
 def test_sample_path_deterministic(ref_weight):
     a = sample_path(ref_weight, 20, master_seed=3, sample_index=7)
     b = sample_path(ref_weight, 20, master_seed=3, sample_index=7)
-    assert np.array_equal(a.cells, b.cells)
-    assert np.array_equal(a.log_ball_mass, b.log_ball_mass, equal_nan=True)
-    assert np.array_equal(a.birkhoff, b.birkhoff)
+    assert np.array_equal(a, b)
     c = sample_path(ref_weight, 20, master_seed=3, sample_index=8)
     d = sample_path(ref_weight, 20, master_seed=4, sample_index=7)
-    assert not np.array_equal(a.cells, c.cells)
-    assert not np.array_equal(a.cells, d.cells)
+    assert not np.array_equal(a, c)
+    assert not np.array_equal(a, d)
+    # path i of a batch is stream i, whatever the chunking and worker count
+    cylinder, ball = sampled_log_masses(ref_weight, ref_weight, 4, 8, 1100, 3, workers=3)
+    single, _ = sampled_log_masses(ref_weight, ref_weight, 4, 8, 8, 3)
+    assert np.array_equal(cylinder[:8], single)
+    again = sampled_log_masses(ref_weight, ref_weight, 4, 8, 1100, 3, workers=1)
+    assert np.array_equal(cylinder, again[0]) and np.array_equal(ball, again[1])
 
 
 def test_sample_path_birkhoff_matches_prefix_weights(ref_weight, ref_masses):
-    p = sample_path(ref_weight, 12, master_seed=2, sample_index=1, record_masses=False)
+    cells = sample_path(ref_weight, 12, master_seed=2, sample_index=1)
     running = 0.0
-    for j in range(12):
-        running += math.log(ref_masses[tuple(int(x) for x in p.cells[j])])
-        assert p.birkhoff[j] == pytest.approx(running, abs=1e-12)
+    for j in range(1, 13):
+        running += math.log(ref_masses[tuple(int(x) for x in cells[j - 1])])
+        cylinder, _ = sampled_log_masses(ref_weight, ref_weight, j, 12, 2, master_seed=2)
+        assert cylinder[1] == pytest.approx(running, abs=1e-12)
 
 
 def test_sample_path_masses_match_direct_ball(ref_weight, ref_system):
-    p = sample_path(ref_weight, 4, horizon=8, master_seed=9, sample_index=2)
+    paths = [sample_path(ref_weight, 8, master_seed=9, sample_index=i) for i in range(3)]
     for j in range(1, 5):
         g = depth_map(ref_system, j)
-        want = ball_mass(ref_weight, full_column(p, g), [int(x) for x in p.cells[:j, 1]])
-        assert p.log_ball_mass[j - 1] == pytest.approx(want, abs=1e-12)
+        _, ball = sampled_log_masses(ref_weight, ref_weight, j, 8, 3, master_seed=9)
+        for cells, got in zip(paths, ball):
+            want = ball_mass(ref_weight, cells[:g, 0], cells[:j, 1])
+            assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_sampled_ball_masses_match_oracle_depth2(depth2_weight, ref_system):
+    # window route: batched suffix marginals and one log Z against ball_mass
+    for j in (1, 2, 3):
+        g = depth_map(ref_system, j)
+        cylinder, ball = sampled_log_masses(depth2_weight, depth2_weight, j, g, 5, 21)
+        for i in range(5):
+            cells = sample_path(depth2_weight, g, master_seed=21, sample_index=i)
+            want = ball_mass(depth2_weight, cells[:g, 0], cells[:j, 1])
+            assert ball[i] == pytest.approx(want, abs=1e-12)
+            assert cylinder[i] == depth2_weight.log_weight_arrays(
+                cells[None, :j, 0], cells[None, :j, 1]
+            )[0]
 
 
 def test_sampled_cell_frequencies(ref_path_batch, ref_masses):
@@ -256,7 +272,7 @@ def test_tilted_row_frequencies_q0():
     aux0 = make_auxiliary(zero, 0.0, closed_form_T(zero, 0.0), VARIANT_PSI_TILDE_Q)
     rows = np.concatenate(
         [
-            sample_path(aux0, 100, master_seed=23, sample_index=i, record_masses=False).cells[:, 0]
+            sample_path(aux0, 100, master_seed=23, sample_index=i)[:, 0]
             for i in range(1000)
         ]
     )
@@ -275,19 +291,12 @@ def test_tilted_ball_ratio_identity(ref_weight, ref_system):
     q = 2.0
     beta_q = closed_form_beta(ref_weight, q)
     aux = make_auxiliary(ref_weight, q, beta_q, VARIANT_PSI_Q)
-    path = sample_path(
-        aux,
-        12,
-        horizon=depth_map(ref_system, 12),
-        master_seed=99,
-        sample_index=0,
-        mass_weight=ref_weight,
-    )
+    cells = sample_path(aux, depth_map(ref_system, 12), master_seed=99, sample_index=0)
     s = ref_system.s
     for n in range(1, 13):
         g = depth_map(ref_system, n)
-        col = full_column(path, g)
-        row = [int(a) for a in path.cells[:n, 1]]
+        col = cells[:g, 0]
+        row = cells[:n, 1]
         lmq = ball_mass(aux, col, row)
         lm = ball_mass(ref_weight, col, row)
         u_n = row_sum(ref_weight, col[:n], q) - q * row_sum(ref_weight, col[:n], 1.0)
@@ -305,11 +314,7 @@ def test_row_ratio_decay_along_typical_paths(ref_weight, ref_system):
     depths = (4, 8, 16, 32)
     sums = dict.fromkeys(depths, 0.0)
     for i in range(40):
-        p = sample_path(
-            aux, 32, horizon=64, master_seed=11, sample_index=i,
-            mass_weight=ref_weight, record_masses=False,
-        )
-        full = full_column(p, 64)
+        full = sample_path(aux, 64, master_seed=11, sample_index=i)[:, 0]
         for n in depths:
             col = full[: 2 * n]
             u_n = row_sum(ref_weight, col[:n], q) - q * row_sum(ref_weight, col[:n], 1.0)
