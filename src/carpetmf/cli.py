@@ -77,6 +77,10 @@ def _common_options(fn):
     return fn
 
 
+#: ``render`` notes a weight whose rendered total log mass exceeds this.
+NORMALIZED_LOG_MASS_TOL = 1e-9
+
+
 def _fail(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
@@ -123,18 +127,6 @@ def _write_curve(cfg: ExperimentConfig, curve: pressure.PressureCurve, out: Path
         )
 
 
-def _both_curves(
-    cfg: ExperimentConfig, workers: int
-) -> tuple[pressure.PressureCurve, pressure.PressureCurve]:
-    t_curve = pressure.pressure_curve(
-        cfg.weight, cfg.q_grid, cfg.depth_schedule, kind="T", workers=workers
-    )
-    b_curve = pressure.pressure_curve(
-        cfg.weight, cfg.q_grid, cfg.depth_schedule, kind="beta", workers=workers
-    )
-    return t_curve, b_curve
-
-
 @main.command("pressure")
 @_common_options
 def cmd_pressure(config_path, workers, out_dir, seed, depth_max) -> None:
@@ -142,7 +134,10 @@ def cmd_pressure(config_path, workers, out_dir, seed, depth_max) -> None:
     try:
         cfg = _load_experiment(config_path, out_dir, seed, depth_max)
         out = Path(cfg.output_dir)
-        t_curve, b_curve = _both_curves(cfg, workers)
+        curves = pressure.pressure_curves(
+            cfg.weight, cfg.q_grid, cfg.depth_schedule, workers=workers
+        )
+        t_curve, b_curve = curves["T"], curves["beta"]
         _write_curve(cfg, t_curve, out)
         _write_curve(cfg, b_curve, out)
     except (ConfigError, CapExceededError, ValueError) as exc:
@@ -189,7 +184,10 @@ def cmd_spectrum(config_path, workers, out_dir, seed, depth_max) -> None:
     try:
         cfg = _load_experiment(config_path, out_dir, seed, depth_max)
         out = Path(cfg.output_dir)
-        t_curve, b_curve = _both_curves(cfg, workers)
+        curves = pressure.pressure_curves(
+            cfg.weight, cfg.q_grid, cfg.depth_schedule, workers=workers
+        )
+        t_curve, b_curve = curves["T"], curves["beta"]
         spectra_out = {
             "spectrum_birkhoff": spectra.legendre(t_curve),
             "spectrum_gibbs": spectra.legendre(b_curve),
@@ -294,10 +292,16 @@ def cmd_render(config_path, workers, out_dir, seed, depth_max, render_depth) -> 
     comments = io_utils.provenance_comments(cfg.sha256)
     carpet.write_pgm16(render, out / f"render_n{n}.pgm", comments)
     carpet.write_grid_csv(render, out / f"render_n{n}.csv", comments)
+    total = float(render.total_log_mass())
     click.echo(
         f"rendered {render.column_count} x {render.row_count} grid "
-        f"(total log mass {float(render.total_log_mass())!r}) into {out}"
+        f"(total log mass {total!r}) into {out}"
     )
+    if abs(total) > NORMALIZED_LOG_MASS_TOL:
+        click.echo(
+            "note: the rendered measure is not normalized; set "
+            '"normalize": true in the weight block for a probability measure'
+        )
 
 
 @main.command("boxcount")

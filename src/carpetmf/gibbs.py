@@ -134,16 +134,21 @@ class AuxiliaryWeight(CylinderWeight):
             return None
         return self._delegate.depth1_log_table()
 
-    def row_sum_log_batch(self, a1s: np.ndarray, r: float) -> np.ndarray:
+    def transfer_mask(self, rs: np.ndarray) -> np.ndarray:
+        if self._delegate is not None:
+            return self._delegate.transfer_mask(rs)
+        return np.ones(len(rs), dtype=bool)
+
+    def row_sum_log_batch(self, a1s: np.ndarray, rs: np.ndarray) -> np.ndarray:
         """``I_r`` of the tilt: ``theta^r I_{qr} / I_q^r`` — a base reduction."""
         if self._delegate is not None:
-            return self._delegate.row_sum_log_batch(a1s, r)
-        lt = self.theta_log_batch(a1s)
-        liq = row_sum_log_any(self.base, a1s, self.q)
-        liqr = row_sum_log_any(self.base, a1s, self.q * r)
+            return self._delegate.row_sum_log_batch(a1s, rs)
+        lt = self.theta_log_batch(a1s)[:, None]
+        liq = row_sum_log_any(self.base, a1s, self.q)[:, None]
+        liqr = row_sum_log_any(self.base, a1s, self.q * rs)
         dead = np.isneginf(liqr) | np.isneginf(lt)
         with np.errstate(invalid="ignore"):
-            out = scaled_powers(r, lt) - scaled_powers(r, liq) + liqr
+            out = scaled_powers(rs, lt) - scaled_powers(rs, liq) + liqr
         return np.where(dead, NEG_INF, out)
 
     def log_total_mass(self, m: int) -> float | None:

@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 NEG_INF = float("-inf")
+
+ChunkResult = TypeVar("ChunkResult")
 
 #: Maximum number of contiguous chunks a reduction is split into.
 REDUCTION_CHUNKS = 64
@@ -41,16 +43,17 @@ def lse(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     return out if out.ndim else out[()]
 
 
-def scaled_powers(exponent: float, log_values: np.ndarray) -> np.ndarray:
+def scaled_powers(exponent, log_values: np.ndarray) -> np.ndarray:
     """``exponent * log_values`` under the zero-weight convention ``0**e == 0``.
 
     Entries at -inf stay -inf for every real exponent, including e <= 0, so a
-    vanished weight never resurrects as 1 (e = 0) or infinity (e < 0).
+    vanished weight never resurrects as 1 (e = 0) or infinity (e < 0).  An
+    array of exponents broadcasts against ``log_values``.
     """
     log_values = np.asarray(log_values, dtype=float)
     with np.errstate(invalid="ignore"):
         out = exponent * log_values
-    if exponent <= 0.0:
+    if np.any(np.asarray(exponent) <= 0.0):
         out = np.where(np.isneginf(log_values), NEG_INF, out)
     return out
 
@@ -71,18 +74,29 @@ class LogSumPart:
 EMPTY_PART = LogSumPart(NEG_INF, 0.0)
 
 
+def parts_from_rows(log_values: np.ndarray) -> list[LogSumPart]:
+    """Reduce each row of a ``(K, W)`` chunk of log-values to a partial state.
+
+    Row ``k`` gives the same state as :func:`part_from_array` on that row
+    alone: each row is summed as one contiguous run.
+    """
+    v = np.ascontiguousarray(log_values, dtype=float)
+    if v.shape[1] == 0:
+        return [EMPTY_PART] * v.shape[0]
+    peaks = np.max(v, axis=1)
+    if np.isnan(peaks).any():
+        raise FloatingPointError("NaN encountered in log-space reduction")
+    live = peaks != NEG_INF
+    totals = np.sum(np.exp(v - np.where(live, peaks, 0.0)[:, None]), axis=1)
+    return [
+        LogSumPart(float(p), float(t)) if ok else EMPTY_PART
+        for p, t, ok in zip(peaks, totals, live)
+    ]
+
+
 def part_from_array(log_values: np.ndarray) -> LogSumPart:
     """Reduce one chunk of log-values to a partial sum state."""
-    v = np.asarray(log_values, dtype=float).ravel()
-    if v.size == 0:
-        return EMPTY_PART
-    peak = float(np.max(v))
-    if math.isnan(peak):
-        raise FloatingPointError("NaN encountered in log-space reduction")
-    if peak == NEG_INF:
-        return EMPTY_PART
-    total = float(np.sum(np.exp(v - peak)))
-    return LogSumPart(peak, total)
+    return parts_from_rows(np.asarray(log_values, dtype=float).reshape(1, -1))[0]
 
 
 def combine_parts(a: LogSumPart, b: LogSumPart) -> LogSumPart:
@@ -134,6 +148,21 @@ def chunk_ranges(total: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def map_chunks(
+    fn: Callable[[int, int], ChunkResult], total: int, workers: int = 1
+) -> list[ChunkResult]:
+    """``fn(start, stop)`` over :func:`chunk_ranges`, results in index order.
+
+    Threads only change which worker evaluates a chunk, not the chunk layout
+    or the order of the results.
+    """
+    ranges = chunk_ranges(total)
+    if workers <= 1 or len(ranges) <= 1:
+        return [fn(a, b) for a, b in ranges]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda r: fn(*r), ranges))
+
+
 def chunked_logsumexp(
     partial_fn: Callable[[int, int], LogSumPart],
     total: int,
@@ -142,18 +171,9 @@ def chunked_logsumexp(
     """log-sum-exp of ``total`` terms produced chunk-wise by ``partial_fn``.
 
     ``partial_fn(start, stop)`` must return the partial state of the chunk
-    ``[start, stop)``.  Threads only change which worker evaluates a chunk,
-    not the chunk layout or the combine order.
+    ``[start, stop)``; partials combine along :func:`tree_combine`.
     """
-    ranges = chunk_ranges(total)
-    if not ranges:
-        return NEG_INF
-    if workers <= 1 or len(ranges) == 1:
-        parts = [partial_fn(a, b) for a, b in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r: partial_fn(*r), ranges))
-    return part_value(tree_combine(parts))
+    return part_value(tree_combine(map_chunks(partial_fn, total, workers)))
 
 
 def run_chunked_arrays(
@@ -162,15 +182,8 @@ def run_chunked_arrays(
     workers: int = 1,
 ) -> np.ndarray:
     """Concatenate per-chunk 1-d arrays in index order (worker-independent)."""
-    ranges = chunk_ranges(total)
-    if not ranges:
-        return np.empty(0, dtype=float)
-    if workers <= 1 or len(ranges) == 1:
-        blocks = [array_fn(a, b) for a, b in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(lambda r: array_fn(*r), ranges))
-    return np.concatenate(blocks)
+    blocks = map_chunks(array_fn, total, workers)
+    return np.concatenate(blocks) if blocks else np.empty(0, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ without weight drop out for every real q):
 where ``s = log r1 / log r2``.  Depth-1 weights admit exact closed forms.
 Finite depths converge at rate O(1/n); :func:`extrapolate_pressure` removes
 the leading term with a two-point fit and reports a superadditivity-defect
-error proxy.  All outer sums run through the deterministic chunked reduction
-in :mod:`carpetmf.numerics`, so worker counts never change results.
+error proxy.  :func:`finite_values` computes both functions over a whole
+q-grid in one chunked pass over the depth-n column words (``I_1`` is one
+more q of the same row-sum batch); :func:`finite_T`, :func:`finite_beta` and
+the curve functions are wrappers over it.  All outer sums run through the deterministic chunked
+reduction in :mod:`carpetmf.numerics`, so worker counts never change results.
 """
 
 from __future__ import annotations
@@ -27,8 +30,12 @@ from .numerics import (
     chunked_logsumexp,
     concavity_defect,
     lse,
+    map_chunks,
     part_from_array,
+    part_value,
+    parts_from_rows,
     scaled_powers,
+    tree_combine,
 )
 from .symbolic import (
     DEFAULT_ENUMERATION_CAP,
@@ -39,10 +46,13 @@ from .symbolic import (
     row_word_count,
     row_words_range,
 )
-from .weights import CylinderWeight, row_sum_log_any
+from .weights import CylinderWeight, enumerated_qs, row_sum_log_any
 
 #: Relative tolerance for the concavity sanity check on pressure slices.
 CONCAVITY_RTOL = 1e-9
+
+#: The two pressure functions, in the order their curves are computed.
+KINDS = ("T", "beta")
 
 
 def row_sum(
@@ -121,6 +131,83 @@ def finite_pressure(
     return value / n
 
 
+def _check_kinds(kinds: Sequence[str]) -> None:
+    if not kinds or any(kind not in KINDS for kind in kinds):
+        raise ValueError("curve kind must be 'T' or 'beta'")
+
+
+def _row_qs(q_grid: np.ndarray, kinds: Sequence[str]) -> np.ndarray:
+    """The row-sum q values of a pass: the grid, plus q = 1 for beta."""
+    return np.append(q_grid, 1.0) if "beta" in kinds else q_grid
+
+
+def _check_enumeration_volume(
+    psi: CylinderWeight, n: int, row_qs: np.ndarray, method: str, cap: int
+) -> None:
+    """Raise before a depth-n pass whose row enumeration would exceed ``cap``.
+
+    If some q has no transfer route, the pass enumerates the ``r2**n`` rows
+    of every column word once: ``r1**n * r2**n`` rows of ``n`` digit cells.
+    """
+    enumerated = enumerated_qs(psi, row_qs, method)
+    if not enumerated.any():
+        return
+    system = psi.system
+    volume = row_word_count(system, n) * system.r2**n * n
+    if volume > cap:
+        qs = ", ".join(f"{q:g}" for q in row_qs[enumerated])
+        raise CapExceededError(
+            f"depth {n}: row enumeration for q = {qs} builds {volume} digit cells "
+            f"({row_word_count(system, n)} column words x {system.r2}**{n} rows), "
+            f"over cap {cap}"
+        )
+
+
+def finite_values(
+    psi: CylinderWeight,
+    q_grid: np.ndarray,
+    n: int,
+    kinds: Sequence[str] = KINDS,
+    workers: int = 1,
+    method: str = "auto",
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> dict[str, np.ndarray]:
+    """``T_n`` and/or ``beta_n`` at every q of ``q_grid`` from one pass.
+
+    Each chunk of depth-n column words gets one row-sum batch for all q (and
+    q = 1 for beta); every (kind, q) keeps its own partial sum, combined over
+    the same chunk tree, so a value does not depend on ``workers`` or on the
+    other q values of the grid.
+    """
+    if n < 1:
+        raise ValueError("pressure needs depth >= 1")
+    _check_kinds(kinds)
+    q_grid = np.asarray(q_grid, dtype=float).ravel()
+    Q = q_grid.size
+    s = psi.system.s
+    row_qs = _row_qs(q_grid, kinds)
+    total = row_word_count(psi.system, n)
+    if total > cap:
+        raise CapExceededError(f"{total} column words at depth {n} exceed cap {cap}")
+    _check_enumeration_volume(psi, n, row_qs, method, cap)
+
+    def partial(start: int, stop: int):
+        words = row_words_range(psi.system, n, start, stop)
+        li = np.ascontiguousarray(row_sum_log_any(psi, words, row_qs, method, cap).T)
+        terms = {"T": scaled_powers(s, li[:Q])}
+        if "beta" in kinds:
+            terms["beta"] = scaled_powers((q_grid * (1.0 - s))[:, None], li[Q]) + terms["T"]
+        return parts_from_rows(np.concatenate([terms[kind] for kind in kinds]))
+
+    logs = np.array(
+        [part_value(tree_combine(parts)) for parts in zip(*map_chunks(partial, total, workers))]
+    )
+    if np.any(logs == NEG_INF):
+        raise ValueError("weight has empty support at this depth")
+    values = -logs / (n * math.log(psi.system.r1))
+    return dict(zip(kinds, values.reshape(len(kinds), Q)))
+
+
 def finite_T(
     psi: CylinderWeight,
     q: float,
@@ -130,18 +217,7 @@ def finite_T(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Depth-n row-sum pressure ``T_n(q)``."""
-    if n < 1:
-        raise ValueError("finite_T needs depth >= 1")
-    s = psi.system.s
-
-    def terms(words: np.ndarray) -> np.ndarray:
-        liq = row_sum_log_any(psi, words, q, method=method, cap=cap)
-        return scaled_powers(s, liq)
-
-    total = _column_reduction(psi, n, terms, workers, cap)
-    if total == NEG_INF:
-        raise ValueError("weight has empty support at this depth")
-    return -total / (n * math.log(psi.system.r1))
+    return float(finite_values(psi, [q], n, ("T",), workers, method, cap)["T"][0])
 
 
 def finite_beta(
@@ -153,19 +229,7 @@ def finite_beta(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Depth-n mixed-moment pressure ``beta_n(q)``."""
-    if n < 1:
-        raise ValueError("finite_beta needs depth >= 1")
-    s = psi.system.s
-
-    def terms(words: np.ndarray) -> np.ndarray:
-        li1 = row_sum_log_any(psi, words, 1.0, method=method, cap=cap)
-        liq = row_sum_log_any(psi, words, q, method=method, cap=cap)
-        return scaled_powers(q * (1.0 - s), li1) + scaled_powers(s, liq)
-
-    total = _column_reduction(psi, n, terms, workers, cap)
-    if total == NEG_INF:
-        raise ValueError("weight has empty support at this depth")
-    return -total / (n * math.log(psi.system.r1))
+    return float(finite_values(psi, [q], n, ("beta",), workers, method, cap)["beta"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -275,30 +339,30 @@ class PressureCurve:
         return float(self.finite_values[n][self._locate(q)])
 
 
-def pressure_curve(
+def pressure_curves(
     psi: CylinderWeight,
     q_grid: np.ndarray,
     depth_schedule: Sequence[int],
-    kind: str = "beta",
+    kinds: Sequence[str] = KINDS,
     workers: int = 1,
     method: str = "auto",
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> PressureCurve:
-    """Evaluate ``T_n`` or ``beta_n`` over a grid, extrapolate, sanity-check.
+) -> dict[str, PressureCurve]:
+    """Evaluate ``T_n`` and ``beta_n`` over a grid, extrapolate, sanity-check.
 
-    Depths beyond the enumeration cap are dropped; every retained slice must
-    be concave up to ``CONCAVITY_RTOL`` (relative to its sup-norm), otherwise
-    a ValueError flags the weight/grid combination.  The resulting curve also
-    records whether the extrapolated values are nondecreasing within the
-    summed error bands (expected for genuine pressure data at q >= 0 kinds;
-    informational otherwise).
+    One :func:`finite_values` pass per depth serves every kind and q.  Depths
+    beyond the enumeration cap are dropped, and every retained depth's row
+    enumeration volume is checked before the first depth runs.  Every slice
+    must be concave up to ``CONCAVITY_RTOL`` (relative to its sup-norm),
+    otherwise a ValueError flags the weight/grid combination.  Each curve
+    also records whether its extrapolated values are nondecreasing within
+    the summed error bands (expected for genuine pressure data at q >= 0
+    kinds; informational otherwise).
     """
-    if kind not in ("T", "beta"):
-        raise ValueError("curve kind must be 'T' or 'beta'")
+    _check_kinds(kinds)
     q_grid = np.unique(np.asarray(q_grid, dtype=float))
     if q_grid.size < 1:
         raise ValueError("q grid needs at least one point")
-    fn = finite_T if kind == "T" else finite_beta
     feasible = [
         n
         for n in sorted(set(int(n) for n in depth_schedule))
@@ -306,24 +370,32 @@ def pressure_curve(
     ]
     if len(feasible) < 2:
         raise CapExceededError("need at least two feasible depths for extrapolation")
-    finite_values: dict[int, np.ndarray] = {}
     for n in feasible:
-        vals = np.array(
-            [fn(psi, float(q), n, workers=workers, method=method, cap=cap) for q in q_grid]
-        )
-        if q_grid.size >= 3:
-            scale = max(1.0, float(np.max(np.abs(vals))))
-            dq = float(np.min(np.diff(q_grid)))
-            defect = concavity_defect(q_grid, vals)
-            if defect > CONCAVITY_RTOL * scale / dq:
-                raise ValueError(
-                    f"{kind}_{n} violates concavity (slope defect {defect:.3e})"
-                )
-        finite_values[n] = vals
+        _check_enumeration_volume(psi, n, _row_qs(q_grid, kinds), method, cap)
+    finite: dict[str, dict[int, np.ndarray]] = {kind: {} for kind in kinds}
+    for n in feasible:
+        values = finite_values(psi, q_grid, n, kinds, workers, method, cap)
+        for kind in kinds:
+            vals = values[kind]
+            if q_grid.size >= 3:
+                scale = max(1.0, float(np.max(np.abs(vals))))
+                dq = float(np.min(np.diff(q_grid)))
+                defect = concavity_defect(q_grid, vals)
+                if defect > CONCAVITY_RTOL * scale / dq:
+                    raise ValueError(
+                        f"{kind}_{n} violates concavity (slope defect {defect:.3e})"
+                    )
+            finite[kind][n] = vals
+    return {kind: _extrapolated_curve(kind, q_grid, finite[kind]) for kind in kinds}
+
+
+def _extrapolated_curve(
+    kind: str, q_grid: np.ndarray, by_depth: dict[int, np.ndarray]
+) -> PressureCurve:
     extrapolated = np.empty_like(q_grid)
     errors = np.empty_like(q_grid)
     for i in range(q_grid.size):
-        ext = extrapolate_pressure({n: finite_values[n][i] for n in feasible})
+        ext = extrapolate_pressure({n: vals[i] for n, vals in by_depth.items()})
         extrapolated[i] = ext.value
         errors[i] = ext.error
     band = errors[:-1] + errors[1:]
@@ -334,8 +406,21 @@ def pressure_curve(
     return PressureCurve(
         kind=kind,
         q_grid=q_grid,
-        finite_values=finite_values,
+        finite_values=by_depth,
         extrapolated=extrapolated,
         error_estimate=errors,
         monotone_within_error=monotone,
     )
+
+
+def pressure_curve(
+    psi: CylinderWeight,
+    q_grid: np.ndarray,
+    depth_schedule: Sequence[int],
+    kind: str = "beta",
+    workers: int = 1,
+    method: str = "auto",
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> PressureCurve:
+    """One curve of :func:`pressure_curves`."""
+    return pressure_curves(psi, q_grid, depth_schedule, (kind,), workers, method, cap)[kind]

@@ -18,13 +18,15 @@ when its structure allows — fast row-fiber power sums
 ``I_q(w1) = sum_{w2} psi(w1 x w2)^q`` via transfer recursions, so the deep
 regimes never enumerate the row alphabet.  Depth-1 weights factorize over
 column letters; window weights of depth >= 2 and matrix cocycles at integer
-``q >= 0`` share one transfer kernel, :func:`prefix_transfer_log`.
+``q >= 0`` share one transfer kernel, :func:`prefix_transfer_log`.  Row sums
+take a vector of q values: one pass over a batch serves the whole vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,6 +45,10 @@ from .symbolic import (
 
 #: Largest transient table a transfer recursion may allocate.
 MAX_TRANSFER_TABLE = 1 << 22
+
+#: Rows (or gathered letters) whose digits are built at once when row sums
+#: enumerate rows or gather depth-1 letter sums; bounds the transient.
+ENUMERATION_BLOCK = 1 << 16
 
 
 class CylinderWeight:
@@ -77,13 +83,16 @@ class CylinderWeight:
         """Exact ``(r1, r2)`` per-cell log table for depth-1 weights."""
         return None
 
-    def row_sum_log_batch(self, a1s: np.ndarray, q: float) -> np.ndarray | None:
-        """``log I_q`` for a batch of column words without enumerating rows.
+    def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
+        """Boolean mask of the q values :meth:`row_sum_log_batch` serves;
+        callers enumerate rows for the others."""
+        return np.zeros(len(qs), dtype=bool)
 
-        Returns None when the weight has no such structure; callers fall back
-        to row enumeration.
-        """
-        return None
+    def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        """``(W, Q)`` array of ``log I_q`` for a batch of column words and a
+        1-d array of q values inside :meth:`transfer_mask`, without
+        enumerating rows."""
+        raise NotImplementedError
 
     def log_total_mass(self, m: int) -> float | None:
         """``log sum_{|w|=m} psi(w)`` when computable without row-word
@@ -183,9 +192,10 @@ class ConstantCellWeight(CylinderWeight):
 
     # -- row-fiber transfer ----------------------------------------------
 
-    def _window_qtable(self, q: float) -> np.ndarray:
-        """``(r1**k, r2**k)`` table of q-scaled window values, -inf where the
-        window leaves the allowed cells; rows/cols indexed by packed digits."""
+    @cached_property
+    def _window_grid(self) -> np.ndarray:
+        """``(r1**k, r2**k)`` window log values, -inf where the window leaves
+        the allowed cells; rows/cols indexed by packed digits."""
         k = self.depth
         r1, r2 = self.system.r1, self.system.r2
         if (r1**k) * (r2**k) > MAX_TRANSFER_TABLE:
@@ -196,9 +206,9 @@ class ConstantCellWeight(CylinderWeight):
         ok = (cidx >= 0).all(axis=2)
         ci = np.clip(cidx, 0, None)
         vals = self.window_log[tuple(ci[..., j] for j in range(k))]
-        return np.where(ok, scaled_powers(q, vals), NEG_INF)
+        return np.where(ok, vals, NEG_INF)
 
-    def _row_sum_short(self, a1s: np.ndarray, q: float) -> np.ndarray:
+    def _row_sum_short(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """Row sums for words shorter than the window (direct, small)."""
         W, n = a1s.shape
         r2 = self.system.r2
@@ -211,9 +221,9 @@ class ConstantCellWeight(CylinderWeight):
         ci = np.clip(cidx, 0, None)
         table = self.truncated_log[n - 1]
         vals = table[tuple(ci[..., j] for j in range(n))]
-        lw = np.where(ok, vals, NEG_INF)
-        return lse(scaled_powers(q, lw), axis=1)
+        return _lse_each_q(np.where(ok, vals, NEG_INF), qs)
 
+    @cached_property
     def _start_table(self) -> np.ndarray:
         """``(r1**(k-1) + 1, r2**(k-1))`` log start states: 0 where the packed
         first ``k-1`` column digits and the packed row state give allowed
@@ -226,17 +236,20 @@ class ConstantCellWeight(CylinderWeight):
         start = np.where((cidx >= 0).all(axis=2), 0.0, NEG_INF)
         return np.vstack([start, np.full((1, r2 ** (k - 1)), NEG_INF)])
 
-    def row_sum_log_batch(self, a1s: np.ndarray, q: float) -> np.ndarray:
+    def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
+        return np.ones(len(qs), dtype=bool)
+
+    def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
         a1s = np.asarray(a1s, dtype=np.int64)
         W, n = a1s.shape
         if n == 0:
-            return np.zeros(W)
+            return np.zeros((W, qs.size))
         k = self.depth
         r1, r2 = self.system.r1, self.system.r2
         if n < k:
-            return self._row_sum_short(a1s, q)
-        if k == 1:
-            return _depth1_row_sums(self.system, self.depth1_log_table(), a1s, q)
+            return self._row_sum_short(a1s, qs)
+        if k == 1:  # the window grid is then the per-cell log table
+            return _depth1_row_sums(self.system, self._window_grid, a1s, qs)
         # State = the last k-1 row digits.  Level 0 picks the start states by
         # the first k-1 column digits; each later level applies the window
         # table picked by the packed column window.  Out-of-range digits pick
@@ -250,10 +263,17 @@ class ConstantCellWeight(CylinderWeight):
         windows_ok = np.lib.stride_tricks.sliding_window_view(in_range, k, axis=1).all(axis=2)
         keys = np.column_stack([head, np.where(windows_ok, pack_digits(windows, r1), r1**k)])
         S = r2 ** (k - 1)
-        steps = np.concatenate(
-            [self._window_qtable(q).reshape(r1**k, S, r2), np.full((1, S, r2), NEG_INF)]
-        )
-        return prefix_transfer_log(keys, self._start_table(), steps)
+        grid, start = self._window_grid, self._start_table
+        # Blocks of q keep the stacked tables within MAX_TRANSFER_TABLE.
+        block = max(1, MAX_TRANSFER_TABLE // grid.size)
+        columns = []
+        for j in range(0, qs.size, block):
+            Q = qs[j : j + block].size
+            tables = scaled_powers(qs[j : j + block, None, None], grid).reshape(Q, r1**k, S, r2)
+            steps = np.concatenate([tables.transpose(1, 0, 2, 3), np.full((1, Q, S, r2), NEG_INF)])
+            states = np.broadcast_to(start[:, None], (len(start), Q, S))
+            columns.append(prefix_transfer_log(keys, states, steps))
+        return np.concatenate(columns, axis=1)
 
     # -- totals over full product words ----------------------------------
 
@@ -359,7 +379,8 @@ class MatrixCocycleWeight(CylinderWeight):
     Products are evaluated as scaled matrix-vector passes so a word of any
     length stays in range; only the log of the running normalizer is
     accumulated.  Row sums at integer ``q >= 0`` and total masses are exact
-    matrix recursions (Kronecker powers for ``I_q``); other q enumerate rows.
+    matrix recursions (Kronecker powers for ``I_q``, one route per q); other
+    q enumerate rows.
     """
 
     def __init__(self, system: CellSystem, dim: int, matrices: np.ndarray) -> None:
@@ -401,22 +422,31 @@ class MatrixCocycleWeight(CylinderWeight):
         table[cells[:, 0], cells[:, 1]] = np.log(self.matrices[:, 0, 0])
         return table
 
-    def _letter_tables(self, q: float) -> np.ndarray | None:
+    def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
+        # Kronecker powers exist at integer q >= 0; their tables must fit.
+        size = max(self.system.n_cells, self.system.r1 + 1)
+        return np.array(
+            [
+                self.dim == 1
+                or (q >= 0 and float(q).is_integer()
+                    and size * self.dim ** (2 * int(q)) <= MAX_TRANSFER_TABLE)
+                for q in qs
+            ],
+            dtype=bool,
+        )
+
+    def _letter_tables(self, q: float) -> np.ndarray:
         """``(r1 + 1, D, D)`` log tables with ``D = dim**q``:
         ``T[a1][s, t] = log (sum_{a2 in fiber(a1)} M(a1, a2)^{(x)q})[t, s]``,
-        plus an all -inf table for out-of-range letters.  None unless q is an
-        integer >= 0 and the tables fit ``MAX_TRANSFER_TABLE``.
+        plus an all -inf table for out-of-range letters, for a q inside
+        :meth:`transfer_mask`.
 
         Exact because ``(1^T P 1)^q = (1^{(x)q})^T P^{(x)q} 1^{(x)q}`` and
         Kronecker powers of products are products of Kronecker powers.
         """
-        if q < 0 or not float(q).is_integer():
-            return None
         nc, d = self.system.n_cells, self.dim
         r1 = self.system.r1
         D = d ** int(q)
-        if max(nc, r1 + 1) * D * D > MAX_TRANSFER_TABLE:
-            return None
         log_mt = np.log(self.matrices).transpose(0, 2, 1)  # [cell, s, t] = log M[t, s]
         power = np.zeros((nc, 1, 1))
         for _ in range(int(q)):
@@ -432,20 +462,23 @@ class MatrixCocycleWeight(CylinderWeight):
                 tables[a1] = lse(fiber, axis=0)
         return tables
 
-    def row_sum_log_batch(self, a1s: np.ndarray, q: float) -> np.ndarray | None:
+    def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
         if self.dim == 1:
-            return _depth1_row_sums(self.system, self.depth1_log_table(), a1s, q)
-        steps = self._letter_tables(q)
-        if steps is None:
-            return None
+            return _depth1_row_sums(self.system, self.depth1_log_table(), a1s, qs)
         a1s = np.asarray(a1s, dtype=np.int64)
         W, n = a1s.shape
         if n == 0:
-            return np.zeros(W)
+            return np.zeros((W, qs.size))
         r1 = self.system.r1
         keys = np.where((a1s >= 0) & (a1s < r1), a1s, r1)
+        # Each q keeps its own Kronecker route (the state size d**q differs).
         # The state starts at 1^{(x)q}; its first step is the start table.
-        return prefix_transfer_log(keys, lse(steps, axis=1), steps)
+        return np.column_stack(
+            [
+                prefix_transfer_log(keys, lse(steps, axis=1)[:, None], steps[:, None])[:, 0]
+                for steps in map(self._letter_tables, qs)
+            ]
+        )
 
     def log_total_mass(self, m: int) -> float | None:
         if m == 0:
@@ -479,13 +512,26 @@ def make_matrix_cocycle(
 
 
 def _depth1_row_sums(
-    system: CellSystem, table: np.ndarray, a1s: np.ndarray, q: float
+    system: CellSystem, table: np.ndarray, a1s: np.ndarray, qs: np.ndarray
 ) -> np.ndarray:
-    letter_lse = lse(scaled_powers(q, table), axis=1)
-    letter_lse = np.append(letter_lse, NEG_INF)
+    """``(W, Q)`` sums of per-letter fiber lse's, gathered for blocks of q."""
+    letter = np.full((qs.size, system.r1 + 1), NEG_INF)
+    letter[:, :-1] = lse(scaled_powers(qs[:, None, None], table), axis=2)
     a1s = np.asarray(a1s, dtype=np.int64)
     pos = np.where((a1s >= 0) & (a1s < system.r1), a1s, system.r1)
-    return letter_lse[pos].sum(axis=1)
+    block = max(1, ENUMERATION_BLOCK // max(1, pos.size))
+    # np.take lays out each (q, word) row of letters contiguously, so it sums
+    # in the same order as for a single q.
+    sums = [
+        np.take(letter[j : j + block], pos, axis=1).sum(axis=2)
+        for j in range(0, qs.size, block)
+    ]
+    return np.concatenate(sums).T
+
+
+def _lse_each_q(lw: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``(W, Q)``: each q applied to the same ``(W, R)`` row log-weights."""
+    return np.column_stack([lse(scaled_powers(q, lw), axis=1) for q in qs])
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +539,14 @@ def _depth1_row_sums(
 # ---------------------------------------------------------------------------
 
 def prefix_transfer_log(keys: np.ndarray, start: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """``log 1^T v_L`` per key sequence for a log-space transfer recursion.
+    """``log 1^T v_L`` per key sequence and q for a log-space transfer
+    recursion, as a ``(W, Q)`` array.
 
-    ``start`` is ``(K0, S)`` and ``steps`` is ``(K, S, C)`` with ``C``
-    dividing ``S``.  Row ``i`` of the ``(W, L)`` array ``keys`` starts at
-    ``v_0 = start[keys[i, 0]]``; level ``l >= 1`` sums out axis 0 of
-    ``(v_{l-1}[:, None] + steps[keys[i, l]]).reshape(C, S)`` in log space.
+    ``start`` is ``(K0, Q, S)`` and ``steps`` is ``(K, Q, S, C)`` with ``C``
+    dividing ``S``; the q axis rides along.  Row ``i`` of the ``(W, L)``
+    array ``keys`` starts at ``v_0 = start[keys[i, 0]]``; level ``l >= 1``
+    sums out axis 0 of ``(v_{l-1}[:, None] + steps[keys[i, l]]).reshape(C,
+    S)`` in log space, per q.
     With ``C == S`` that is a product with a dense transfer matrix; with
     ``S = C**j`` it is a shift register of ``j`` base-``C`` digits that drops
     its oldest digit and appends the step's column digit.
@@ -509,12 +557,13 @@ def prefix_transfer_log(keys: np.ndarray, start: np.ndarray, steps: np.ndarray) 
     row order; a lexicographically sorted batch of ``W`` rows over an
     alphabet of size ``r`` costs about ``W r / (r - 1)`` state updates instead
     of ``W L``.  Each row's result is bit-identical however the batch is
-    split or ordered.
+    split or ordered, and whatever other q share the batch.
     """
     keys = np.asarray(keys, dtype=np.int64)
     W, L = keys.shape
+    _, Q, S, C = steps.shape
     if W == 0:
-        return np.empty(0)
+        return np.empty((0, Q))
     differs = np.ones((W, L), dtype=bool)
     differs[1:] = keys[1:] != keys[:-1]
     # First level at which each row leaves the previous row's trie path.
@@ -530,15 +579,15 @@ def prefix_transfer_log(keys: np.ndarray, start: np.ndarray, steps: np.ndarray) 
         states = np.concatenate(
             [
                 lse(
-                    (states[parents[i : i + block], :, None] + steps[letters[i : i + block]])
-                    .reshape(-1, steps.shape[2], steps.shape[1]),
-                    axis=1,
+                    (states[parents[i : i + block], :, :, None] + steps[letters[i : i + block]])
+                    .reshape(-1, Q, C, S),
+                    axis=2,
                 )
                 for i in range(0, parents.size, block)
             ]
         )
         node = np.cumsum(new) - 1
-    return lse(states, axis=1)[node]
+    return lse(states, axis=2)[node]
 
 
 # ---------------------------------------------------------------------------
@@ -635,13 +684,16 @@ class SkewProductWeight(CylinderWeight):
             out = lt + lr - li
         return np.where(np.isneginf(lr), NEG_INF, out)
 
-    def row_sum_log_batch(self, a1s: np.ndarray, q: float) -> np.ndarray:
-        lt = self.theta1.log_values(a1s)
-        li1 = row_sum_log_any(self.rho, a1s, 1.0)
-        liq = row_sum_log_any(self.rho, a1s, q)
+    def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
+        return np.ones(len(qs), dtype=bool)
+
+    def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        lt = self.theta1.log_values(a1s)[:, None]
+        li1 = row_sum_log_any(self.rho, a1s, 1.0)[:, None]
+        liq = row_sum_log_any(self.rho, a1s, qs)
         dead = np.isneginf(liq) | np.isneginf(lt)
         with np.errstate(invalid="ignore"):
-            out = scaled_powers(q, lt) - scaled_powers(q, li1) + liq
+            out = scaled_powers(qs, lt) - scaled_powers(qs, li1) + liq
         return np.where(dead, NEG_INF, out)
 
     def depth1_log_table(self) -> np.ndarray | None:
@@ -705,12 +757,12 @@ class ShiftedWeight(CylinderWeight):
             return None
         return table - self.shift
 
-    def row_sum_log_batch(self, a1s: np.ndarray, q: float) -> np.ndarray | None:
-        inner = self.base.row_sum_log_batch(a1s, q)
-        if inner is None:
-            return None
+    def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
+        return self.base.transfer_mask(qs)
+
+    def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
         n = np.asarray(a1s).shape[1]
-        return inner - n * q * self.shift
+        return self.base.row_sum_log_batch(a1s, qs) - n * qs * self.shift
 
     def log_total_mass(self, m: int) -> float | None:
         inner = self.base.log_total_mass(m)
@@ -745,41 +797,79 @@ def normalize_to_gibbs(psi: CylinderWeight, pressure_estimate: float) -> Shifted
 def row_sum_log_any(
     weight: CylinderWeight,
     a1s: np.ndarray,
-    q: float,
+    q: float | np.ndarray,
     method: str = "auto",
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
     """``log I_q`` for a batch of column words, preferring fast structure.
 
-    ``method`` is one of ``auto`` (transfer when available, else enumerate),
-    ``transfer`` (error if unavailable) or ``enumerate`` (force the oracle).
+    ``q`` is a scalar (result ``(W,)``) or a 1-d array (result ``(W, Q)``).
+    ``method`` is one of ``auto`` (transfer where available, else
+    enumerate), ``transfer`` (error if unavailable for some q) or
+    ``enumerate`` (force the oracle).  The q values without a transfer route
+    enumerate the rows once and share their log weights.
     """
     a1s = np.asarray(a1s, dtype=np.int64)
+    qs = np.atleast_1d(np.asarray(q, dtype=float))
+    enumerated = enumerated_qs(weight, qs, method)
+    if method == "transfer" and enumerated.any():
+        raise ValueError("weight has no transfer structure for row sums")
+    if not enumerated.any():
+        out = weight.row_sum_log_batch(a1s, qs)
+    elif enumerated.all():
+        out = _enumerate_row_sums(weight, a1s, qs, cap)
+    else:
+        out = np.empty((a1s.shape[0], qs.size))
+        out[:, ~enumerated] = weight.row_sum_log_batch(a1s, qs[~enumerated])
+        out[:, enumerated] = _enumerate_row_sums(weight, a1s, qs[enumerated], cap)
+    return out[:, 0] if np.ndim(q) == 0 else out
+
+
+def enumerated_qs(weight: CylinderWeight, qs: np.ndarray, method: str = "auto") -> np.ndarray:
+    """Mask of the q values whose row sums enumerate rows under ``method``."""
     if method not in ("auto", "transfer", "enumerate"):
         raise ValueError(f"unknown row-sum method {method!r}")
-    if method in ("auto", "transfer"):
-        fast = weight.row_sum_log_batch(a1s, q)
-        if fast is not None:
-            return fast
-        if method == "transfer":
-            raise ValueError("weight has no transfer structure for row sums")
+    if method == "enumerate":
+        return np.ones(len(qs), dtype=bool)
+    return ~weight.transfer_mask(qs)
+
+
+def _enumerate_row_sums(weight, a1s, qs, cap) -> np.ndarray:
+    """``(W, Q)`` row sums by enumerating all ``r2**n`` rows of each word.
+
+    Row digits are built ``ENUMERATION_BLOCK`` rows at a time, and the log
+    weights held for the lse span at most that many rows or one word, so
+    the transient has a fixed bound however large the batch.
+    """
     W, n = a1s.shape
     if n == 0:
-        return np.zeros(W)
+        return np.zeros((W, qs.size))
     r2 = weight.system.r2
     total = r2**n
-    # The batch below holds W * r2**n words of n digit cells each.
+    # The batch builds W * r2**n words of n digit cells each.
     cells = W * total * n
     if cells > cap:
         raise CapExceededError(
             f"row enumeration of {W} column words x {r2}**{n} rows builds "
             f"{cells} digit cells, over cap {cap}"
         )
-    w2 = digits_of_indices(np.arange(total), r2, n)
-    a1rep = np.repeat(a1s, total, axis=0)
-    w2t = np.tile(w2, (W, 1))
-    lw = weight.log_weight_arrays(a1rep, w2t).reshape(W, total)
-    return lse(scaled_powers(q, lw), axis=1)
+    out = np.empty((W, qs.size))
+    words_per_block = max(1, ENUMERATION_BLOCK // total)
+    for lo in range(0, W, words_per_block):
+        hi = min(W, lo + words_per_block)
+        lw = np.concatenate(
+            [
+                weight.log_weight_arrays(
+                    a1s[pairs // total], digits_of_indices(pairs % total, r2, n)
+                )
+                for pairs in (
+                    np.arange(start, min(start + ENUMERATION_BLOCK, hi * total))
+                    for start in range(lo * total, hi * total, ENUMERATION_BLOCK)
+                )
+            ]
+        )
+        out[lo:hi] = _lse_each_q(lw.reshape(hi - lo, total), qs)
+    return out
 
 
 @dataclass(frozen=True)

@@ -369,6 +369,7 @@ def test_cli_render_and_boxcount(tmp_path):
         "render", "--config", str(cfgfile), "--out", str(tmp_path / "out"), "--depth", "2"
     )
     assert result.exit_code == 0, result.output
+    assert "not normalized" not in result.output  # the reference is a probability
     pgm = (tmp_path / "out" / "render_n2.pgm").read_bytes()
     assert pgm.startswith(b"P5\n")
     assert b"16 16\n65535\n" in pgm
@@ -385,6 +386,24 @@ def test_cli_render_and_boxcount(tmp_path):
     assert body[0] == "q,tau"
     taus = {float(ln.split(",")[0]): float(ln.split(",")[1]) for ln in body[1:]}
     assert abs(taus[1.0]) <= 1e-12
+
+
+def test_cli_render_notes_unnormalized_weight(tmp_path):
+    data = small_config(weight={"kind": "constantCell", "depth": 1, "values": [1.0] * 5})
+    cfgfile = write_config(tmp_path, data)
+    outputs = []
+    for normalize in (False, True):
+        data["weight"]["normalize"] = normalize
+        cfgfile = write_config(tmp_path, data)
+        result = invoke(
+            "render", "--config", str(cfgfile), "--out", str(tmp_path / "out"), "--depth", "2"
+        )
+        assert result.exit_code == 0, result.output
+        outputs.append(result.output)
+    # The counting weight has total mass 5**g(2); normalized, it has mass 1.
+    assert "note: the rendered measure is not normalized" in outputs[0]
+    assert "not normalized" not in outputs[1]
+    assert "note" not in (tmp_path / "out" / "render_n2.csv").read_text()
 
 
 def test_cli_check_custom_system(tmp_path):

@@ -21,6 +21,7 @@ from carpetmf import (
     make_constant_cell,
     make_matrix_cocycle,
     pressure_curve,
+    pressure_curves,
     row_sum,
     VARIANT_PSI_Q,
     VARIANT_PSI_TILDE_Q,
@@ -289,8 +290,7 @@ def test_curve_slices_concave(ref_weight, depth2_weight, ref_system):
     mats = np.exp(rng.uniform(-0.5, 0.5, (5, 2, 2)))
     grid = np.linspace(-4, 4, 33)
     for psi in (ref_weight, depth2_weight, make_matrix_cocycle(ref_system, 2, mats)):
-        for kind in ("T", "beta"):
-            curve = pressure_curve(psi, grid, (4, 6), kind=kind)
+        for curve in pressure_curves(psi, grid, (4, 6)).values():
             for n, vals in curve.finite_values.items():
                 scale = max(1.0, float(np.max(np.abs(vals))))
                 assert concavity_defect(curve.q_grid, vals) <= 1e-9 * scale

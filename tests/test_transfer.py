@@ -1,4 +1,5 @@
-"""The prefix-shared transfer kernel against row enumeration.
+"""The prefix-shared transfer kernel and the q-batched pressure pass against
+row enumeration.
 
 Random small systems (including empty row fibers), window weights of depth
 1-3 and matrix cocycles of dimension 1-3; batches come unsorted, with
@@ -7,12 +8,26 @@ repeated words and with out-of-range digits.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from carpetmf import CellSystem, log_total_mass, make_constant_cell, make_matrix_cocycle
+from carpetmf import (
+    CapExceededError,
+    CellSystem,
+    finite_T,
+    finite_beta,
+    log_total_mass,
+    make_constant_cell,
+    make_matrix_cocycle,
+    pressure_curves,
+)
+from carpetmf import numerics, pressure, weights as weights_module
+from carpetmf.numerics import lse, scaled_powers
+from carpetmf.symbolic import digits_of_indices
 from carpetmf.weights import prefix_transfer_log, row_sum_log_any
 
 Q_VALUES = (-1.5, 0.0, 0.7, 1.0, 2.0, 3.0)
@@ -67,13 +82,76 @@ def test_row_sums_match_enumeration(data, psi, q):
         np.abs(fast[finite] - slow[finite]) <= 1e-12 * np.maximum(1.0, np.abs(slow[finite]))
     )
     if getattr(psi, "dim", 1) >= 2 and q >= 0 and float(q).is_integer():
-        assert psi.row_sum_log_batch(words, q) is not None  # the Kronecker route ran
+        assert psi.transfer_mask(np.array([q])).all()  # the Kronecker route ran
     # Worker determinism: a word's value does not depend on its batch.
     split = data.draw(st.integers(0, words.shape[0]))
     halves = np.concatenate(
         [row_sum_log_any(psi, words[:split], q), row_sum_log_any(psi, words[split:], q)]
     )
     assert halves.tobytes() == fast.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    psi=weights(),
+    grid=st.lists(st.sampled_from(Q_VALUES), min_size=1, max_size=6, unique=True),
+    keep=st.lists(st.booleans(), min_size=6, max_size=6),
+)
+def test_pressure_curves_per_q_values(psi, grid, keep):
+    schedule = (2, 3)
+    # Small chunks, so that several chunk partials combine and workers=3
+    # really runs a thread pool.
+    with mock.patch.object(numerics, "MIN_CHUNK_SIZE", 2):
+        whole = pressure_curves(psi, grid, schedule, workers=1)
+        sub = [q for q, k in zip(grid, keep) if k] or grid[:1]
+        part = pressure_curves(psi, sub, schedule, workers=3)
+    for kind in ("T", "beta"):
+        for q in sub:
+            for n in schedule:
+                # Bit-identical whatever other q share the grid and for any
+                # number of workers.
+                assert whole[kind].finite_value_at(n, q) == part[kind].finite_value_at(n, q)
+                oracle = (finite_T if kind == "T" else finite_beta)(
+                    psi, q, n, method="enumerate"
+                )
+                got = whole[kind].finite_value_at(n, q)
+                assert abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
+            assert whole[kind].value_at(q) == part[kind].value_at(q)
+
+
+def test_preflight_raises_before_any_depth(ref_system):
+    # q = 0.5 has no Kronecker route, so every depth enumerates its rows;
+    # depth 6 builds 2**6 * 4**6 * 6 digit cells, over the cap.
+    mats = np.random.default_rng(3).uniform(0.05, 1.0, (ref_system.n_cells, 2, 2))
+    psi = make_matrix_cocycle(ref_system, 2, mats)
+    with mock.patch.object(pressure, "finite_values", side_effect=AssertionError("ran")):
+        with pytest.raises(CapExceededError, match=r"depth 6: row enumeration for q = 0\.5"):
+            pressure_curves(psi, [0.5, 1.0, 2.0], (2, 4, 6), cap=2**20)
+    # Integer q have a transfer route, so the same stage fits.
+    curves = pressure_curves(psi, [1.0, 2.0], (2, 4, 6), cap=2**20)
+    assert curves["T"].depths == (2, 4, 6)
+    with pytest.raises(CapExceededError, match="depth 6"):
+        finite_T(psi, 1.0, 6, method="enumerate", cap=2**20)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), psi=weights(), block=st.sampled_from((1, 5, 64)))
+def test_enumeration_blocks_are_exact(data, psi, block):
+    """Enumeration in blocks of rows equals one whole-batch lse, bit for bit."""
+    words = data.draw(batches(psi.system.r1))
+    W, n = words.shape
+    r2 = psi.system.r2
+    rows = digits_of_indices(np.arange(r2**n), r2, n)
+    lw = psi.log_weight_arrays(
+        np.repeat(words, r2**n, axis=0), np.tile(rows, (W, 1))
+    ).reshape(W, r2**n)
+    qs = np.array(Q_VALUES)
+    want = np.column_stack([lse(scaled_powers(q, lw), axis=1) for q in qs])
+    with mock.patch.object(weights_module, "ENUMERATION_BLOCK", block):
+        got = row_sum_log_any(psi, words, qs, method="enumerate")
+        fast = row_sum_log_any(psi, words, qs)
+    assert got.tobytes() == want.tobytes()
+    assert fast.tobytes() == row_sum_log_any(psi, words, qs).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -85,19 +163,25 @@ def test_total_mass_matches_enumeration(psi, m):
 
 
 def test_kernel_shares_prefixes_exactly():
-    # Three-state dense chain; a lex-sorted batch and its reversal agree bit
-    # for bit, and single-row batches reproduce every row.
+    # Three-state dense chains for two q values; a lex-sorted batch and its
+    # reversal agree bit for bit, single-row batches reproduce every row, and
+    # each q column equals a run of that q alone.
     rng = np.random.default_rng(5)
-    steps = np.log(rng.uniform(0.1, 1.0, (2, 3, 3)))
-    start = np.log(rng.uniform(0.1, 1.0, (2, 3)))
+    steps = np.log(rng.uniform(0.1, 1.0, (2, 2, 3, 3)))  # (letter, q, state, next)
+    start = np.log(rng.uniform(0.1, 1.0, (2, 2, 3)))
     keys = np.array(list(np.ndindex(2, 2, 2, 2)))
     whole = prefix_transfer_log(keys, start, steps)
+    assert whole.shape == (keys.shape[0], 2)
     rows = [prefix_transfer_log(k[None, :], start, steps)[0] for k in keys]
     assert whole.tobytes() == np.array(rows).tobytes()
     assert prefix_transfer_log(keys[::-1], start, steps).tobytes() == whole[::-1].tobytes()
+    for j in range(2):
+        alone = prefix_transfer_log(keys, start[:, j : j + 1], steps[:, j : j + 1])
+        assert alone[:, 0].tobytes() == whole[:, j].tobytes()
     # Against the plain product of matrices in linear space.
-    for k, value in zip(keys, whole):
-        v = np.exp(start[k[0]])
-        for letter in k[1:]:
-            v = v @ np.exp(steps[letter])
-        assert value == pytest.approx(np.log(v.sum()), rel=1e-13)
+    for k, values in zip(keys, whole):
+        for j, value in enumerate(values):
+            v = np.exp(start[k[0], j])
+            for letter in k[1:]:
+                v = v @ np.exp(steps[letter, j])
+            assert value == pytest.approx(np.log(v.sum()), rel=1e-13)
