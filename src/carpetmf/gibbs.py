@@ -23,15 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import weights as weights_module
 from .numerics import NEG_INF, lse, mean_and_stderr, run_chunked_arrays, scaled_powers
 from .pressure import log_total_mass, row_sum
 from .symbolic import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
+    CellSystem,
     depth_map,
     digits_of_indices,
 )
@@ -222,97 +224,152 @@ def _rng_for_sample(master_seed: int, sample_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _draw_from_log(rng: np.random.Generator, log_probs: np.ndarray) -> int:
-    peak = float(np.max(log_probs))
-    if peak == NEG_INF:
+#: A route's draw: ``(B, n_draws)`` uniforms -> ``(B, horizon)`` cell indices.
+Advance = Callable[[np.ndarray], np.ndarray]
+
+
+def _cdf(log_probs: np.ndarray) -> np.ndarray:
+    """Normalized cumulative probabilities along the last axis."""
+    peak = np.max(log_probs, axis=-1, keepdims=True)
+    if np.any(peak == NEG_INF):
         raise ValueError("no admissible continuation has positive weight")
     p = np.exp(log_probs - peak)
-    p /= p.sum()
-    cdf = np.cumsum(p)
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(idx, log_probs.size - 1)
+    p /= p.sum(axis=-1, keepdims=True)
+    return np.cumsum(p, axis=-1)
 
 
-def _draw_cells(
-    weight: CylinderWeight, m: int, rng: np.random.Generator, cap: int
-) -> np.ndarray:
-    """Sample a length-m cell path with the exact cylinder conditionals
-    ``P(c | u) = Z(uc) / Z(u)`` (Z = total weight of depth-m extensions)."""
+def _draw_rows(log_probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-cdf draw from each row of ``(B, K)`` log-probabilities."""
+    # Counting the cdf entries <= u is searchsorted(side="right") per row.
+    idx = np.sum(_cdf(log_probs) <= uniforms[:, None], axis=1)
+    return np.minimum(idx, log_probs.shape[1] - 1)
+
+
+def _iid_route(system: CellSystem, table: np.ndarray) -> Advance:
+    """Depth-1 weights: i.i.d. cells from one normalized cell cdf."""
+    cells = system.cells_array
+    cdf = _cdf(table[cells[:, 0], cells[:, 1]])
+
+    def advance(uniforms: np.ndarray) -> np.ndarray:
+        return np.minimum(np.searchsorted(cdf, uniforms, side="right"), system.n_cells - 1)
+
+    return advance
+
+
+def _window_route(weight: ConstantCellWeight, m: int) -> Advance:
+    """Window weights (depth k >= 2): one set of backward completion tables;
+    a path takes ``m - k + 2`` uniforms."""
+    nc = weight.system.n_cells
+    k = weight.depth
+    tables = weight.backward_completion_tables(m)  # R[j], j = 0 .. m-k+1
+    drop = nc ** (k - 2)
+    flat = weight.window_log.reshape(nc ** (k - 1), nc)
+    head = tables[m - k + 1]
+    conts = [t.reshape(drop, nc) for t in tables]
+
+    def advance(uniforms: np.ndarray) -> np.ndarray:
+        B = uniforms.shape[0]
+        # The first k-1 cells carry no window of their own: draw the block
+        # jointly from the total weight of its completions.
+        state = _draw_rows(np.broadcast_to(head, (B, head.size)), uniforms[:, 0])
+        idx = np.empty((B, m), dtype=np.int64)
+        idx[:, : k - 1] = digits_of_indices(state, nc, k - 1)
+        for pos in range(k - 1, m):
+            tail = state % drop
+            c = _draw_rows(flat[state] + conts[m - pos - 1][tail], uniforms[:, pos - k + 2])
+            idx[:, pos] = c
+            state = tail * nc + c
+        return idx
+
+    return advance
+
+
+def _enumerate_route(weight: CylinderWeight, m: int, cap: int) -> Advance:
+    """Any weight: conditionals from the log weights of all ``nc**m`` words."""
     system = weight.system
-    if m == 0:
-        return np.empty((0, 2), dtype=np.int64)
+    nc = system.n_cells
+    total = nc**m
+    if total > cap:
+        raise CapExceededError(
+            f"sampling this weight needs {total} extension evaluations (> cap {cap})"
+        )
+    cells = system.cells_array
+    # Words are built ENUMERATION_BLOCK at a time; only their log weights
+    # persist.  Word index = packed cell indices, so the extensions of a
+    # depth-pos prefix are one contiguous (nc, nc**rem) slice.
+    block = weights_module.ENUMERATION_BLOCK
+    lw = np.empty(total)
+    for lo in range(0, total, block):
+        digits = digits_of_indices(np.arange(lo, min(lo + block, total)), nc, m)
+        lw[lo : lo + block] = weight.log_weight_arrays(cells[digits, 0], cells[digits, 1])
+    # levels[pos][prefix, c] = log of the total weight extending prefix + c.
+    levels = [
+        lse(lw.reshape(nc ** (pos + 1), nc ** (m - pos - 1)), axis=1).reshape(nc**pos, nc)
+        for pos in range(m)
+    ]
+
+    def advance(uniforms: np.ndarray) -> np.ndarray:
+        prefix = np.zeros(uniforms.shape[0], dtype=np.int64)
+        for pos, level in enumerate(levels):
+            prefix = prefix * nc + _draw_rows(level[prefix], uniforms[:, pos])
+        return digits_of_indices(prefix, nc, m)
+
+    return advance
+
+
+def _path_sampler(
+    weight: CylinderWeight, horizon: int, master_seed: int, cap: int
+) -> Callable[[int, int], np.ndarray]:
+    """``draw(lo, hi)`` -> the ``(hi - lo, horizon, 2)`` cells of paths
+    ``lo .. hi-1``, with the route chosen and its tables built once here.
+
+    Path ``i`` draws all its uniforms from stream ``i`` up front, so it is
+    the same whatever chunk it is drawn in.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    system = weight.system
     core = unwrap_shift(weight)
     if isinstance(core, AuxiliaryWeight) and core._delegate is not None:
         core = core._delegate
     table = core.depth1_log_table()
+    n_draws = horizon
     if table is not None and core.dependence_depth == 1:
-        # i.i.d. cells: conditionals are the normalized cell weights.
-        cells = system.cells_array
-        logp = table[cells[:, 0], cells[:, 1]]
-        peak = float(np.max(logp))
-        p = np.exp(logp - peak)
-        p /= p.sum()
-        cdf = np.cumsum(p)
-        draws = np.searchsorted(cdf, rng.random(m), side="right")
-        draws = np.minimum(draws, system.n_cells - 1)
-        return cells[draws]
-    if isinstance(core, ConstantCellWeight) and m >= core.depth - 1:
-        return _draw_cells_window(core, m, rng)
-    return _draw_cells_enumerate(core, m, rng, cap)
+        advance = _iid_route(system, table)
+    elif isinstance(core, ConstantCellWeight) and horizon >= core.depth - 1:
+        advance = _window_route(core, horizon)
+        n_draws = horizon - core.depth + 2
+    else:
+        advance = _enumerate_route(core, horizon, cap)
+
+    def draw(lo: int, hi: int) -> np.ndarray:
+        if not 0 <= lo <= hi:
+            raise ValueError("need 0 <= lo <= hi")
+        uniforms = np.empty((hi - lo, n_draws))
+        for row, i in enumerate(range(lo, hi)):
+            uniforms[row] = _rng_for_sample(master_seed, i).random(n_draws)
+        return system.cells_array[advance(uniforms)]
+
+    return draw
 
 
-def _draw_cells_window(
-    weight: ConstantCellWeight, m: int, rng: np.random.Generator
+def sample_paths(
+    weight: CylinderWeight,
+    horizon: int,
+    master_seed: int,
+    lo: int,
+    hi: int,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
-    """Backward-table sampling for window weights (depth k >= 2)."""
-    system = weight.system
-    k = weight.depth
-    nc = system.n_cells
-    tables = weight.backward_completion_tables(m)  # R[j], j = 0 .. m-k+1
-    drop = nc ** (k - 2)
-    flat = weight.window_log.reshape(nc ** (k - 1), nc)
-    # The first k-1 cells carry no window of their own: sample the block
-    # jointly from the total weight of its completions.
-    state = _draw_from_log(rng, tables[m - k + 1])
-    idx = list(digits_of_indices(np.array([state]), nc, k - 1)[0])
-    for pos in range(k - 1, m):
-        remaining = m - pos - 1
-        cont = tables[remaining].reshape(drop, nc)[state % drop]
-        c = _draw_from_log(rng, flat[state] + cont)
-        idx.append(c)
-        state = (state % drop) * nc + c
-    return system.cells_array[np.array(idx, dtype=np.int64)]
+    """The ``(hi - lo, horizon, 2)`` cells of paths ``lo .. hi-1`` drawn from
+    ``weight``'s exact cylinder process, path ``i`` on RNG stream ``i``.
 
-
-def _draw_cells_enumerate(
-    weight: CylinderWeight, m: int, rng: np.random.Generator, cap: int
-) -> np.ndarray:
-    """Conditional sampling by brute-force extension sums (small m only)."""
-    system = weight.system
-    nc = system.n_cells
-    if nc**m > cap:
-        raise CapExceededError(
-            f"sampling this weight needs {nc**m} extension evaluations (> cap {cap})"
-        )
-    cells = system.cells_array
-    prefix: list[int] = []
-    for pos in range(m):
-        rem = m - pos - 1
-        count = nc**rem
-        tails = digits_of_indices(np.arange(count), nc, rem)  # (count, rem)
-        block = np.empty((nc * count, m - pos), dtype=np.int64)
-        block[:, 0] = np.repeat(np.arange(nc), count)
-        if rem:
-            block[:, 1:] = np.tile(tails, (nc, 1))
-        full = np.concatenate(
-            [np.tile(np.array(prefix, dtype=np.int64), (nc * count, 1)), block], axis=1
-        )
-        a1s = cells[full, 0]
-        a2s = cells[full, 1]
-        lw = weight.log_weight_arrays(a1s, a2s).reshape(nc, count)
-        c = _draw_from_log(rng, lse(lw, axis=1))
-        prefix.append(c)
-    return cells[np.array(prefix, dtype=np.int64)]
+    The cylinder conditionals ``P(c | u) = Z(uc) / Z(u)`` (Z = total weight
+    of the depth-``horizon`` extensions) come from the normalized cell
+    weights for depth-1 weights, backward completion tables for window
+    weights, and enumeration of all extensions otherwise.
+    """
+    return _path_sampler(weight, horizon, master_seed, cap)(lo, hi)
 
 
 def sample_path(
@@ -322,11 +379,8 @@ def sample_path(
     sample_index: int = 0,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
-    """The ``(horizon, 2)`` cells of path ``sample_index`` drawn from
-    ``weight``'s exact cylinder process on RNG stream ``sample_index``."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    return _draw_cells(weight, horizon, _rng_for_sample(master_seed, sample_index), cap)
+    """The ``(horizon, 2)`` cells of path ``sample_index`` of :func:`sample_paths`."""
+    return sample_paths(weight, horizon, master_seed, sample_index, sample_index + 1, cap)[0]
 
 
 def sampled_log_masses(
@@ -339,13 +393,14 @@ def sampled_log_masses(
     workers: int = 1,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Depth-``n`` log masses under ``psi`` of the paths ``sample_path(weight,
-    horizon, master_seed, i)``, ``i < n_samples``.
+    """Depth-``n`` log masses under ``psi`` of the paths ``sample_paths(weight,
+    horizon, master_seed, 0, n_samples)``.
 
     Returns each path's cylinder log-weight ``log psi(w|n)`` and ball
     log-mass (the :func:`ball_mass` of its depth-``n`` ball, NaN when
-    ``horizon < g(n)``).  ``log Z_{g-n}`` is computed once; paths are drawn
-    and evaluated in worker-independent chunks.
+    ``horizon < g(n)``).  ``log Z_{g-n}`` and the sampler's tables are
+    computed once; paths are drawn and evaluated in worker-independent
+    chunks.
     """
     if n < 1:
         raise ValueError("depth must be >= 1")
@@ -356,10 +411,10 @@ def sampled_log_masses(
     m = g - n
     log_z = log_total_mass(psi, m, cap=cap) if (with_ball and m > 0) else 0.0
 
+    draw = _path_sampler(weight, horizon, master_seed, cap)
+
     def chunk(lo: int, hi: int) -> np.ndarray:
-        paths = np.stack(
-            [sample_path(weight, horizon, master_seed, i, cap) for i in range(lo, hi)]
-        )  # (B, horizon, 2)
+        paths = draw(lo, hi)  # (B, horizon, 2)
         lw = psi.log_weight_arrays(paths[:, :n, 0], paths[:, :n, 1])
         if not with_ball:
             return np.column_stack([lw, np.full(lw.shape, np.nan)])

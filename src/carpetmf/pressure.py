@@ -54,6 +54,9 @@ CONCAVITY_RTOL = 1e-9
 #: The two pressure functions, in the order their curves are computed.
 KINDS = ("T", "beta")
 
+#: q values whose pressure terms one chunk reduces at a time.
+PART_BLOCK = 16
+
 
 def row_sum(
     psi: CylinderWeight,
@@ -194,10 +197,18 @@ def finite_values(
     def partial(start: int, stop: int):
         words = row_words_range(psi.system, n, start, stop)
         li = np.ascontiguousarray(row_sum_log_any(psi, words, row_qs, method, cap).T)
-        terms = {"T": scaled_powers(s, li[:Q])}
-        if "beta" in kinds:
-            terms["beta"] = scaled_powers((q_grid * (1.0 - s))[:, None], li[Q]) + terms["T"]
-        return parts_from_rows(np.concatenate([terms[kind] for kind in kinds]))
+        parts = {kind: [] for kind in kinds}
+        # Terms are reduced PART_BLOCK q at a time, so the transients stay
+        # (PART_BLOCK, W) however long the grid; each row reduces alone.
+        for j in range(0, Q, PART_BLOCK):
+            block = slice(j, min(j + PART_BLOCK, Q))
+            t = scaled_powers(s, li[block])
+            if "T" in kinds:
+                parts["T"] += parts_from_rows(t)
+            if "beta" in kinds:
+                lift = scaled_powers((q_grid[block] * (1.0 - s))[:, None], li[Q])
+                parts["beta"] += parts_from_rows(lift + t)
+        return [part for kind in kinds for part in parts[kind]]
 
     logs = np.array(
         [part_value(tree_combine(parts)) for parts in zip(*map_chunks(partial, total, workers))]

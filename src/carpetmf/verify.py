@@ -311,10 +311,8 @@ def _criterion_carpet_birkhoff() -> tuple[bool, str]:
         def chunk(lo: int, hi: int) -> np.ndarray:
             return np.array(
                 [
-                    carpet.birkhoff_average_on_carpet(
-                        psi, gibbs.sample_path(aux, depth, DEFAULT_MASTER_SEED, i)
-                    )
-                    for i in range(lo, hi)
+                    carpet.birkhoff_average_on_carpet(psi, cells)
+                    for cells in gibbs.sample_paths(aux, depth, DEFAULT_MASTER_SEED, lo, hi)
                 ]
             )
 

@@ -36,7 +36,7 @@ from carpetmf import (
     mcmullen_dimension,
     normalize_to_gibbs,
     row_sum_log_any,
-    sample_path,
+    sample_paths,
 )
 from carpetmf.cli import main
 from carpetmf.numerics import mean_and_stderr
@@ -277,10 +277,8 @@ def test_criterion_9_carpet_birkhoff():
             aux = make_auxiliary(psi, q, oracle_T(q), VARIANT_PSI_TILDE_Q)
             averages = np.array(
                 [
-                    birkhoff_average_on_carpet(
-                        psi, sample_path(aux, depth, DEFAULT_MASTER_SEED, i)
-                    )
-                    for i in range(n_samples)
+                    birkhoff_average_on_carpet(psi, cells)
+                    for cells in sample_paths(aux, depth, DEFAULT_MASTER_SEED, 0, n_samples)
                 ]
             )
             mean, stderr = mean_and_stderr(averages)

@@ -27,6 +27,7 @@ from carpetmf import (
     project_point,
     render_measure,
     sample_path,
+    sample_paths,
     write_grid_csv,
     write_pgm16,
 )
@@ -166,8 +167,8 @@ def test_rendered_histogram_matches_sampler(ref_weight, ref_system):
     # 40000 iid depth-6 windows cut from 2500 sampled paths; the empirical
     # depth-3 ball histogram tracks the rendered masses within four sigma
     # cell by cell, and never charges an empty cell.
-    paths = [sample_path(ref_weight, 96, master_seed=17, sample_index=i) for i in range(2500)]
-    wins = np.concatenate([p.reshape(16, 6, 2) for p in paths])
+    paths = sample_paths(ref_weight, 96, 17, 0, 2500)
+    wins = paths.reshape(2500 * 16, 6, 2)
     render = render_measure(ref_weight, 3)
     g3 = depth_map(ref_system, 3)
     col_idx = np.zeros(len(wins), dtype=np.int64)

@@ -20,6 +20,7 @@ from carpetmf import (
     make_auxiliary,
     row_sum,
     sample_path,
+    sample_paths,
     sampled_log_masses,
 )
 from carpetmf.numerics import central_derivative
@@ -33,9 +34,7 @@ ROW_SIZES = {0: 2, 1: 3}
 @pytest.fixture(scope="module")
 def ref_path_batch(ref_weight):
     """2000 independent paths of depth 100 from the reference measure."""
-    return np.stack(
-        [sample_path(ref_weight, 100, master_seed=5, sample_index=i) for i in range(2000)]
-    )  # (2000, 100, 2)
+    return sample_paths(ref_weight, 100, 5, 0, 2000)  # (2000, 100, 2)
 
 
 # -- auxiliary weights --------------------------------------------------------
