@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .numerics import NEG_INF, chunk_ranges, lse, scaled_powers
-from .pressure import log_total_mass, row_sum
+from .pressure import log_total_mass
 from .symbolic import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
@@ -376,17 +376,17 @@ def p3_scan(
     subset = 0 in system.row_alphabet and (system.r1 - 1) in system.row_alphabet
     columns = []
     for n in depths:
-        column = np.empty(len(q_set))
         try:
-            for i, q in enumerate(q_set):
-                left = row_sum(psi, np.zeros(n, dtype=np.int64), float(q), cap=cap)
-                right = row_sum(psi, np.full(n, system.r1 - 1), float(q), cap=cap)
-                column[i] = np.inf if NEG_INF in (left, right) else abs(left - right) / n
+            left, right = (
+                row_sum_log_any(psi, np.full((1, n), letter, dtype=np.int64), q_set, cap=cap)[0]
+                for letter in (0, system.r1 - 1)
+            )
         except CapExceededError:
             if not columns:
                 raise
             break  # deeper probes only grow; report the depths probed so far
-        columns.append(column)
+        empty = np.isneginf(left) | np.isneginf(right)
+        columns.append(np.where(empty, np.inf, np.abs(left - right) / n))
     depths = depths[: len(columns)]
     per_q = np.column_stack(columns)
     monotone = bool(np.all(per_q[:, 1:] <= per_q[:, :-1] + monotone_slack))

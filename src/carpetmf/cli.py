@@ -311,13 +311,12 @@ def cmd_render(config_path, workers, out_dir, seed, depth_max, render_depth) -> 
     show_default=True, help="Ball depth n for the coarse moments.",
 )
 def cmd_boxcount(config_path, workers, out_dir, seed, depth_max, box_depth) -> None:
-    """Coarse moment scaling tau_n(q) of the rendered measure."""
+    """Coarse moment scaling tau_n(q) of the measure on depth-n balls."""
     try:
         cfg = _load_experiment(config_path, out_dir, seed, depth_max)
         out = Path(cfg.output_dir)
         n = min(box_depth, depth_max) if depth_max else box_depth
-        render = carpet.render_measure(cfg.weight, n, workers=workers)
-        taus = carpet.box_count_tau(render, cfg.q_grid)
+        taus = spectra.lq_spectrum_empirical(cfg.weight, cfg.q_grid, n, workers=workers)
     except (ConfigError, CapExceededError, ValueError) as exc:
         _fail(str(exc))
     comments = io_utils.provenance_comments(cfg.sha256)

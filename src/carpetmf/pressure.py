@@ -1,20 +1,21 @@
 """Finite-depth pressure functionals over column words.
 
-Two concave pressure functions are computed from row-fiber power sums
-``I_q(w1) = sum_{w2} psi(w1 x w2)^q`` (with the convention ``0^q = 0`` — rows
-without weight drop out for every real q):
+Every quantity here is a sum over the depth-n column words ``w1`` of powers
+of the row-fiber sums ``I_q(w1) = sum_{w2} psi(w1 x w2)^q`` (with the
+convention ``0^q = 0`` — rows without weight drop out for every real q).
+Two of them are concave pressure functions:
 
 * ``T_n(q)  = -(1/n) log_{r1} sum_{w1} I_q(w1)^s``
 * ``beta_n(q) = -(1/n) log_{r1} sum_{w1} I_1(w1)^{q(1-s)} I_q(w1)^s``
 
-where ``s = log r1 / log r2``.  Depth-1 weights admit exact closed forms.
-Finite depths converge at rate O(1/n); :func:`extrapolate_pressure` removes
-the leading term with a two-point fit and reports a superadditivity-defect
-error proxy.  :func:`finite_values` computes both functions over a whole
-q-grid in one chunked pass over the depth-n column words (``I_1`` is one
-more q of the same row-sum batch); :func:`finite_T`, :func:`finite_beta` and
-the curve functions are wrappers over it.  All outer sums run through the deterministic chunked
-reduction in :mod:`carpetmf.numerics`, so worker counts never change results.
+where ``s = log r1 / log r2``.  :func:`column_log_sums` computes these sums,
+and ``sum I_q`` and ``sum I_1^q`` (the ball-moment factors of ``tau_n``), for
+a whole q-grid in one chunked pass; the total-mass fallback and the pressure
+functions wrap it.  Depth-1 weights admit exact closed forms.  Finite depths
+converge at rate O(1/n); :func:`extrapolate_pressure` removes the leading
+term with a two-point fit and reports a superadditivity-defect error proxy.
+All outer sums run through the deterministic chunked reduction in
+:mod:`carpetmf.numerics`, so worker counts never change results.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .numerics import (
 from .symbolic import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
-    CellSystem,
     admissible_word_count,
     admissible_words_range,
     row_word_count,
@@ -53,6 +53,9 @@ CONCAVITY_RTOL = 1e-9
 
 #: The two pressure functions, in the order their curves are computed.
 KINDS = ("T", "beta")
+
+#: The column-word sums of :func:`column_log_sums`.
+COLUMN_KINDS = (*KINDS, "rows", "marginal")
 
 #: q values whose pressure terms one chunk reduces at a time.
 PART_BLOCK = 16
@@ -73,19 +76,6 @@ def row_sum(
 # ---------------------------------------------------------------------------
 # Finite-depth functionals
 # ---------------------------------------------------------------------------
-
-
-def _column_reduction(psi, n, term_fn, workers, cap) -> float:
-    """log-sum over all depth-n column words of exp(term_fn(words))."""
-    total = row_word_count(psi.system, n)
-    if total > cap:
-        raise CapExceededError(f"{total} column words at depth {n} exceed cap {cap}")
-
-    def partial(start: int, stop: int):
-        words = row_words_range(psi.system, n, start, stop)
-        return part_from_array(term_fn(words))
-
-    return chunked_logsumexp(partial, total, workers=workers)
 
 
 def log_total_mass(
@@ -113,9 +103,7 @@ def log_total_mass(
     fast = psi.log_total_mass(m)
     if fast is not None:
         return fast
-    return _column_reduction(
-        psi, m, lambda w: row_sum_log_any(psi, w, 1.0, method=method, cap=cap), workers, cap
-    )
+    return float(column_log_sums(psi, [1.0], m, ("rows",), workers, method, cap)["rows"][0])
 
 
 def finite_pressure(
@@ -139,31 +127,81 @@ def _check_kinds(kinds: Sequence[str]) -> None:
         raise ValueError("curve kind must be 'T' or 'beta'")
 
 
-def _row_qs(q_grid: np.ndarray, kinds: Sequence[str]) -> np.ndarray:
-    """The row-sum q values of a pass: the grid, plus q = 1 for beta."""
-    return np.append(q_grid, 1.0) if "beta" in kinds else q_grid
+def _pass_row_qs(psi, n, q_grid, kinds, method, cap) -> np.ndarray:
+    """The row-sum q values of a depth-n pass over ``kinds``: the grid for
+    ``T``, ``beta`` and ``rows``, and q = 1 for ``beta`` and ``marginal``.
 
-
-def _check_enumeration_volume(
-    psi: CylinderWeight, n: int, row_qs: np.ndarray, method: str, cap: int
-) -> None:
-    """Raise before a depth-n pass whose row enumeration would exceed ``cap``.
-
-    If some q has no transfer route, the pass enumerates the ``r2**n`` rows
-    of every column word once: ``r1**n * r2**n`` rows of ``n`` digit cells.
+    Raises first if the pass has over ``cap`` column words, or if some q has
+    no transfer route and enumerating the ``r2**n`` rows of every column
+    word once (``r1**n * r2**n * n`` digit cells) would exceed ``cap``.
     """
-    enumerated = enumerated_qs(psi, row_qs, method)
-    if not enumerated.any():
-        return
+    if not kinds or any(kind not in COLUMN_KINDS for kind in kinds):
+        raise ValueError(f"column sum kinds must be among {COLUMN_KINDS}")
+    row_qs = q_grid if {"T", "beta", "rows"} & set(kinds) else np.empty(0)
+    if {"beta", "marginal"} & set(kinds):
+        row_qs = np.append(row_qs, 1.0)
     system = psi.system
-    volume = row_word_count(system, n) * system.r2**n * n
-    if volume > cap:
+    total = row_word_count(system, n)
+    if total > cap:
+        raise CapExceededError(f"{total} column words at depth {n} exceed cap {cap}")
+    enumerated = enumerated_qs(psi, row_qs, method)
+    volume = total * system.r2**n * n
+    if enumerated.any() and volume > cap:
         qs = ", ".join(f"{q:g}" for q in row_qs[enumerated])
         raise CapExceededError(
             f"depth {n}: row enumeration for q = {qs} builds {volume} digit cells "
-            f"({row_word_count(system, n)} column words x {system.r2}**{n} rows), "
-            f"over cap {cap}"
+            f"({total} column words x {system.r2}**{n} rows), over cap {cap}"
         )
+    return row_qs
+
+
+def column_log_sums(
+    psi: CylinderWeight,
+    q_grid: np.ndarray,
+    n: int,
+    kinds: Sequence[str],
+    workers: int = 1,
+    method: str = "auto",
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> dict[str, np.ndarray]:
+    """``log sum_{|w1| = n}`` of each kind's term at every q of ``q_grid``.
+
+    The terms are ``I_q^s`` (``T``), ``I_1^{q(1-s)} I_q^s`` (``beta``),
+    ``I_q`` (``rows``) and ``I_1^q`` (``marginal``).  Each chunk of depth-n
+    column words gets one row-sum batch for the q values the kinds need;
+    every (kind, q) keeps its own partial sum, combined over the same chunk
+    tree, so a value does not depend on ``workers`` or on the other q values
+    of the grid.
+    """
+    q_grid = np.asarray(q_grid, dtype=float).ravel()
+    Q = q_grid.size
+    s = psi.system.s
+    row_qs = _pass_row_qs(psi, n, q_grid, kinds, method, cap)
+
+    def partial(start: int, stop: int):
+        words = row_words_range(psi.system, n, start, stop)
+        li = np.ascontiguousarray(row_sum_log_any(psi, words, row_qs, method, cap).T)
+        parts = {kind: [] for kind in kinds}
+        # Terms are reduced PART_BLOCK q at a time, so the transients stay
+        # (PART_BLOCK, W) however long the grid; each row reduces alone.
+        for j in range(0, Q, PART_BLOCK):
+            block = slice(j, min(j + PART_BLOCK, Q))
+            qs = q_grid[block][:, None]
+            if "T" in kinds or "beta" in kinds:
+                t = scaled_powers(s, li[block])
+            if "T" in kinds:
+                parts["T"] += parts_from_rows(t)
+            if "beta" in kinds:
+                parts["beta"] += parts_from_rows(scaled_powers(qs * (1.0 - s), li[-1]) + t)
+            if "rows" in kinds:
+                parts["rows"] += parts_from_rows(li[block])
+            if "marginal" in kinds:
+                parts["marginal"] += parts_from_rows(scaled_powers(qs, li[-1]))
+        return [part for kind in kinds for part in parts[kind]]
+
+    chunks = map_chunks(partial, row_word_count(psi.system, n), workers)
+    logs = np.array([part_value(tree_combine(parts)) for parts in zip(*chunks)])
+    return dict(zip(kinds, logs.reshape(len(kinds), Q)))
 
 
 def finite_values(
@@ -175,48 +213,16 @@ def finite_values(
     method: str = "auto",
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> dict[str, np.ndarray]:
-    """``T_n`` and/or ``beta_n`` at every q of ``q_grid`` from one pass.
-
-    Each chunk of depth-n column words gets one row-sum batch for all q (and
-    q = 1 for beta); every (kind, q) keeps its own partial sum, combined over
-    the same chunk tree, so a value does not depend on ``workers`` or on the
-    other q values of the grid.
-    """
+    """``T_n`` and/or ``beta_n`` at every q of ``q_grid`` from one
+    :func:`column_log_sums` pass."""
     if n < 1:
         raise ValueError("pressure needs depth >= 1")
     _check_kinds(kinds)
-    q_grid = np.asarray(q_grid, dtype=float).ravel()
-    Q = q_grid.size
-    s = psi.system.s
-    row_qs = _row_qs(q_grid, kinds)
-    total = row_word_count(psi.system, n)
-    if total > cap:
-        raise CapExceededError(f"{total} column words at depth {n} exceed cap {cap}")
-    _check_enumeration_volume(psi, n, row_qs, method, cap)
-
-    def partial(start: int, stop: int):
-        words = row_words_range(psi.system, n, start, stop)
-        li = np.ascontiguousarray(row_sum_log_any(psi, words, row_qs, method, cap).T)
-        parts = {kind: [] for kind in kinds}
-        # Terms are reduced PART_BLOCK q at a time, so the transients stay
-        # (PART_BLOCK, W) however long the grid; each row reduces alone.
-        for j in range(0, Q, PART_BLOCK):
-            block = slice(j, min(j + PART_BLOCK, Q))
-            t = scaled_powers(s, li[block])
-            if "T" in kinds:
-                parts["T"] += parts_from_rows(t)
-            if "beta" in kinds:
-                lift = scaled_powers((q_grid[block] * (1.0 - s))[:, None], li[Q])
-                parts["beta"] += parts_from_rows(lift + t)
-        return [part for kind in kinds for part in parts[kind]]
-
-    logs = np.array(
-        [part_value(tree_combine(parts)) for parts in zip(*map_chunks(partial, total, workers))]
-    )
-    if np.any(logs == NEG_INF):
+    logs = column_log_sums(psi, q_grid, n, kinds, workers, method, cap)
+    if any(np.any(values == NEG_INF) for values in logs.values()):
         raise ValueError("weight has empty support at this depth")
-    values = -logs / (n * math.log(psi.system.r1))
-    return dict(zip(kinds, values.reshape(len(kinds), Q)))
+    scale = n * math.log(psi.system.r1)
+    return {kind: -values / scale for kind, values in logs.items()}
 
 
 def finite_T(
@@ -382,7 +388,7 @@ def pressure_curves(
     if len(feasible) < 2:
         raise CapExceededError("need at least two feasible depths for extrapolation")
     for n in feasible:
-        _check_enumeration_volume(psi, n, _row_qs(q_grid, kinds), method, cap)
+        _pass_row_qs(psi, n, q_grid, kinds, method, cap)
     finite: dict[str, dict[int, np.ndarray]] = {kind: {} for kind in kinds}
     for n in feasible:
         values = finite_values(psi, q_grid, n, kinds, workers, method, cap)

@@ -9,37 +9,25 @@ concave envelope (the involution defect).
 
 Dimensions may come out negative (level sets that are empty for the measure);
 those points are flagged rather than clipped.
+
+The empirical L^q spectrum ``tau_n`` of the ball measure takes its moment
+sums from two kinds of the column-word pass in :mod:`carpetmf.pressure`:
+``sum I_q`` over the depth-n column words and ``sum I_1^q`` over the column
+extensions.  Box counting a rendered grid
+(:func:`carpetmf.carpet.box_count_tau`) is its oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
-from .gibbs import ball_mass
-from .numerics import (
-    NEG_INF,
-    chunked_logsumexp,
-    concavity_defect,
-    grid_derivative,
-    lse,
-    part_from_array,
-    scaled_powers,
-)
-from .pressure import CONCAVITY_RTOL, PressureCurve, log_total_mass
-from .symbolic import (
-    DEFAULT_ENUMERATION_CAP,
-    CapExceededError,
-    CellSystem,
-    depth_map,
-    digits_of_indices,
-    row_word_count,
-    row_words_range,
-)
-from .weights import CylinderWeight, row_sum_log_any
+from .numerics import NEG_INF, concavity_defect, grid_derivative
+from .pressure import CONCAVITY_RTOL, PressureCurve, column_log_sums, log_total_mass
+from .symbolic import DEFAULT_ENUMERATION_CAP, CellSystem, depth_map
+from .weights import CylinderWeight
 
 FLAG_OK = "ok"
 FLAG_EMPTY = "empty"
@@ -179,74 +167,32 @@ def mcmullen_dimension(system: CellSystem) -> float:
 
 def lq_spectrum_empirical(
     psi: CylinderWeight,
-    q: float,
+    q: float | np.ndarray,
     n: int,
     method: str = "auto",
     workers: int = 1,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> float:
+) -> float | np.ndarray:
     """``tau_n(q) = -(1/n) log_{r2} sum_B mu_n(B)^q`` over depth-n balls.
 
     ``mu_n`` assigns a ball (w1 x w2, column extension u) the product of the
-    normalized cylinder weight of ``w1 x w2`` and the row-marginal fraction of
-    ``u``.  With ``method='auto'`` the ball sum factorizes exactly into two
-    column-word reductions; ``method='enumerate'`` walks every ball and calls
-    :func:`carpetmf.gibbs.ball_mass` — the slow independent oracle.
+    cylinder weight of ``w1 x w2`` and the row-marginal fraction
+    ``I_1(u) / Z_m`` of ``u``, so the ball sum factorizes exactly:
+    ``sum_B mu(B)^q = [sum_{w1} I_q(w1)] * [sum_u I_1(u)^q] / Z_m^q``, the
+    ``rows`` and ``marginal`` kinds of :func:`column_log_sums`.  ``q`` is a
+    scalar (scalar result) or an array (one value per q); ``method``
+    selects the row-sum route.
     """
     if n < 1:
         raise ValueError("depth must be >= 1")
-    system = psi.system
-    g = depth_map(system, n)
-    m = g - n
-    if method == "enumerate":
-        return _lq_enumerate(psi, q, n, g, cap)
-    # sum_B mu(B)^q = [sum_{w1} I_q(w1)] * [sum_u (I_1(u)/Z_m)^q]
-    def main_terms(words: np.ndarray) -> np.ndarray:
-        return row_sum_log_any(psi, words, q, method=method, cap=cap)
-
-    total = row_word_count(system, n)
-    if total > cap:
-        raise CapExceededError(f"{total} column words at depth {n} exceed cap {cap}")
-
-    def main_partial(start: int, stop: int):
-        return part_from_array(main_terms(row_words_range(system, n, start, stop)))
-
-    log_sum = chunked_logsumexp(main_partial, total, workers=workers)
+    qs = np.asarray(q, dtype=float).ravel()
+    m = depth_map(psi.system, n) - n
+    log_sum = column_log_sums(psi, qs, n, ("rows",), workers, method, cap)["rows"]
     if m > 0:
-        ext_total = row_word_count(system, m)
-        if ext_total > cap:
-            raise CapExceededError(
-                f"{ext_total} column extensions at depth {m} exceed cap {cap}"
-            )
-
-        def ext_partial(start: int, stop: int):
-            words = row_words_range(system, m, start, stop)
-            return part_from_array(
-                scaled_powers(q, row_sum_log_any(psi, words, 1.0, method=method, cap=cap))
-            )
-
-        log_ext = chunked_logsumexp(ext_partial, ext_total, workers=workers)
+        log_ext = column_log_sums(psi, qs, m, ("marginal",), workers, method, cap)["marginal"]
         log_z = log_total_mass(psi, m, workers=workers, method=method, cap=cap)
-        log_sum += log_ext - q * log_z
-    if log_sum == NEG_INF:
+        log_sum = log_sum + (log_ext - qs * log_z)
+    if np.any(log_sum == NEG_INF):
         raise ValueError("measure charges no ball at this depth")
-    return -log_sum / (n * math.log(system.r2))
-
-
-def _lq_enumerate(psi: CylinderWeight, q: float, n: int, g: int, cap: int) -> float:
-    """Literal loop over the depth-n ball family (oracle path, small n only)."""
-    system = psi.system
-    n_balls = row_word_count(system, g) * system.r2**n
-    if n_balls > cap:
-        raise CapExceededError(f"{n_balls} balls at depth {n} exceed cap {cap}")
-    columns = digits_of_indices(np.arange(row_word_count(system, g)), system.r1, g)
-    rows = digits_of_indices(np.arange(system.r2**n), system.r2, n)
-    log_terms = []
-    for cw in columns:
-        for rw in rows:
-            lm = ball_mass(psi, cw, rw, cap=cap)
-            log_terms.append(scaled_powers(q, np.array(lm)))
-    total = float(lse(np.array(log_terms)))
-    if total == NEG_INF:
-        raise ValueError("measure charges no ball at this depth")
-    return -total / (n * math.log(system.r2))
+    tau = -log_sum / (n * math.log(psi.system.r2))
+    return float(tau[0]) if np.ndim(q) == 0 else tau

@@ -285,8 +285,8 @@ def _criterion_tau_derivative() -> tuple[bool, str]:
     psi = reference_weight()
     n = 10
     h = 1.0 / 16
-    tau = lambda q: spectra.lq_spectrum_empirical(psi, q, n)
-    tau_prime = (tau(1.0 + h) - tau(1.0 - h)) / (2.0 * h)
+    upper, lower = spectra.lq_spectrum_empirical(psi, np.array([1.0 + h, 1.0 - h]), n).tolist()
+    tau_prime = (upper - lower) / (2.0 * h)
     beta_prime = central_derivative(
         lambda x: pressure.closed_form_beta(psi, x), 1.0, h=1.0 / 64
     )

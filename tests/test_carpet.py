@@ -265,12 +265,19 @@ def test_box_count_q0_counts_charged_cells(ref_weight):
         assert box_count_tau(render, [0.0])[0] == pytest.approx(want, abs=1e-12)
 
 
-def test_box_count_matches_moment_spectrum(ref_weight):
-    render = render_measure(ref_weight, 3)
-    qs = (0.5, 1.0, 2.0, 3.0)
-    got = box_count_tau(render, qs)
-    for q, value in zip(qs, got):
-        assert value == pytest.approx(lq_spectrum_empirical(ref_weight, q, 3), rel=1e-12)
+def test_box_count_matches_moment_spectrum(ref_weight, depth2_weight, ref_system):
+    # Box counting the rendered grid is the oracle of the factorized sum.
+    mats = np.random.default_rng(11).uniform(0.05, 1.0, (ref_system.n_cells, 2, 2))
+    cocycle = make_matrix_cocycle(ref_system, 2, mats)
+    cases = [(ref_weight, (0.5, 1.0, 2.0, 3.0))]
+    cases += [(psi, (-1.0, 0.0, 0.5, 2.0)) for psi in (depth2_weight, cocycle)]
+    for psi, qs in cases:
+        want = box_count_tau(render_measure(psi, 3), qs)
+        got = lq_spectrum_empirical(psi, np.array(qs), 3)
+        for q, value, oracle in zip(qs, got, want):
+            assert value == pytest.approx(oracle, rel=1e-12)
+            # The vector call gives every q the bits of its scalar call.
+            assert value == lq_spectrum_empirical(psi, q, 3)
 
 
 def test_box_count_depth_stability(ref_weight):

@@ -388,6 +388,18 @@ def test_cli_render_and_boxcount(tmp_path):
     assert abs(taus[1.0]) <= 1e-12
 
 
+def test_cli_boxcount_past_the_render_cap(tmp_path):
+    # The reference grid at depth 8 would hold 2**16 x 4**8 cells, past the
+    # render cap; boxcount sums the moments without rendering it.
+    result = invoke("boxcount", "--out", str(tmp_path / "out"), "--depth", "8")
+    assert result.exit_code == 0, result.output
+    body = data_lines(tmp_path / "out" / "boxcount_n8.csv")
+    taus = {float(ln.split(",")[0]): float(ln.split(",")[1]) for ln in body[1:]}
+    assert abs(taus[1.0]) <= 1e-12
+    # tau(0) counts the charged balls: 5^8 squares times 2^8 column suffixes.
+    assert taus[0.0] == pytest.approx(-math.log(5**8 * 2**8) / (8 * math.log(4)), abs=1e-12)
+
+
 def test_cli_render_notes_unnormalized_weight(tmp_path):
     data = small_config(weight={"kind": "constantCell", "depth": 1, "values": [1.0] * 5})
     cfgfile = write_config(tmp_path, data)

@@ -22,6 +22,7 @@ from carpetmf import (
     pressure_curve,
     support_dimension,
 )
+from carpetmf import verify
 from carpetmf.gibbs import ball_mass
 from carpetmf.numerics import central_derivative, lse
 from carpetmf.reference import default_q_grid
@@ -204,6 +205,15 @@ def test_lq_spectrum_q2_depth4_oracle(ref_weight):
     got = lq_spectrum_empirical(ref_weight, 2.0, 4)
     want = literal_tau(ref_weight, 2.0, 4)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_lq_spectrum_return_types(ref_weight):
+    # A scalar q gives a Python float, so a check on it gives a Python bool:
+    # the verify report counts a failed criterion by `passed is False`.
+    assert type(lq_spectrum_empirical(ref_weight, 2.0, 2)) is float
+    assert lq_spectrum_empirical(ref_weight, np.array([0.5, 2.0]), 2).shape == (2,)
+    passed, _ = verify._criterion_tau_derivative()
+    assert passed is True
 
 
 def test_derivative_match_at_one(ref_weight):

@@ -1,0 +1,79 @@
+"""The benchmark harness under ``bench/`` reaches into ``carpetmf`` by name.
+
+``bench/tracer.py`` wraps module functions and weight methods listed in its
+``FUNCTIONS`` and ``METHODS`` tables, and the other bench modules import
+package names directly.  These tests read those files without running them
+and check that every name still resolves, so a refactor of the package
+cannot silently break ``bench/run.py --trace 1``.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+from carpetmf.weights import CylinderWeight
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _table(name: str) -> list[tuple]:
+    """The literal tuple assigned to ``name`` in ``bench/tracer.py``, with
+    the recorder callables (plain names) read as ``None``."""
+    tree = ast.parse((BENCH / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return [
+                tuple(e.value if isinstance(e, ast.Constant) else None for e in row.elts)
+                for row in node.value.elts
+            ]
+    raise AssertionError(f"bench/tracer.py has no {name} table")
+
+
+def _package_imports() -> list[tuple[str, str, str]]:
+    """``(bench file, module, name)`` of every ``from carpetmf... import``."""
+    out = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("carpetmf"):
+                out += [(path.name, node.module, alias.name) for alias in node.names]
+    return out
+
+
+def test_tracer_functions_resolve():
+    rows = _table("FUNCTIONS")
+    assert rows
+    for module, attr, span, _ in rows:
+        target = getattr(importlib.import_module(f"carpetmf.{module}"), attr, None)
+        assert callable(target), f"tracer span {span}: carpetmf.{module}.{attr} is gone"
+
+
+def test_tracer_methods_resolve():
+    rows = _table("METHODS")
+    assert rows
+    for method, span, _ in rows:
+        assert callable(getattr(CylinderWeight, method, None)), f"tracer span {span}"
+
+
+def _resolves(module: str, name: str) -> bool:
+    """``from module import name`` works: an attribute or a submodule."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_bench_imports_resolve():
+    imports = _package_imports()
+    assert ("checks.py", "carpetmf.pressure", "log_total_mass") in imports
+    for filename, module, name in imports:
+        assert _resolves(module, name), (
+            f"bench/{filename} imports {name} from {module}, which no longer has it"
+        )
+

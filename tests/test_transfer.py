@@ -18,12 +18,17 @@ from hypothesis import strategies as st
 from carpetmf import (
     CapExceededError,
     CellSystem,
+    RowSumRowWeight,
+    UniformRowWeight,
     finite_T,
     finite_beta,
     log_total_mass,
+    make_auxiliary,
     make_constant_cell,
     make_matrix_cocycle,
+    make_skew_product,
     pressure_curves,
+    random_depth2_weight,
 )
 from carpetmf import numerics, pressure, weights as weights_module
 from carpetmf.numerics import lse, scaled_powers
@@ -160,6 +165,23 @@ def test_total_mass_matches_enumeration(psi, m):
     fast = log_total_mass(psi, m)
     slow = log_total_mass(psi, m, method="enumerate")
     assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["uniform", "rowSum", "psiQ", "psiTildeQ"])
+def test_total_mass_fallback_matches_enumeration(case):
+    # Weights with no closed total mass sum I_1 over the column words.
+    rho = random_depth2_weight()
+    if case == "uniform":
+        psi = make_skew_product(rho, UniformRowWeight(rho.system.r1))
+    elif case == "rowSum":
+        psi = make_skew_product(rho, RowSumRowWeight(rho, 1.0))
+    else:
+        psi = make_auxiliary(rho, 1.5, 0.1, case)
+    for m in range(1, 5):
+        assert psi.log_total_mass(m) is None
+        fast = log_total_mass(psi, m)
+        slow = log_total_mass(psi, m, method="enumerate")
+        assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
 
 
 def test_kernel_shares_prefixes_exactly():
