@@ -12,14 +12,13 @@ half-open grid cell; cell boundaries on the torus carry no mass here.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numerics import NEG_INF, chunk_ranges, lse, scaled_powers
+from .numerics import NEG_INF, lse, map_chunks, scaled_powers
 from .pressure import log_total_mass
 from .symbolic import (
     DEFAULT_ENUMERATION_CAP,
@@ -231,14 +230,8 @@ def render_measure(
         block = lw[:, None] + suffix_marginals[None, :]
         return base_cols, rows, block
 
-    ranges = chunk_ranges(total_words)
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda r: fill_chunk(*r), ranges))
-    else:
-        results = [fill_chunk(start, stop) for start, stop in ranges]
     offsets = np.arange(n_suffix, dtype=np.int64)
-    for base_cols, rows, block in results:
+    for base_cols, rows, block in map_chunks(fill_chunk, total_words, workers):
         grid[base_cols[:, None] + offsets[None, :], rows[:, None]] = block
 
     return CarpetRender(system=system, depth=n, log_masses=grid)

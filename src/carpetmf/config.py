@@ -281,10 +281,7 @@ def _build_skew_product(block: dict, system: CellSystem) -> CylinderWeight:
         )
     else:
         row = RowSumRowWeight(rho, q=float(theta.get("q", 1.0)))
-    try:
-        return SkewProductWeight(rho, row)
-    except ValueError as exc:
-        raise ConfigError(f"weight: {exc}") from exc
+    return SkewProductWeight(rho, row)
 
 
 def build_weight(

@@ -11,6 +11,9 @@ level constant equals the corresponding extrapolated pressure value:
   ``tilde-theta_q(w1) = r1^{n L} I_q(w1)^s`` and
   ``tilde-psi_q = tilde-theta_q psi^q / I_q``.
 
+Both are skew products (:class:`~carpetmf.weights.SkewProductWeight`) of psi
+with exponent q and row marginal theta_q.
+
 At q = 1 with the pressure of psi as level constant, ``psiQ`` reproduces the
 normalized weight itself.  Sampling draws cell paths whose cylinder
 probabilities are the exact weight conditionals (closed form for depth-1
@@ -40,6 +43,8 @@ from .symbolic import (
 from .weights import (
     ConstantCellWeight,
     CylinderWeight,
+    RowWeight,
+    SkewProductWeight,
     row_sum_log_any,
     unwrap_shift,
 )
@@ -49,8 +54,44 @@ VARIANT_PSI_TILDE_Q = "psiTildeQ"
 VARIANTS = (VARIANT_PSI_Q, VARIANT_PSI_TILDE_Q)
 
 
-class AuxiliaryWeight(CylinderWeight):
-    """Moment-tilted weight ``theta(w1) * psi(w1 x w2)^q / I_q(w1)``."""
+class _TiltMarginal(RowWeight):
+    """Row marginal ``theta_q`` of a tilt: ``r1^{n L} I_1^{q(1-s)} I_q^s``
+    (``psiQ``) or ``r1^{n L} I_q^s`` (``psiTildeQ``), with the row sums of
+    ``base``."""
+
+    def __init__(self, base: CylinderWeight, q: float, level_constant: float, variant: str):
+        self.base = base
+        self.q = q
+        self.level_constant = level_constant
+        self.psi_q = variant == VARIANT_PSI_Q
+
+    def _combine(self, shift, li1, liq):
+        s = self.base.system.s
+        if self.psi_q:
+            return shift + scaled_powers(self.q * (1.0 - s), li1) + scaled_powers(s, liq)
+        return shift + scaled_powers(s, liq)
+
+    def log_values(self, a1s: np.ndarray) -> np.ndarray:
+        a1s = np.asarray(a1s, dtype=np.int64)
+        shift = a1s.shape[1] * self.level_constant * math.log(self.base.system.r1)
+        if self.psi_q:
+            li = row_sum_log_any(self.base, a1s, np.array([1.0, self.q]))
+            return self._combine(shift, li[:, 0], li[:, 1])
+        return self._combine(shift, None, row_sum_log_any(self.base, a1s, self.q))
+
+    def letter_log_table(self) -> np.ndarray | None:
+        table = self.base.depth1_log_table()
+        if table is None:
+            return None
+        # Depth-1 row sums factorize over letters exactly.
+        l1 = lse(table, axis=1) if self.psi_q else None
+        shift = self.level_constant * math.log(self.base.system.r1)
+        return self._combine(shift, l1, lse(scaled_powers(self.q, table), axis=1))
+
+
+class AuxiliaryWeight(SkewProductWeight):
+    """Moment tilt ``theta_q(w1) * psi(w1 x w2)^q / I_q(w1)``: the skew
+    product of ``psi`` with exponent q and the row marginal ``theta_q``."""
 
     def __init__(
         self,
@@ -61,102 +102,10 @@ class AuxiliaryWeight(CylinderWeight):
     ) -> None:
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        self.system = base.system
         self.base = base
-        self.q = float(q)
         self.level_constant = float(level_constant)
         self.variant = variant
-        self._delegate = self._build_depth1_delegate()
-
-    # -- exact depth-1 reduction -----------------------------------------
-
-    def _build_depth1_delegate(self) -> ConstantCellWeight | None:
-        """For depth-1 bases the tilt is again a depth-1 cell weight."""
-        table = self.base.depth1_log_table()
-        if table is None or self.base.dependence_depth != 1:
-            return None
-        system = self.system
-        s = system.s
-        log_r1 = math.log(system.r1)
-        l1 = lse(table, axis=1)  # (r1,)
-        lq = lse(scaled_powers(self.q, table), axis=1)
-        safe_l1 = np.where(np.isneginf(l1), 0.0, l1)
-        safe_lq = np.where(np.isneginf(lq), 0.0, lq)
-        with np.errstate(invalid="ignore"):
-            if self.variant == VARIANT_PSI_Q:
-                cell = (
-                    self.level_constant * log_r1
-                    + self.q * (1.0 - s) * safe_l1[:, None]
-                    + (s - 1.0) * safe_lq[:, None]
-                    + scaled_powers(self.q, table)
-                )
-            else:
-                cell = (
-                    self.level_constant * log_r1
-                    + (s - 1.0) * safe_lq[:, None]
-                    + scaled_powers(self.q, table)
-                )
-        cell = np.where(np.isneginf(table), NEG_INF, cell)
-        cells = system.cells_array
-        return ConstantCellWeight(system, 1, cell[cells[:, 0], cells[:, 1]])
-
-    # -- weight interface --------------------------------------------------
-
-    def theta_log_batch(self, a1s: np.ndarray) -> np.ndarray:
-        """Row marginal ``log theta`` for a batch of column words."""
-        a1s = np.asarray(a1s, dtype=np.int64)
-        n = a1s.shape[1]
-        s = self.system.s
-        shift = n * self.level_constant * math.log(self.system.r1)
-        liq = row_sum_log_any(self.base, a1s, self.q)
-        if self.variant == VARIANT_PSI_Q:
-            li1 = row_sum_log_any(self.base, a1s, 1.0)
-            return shift + scaled_powers(self.q * (1.0 - s), li1) + scaled_powers(s, liq)
-        return shift + scaled_powers(s, liq)
-
-    def log_weight_arrays(self, a1s: np.ndarray, a2s: np.ndarray) -> np.ndarray:
-        if self._delegate is not None:
-            return self._delegate.log_weight_arrays(a1s, a2s)
-        n = np.asarray(a1s).shape[1]
-        if n == 0:
-            return np.zeros(np.asarray(a1s).shape[0])
-        lb = self.base.log_weight_arrays(a1s, a2s)
-        lt = self.theta_log_batch(a1s)
-        liq = row_sum_log_any(self.base, a1s, self.q)
-        with np.errstate(invalid="ignore"):
-            out = lt + scaled_powers(self.q, lb) - liq
-        return np.where(np.isneginf(lb) | np.isneginf(lt), NEG_INF, out)
-
-    @property
-    def dependence_depth(self) -> int | None:
-        return 1 if self._delegate is not None else None
-
-    def depth1_log_table(self) -> np.ndarray | None:
-        if self._delegate is None:
-            return None
-        return self._delegate.depth1_log_table()
-
-    def transfer_mask(self, rs: np.ndarray) -> np.ndarray:
-        if self._delegate is not None:
-            return self._delegate.transfer_mask(rs)
-        return np.ones(len(rs), dtype=bool)
-
-    def row_sum_log_batch(self, a1s: np.ndarray, rs: np.ndarray) -> np.ndarray:
-        """``I_r`` of the tilt: ``theta^r I_{qr} / I_q^r`` — a base reduction."""
-        if self._delegate is not None:
-            return self._delegate.row_sum_log_batch(a1s, rs)
-        lt = self.theta_log_batch(a1s)[:, None]
-        liq = row_sum_log_any(self.base, a1s, self.q)[:, None]
-        liqr = row_sum_log_any(self.base, a1s, self.q * rs)
-        dead = np.isneginf(liqr) | np.isneginf(lt)
-        with np.errstate(invalid="ignore"):
-            out = scaled_powers(rs, lt) - scaled_powers(rs, liq) + liqr
-        return np.where(dead, NEG_INF, out)
-
-    def log_total_mass(self, m: int) -> float | None:
-        if self._delegate is not None:
-            return self._delegate.log_total_mass(m)
-        return None
+        super().__init__(base, _TiltMarginal(base, float(q), self.level_constant, variant), q)
 
 
 def make_auxiliary(
@@ -330,11 +279,9 @@ def _path_sampler(
         raise ValueError("horizon must be >= 1")
     system = weight.system
     core = unwrap_shift(weight)
-    if isinstance(core, AuxiliaryWeight) and core._delegate is not None:
-        core = core._delegate
     table = core.depth1_log_table()
     n_draws = horizon
-    if table is not None and core.dependence_depth == 1:
+    if table is not None:
         advance = _iid_route(system, table)
     elif isinstance(core, ConstantCellWeight) and horizon >= core.depth - 1:
         advance = _window_route(core, horizon)

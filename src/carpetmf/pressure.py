@@ -256,7 +256,7 @@ def finite_beta(
 
 def _require_depth1(psi: CylinderWeight) -> np.ndarray:
     table = psi.depth1_log_table()
-    if table is None or psi.dependence_depth != 1:
+    if table is None:
         raise ValueError("closed forms require a depth-1 cell weight")
     return table
 

@@ -59,6 +59,12 @@ class CriterionResult:
     elapsed: float
     budget: float
 
+    def __post_init__(self) -> None:
+        # Bodies may compute a verdict as a numpy bool; ``is False`` tests
+        # downstream need the Python one.
+        if self.passed is not None:
+            self.passed = bool(self.passed)
+
     @property
     def status(self) -> str:
         if self.passed is None:

@@ -11,7 +11,8 @@ constructions are provided:
   matrices driven by the cell sequence, with the positive-cone norm
   ``|B| = 1^T B 1``;
 * :func:`make_skew_product` — a column-word weight times a row-fiber
-  conditional built from another cylinder weight.
+  conditional built from another cylinder weight raised to an exponent q
+  (the moment tilts of :mod:`carpetmf.gibbs` are these).
 
 Every weight exposes batched evaluation over digit-row arrays, and —
 when its structure allows — fast row-fiber power sums
@@ -665,35 +666,39 @@ class RowSumRowWeight(RowWeight):
 
 
 class SkewProductWeight(CylinderWeight):
-    """``psi(w1 x w2) = theta1(w1) * rho(w1 x w2) / I_rho(w1)``.
+    """``psi(w1 x w2) = theta1(w1) * rho(w1 x w2)^q / I_{rho,q}(w1)``.
 
-    The row fibers carry the rho-conditional distribution while the column
-    marginal is exactly ``theta1``, so ``I_{psi,1} = theta1``.
+    The row fibers carry the ``rho^q``-conditional distribution while the
+    column marginal is exactly ``theta1``, so ``I_{psi,1} = theta1``.  At
+    ``q = 1`` this is the plain skew product; the moment tilts of
+    :mod:`carpetmf.gibbs` are the same weight at the tilt's q.
     """
 
-    def __init__(self, rho: CylinderWeight, theta1: RowWeight) -> None:
+    def __init__(self, rho: CylinderWeight, theta1: RowWeight, q: float = 1.0) -> None:
         self.system = rho.system
         self.rho = rho
         self.theta1 = theta1
+        self.q = float(q)
 
     def log_weight_arrays(self, a1s: np.ndarray, a2s: np.ndarray) -> np.ndarray:
-        lr = self.rho.log_weight_arrays(a1s, a2s)
+        lr = scaled_powers(self.q, self.rho.log_weight_arrays(a1s, a2s))
         lt = self.theta1.log_values(a1s)
-        li = row_sum_log_any(self.rho, a1s, 1.0)
+        li = row_sum_log_any(self.rho, a1s, self.q)
         with np.errstate(invalid="ignore"):
             out = lt + lr - li
-        return np.where(np.isneginf(lr), NEG_INF, out)
+        return np.where(np.isneginf(lr) | np.isneginf(lt), NEG_INF, out)
 
-    def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
-        return np.ones(len(qs), dtype=bool)
+    def transfer_mask(self, rs: np.ndarray) -> np.ndarray:
+        return np.ones(len(rs), dtype=bool)
 
-    def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    def row_sum_log_batch(self, a1s: np.ndarray, rs: np.ndarray) -> np.ndarray:
+        """``I_r = theta1^r I_{rho,qr} / I_{rho,q}^r``: one batch of rho row sums."""
         lt = self.theta1.log_values(a1s)[:, None]
-        li1 = row_sum_log_any(self.rho, a1s, 1.0)[:, None]
-        liq = row_sum_log_any(self.rho, a1s, qs)
-        dead = np.isneginf(liq) | np.isneginf(lt)
+        li = row_sum_log_any(self.rho, a1s, np.concatenate([[self.q], self.q * rs]))
+        liq, liqr = li[:, :1], li[:, 1:]
+        dead = np.isneginf(liqr) | np.isneginf(lt)
         with np.errstate(invalid="ignore"):
-            out = scaled_powers(qs, lt) - scaled_powers(qs, li1) + liq
+            out = scaled_powers(rs, lt) - scaled_powers(rs, liq) + liqr
         return np.where(dead, NEG_INF, out)
 
     def depth1_log_table(self) -> np.ndarray | None:
@@ -701,10 +706,11 @@ class SkewProductWeight(CylinderWeight):
         tt = self.theta1.letter_log_table()
         if rt is None or tt is None:
             return None
-        li1 = lse(rt, axis=1)  # (r1,)
-        safe_li1 = np.where(np.isneginf(li1), 0.0, li1)
+        rq = scaled_powers(self.q, rt)
+        liq = lse(rq, axis=1)  # (r1,)
+        safe_liq = np.where(np.isneginf(liq), 0.0, liq)
         with np.errstate(invalid="ignore"):
-            table = tt[:, None] + rt - safe_li1[:, None]
+            table = tt[:, None] + rq - safe_liq[:, None]
         return np.where(np.isneginf(rt), NEG_INF, table)
 
     @property

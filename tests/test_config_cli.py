@@ -19,6 +19,7 @@ from carpetmf import (
     make_constant_cell,
     make_skew_product,
 )
+from carpetmf import verify
 from carpetmf.cli import main
 from carpetmf.config import (
     ConfigError,
@@ -460,3 +461,14 @@ def test_load_config_round_trip(tmp_path):
     cfgfile = write_config(tmp_path, small_config())
     cfg = load_config(cfgfile)
     assert cfg.sha256 == parse_config(small_config()).sha256
+
+
+def test_cli_verify_fails_on_a_numpy_bool_verdict(monkeypatch):
+    # A criterion that computes its verdict as a numpy bool must still count
+    # as failed and make the command exit 1.
+    forced = ((1, "forced", 1.0, lambda: (np.float64(1.0) <= 0.5, "forced")),)
+    monkeypatch.setattr(verify, "CRITERIA", forced)
+    result = invoke("verify")
+    assert "[FAIL]" in result.output
+    assert "0/1 applicable criteria passed" in result.output
+    assert result.exit_code == 1

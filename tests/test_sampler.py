@@ -11,8 +11,12 @@ import pytest
 
 from carpetmf import (
     VARIANT_PSI_Q,
+    LetterRowWeight,
+    closed_form_beta,
     finite_beta,
     make_auxiliary,
+    make_constant_cell,
+    make_skew_product,
     normalize_to_gibbs,
     sample_path,
     sample_paths,
@@ -20,7 +24,7 @@ from carpetmf import (
 )
 from carpetmf import weights as weights_module
 from carpetmf.gibbs import AuxiliaryWeight
-from carpetmf.reference import random_depth2_weight, reference_weight
+from carpetmf.reference import random_depth2_weight, reference_system, reference_weight
 from carpetmf.symbolic import CapExceededError
 from carpetmf.weights import CylinderWeight
 
@@ -43,6 +47,16 @@ def _tilt(seed: int = 7) -> AuxiliaryWeight:
     return make_auxiliary(psi, 1.5, finite_beta(psi, 1.5, 6), VARIANT_PSI_Q)
 
 
+def _depth1_factored() -> tuple[CylinderWeight, CylinderWeight]:
+    """A psiQ tilt and a skew product of depth-1 weights: both draw i.i.d.
+    cells from the factored weight's depth-1 table.  The tilted weight's
+    fibers sum to 0.6 and 0.4, so its tilt is not the weight itself."""
+    skewed = make_constant_cell(reference_system(), 1, np.log([0.3, 0.3, 0.1, 0.15, 0.15]))
+    tilt = make_auxiliary(skewed, 2.0, closed_form_beta(skewed, 2.0), VARIANT_PSI_Q)
+    skew = make_skew_product(reference_weight(), LetterRowWeight(2, np.log([0.7, 0.3])))
+    return tilt, skew
+
+
 ROUTES = {
     "iid": lambda: reference_weight(),
     "window": lambda: random_depth2_weight(),
@@ -54,7 +68,9 @@ ROUTES = {
 def test_fast_routes_draw_the_enumeration_paths(seed):
     # The enumerate route is the oracle: on the same streams, the depth-1 and
     # window routes must draw exactly its paths.
-    for weight in (reference_weight(), random_depth2_weight(seed)):
+    factored = _depth1_factored()
+    assert all(weight.dependence_depth == 1 for weight in factored)  # the i.i.d. route
+    for weight in (reference_weight(), random_depth2_weight(seed), *factored):
         fast = sample_paths(weight, 6, seed, 0, 2000)
         oracle = sample_paths(Opaque(weight), 6, seed, 0, 2000)
         assert np.array_equal(fast, oracle)

@@ -77,3 +77,18 @@ def test_bench_imports_resolve():
             f"bench/{filename} imports {name} from {module}, which no longer has it"
         )
 
+
+def test_only_numerics_starts_worker_pools():
+    # Every chunked loop goes through numerics.map_chunks, whose fixed chunk
+    # layout keeps outputs independent of --workers, and whose pool the
+    # tracer follows into worker threads.
+    package = Path(__file__).resolve().parent.parent / "src" / "carpetmf"
+    for path in sorted(package.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+                assert "ThreadPoolExecutor" not in names, (
+                    f"{path.name} imports ThreadPoolExecutor; use numerics.map_chunks"
+                )

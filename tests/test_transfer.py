@@ -2,8 +2,9 @@
 row enumeration.
 
 Random small systems (including empty row fibers), window weights of depth
-1-3 and matrix cocycles of dimension 1-3; batches come unsorted, with
-repeated words and with out-of-range digits.
+1-3, matrix cocycles of dimension 1-3, and skew products and moment tilts
+over those; batches come unsorted, with repeated words and with
+out-of-range digits.
 """
 
 from __future__ import annotations
@@ -17,8 +18,12 @@ from hypothesis import strategies as st
 
 from carpetmf import (
     CapExceededError,
+    VARIANT_PSI_Q,
+    VARIANT_PSI_TILDE_Q,
     CellSystem,
+    LetterRowWeight,
     RowSumRowWeight,
+    SkewProductWeight,
     UniformRowWeight,
     finite_T,
     finite_beta,
@@ -61,6 +66,31 @@ def weights(draw):
     return make_matrix_cocycle(system, dim, rng.uniform(0.05, 1.0, (nc, dim, dim)))
 
 
+#: Exponents of the factored weights: the tilts' q and the skew products'.
+FACTOR_QS = (0.0, 1.0, 1.5, 2.0)
+
+
+@st.composite
+def factored_weights(draw):
+    """``theta(w1) * rho(w1 x w2)^q / I_{rho,q}(w1)`` over a :func:`weights`
+    base: skew products with each kind of row marginal, and both tilts."""
+    rho = draw(weights())
+    q = draw(st.sampled_from(FACTOR_QS))
+    r1 = rho.system.r1
+    tilts = (VARIANT_PSI_Q, VARIANT_PSI_TILDE_Q)
+    kind = draw(st.sampled_from(("uniform", "letters", "rowSum", *tilts)))
+    if kind in tilts:
+        return make_auxiliary(rho, q, draw(st.floats(-1.0, 1.0)), kind)
+    if kind == "uniform":
+        theta = UniformRowWeight(r1)
+    elif kind == "letters":
+        seed = draw(st.integers(0, 2**32 - 1))
+        theta = LetterRowWeight(r1, np.random.default_rng(seed).uniform(-1.0, 1.0, r1))
+    else:
+        theta = RowSumRowWeight(rho, draw(st.sampled_from(FACTOR_QS)))
+    return SkewProductWeight(rho, theta, q)
+
+
 @st.composite
 def batches(draw, r1: int) -> np.ndarray:
     """Unsorted column words with repeats and a few out-of-range digits."""
@@ -75,8 +105,8 @@ def batches(draw, r1: int) -> np.ndarray:
     return words
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), psi=weights(), q=st.sampled_from(Q_VALUES))
+@settings(max_examples=250, deadline=None)
+@given(data=st.data(), psi=weights() | factored_weights(), q=st.sampled_from(Q_VALUES))
 def test_row_sums_match_enumeration(data, psi, q):
     words = data.draw(batches(psi.system.r1))
     fast = row_sum_log_any(psi, words, q)
@@ -159,8 +189,8 @@ def test_enumeration_blocks_are_exact(data, psi, block):
     assert fast.tobytes() == row_sum_log_any(psi, words, qs).tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(psi=weights(), m=st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+@given(psi=weights() | factored_weights(), m=st.integers(1, 4))
 def test_total_mass_matches_enumeration(psi, m):
     fast = log_total_mass(psi, m)
     slow = log_total_mass(psi, m, method="enumerate")
