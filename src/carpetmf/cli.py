@@ -4,6 +4,9 @@ Every subcommand consumes one JSON experiment config (or the built-in
 reference experiment when ``--config`` is omitted), runs a pipeline stage,
 and writes provenance-stamped files into the output directory.  Identical
 configs and seeds produce byte-identical outputs for any ``--workers``.
+
+Each command imports the pipeline modules it uses when it runs, so start-up
+pays only for click, numpy and the config chain.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
 
-from . import carpet, gibbs, io_utils, pressure, spectra, verify
+from . import io_utils
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -27,6 +31,10 @@ from .numerics import mean_and_stderr
 from .reference import default_config
 from .symbolic import CapExceededError, depth_map
 from .weights import ConstantCellWeight, unwrap_shift
+
+if TYPE_CHECKING:
+    from .pressure import PressureCurve
+    from .spectra import Spectrum
 
 
 def _load_experiment(
@@ -93,7 +101,7 @@ def main() -> None:
     Sierpinski-carpet realizations."""
 
 
-def _curve_rows(curve: pressure.PressureCurve):
+def _curve_rows(curve: PressureCurve):
     for i, q in enumerate(curve.q_grid):
         yield (
             float(q),
@@ -103,7 +111,7 @@ def _curve_rows(curve: pressure.PressureCurve):
         )
 
 
-def _curve_payload(curve: pressure.PressureCurve) -> dict:
+def _curve_payload(curve: PressureCurve) -> dict:
     return {
         "kind": curve.kind,
         "qGrid": curve.q_grid,
@@ -114,7 +122,7 @@ def _curve_payload(curve: pressure.PressureCurve) -> dict:
     }
 
 
-def _write_curve(cfg: ExperimentConfig, curve: pressure.PressureCurve, out: Path) -> None:
+def _write_curve(cfg: ExperimentConfig, curve: PressureCurve, out: Path) -> None:
     comments = io_utils.provenance_comments(cfg.sha256)
     if "csv" in cfg.formats:
         header = ["q", *(f"value_n{n}" for n in curve.depths), "extrapolated", "error"]
@@ -131,12 +139,12 @@ def _write_curve(cfg: ExperimentConfig, curve: pressure.PressureCurve, out: Path
 @_common_options
 def cmd_pressure(config_path, workers, out_dir, seed, depth_max) -> None:
     """Pressure curves T and beta over the q-grid, with extrapolation."""
+    from .pressure import pressure_curves
+
     try:
         cfg = _load_experiment(config_path, out_dir, seed, depth_max)
         out = Path(cfg.output_dir)
-        curves = pressure.pressure_curves(
-            cfg.weight, cfg.q_grid, cfg.depth_schedule, workers=workers
-        )
+        curves = pressure_curves(cfg.weight, cfg.q_grid, cfg.depth_schedule, workers=workers)
         t_curve, b_curve = curves["T"], curves["beta"]
         _write_curve(cfg, t_curve, out)
         _write_curve(cfg, b_curve, out)
@@ -155,8 +163,10 @@ def cmd_pressure(config_path, workers, out_dir, seed, depth_max) -> None:
     click.echo(f"wrote pressure curves to {out}")
 
 
-def _spectrum_rows(spec: spectra.Spectrum):
-    label = "beta" if spec.source_kind == spectra.SOURCE_BIRKHOFF_CARPET else "alpha"
+def _spectrum_rows(spec: Spectrum):
+    from .spectra import SOURCE_BIRKHOFF_CARPET
+
+    label = "beta" if spec.source_kind == SOURCE_BIRKHOFF_CARPET else "alpha"
     header = ["q", label, "dimension", "flag"]
     rows = [
         (float(q), float(a), float(d), flag)
@@ -165,7 +175,7 @@ def _spectrum_rows(spec: spectra.Spectrum):
     return header, rows
 
 
-def _spectrum_payload(spec: spectra.Spectrum) -> dict:
+def _spectrum_payload(spec: Spectrum) -> dict:
     return {
         "sourceKind": spec.source_kind,
         "q": spec.q,
@@ -181,17 +191,18 @@ def _spectrum_payload(spec: spectra.Spectrum) -> dict:
 @_common_options
 def cmd_spectrum(config_path, workers, out_dir, seed, depth_max) -> None:
     """Legendre spectra: Birkhoff, Gibbs local-dimension, and carpet-mapped."""
+    from .pressure import pressure_curves
+    from .spectra import birkhoff_spectrum_carpet, legendre
+
     try:
         cfg = _load_experiment(config_path, out_dir, seed, depth_max)
         out = Path(cfg.output_dir)
-        curves = pressure.pressure_curves(
-            cfg.weight, cfg.q_grid, cfg.depth_schedule, workers=workers
-        )
+        curves = pressure_curves(cfg.weight, cfg.q_grid, cfg.depth_schedule, workers=workers)
         t_curve, b_curve = curves["T"], curves["beta"]
         spectra_out = {
-            "spectrum_birkhoff": spectra.legendre(t_curve),
-            "spectrum_gibbs": spectra.legendre(b_curve),
-            "spectrum_carpet": spectra.birkhoff_spectrum_carpet(t_curve, cfg.system),
+            "spectrum_birkhoff": legendre(t_curve),
+            "spectrum_gibbs": legendre(b_curve),
+            "spectrum_carpet": birkhoff_spectrum_carpet(t_curve, cfg.system),
         }
     except (ConfigError, CapExceededError, ValueError) as exc:
         _fail(str(exc))
@@ -220,20 +231,23 @@ def cmd_spectrum(config_path, workers, out_dir, seed, depth_max) -> None:
 @_common_options
 def cmd_sample(config_path, workers, out_dir, seed, depth_max) -> None:
     """Draw tilted sample paths; dump per-path statistics and a summary."""
+    from .gibbs import VARIANT_PSI_Q, make_auxiliary, sampled_log_masses
+    from .pressure import extrapolate_pressure, finite_beta, finite_T
+
     try:
         cfg = _load_experiment(config_path, out_dir, seed, depth_max)
         out = Path(cfg.output_dir)
         psi = cfg.weight
         q = cfg.sample_q
-        kind = "beta" if cfg.sample_variant == gibbs.VARIANT_PSI_Q else "T"
-        fn = pressure.finite_beta if kind == "beta" else pressure.finite_T
-        level = pressure.extrapolate_pressure(
+        kind = "beta" if cfg.sample_variant == VARIANT_PSI_Q else "T"
+        fn = finite_beta if kind == "beta" else finite_T
+        level = extrapolate_pressure(
             {n: fn(psi, q, n, workers=workers) for n in cfg.depth_schedule[-3:]}
         ).value
-        aux = gibbs.make_auxiliary(psi, q, level, cfg.sample_variant)
+        aux = make_auxiliary(psi, q, level, cfg.sample_variant)
         depth = cfg.sample_depth
         horizon = cfg.sample_horizon or depth_map(cfg.system, depth)
-        cylinder, ball = gibbs.sampled_log_masses(
+        cylinder, ball = sampled_log_masses(
             psi, aux, depth, horizon, cfg.n_samples, cfg.master_seed, workers
         )
         with np.errstate(invalid="ignore"):
@@ -281,17 +295,19 @@ def cmd_sample(config_path, workers, out_dir, seed, depth_max) -> None:
 )
 def cmd_render(config_path, workers, out_dir, seed, depth_max, render_depth) -> None:
     """Render the measure on the r1**g(n) x r2**n grid (PGM + CSV)."""
+    from .carpet import render_measure, write_grid_csv, write_pgm16
+
     try:
         cfg = _load_experiment(config_path, out_dir, seed, depth_max)
         out = Path(cfg.output_dir)
         n = min(render_depth, depth_max) if depth_max else render_depth
-        render = carpet.render_measure(cfg.weight, n, workers=workers)
+        render = render_measure(cfg.weight, n, workers=workers)
     except (ConfigError, CapExceededError, ValueError) as exc:
         _fail(str(exc))
     out.mkdir(parents=True, exist_ok=True)
     comments = io_utils.provenance_comments(cfg.sha256)
-    carpet.write_pgm16(render, out / f"render_n{n}.pgm", comments)
-    carpet.write_grid_csv(render, out / f"render_n{n}.csv", comments)
+    write_pgm16(render, out / f"render_n{n}.pgm", comments)
+    write_grid_csv(render, out / f"render_n{n}.csv", comments)
     total = float(render.total_log_mass())
     click.echo(
         f"rendered {render.column_count} x {render.row_count} grid "
@@ -312,11 +328,13 @@ def cmd_render(config_path, workers, out_dir, seed, depth_max, render_depth) -> 
 )
 def cmd_boxcount(config_path, workers, out_dir, seed, depth_max, box_depth) -> None:
     """Coarse moment scaling tau_n(q) of the measure on depth-n balls."""
+    from .spectra import lq_spectrum_empirical
+
     try:
         cfg = _load_experiment(config_path, out_dir, seed, depth_max)
         out = Path(cfg.output_dir)
         n = min(box_depth, depth_max) if depth_max else box_depth
-        taus = spectra.lq_spectrum_empirical(cfg.weight, cfg.q_grid, n, workers=workers)
+        taus = lq_spectrum_empirical(cfg.weight, cfg.q_grid, n, workers=workers)
     except (ConfigError, CapExceededError, ValueError) as exc:
         _fail(str(exc))
     comments = io_utils.provenance_comments(cfg.sha256)
@@ -333,14 +351,16 @@ def cmd_boxcount(config_path, workers, out_dir, seed, depth_max, box_depth) -> N
 @_common_options
 def cmd_check(config_path, workers, out_dir, seed, depth_max) -> None:
     """Evaluate the separation predicates P1, P2 and probe P3."""
+    from .carpet import check_P1, check_P2, p3_scan
+
     del workers
     try:
         cfg = _load_experiment(config_path, out_dir, seed, depth_max)
         out = Path(cfg.output_dir)
-        p1 = carpet.check_P1(cfg.system)
-        p2 = carpet.check_P2(cfg.system)
+        p1 = check_P1(cfg.system)
+        p2 = check_P2(cfg.system)
         schedule = [n for n in cfg.depth_schedule if n <= 16] or [2, 4]
-        report = carpet.p3_scan(cfg.system, cfg.weight, depth_schedule=schedule)
+        report = p3_scan(cfg.system, cfg.weight, depth_schedule=schedule)
     except (ConfigError, CapExceededError, ValueError) as exc:
         _fail(str(exc))
     payload = {
@@ -362,6 +382,8 @@ def cmd_check(config_path, workers, out_dir, seed, depth_max) -> None:
 @_common_options
 def cmd_verify(config_path, workers, out_dir, seed, depth_max) -> None:
     """Run the verification suite; exit 0 only if every criterion passes."""
+    from .verify import run_all
+
     del seed, depth_max
     try:
         cfg = (
@@ -371,7 +393,7 @@ def cmd_verify(config_path, workers, out_dir, seed, depth_max) -> None:
         )
     except ConfigError as exc:
         _fail(str(exc))
-    results = verify.run_all(workers=workers, config=cfg)
+    results = run_all(workers=workers, config=cfg)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:

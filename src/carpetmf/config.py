@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
-import jsonschema
 import numpy as np
 
-from .pressure import extrapolate_pressure, finite_pressure
 from .reference import DEFAULT_DEPTH_SCHEDULE, default_config
 from .symbolic import CellSystem, row_word_count
 from .weights import (
@@ -42,6 +42,7 @@ __all__ = [
     "load_config",
     "load_raw",
     "parse_config",
+    "validate_raw",
 ]
 
 #: Dyadic offsets added on both sides of each refinement center of a q-grid.
@@ -175,6 +176,133 @@ class ConfigError(ValueError):
     """Configuration rejected; the message names the offending block."""
 
 
+# -- schema validation ---------------------------------------------------------
+#
+# A walker over the JSON Schema keywords that CONFIG_SCHEMA uses, with the
+# semantics, messages and error choice of a draft 2020-12 validator.  A bool
+# is neither an integer nor a number; an integral float such as 2.0 is an
+# integer.
+
+_TYPE_CHECKS = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool)
+    and (isinstance(v, int) or (isinstance(v, float) and v.is_integer())),
+}
+
+
+class _SchemaError(NamedTuple):
+    path: tuple
+    keyword: str
+    message: str
+    off_type: bool  # the value lacks its subschema's ``type``, or there is none
+    context: tuple = ()  # a failed ``oneOf``'s errors, branch by branch
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()) -> Iterator[_SchemaError]:
+    """Every violation of ``schema`` by ``value``, keyword by keyword in the
+    schema's key order."""
+
+    def is_a(kind: str) -> bool:
+        return _TYPE_CHECKS[kind](value)
+
+    def error(keyword: str, message: str, context=()) -> _SchemaError:
+        off_type = "type" not in schema or not is_a(schema["type"])
+        return _SchemaError(path, keyword, message, off_type, tuple(context))
+
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            if not is_a(arg):
+                yield error(keyword, f"{value!r} is not of type {arg!r}")
+        elif keyword == "enum":
+            if value not in arg:
+                yield error(keyword, f"{value!r} is not one of {arg!r}")
+        elif keyword == "oneOf":
+            branches = [list(_schema_errors(value, branch, path)) for branch in arg]
+            valid = [branch for branch, errs in zip(arg, branches) if not errs]
+            if not valid:
+                message = f"{value!r} is not valid under any of the given schemas"
+                yield error(keyword, message, [e for errs in branches for e in errs])
+            elif len(valid) > 1:
+                listed = ", ".join(repr(b) for b in valid[1:] + valid[:1])
+                yield error(keyword, f"{value!r} is valid under each of {listed}")
+        elif keyword == "minimum":
+            if is_a("number") and value < arg:
+                yield error(keyword, f"{value!r} is less than the minimum of {arg!r}")
+        elif keyword == "exclusiveMinimum":
+            if is_a("number") and value <= arg:
+                message = f"{value!r} is less than or equal to the minimum of {arg!r}"
+                yield error(keyword, message)
+        elif keyword in ("minItems", "minLength"):
+            sized = is_a("array") if keyword == "minItems" else is_a("string")
+            if sized and len(value) < arg:
+                message = "should be non-empty" if arg == 1 else "is too short"
+                yield error(keyword, f"{value!r} {message}")
+        elif keyword == "maxItems":
+            if is_a("array") and len(value) > arg:
+                message = "is expected to be empty" if arg == 0 else "is too long"
+                yield error(keyword, f"{value!r} {message}")
+        elif keyword == "items":
+            if is_a("array"):
+                for i, item in enumerate(value):
+                    yield from _schema_errors(item, arg, (*path, i))
+        elif keyword == "required":
+            if is_a("object"):
+                for name in arg:
+                    if name not in value:
+                        yield error(keyword, f"{name!r} is a required property")
+        elif keyword == "properties":
+            if is_a("object"):
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _schema_errors(value[name], sub, (*path, name))
+        elif keyword == "additionalProperties":
+            if not is_a("object"):
+                continue
+            extras = [name for name in value if name not in schema.get("properties", {})]
+            if isinstance(arg, dict):
+                for name in extras:
+                    yield from _schema_errors(value[name], arg, (*path, name))
+            elif arg is False and extras:
+                names = ", ".join(repr(name) for name in sorted(extras, key=str))
+                verb = "was" if len(extras) == 1 else "were"
+                message = f"Additional properties are not allowed ({names} {verb} unexpected)"
+                yield error(keyword, message)
+        else:
+            raise ValueError(f"schema keyword {keyword!r} is not supported")
+
+
+def _relevance(error: _SchemaError) -> tuple:
+    """Larger is more relevant: shallower, then the later sibling, then any
+    keyword before ``oneOf``, then a value of the wrong type."""
+    return (-len(error.path), error.path, error.keyword != "oneOf", error.off_type)
+
+
+def _best_error(errors) -> _SchemaError | None:
+    """The error to report: the most relevant one; for a failed ``oneOf``,
+    the least relevant (deepest) error of its branches, unless two tie."""
+    best = max(errors, key=_relevance, default=None)
+    while best is not None and best.context:
+        first, *rest = sorted(best.context, key=_relevance)[:2]
+        if rest and _relevance(first) == _relevance(rest[0]):
+            break
+        best = first
+    return best
+
+
+def validate_raw(data: dict) -> None:
+    """Check a raw config against ``CONFIG_SCHEMA``; raise
+    ``ConfigError("path: message")`` for its most relevant violation, with a
+    dotted path (``<root>`` for the top level)."""
+    error = _best_error(_schema_errors(data, CONFIG_SCHEMA))
+    if error is not None:
+        path = ".".join(str(p) for p in error.path) or "<root>"
+        raise ConfigError(f"{path}: {error.message}")
+
+
 def config_sha256(data: dict) -> str:
     """Hash of the canonical (sorted, compact) JSON serialization."""
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
@@ -300,6 +428,8 @@ def build_weight(
     }
     weight = builders[kind](block, system)
     if block.get("normalize", False):
+        from .pressure import extrapolate_pressure, finite_pressure
+
         feasible = [n for n in depth_schedule if row_word_count(system, n) <= 1 << 20]
         if len(feasible) < 2:
             raise ConfigError("weight.normalize: depth schedule too shallow to estimate pressure")
@@ -349,11 +479,7 @@ class ExperimentConfig:
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a config dictionary and build the experiment objects."""
-    try:
-        jsonschema.validate(data, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: {exc.message}") from exc
+    validate_raw(data)
     filled = dict(default_config())
     filled.update({k: v for k, v in data.items()})
     system = build_system(filled["cellSystem"])

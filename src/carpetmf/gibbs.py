@@ -33,6 +33,7 @@ import numpy as np
 from . import weights as weights_module
 from .numerics import NEG_INF, lse, mean_and_stderr, run_chunked_arrays, scaled_powers
 from .pressure import log_total_mass, row_sum
+from .streams import path_uniforms
 from .symbolic import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
@@ -167,12 +168,6 @@ def ball_mass(
 # ---------------------------------------------------------------------------
 
 
-def _rng_for_sample(master_seed: int, sample_index: int) -> np.random.Generator:
-    """Counter-based stream: one generator per (seed, sample index)."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(sample_index,))
-    return np.random.default_rng(ss)
-
-
 #: A route's draw: ``(B, n_draws)`` uniforms -> ``(B, horizon)`` cell indices.
 Advance = Callable[[np.ndarray], np.ndarray]
 
@@ -292,10 +287,7 @@ def _path_sampler(
     def draw(lo: int, hi: int) -> np.ndarray:
         if not 0 <= lo <= hi:
             raise ValueError("need 0 <= lo <= hi")
-        uniforms = np.empty((hi - lo, n_draws))
-        for row, i in enumerate(range(lo, hi)):
-            uniforms[row] = _rng_for_sample(master_seed, i).random(n_draws)
-        return system.cells_array[advance(uniforms)]
+        return system.cells_array[advance(path_uniforms(master_seed, lo, hi, n_draws))]
 
     return draw
 

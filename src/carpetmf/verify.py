@@ -344,7 +344,7 @@ def _criterion_determinism() -> tuple[bool, str]:
     1,100 samples make ``sample`` split into two chunks."""
     from click.testing import CliRunner
 
-    from .cli import main  # here, not at the top: cli imports this module
+    from .cli import main  # here: cli's verify command imports this module
 
     config = default_config()
     config["grids"] = {

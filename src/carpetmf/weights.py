@@ -812,11 +812,15 @@ def row_sum_log_any(
     ``q`` is a scalar (result ``(W,)``) or a 1-d array (result ``(W, Q)``).
     ``method`` is one of ``auto`` (transfer where available, else
     enumerate), ``transfer`` (error if unavailable for some q) or
-    ``enumerate`` (force the oracle).  The q values without a transfer route
-    enumerate the rows once and share their log weights.
+    ``enumerate`` (force the oracle).  Each distinct q is computed once, and
+    the q values without a transfer route enumerate the rows once and share
+    their log weights.
     """
     a1s = np.asarray(a1s, dtype=np.int64)
     qs = np.atleast_1d(np.asarray(q, dtype=float))
+    inverse = slice(None)
+    if qs.size > 1:
+        qs, inverse = np.unique(qs, return_inverse=True)
     enumerated = enumerated_qs(weight, qs, method)
     if method == "transfer" and enumerated.any():
         raise ValueError("weight has no transfer structure for row sums")
@@ -828,7 +832,7 @@ def row_sum_log_any(
         out = np.empty((a1s.shape[0], qs.size))
         out[:, ~enumerated] = weight.row_sum_log_batch(a1s, qs[~enumerated])
         out[:, enumerated] = _enumerate_row_sums(weight, a1s, qs[enumerated], cap)
-    return out[:, 0] if np.ndim(q) == 0 else out
+    return out[:, 0] if np.ndim(q) == 0 else out[:, inverse]
 
 
 def enumerated_qs(weight: CylinderWeight, qs: np.ndarray, method: str = "auto") -> np.ndarray:

@@ -5,17 +5,26 @@
 package names directly.  These tests read those files without running them
 and check that every name still resolves, so a refactor of the package
 cannot silently break ``bench/run.py --trace 1``.
+
+The start-up tests check, in fresh interpreters, which modules loading a
+config and running ``pressure`` import, and that the lazy package namespace
+still resolves every public name.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from carpetmf.weights import CylinderWeight
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _table(name: str) -> list[tuple]:
@@ -92,3 +101,65 @@ def test_only_numerics_starts_worker_pools():
                 assert "ThreadPoolExecutor" not in names, (
                     f"{path.name} imports ThreadPoolExecutor; use numerics.map_chunks"
                 )
+
+
+# -- start-up: what a command imports ---------------------------------------------
+
+#: Modules a command may not load unless it uses them.
+PIPELINE = ("carpetmf.gibbs", "carpetmf.carpet", "carpetmf.spectra", "carpetmf.verify")
+
+
+def _loaded_after(code: str, cwd: Path) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after ``code`` runs."""
+    pythonpath = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    code += "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, check=True
+    )
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_config_load_skips_jsonschema_and_the_pipeline(tmp_path):
+    from carpetmf.reference import default_config
+
+    (tmp_path / "config.json").write_text(json.dumps(default_config()))
+    loaded = _loaded_after(
+        "import carpetmf.cli\nfrom carpetmf.config import load_config\n"
+        "load_config('config.json')",
+        tmp_path,
+    )
+    assert "carpetmf.config" in loaded
+    assert "jsonschema" not in loaded
+    assert not loaded & {"carpetmf.pressure", *PIPELINE}
+
+
+def test_pressure_command_skips_the_pipeline(tmp_path):
+    loaded = _loaded_after(
+        "from carpetmf.cli import main\n"
+        "main(['pressure', '--depth-max', '4', '--out', 'out'], standalone_mode=False)",
+        tmp_path,
+    )
+    assert "carpetmf.pressure" in loaded and (tmp_path / "out" / "pressure_T.csv").is_file()
+    assert not loaded & set(PIPELINE)
+
+
+def test_lazy_package_namespace(tmp_path):
+    # A plain import binds little; every public name and submodule then
+    # resolves, including through circular first imports.
+    loaded = _loaded_after("import carpetmf", tmp_path)
+    assert not loaded & {"carpetmf.weights", *PIPELINE}
+    _loaded_after(
+        "import carpetmf\n"
+        "assert len(carpetmf.__all__) == 83\n"
+        "for name in carpetmf.__all__: getattr(carpetmf, name)\n"
+        "carpetmf.numerics.lse, carpetmf.streams.path_uniforms\n"
+        "from carpetmf import *",
+        tmp_path,
+    )
+    for first in ("gibbs", "verify", "carpet", "spectra", "config"):
+        loaded = _loaded_after(
+            f"import carpetmf.{first}\nimport carpetmf\ncarpetmf.run_all, carpetmf.sample_paths",
+            tmp_path,
+        )
+        assert set(PIPELINE) <= loaded

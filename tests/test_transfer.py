@@ -126,6 +126,35 @@ def test_row_sums_match_enumeration(data, psi, q):
     assert halves.tobytes() == fast.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), psi=weights() | factored_weights())
+def test_repeated_q_batch_matches_single_q(data, psi):
+    """A q batch with repeats and in any order gives, column for column, the
+    bytes of one call per q."""
+    words = data.draw(batches(psi.system.r1))
+    qs = np.array(data.draw(st.lists(st.sampled_from(Q_VALUES), min_size=1, max_size=8)))
+    batch = row_sum_log_any(psi, words, qs)
+    single = np.column_stack([row_sum_log_any(psi, words, q) for q in qs])
+    assert batch.tobytes() == single.tobytes()
+
+
+def test_repeated_q_runs_once():
+    # A psiQ tilt at q = 2 asks its base for [q, q * r] = [2, 1, 2] at
+    # r in {0.5, 1}: each base batch sees each distinct exponent once.
+    tilt = make_auxiliary(random_depth2_weight(1), 2.0, 0.0, VARIANT_PSI_Q)
+    words = np.array([[0, 1, 1], [1, 0, 1]])
+    seen = []
+    original = type(tilt.rho).row_sum_log_batch
+
+    def spy(self, a1s, qs):
+        seen.append(list(qs))
+        return original(self, a1s, qs)
+
+    with mock.patch.object(type(tilt.rho), "row_sum_log_batch", spy):
+        row_sum_log_any(tilt, words, np.array([0.5, 1.0]))
+    assert seen and all(batch == [1.0, 2.0] for batch in seen)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     psi=weights(),
