@@ -33,10 +33,9 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "ball", "depth_map",
     ),
     "weights": (
-        "AmEstimate", "ConstantCellWeight", "CylinderWeight", "LetterRowWeight",
-        "MatrixCocycleWeight", "RowSumRowWeight", "ShiftedWeight", "SkewProductWeight",
-        "UniformRowWeight", "estimate_am_constant", "make_constant_cell", "make_matrix_cocycle",
-        "make_skew_product", "normalize_to_gibbs", "row_sum_log_any",
+        "AmEstimate", "ConstantCellWeight", "CylinderWeight", "MatrixCocycleWeight",
+        "ShiftedWeight", "SkewProductWeight", "estimate_am_constant", "make_constant_cell",
+        "make_matrix_cocycle", "normalize_to_gibbs", "row_sum_log_any",
     ),
     "pressure": (
         "Extrapolation", "PressureCurve", "closed_form_T", "closed_form_beta",

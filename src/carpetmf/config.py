@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,13 +24,10 @@ from .reference import DEFAULT_DEPTH_SCHEDULE, default_config
 from .symbolic import CellSystem, row_word_count
 from .weights import (
     CylinderWeight,
-    LetterRowWeight,
-    RowSumRowWeight,
-    UniformRowWeight,
+    SkewProductWeight,
     make_constant_cell,
     make_matrix_cocycle,
     normalize_to_gibbs,
-    SkewProductWeight,
 )
 
 __all__ = [
@@ -327,11 +325,11 @@ def _table_or_error(values, expected: int, label: str) -> np.ndarray:
     return np.log(arr)
 
 
-def _reject_stray(block: dict, kind: str, used: set[str]) -> None:
+def _reject_stray(block: dict, kind: str, used: set[str], label: str = "weight") -> None:
     stray = set(block) - used - {"kind", "normalize"}
     if stray:
         raise ConfigError(
-            f"weight: key(s) {sorted(stray)} are not used by kind {kind!r}"
+            f"{label}: key(s) {sorted(stray)} are not used by kind {kind!r}"
         )
 
 
@@ -395,21 +393,28 @@ def _build_skew_product(block: dict, system: CellSystem) -> CylinderWeight:
     depth = int(rho_block.get("depth", 1))
     nc = system.n_cells
     window = _table_or_error(rho_block["values"], nc**depth, "weight.rho.values")
-    rho = make_constant_cell(system, depth, window.reshape((nc,) * depth))
+    try:
+        rho = make_constant_cell(system, depth, window.reshape((nc,) * depth))
+    except ValueError as exc:
+        raise ConfigError(f"weight.rho: {exc}") from exc
     theta = block["theta1"]
     kind = theta["kind"]
+    letters, moments = 0.0, ()
     if kind == "uniform":
-        row = UniformRowWeight(system.r1)
+        _reject_stray(theta, kind, set(), "weight.theta1")
+        letters = -math.log(system.r1)
     elif kind == "letters":
+        _reject_stray(theta, kind, {"values"}, "weight.theta1")
         if "values" not in theta:
             raise ConfigError("weight.theta1: letters kind requires 'values'")
-        row = LetterRowWeight(
-            system.r1,
-            _table_or_error(theta["values"], system.r1, "weight.theta1.values"),
-        )
+        letters = _table_or_error(theta["values"], system.r1, "weight.theta1.values")
     else:
-        row = RowSumRowWeight(rho, q=float(theta.get("q", 1.0)))
-    return SkewProductWeight(rho, row)
+        _reject_stray(theta, kind, {"q"}, "weight.theta1")
+        moments = ((float(theta.get("q", 1.0)), 1.0),)
+    try:
+        return SkewProductWeight(rho, letters, moments)
+    except ValueError as exc:
+        raise ConfigError(f"weight.theta1: {exc}") from exc
 
 
 def build_weight(

@@ -12,7 +12,10 @@ level constant equals the corresponding extrapolated pressure value:
   ``tilde-psi_q = tilde-theta_q psi^q / I_q``.
 
 Both are skew products (:class:`~carpetmf.weights.SkewProductWeight`) of psi
-with exponent q and row marginal theta_q.
+with exponent q: the column marginal has the letter factor ``r1^L`` (L the
+level constant) and the row-sum moments ``((1, q(1-s)), (q, s))`` or
+``((q, s),)``, so every evaluation takes the row sums of psi it needs from
+one q-batched call.
 
 At q = 1 with the pressure of psi as level constant, ``psiQ`` reproduces the
 normalized weight itself.  Sampling draws cell paths whose cylinder
@@ -31,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import weights as weights_module
-from .numerics import NEG_INF, lse, mean_and_stderr, run_chunked_arrays, scaled_powers
+from .numerics import NEG_INF, lse, mean_and_stderr, run_chunked_arrays
 from .pressure import log_total_mass, row_sum
 from .streams import path_uniforms
 from .symbolic import (
@@ -44,7 +47,6 @@ from .symbolic import (
 from .weights import (
     ConstantCellWeight,
     CylinderWeight,
-    RowWeight,
     SkewProductWeight,
     row_sum_log_any,
     unwrap_shift,
@@ -55,44 +57,11 @@ VARIANT_PSI_TILDE_Q = "psiTildeQ"
 VARIANTS = (VARIANT_PSI_Q, VARIANT_PSI_TILDE_Q)
 
 
-class _TiltMarginal(RowWeight):
-    """Row marginal ``theta_q`` of a tilt: ``r1^{n L} I_1^{q(1-s)} I_q^s``
-    (``psiQ``) or ``r1^{n L} I_q^s`` (``psiTildeQ``), with the row sums of
-    ``base``."""
-
-    def __init__(self, base: CylinderWeight, q: float, level_constant: float, variant: str):
-        self.base = base
-        self.q = q
-        self.level_constant = level_constant
-        self.psi_q = variant == VARIANT_PSI_Q
-
-    def _combine(self, shift, li1, liq):
-        s = self.base.system.s
-        if self.psi_q:
-            return shift + scaled_powers(self.q * (1.0 - s), li1) + scaled_powers(s, liq)
-        return shift + scaled_powers(s, liq)
-
-    def log_values(self, a1s: np.ndarray) -> np.ndarray:
-        a1s = np.asarray(a1s, dtype=np.int64)
-        shift = a1s.shape[1] * self.level_constant * math.log(self.base.system.r1)
-        if self.psi_q:
-            li = row_sum_log_any(self.base, a1s, np.array([1.0, self.q]))
-            return self._combine(shift, li[:, 0], li[:, 1])
-        return self._combine(shift, None, row_sum_log_any(self.base, a1s, self.q))
-
-    def letter_log_table(self) -> np.ndarray | None:
-        table = self.base.depth1_log_table()
-        if table is None:
-            return None
-        # Depth-1 row sums factorize over letters exactly.
-        l1 = lse(table, axis=1) if self.psi_q else None
-        shift = self.level_constant * math.log(self.base.system.r1)
-        return self._combine(shift, l1, lse(scaled_powers(self.q, table), axis=1))
-
-
 class AuxiliaryWeight(SkewProductWeight):
     """Moment tilt ``theta_q(w1) * psi(w1 x w2)^q / I_q(w1)``: the skew
-    product of ``psi`` with exponent q and the row marginal ``theta_q``."""
+    product of ``psi`` with exponent q whose column marginal has the letter
+    factor ``r1^L`` (L the level constant) and the moments ``I_1^{q(1-s)}
+    I_q^s`` (``psiQ``) or ``I_q^s`` (``psiTildeQ``)."""
 
     def __init__(
         self,
@@ -106,7 +75,9 @@ class AuxiliaryWeight(SkewProductWeight):
         self.base = base
         self.level_constant = float(level_constant)
         self.variant = variant
-        super().__init__(base, _TiltMarginal(base, float(q), self.level_constant, variant), q)
+        q, s = float(q), base.system.s
+        moments = ((1.0, q * (1.0 - s)), (q, s)) if variant == VARIANT_PSI_Q else ((q, s),)
+        super().__init__(base, self.level_constant * math.log(base.system.r1), moments, q)
 
 
 def make_auxiliary(

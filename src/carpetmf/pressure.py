@@ -393,17 +393,22 @@ def pressure_curves(
     for n in feasible:
         values = finite_values(psi, q_grid, n, kinds, workers, method, cap)
         for kind in kinds:
-            vals = values[kind]
-            if q_grid.size >= 3:
-                scale = max(1.0, float(np.max(np.abs(vals))))
-                dq = float(np.min(np.diff(q_grid)))
-                defect = concavity_defect(q_grid, vals)
-                if defect > CONCAVITY_RTOL * scale / dq:
-                    raise ValueError(
-                        f"{kind}_{n} violates concavity (slope defect {defect:.3e})"
-                    )
-            finite[kind][n] = vals
+            require_concave(q_grid, values[kind], f"{kind}_{n} violates concavity")
+            finite[kind][n] = values[kind]
     return {kind: _extrapolated_curve(kind, q_grid, finite[kind]) for kind in kinds}
+
+
+def require_concave(q: np.ndarray, values: np.ndarray, what: str) -> None:
+    """Raise ``ValueError("<what> (slope defect ...)")`` when ``values`` on a
+    grid ``q`` of three or more points fail concavity by more than
+    ``CONCAVITY_RTOL`` relative to their sup-norm."""
+    if q.size < 3:
+        return
+    scale = max(1.0, float(np.max(np.abs(values))))
+    dq = float(np.min(np.diff(q)))
+    defect = concavity_defect(q, values)
+    if defect > CONCAVITY_RTOL * scale / dq:
+        raise ValueError(f"{what} (slope defect {defect:.3e})")
 
 
 def _extrapolated_curve(

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import NEG_INF, concavity_defect, grid_derivative
-from .pressure import CONCAVITY_RTOL, PressureCurve, column_log_sums, log_total_mass
+from .numerics import NEG_INF, grid_derivative
+from .pressure import PressureCurve, column_log_sums, log_total_mass, require_concave
 from .symbolic import DEFAULT_ENUMERATION_CAP, CellSystem, depth_map
 from .weights import CylinderWeight
 
@@ -91,14 +91,7 @@ def legendre(curve: PressureCurve, source_kind: str | None = None) -> Spectrum:
         )
     q = curve.q_grid
     f = curve.extrapolated
-    if q.size >= 3:
-        scale = max(1.0, float(np.max(np.abs(f))))
-        dq = float(np.min(np.diff(q)))
-        defect = concavity_defect(q, f)
-        if defect > CONCAVITY_RTOL * scale / dq:
-            raise ValueError(
-                f"conjugating a non-concave curve (slope defect {defect:.3e})"
-            )
+    require_concave(q, f, "conjugating a non-concave curve")
     alpha, dimension = _legendre_arrays(q, f)
     tol = _level_tolerance(q, f)
     direct = _direct_infimum(q, f, alpha)

@@ -10,9 +10,11 @@ constructions are provided:
 * :func:`make_matrix_cocycle` — norms of products of strictly positive
   matrices driven by the cell sequence, with the positive-cone norm
   ``|B| = 1^T B 1``;
-* :func:`make_skew_product` — a column-word weight times a row-fiber
-  conditional built from another cylinder weight raised to an exponent q
-  (the moment tilts of :mod:`carpetmf.gibbs` are these).
+* :class:`SkewProductWeight` — a column marginal times a row-fiber
+  conditional built from another cylinder weight raised to an exponent q.
+  The marginal is one form for every use: a product of per-letter factors
+  times powers of the other weight's row sums (the config's ``theta1``
+  kinds and both moment tilts of :mod:`carpetmf.gibbs`).
 
 Every weight exposes batched evaluation over digit-row arrays, and —
 when its structure allows — fast row-fiber power sums
@@ -209,21 +211,6 @@ class ConstantCellWeight(CylinderWeight):
         vals = self.window_log[tuple(ci[..., j] for j in range(k))]
         return np.where(ok, vals, NEG_INF)
 
-    def _row_sum_short(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        """Row sums for words shorter than the window (direct, small)."""
-        W, n = a1s.shape
-        r2 = self.system.r2
-        w2 = digits_of_indices(np.arange(r2**n), r2, n)  # (R, n)
-        cidx = self.system.cell_index[
-            np.clip(a1s, 0, self.system.r1 - 1)[:, None, :], w2[None, :, :]
-        ]
-        in_range = ((a1s >= 0) & (a1s < self.system.r1)).all(axis=1)
-        ok = (cidx >= 0).all(axis=2) & in_range[:, None]
-        ci = np.clip(cidx, 0, None)
-        table = self.truncated_log[n - 1]
-        vals = table[tuple(ci[..., j] for j in range(n))]
-        return _lse_each_q(np.where(ok, vals, NEG_INF), qs)
-
     @cached_property
     def _start_table(self) -> np.ndarray:
         """``(r1**(k-1) + 1, r2**(k-1))`` log start states: 0 where the packed
@@ -247,8 +234,8 @@ class ConstantCellWeight(CylinderWeight):
             return np.zeros((W, qs.size))
         k = self.depth
         r1, r2 = self.system.r1, self.system.r2
-        if n < k:
-            return self._row_sum_short(a1s, qs)
+        if n < k:  # shorter than the window: few rows, enumerate them
+            return _enumerate_row_sums(self, a1s, qs, DEFAULT_ENUMERATION_CAP)
         if k == 1:  # the window grid is then the per-cell log table
             return _depth1_row_sums(self.system, self._window_grid, a1s, qs)
         # State = the last k-1 row digits.  Level 0 picks the start states by
@@ -390,8 +377,8 @@ class MatrixCocycleWeight(CylinderWeight):
             raise ValueError(
                 f"need one {dim}x{dim} matrix per allowed cell, got shape {matrices.shape}"
             )
-        if not np.all(matrices > 0):
-            raise ValueError("cocycle matrices must be strictly positive")
+        if not np.all(np.isfinite(matrices) & (matrices > 0)):
+            raise ValueError("cocycle matrices must be finite and strictly positive")
         self.system = system
         self.dim = dim
         self.matrices = matrices
@@ -592,98 +579,60 @@ def prefix_transfer_log(keys: np.ndarray, start: np.ndarray, steps: np.ndarray) 
 
 
 # ---------------------------------------------------------------------------
-# Row weights (column-word factors for skew products)
-# ---------------------------------------------------------------------------
-
-
-class RowWeight:
-    """Positive weight on column words alone."""
-
-    def log_values(self, a1s: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def letter_log_table(self) -> np.ndarray | None:
-        """Per-letter log factors when the weight is a product over letters."""
-        return None
-
-
-class UniformRowWeight(RowWeight):
-    """``theta(w1) = r1^{-n}`` — the maximal-entropy column weight."""
-
-    def __init__(self, r1: int) -> None:
-        self.r1 = r1
-        self._letter = math.log(1.0 / r1)
-
-    def log_values(self, a1s: np.ndarray) -> np.ndarray:
-        a1s = np.asarray(a1s)
-        return np.full(a1s.shape[0], a1s.shape[1] * self._letter)
-
-    def letter_log_table(self) -> np.ndarray:
-        return np.full(self.r1, self._letter)
-
-
-class LetterRowWeight(RowWeight):
-    """Product of a per-letter table: ``theta(w1) = prod_i t[w1_i]``."""
-
-    def __init__(self, r1: int, letter_log: np.ndarray) -> None:
-        letter_log = np.asarray(letter_log, dtype=float)
-        if letter_log.shape != (r1,):
-            raise ValueError(f"need one value per column letter, got {letter_log.shape}")
-        self.r1 = r1
-        self.letter_log = letter_log
-
-    def log_values(self, a1s: np.ndarray) -> np.ndarray:
-        a1s = np.asarray(a1s, dtype=np.int64)
-        padded = np.append(self.letter_log, NEG_INF)
-        pos = np.where((a1s >= 0) & (a1s < self.r1), a1s, self.r1)
-        return padded[pos].sum(axis=1)
-
-    def letter_log_table(self) -> np.ndarray:
-        return self.letter_log
-
-
-class RowSumRowWeight(RowWeight):
-    """``theta(w1) = I_q(w1)`` of another cylinder weight (default q = 1)."""
-
-    def __init__(self, weight: CylinderWeight, q: float = 1.0) -> None:
-        self.weight = weight
-        self.q = q
-
-    def log_values(self, a1s: np.ndarray) -> np.ndarray:
-        return row_sum_log_any(self.weight, a1s, self.q)
-
-    def letter_log_table(self) -> np.ndarray | None:
-        table = self.weight.depth1_log_table()
-        if table is None:
-            return None
-        # Depth-1 row sums factorize over letters exactly.
-        return lse(scaled_powers(self.q, table), axis=1)
-
-
-# ---------------------------------------------------------------------------
 # Skew products
 # ---------------------------------------------------------------------------
 
 
 class SkewProductWeight(CylinderWeight):
-    """``psi(w1 x w2) = theta1(w1) * rho(w1 x w2)^q / I_{rho,q}(w1)``.
+    """``psi(w1 x w2) = theta1(w1) * rho(w1 x w2)^q / I_{rho,q}(w1)`` with
+    the column marginal
 
-    The row fibers carry the ``rho^q``-conditional distribution while the
-    column marginal is exactly ``theta1``, so ``I_{psi,1} = theta1``.  At
-    ``q = 1`` this is the plain skew product; the moment tilts of
-    :mod:`carpetmf.gibbs` are the same weight at the tilt's q.
+    ``log theta1(w1) = sum_i letters[w1_i] + sum_j e_j log I_{rho,p_j}(w1)``.
+
+    ``letters`` is a per-letter log table (a scalar serves every letter) and
+    ``moments`` a tuple of ``(p_j, e_j)`` pairs.  The row fibers carry the
+    ``rho^q``-conditional distribution while the column marginal is exactly
+    ``theta1``, so ``I_{psi,1} = theta1``.  At ``q = 1`` this is the plain
+    skew product; the moment tilts of :mod:`carpetmf.gibbs` are the same
+    weight at the tilt's q.  Every evaluation takes all the row sums of
+    ``rho`` it needs from one q-batched call.
     """
 
-    def __init__(self, rho: CylinderWeight, theta1: RowWeight, q: float = 1.0) -> None:
+    def __init__(
+        self,
+        rho: CylinderWeight,
+        letters: float | np.ndarray = 0.0,
+        moments: Sequence[tuple[float, float]] = (),
+        q: float = 1.0,
+    ) -> None:
+        r1 = rho.system.r1
+        letters = np.asarray(letters, dtype=float)
+        if letters.shape not in ((), (r1,)):
+            raise ValueError(f"need one value per column letter ({r1}), got shape {letters.shape}")
+        if not np.all(np.isfinite(letters)):
+            raise ValueError("column letter table must be finite")
         self.system = rho.system
         self.rho = rho
-        self.theta1 = theta1
+        self.letters = np.broadcast_to(letters, (r1,)).copy()
+        self.moments = tuple((float(p), float(e)) for p, e in moments)
         self.q = float(q)
+
+    def _column_terms(self, a1s: np.ndarray, extra_qs: Sequence[float] = ()):
+        """``log I_{rho,q}``, ``log theta1`` and the ``(W, len(extra_qs))``
+        ``log I_{rho,p}`` at ``extra_qs``, from one batch of rho row sums."""
+        a1s = np.asarray(a1s, dtype=np.int64)
+        ps = [p for p, _ in self.moments]
+        li = row_sum_log_any(self.rho, a1s, np.array([self.q, *ps, *extra_qs]))
+        r1 = self.system.r1
+        padded = np.append(self.letters, NEG_INF)  # out-of-range letters weigh 0
+        lt = padded[np.where((a1s >= 0) & (a1s < r1), a1s, r1)].sum(axis=1)
+        for j, (_, e) in enumerate(self.moments, start=1):
+            lt = lt + scaled_powers(e, li[:, j])
+        return li[:, 0], lt, li[:, 1 + len(ps) :]
 
     def log_weight_arrays(self, a1s: np.ndarray, a2s: np.ndarray) -> np.ndarray:
         lr = scaled_powers(self.q, self.rho.log_weight_arrays(a1s, a2s))
-        lt = self.theta1.log_values(a1s)
-        li = row_sum_log_any(self.rho, a1s, self.q)
+        li, lt, _ = self._column_terms(a1s)
         with np.errstate(invalid="ignore"):
             out = lt + lr - li
         return np.where(np.isneginf(lr) | np.isneginf(lt), NEG_INF, out)
@@ -693,19 +642,29 @@ class SkewProductWeight(CylinderWeight):
 
     def row_sum_log_batch(self, a1s: np.ndarray, rs: np.ndarray) -> np.ndarray:
         """``I_r = theta1^r I_{rho,qr} / I_{rho,q}^r``: one batch of rho row sums."""
-        lt = self.theta1.log_values(a1s)[:, None]
-        li = row_sum_log_any(self.rho, a1s, np.concatenate([[self.q], self.q * rs]))
-        liq, liqr = li[:, :1], li[:, 1:]
+        liq, lt, liqr = self._column_terms(a1s, self.q * rs)
+        liq, lt = liq[:, None], lt[:, None]
         dead = np.isneginf(liqr) | np.isneginf(lt)
         with np.errstate(invalid="ignore"):
             out = scaled_powers(rs, lt) - scaled_powers(rs, liq) + liqr
         return np.where(dead, NEG_INF, out)
 
-    def depth1_log_table(self) -> np.ndarray | None:
+    def _letter_marginal(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """rho's depth-1 table and the per-letter ``log theta1``, when rho is
+        depth 1 (its row sums then factor over letters exactly), else None."""
         rt = self.rho.depth1_log_table()
-        tt = self.theta1.letter_log_table()
-        if rt is None or tt is None:
+        if rt is None:
             return None
+        tt = self.letters
+        for p, e in self.moments:
+            tt = tt + scaled_powers(e, lse(scaled_powers(p, rt), axis=1))
+        return rt, tt
+
+    def depth1_log_table(self) -> np.ndarray | None:
+        marginal = self._letter_marginal()
+        if marginal is None:
+            return None
+        rt, tt = marginal
         rq = scaled_powers(self.q, rt)
         liq = lse(rq, axis=1)  # (r1,)
         safe_liq = np.where(np.isneginf(liq), 0.0, liq)
@@ -718,22 +677,16 @@ class SkewProductWeight(CylinderWeight):
         return 1 if self.depth1_log_table() is not None else None
 
     def log_total_mass(self, m: int) -> float | None:
-        table = self.theta1.letter_log_table()
-        if table is None:
-            return None
         if m == 0:
             return 0.0
+        marginal = self._letter_marginal()
+        if marginal is None:
+            return None
         # Total mass = sum over column words of theta1 (fibers sum to 1 where
         # rho charges the column word); restrict letters to charged fibers.
-        rt = self.rho.depth1_log_table()
-        if rt is None:
-            return None
+        rt, tt = marginal
         charged = ~np.isneginf(lse(rt, axis=1))
-        return m * float(lse(np.where(charged, table, NEG_INF)))
-
-
-def make_skew_product(rho: CylinderWeight, theta1: RowWeight) -> SkewProductWeight:
-    return SkewProductWeight(rho, theta1)
+        return m * float(lse(np.where(charged, tt, NEG_INF)))
 
 
 # ---------------------------------------------------------------------------

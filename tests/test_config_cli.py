@@ -13,11 +13,10 @@ import pytest
 from click.testing import CliRunner
 
 from carpetmf import (
-    UniformRowWeight,
+    SkewProductWeight,
     finite_beta,
     log_total_mass,
     make_constant_cell,
-    make_skew_product,
 )
 from carpetmf import verify
 from carpetmf.cli import main
@@ -176,13 +175,61 @@ def test_build_skew_product(ref_system):
     }
     cfg = parse_config(small_config(weight=weight))
     rho = make_constant_cell(ref_system, 1, np.log(values))
-    want = make_skew_product(rho, UniformRowWeight(2))
+    want = SkewProductWeight(rho, -math.log(2))
     w = [(0, 1), (1, 2)]
     assert cfg.weight.log_weight(w) == pytest.approx(want.log_weight(w), abs=1e-12)
     # explicit uniform letter table gives the same weight
     letters = dict(weight, theta1={"kind": "letters", "values": [0.5, 0.5]})
     cfg2 = parse_config(small_config(weight=letters))
     assert cfg2.weight.log_weight(w) == pytest.approx(want.log_weight(w), abs=1e-12)
+
+
+#: A JSON number too large for a float: it parses to inf.
+HUGE = json.loads("1e400")
+SKEW_RHO = {"values": [0.2, 0.3, 0.1, 0.15, 0.25]}
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        (
+            {"kind": "matrixCocycle", "dimension": 1, "matrices": [[HUGE]] + [[1.0]] * 4},
+            "weight: cocycle matrices must be finite and strictly positive",
+        ),
+        (
+            {"kind": "skewProduct", "rho": SKEW_RHO,
+             "theta1": {"kind": "letters", "values": [HUGE, 1.0]}},
+            "weight.theta1: column letter table must be finite",
+        ),
+        (
+            {"kind": "skewProduct", "rho": {"values": [HUGE, 0.3, 0.1, 0.15, 0.25]},
+             "theta1": {"kind": "uniform"}},
+            "weight.rho: window table must be finite on every admissible window",
+        ),
+    ],
+    ids=["matrixCocycle", "theta1.letters", "rho.values"],
+)
+def test_non_finite_tables_rejected(weight, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(small_config(weight=weight))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "theta1, stray",
+    [
+        ({"kind": "uniform", "values": [0.5, 0.5], "q": -3}, ["q", "values"]),
+        ({"kind": "letters", "values": [0.5, 0.5], "q": 2}, ["q"]),
+        ({"kind": "rowSum", "values": [0.5, 0.5]}, ["values"]),
+    ],
+    ids=["uniform", "letters", "rowSum"],
+)
+def test_theta1_rejects_unused_keys(theta1, stray):
+    weight = {"kind": "skewProduct", "rho": SKEW_RHO, "theta1": theta1}
+    with pytest.raises(ConfigError) as err:
+        parse_config(small_config(weight=weight))
+    kind = theta1["kind"]
+    assert str(err.value) == f"weight.theta1: key(s) {stray} are not used by kind {kind!r}"
 
 
 def test_build_normalized_weight():

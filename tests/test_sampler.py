@@ -11,12 +11,11 @@ import pytest
 
 from carpetmf import (
     VARIANT_PSI_Q,
-    LetterRowWeight,
+    SkewProductWeight,
     closed_form_beta,
     finite_beta,
     make_auxiliary,
     make_constant_cell,
-    make_skew_product,
     normalize_to_gibbs,
     sample_path,
     sample_paths,
@@ -53,7 +52,7 @@ def _depth1_factored() -> tuple[CylinderWeight, CylinderWeight]:
     fibers sum to 0.6 and 0.4, so its tilt is not the weight itself."""
     skewed = make_constant_cell(reference_system(), 1, np.log([0.3, 0.3, 0.1, 0.15, 0.15]))
     tilt = make_auxiliary(skewed, 2.0, closed_form_beta(skewed, 2.0), VARIANT_PSI_Q)
-    skew = make_skew_product(reference_weight(), LetterRowWeight(2, np.log([0.7, 0.3])))
+    skew = SkewProductWeight(reference_weight(), np.log([0.7, 0.3]))
     return tilt, skew
 
 

@@ -151,7 +151,7 @@ def test_lazy_package_namespace(tmp_path):
     assert not loaded & {"carpetmf.weights", *PIPELINE}
     _loaded_after(
         "import carpetmf\n"
-        "assert len(carpetmf.__all__) == 83\n"
+        "assert len(carpetmf.__all__) == 79\n"
         "for name in carpetmf.__all__: getattr(carpetmf, name)\n"
         "carpetmf.numerics.lse, carpetmf.streams.path_uniforms\n"
         "from carpetmf import *",

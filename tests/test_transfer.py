@@ -21,21 +21,17 @@ from carpetmf import (
     VARIANT_PSI_Q,
     VARIANT_PSI_TILDE_Q,
     CellSystem,
-    LetterRowWeight,
-    RowSumRowWeight,
     SkewProductWeight,
-    UniformRowWeight,
     finite_T,
     finite_beta,
     log_total_mass,
     make_auxiliary,
     make_constant_cell,
     make_matrix_cocycle,
-    make_skew_product,
     pressure_curves,
     random_depth2_weight,
 )
-from carpetmf import numerics, pressure, weights as weights_module
+from carpetmf import gibbs, numerics, pressure, weights as weights_module
 from carpetmf.numerics import lse, scaled_powers
 from carpetmf.symbolic import digits_of_indices
 from carpetmf.weights import prefix_transfer_log, row_sum_log_any
@@ -82,13 +78,11 @@ def factored_weights(draw):
     if kind in tilts:
         return make_auxiliary(rho, q, draw(st.floats(-1.0, 1.0)), kind)
     if kind == "uniform":
-        theta = UniformRowWeight(r1)
-    elif kind == "letters":
+        return SkewProductWeight(rho, -np.log(r1), q=q)
+    if kind == "letters":
         seed = draw(st.integers(0, 2**32 - 1))
-        theta = LetterRowWeight(r1, np.random.default_rng(seed).uniform(-1.0, 1.0, r1))
-    else:
-        theta = RowSumRowWeight(rho, draw(st.sampled_from(FACTOR_QS)))
-    return SkewProductWeight(rho, theta, q)
+        return SkewProductWeight(rho, np.random.default_rng(seed).uniform(-1.0, 1.0, r1), q=q)
+    return SkewProductWeight(rho, moments=((draw(st.sampled_from(FACTOR_QS)), 1.0),), q=q)
 
 
 @st.composite
@@ -153,6 +147,35 @@ def test_repeated_q_runs_once():
     with mock.patch.object(type(tilt.rho), "row_sum_log_batch", spy):
         row_sum_log_any(tilt, words, np.array([0.5, 1.0]))
     assert seen and all(batch == [1.0, 2.0] for batch in seen)
+
+
+@pytest.mark.parametrize("kind", ["psiQ", "rowSum"])
+def test_one_rho_row_sum_call_per_evaluation(kind):
+    # The column marginal's row-sum moments, the fiber normalizer I_{rho,q}
+    # and, for row sums, I_{rho,qr} all come from one q-batched call on rho.
+    rho = random_depth2_weight(1)
+    if kind == "psiQ":
+        psi = make_auxiliary(rho, 2.0, 0.1, VARIANT_PSI_Q)
+    else:
+        psi = SkewProductWeight(rho, moments=((1.5, 1.0),), q=2.0)
+    a1s = np.array([[0, 1, 1], [1, 0, 1]])
+    a2s = np.array([[0, 2, 1], [1, 0, 2]])
+    calls = []
+    original = weights_module.row_sum_log_any
+
+    def spy(weight, *args, **kwargs):
+        calls.append(weight)
+        return original(weight, *args, **kwargs)
+
+    # Every module binding of the function, as a tilt could reach it from gibbs.
+    with mock.patch.object(weights_module, "row_sum_log_any", spy), mock.patch.object(
+        gibbs, "row_sum_log_any", spy
+    ):
+        psi.log_weight_arrays(a1s, a2s)
+        assert calls == [rho]
+        calls.clear()
+        psi.row_sum_log_batch(a1s, np.array([0.5, 1.0]))
+        assert calls == [rho]
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,9 +254,9 @@ def test_total_mass_fallback_matches_enumeration(case):
     # Weights with no closed total mass sum I_1 over the column words.
     rho = random_depth2_weight()
     if case == "uniform":
-        psi = make_skew_product(rho, UniformRowWeight(rho.system.r1))
+        psi = SkewProductWeight(rho, -np.log(rho.system.r1))
     elif case == "rowSum":
-        psi = make_skew_product(rho, RowSumRowWeight(rho, 1.0))
+        psi = SkewProductWeight(rho, moments=((1.0, 1.0),))
     else:
         psi = make_auxiliary(rho, 1.5, 0.1, case)
     for m in range(1, 5):

@@ -10,16 +10,13 @@ import pytest
 
 from carpetmf import (
     CellSystem,
-    LetterRowWeight,
-    RowSumRowWeight,
-    UniformRowWeight,
+    SkewProductWeight,
     estimate_am_constant,
     finite_T,
     finite_beta,
     finite_pressure,
     make_constant_cell,
     make_matrix_cocycle,
-    make_skew_product,
     normalize_to_gibbs,
     row_sum,
 )
@@ -152,7 +149,7 @@ def test_matrix_cocycle_exact_submultiplicativity(ref_system):
 
 
 def test_skew_product_rowsum_theta_recovers_rho(ref_weight, ref_system):
-    skew = make_skew_product(ref_weight, RowSumRowWeight(ref_weight, 1.0))
+    skew = SkewProductWeight(ref_weight, moments=((1.0, 1.0),))
     a1s, a2s = all_admissible_arrays(ref_system, 3)
     np.testing.assert_allclose(
         skew.log_weight_arrays(a1s, a2s),
@@ -163,7 +160,7 @@ def test_skew_product_rowsum_theta_recovers_rho(ref_weight, ref_system):
 
 
 def test_skew_product_uniform_theta_hand_value(ref_weight, ref_system, ref_masses):
-    skew = make_skew_product(ref_weight, UniformRowWeight(ref_system.r1))
+    skew = SkewProductWeight(ref_weight, -math.log(ref_system.r1))
     row_sums = {0: 0.5, 1: 0.5}
     for cells in ([(0, 1), (1, 2)], [(1, 0), (0, 0)]):
         hand = -2 * math.log(2)
@@ -175,8 +172,7 @@ def test_skew_product_uniform_theta_hand_value(ref_weight, ref_system, ref_masse
 def test_skew_product_single_row_support():
     sys_ = CellSystem(2, 4, ((0, 0), (0, 1)))  # only row letter 0 occupied
     rho = make_constant_cell(sys_, 1, np.array([math.log(0.4), math.log(0.6)]))
-    theta = LetterRowWeight(2, np.array([math.log(0.7), math.log(0.3)]))
-    skew = make_skew_product(rho, theta)
+    skew = SkewProductWeight(rho, np.array([math.log(0.7), math.log(0.3)]))
     for cells in ([(0, 0)], [(0, 1), (0, 0)]):
         n = len(cells)
         expected = (
@@ -292,7 +288,7 @@ def test_am_constant_matches_independent_scan(ref_system, depth2_weight):
 
 def test_am_self_consistency(ref_system, depth2_weight):
     # every scanned pair obeys the two-sided bound with the scanned constant
-    skew = make_skew_product(depth2_weight, UniformRowWeight(2))
+    skew = SkewProductWeight(depth2_weight, -math.log(2))
     rng = np.random.default_rng(21)
     mats = np.exp(rng.uniform(-0.5, 0.5, (5, 2, 2)))
     for psi in (depth2_weight, make_matrix_cocycle(ref_system, 2, mats), skew):
