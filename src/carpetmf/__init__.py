@@ -37,6 +37,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "ShiftedWeight", "SkewProductWeight", "estimate_am_constant", "make_constant_cell",
         "make_matrix_cocycle", "normalize_to_gibbs", "row_sum_log_any",
     ),
+    "transfer": (),
     "pressure": (
         "Extrapolation", "PressureCurve", "closed_form_T", "closed_form_beta",
         "column_log_sums", "extrapolate_pressure", "finite_T", "finite_beta", "finite_pressure",

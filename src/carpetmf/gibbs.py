@@ -217,11 +217,11 @@ def _enumerate_route(weight: CylinderWeight, m: int, cap: int) -> Advance:
     for lo in range(0, total, block):
         digits = digits_of_indices(np.arange(lo, min(lo + block, total)), nc, m)
         lw[lo : lo + block] = weight.log_weight_arrays(cells[digits, 0], cells[digits, 1])
-    # levels[pos][prefix, c] = log of the total weight extending prefix + c.
-    levels = [
-        lse(lw.reshape(nc ** (pos + 1), nc ** (m - pos - 1)), axis=1).reshape(nc**pos, nc)
-        for pos in range(m)
-    ]
+    # levels[pos][prefix, c] = log of the total weight extending prefix + c,
+    # built bottom-up so each lse reads the level below, not all nc**m words.
+    levels = [lw.reshape(nc ** (m - 1), nc)]
+    for pos in range(m - 2, -1, -1):
+        levels.insert(0, lse(levels[0], axis=1).reshape(nc**pos, nc))
 
     def advance(uniforms: np.ndarray) -> np.ndarray:
         prefix = np.zeros(uniforms.shape[0], dtype=np.int64)

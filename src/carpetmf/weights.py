@@ -21,8 +21,11 @@ when its structure allows — fast row-fiber power sums
 ``I_q(w1) = sum_{w2} psi(w1 x w2)^q`` via transfer recursions, so the deep
 regimes never enumerate the row alphabet.  Depth-1 weights factorize over
 column letters; window weights of depth >= 2 and matrix cocycles at integer
-``q >= 0`` share one transfer kernel, :func:`prefix_transfer_log`.  Row sums
-take a vector of q values: one pass over a batch serves the whole vector.
+``q >= 0`` share one transfer kernel,
+:func:`carpetmf.transfer.split_transfer_log`, which splits each column word
+into a forward prefix state and a backward tail vector memoized on the
+weight.  Row sums take a vector of q values: one pass over a batch serves
+the whole vector.
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ from .symbolic import (
     admissible_word_count,
     admissible_words_range,
     digits_of_indices,
-    pack_digits,
 )
 
-#: Largest transient table a transfer recursion may allocate.
+#: Largest transient table a transfer recursion may allocate, and the most
+#: floats a weight's memo of transfer tail vectors holds.
 MAX_TRANSFER_TABLE = 1 << 22
 
 #: Rows (or gathered letters) whose digits are built at once when row sums
@@ -101,6 +104,13 @@ class CylinderWeight:
         """``log sum_{|w|=m} psi(w)`` when computable without row-word
         enumeration, else None."""
         return None
+
+    @cached_property
+    def _tails(self):
+        """The split kernel's memo of tail vectors for this weight."""
+        from .transfer import TailMemo
+
+        return TailMemo()
 
 
 def _clip_indices(system: CellSystem, a1s: np.ndarray, a2s: np.ndarray):
@@ -213,16 +223,15 @@ class ConstantCellWeight(CylinderWeight):
 
     @cached_property
     def _start_table(self) -> np.ndarray:
-        """``(r1**(k-1) + 1, r2**(k-1))`` log start states: 0 where the packed
+        """``(r1**(k-1), r2**(k-1))`` log start states: 0 where the packed
         first ``k-1`` column digits and the packed row state give allowed
-        cells, -inf otherwise; the last row serves out-of-range digits."""
+        cells, -inf otherwise."""
         k = self.depth
         r1, r2 = self.system.r1, self.system.r2
         a1grid = digits_of_indices(np.arange(r1 ** (k - 1)), r1, k - 1)
         a2grid = digits_of_indices(np.arange(r2 ** (k - 1)), r2, k - 1)
         cidx = self.system.cell_index[a1grid[:, None, :], a2grid[None, :, :]]
-        start = np.where((cidx >= 0).all(axis=2), 0.0, NEG_INF)
-        return np.vstack([start, np.full((1, r2 ** (k - 1)), NEG_INF)])
+        return np.where((cidx >= 0).all(axis=2), 0.0, NEG_INF)
 
     def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
         return np.ones(len(qs), dtype=bool)
@@ -233,34 +242,36 @@ class ConstantCellWeight(CylinderWeight):
         if n == 0:
             return np.zeros((W, qs.size))
         k = self.depth
-        r1, r2 = self.system.r1, self.system.r2
         if n < k:  # shorter than the window: few rows, enumerate them
             return _enumerate_row_sums(self, a1s, qs, DEFAULT_ENUMERATION_CAP)
         if k == 1:  # the window grid is then the per-cell log table
             return _depth1_row_sums(self.system, self._window_grid, a1s, qs)
-        # State = the last k-1 row digits.  Level 0 picks the start states by
-        # the first k-1 column digits; each later level applies the window
-        # table picked by the packed column window.  Out-of-range digits pick
-        # an all -inf row, which kills the word.
-        in_range = (a1s >= 0) & (a1s < r1)
-        safe = np.where(in_range, a1s, 0)
-        head = np.where(
-            in_range[:, : k - 1].all(axis=1), pack_digits(safe[:, : k - 1], r1), r1 ** (k - 1)
-        )
-        windows = np.lib.stride_tricks.sliding_window_view(safe, k, axis=1)
-        windows_ok = np.lib.stride_tricks.sliding_window_view(in_range, k, axis=1).all(axis=2)
-        keys = np.column_stack([head, np.where(windows_ok, pack_digits(windows, r1), r1**k)])
+        return self._split_row_sums(a1s, qs)
+
+    def _split_row_sums(self, a1s: np.ndarray, qs: np.ndarray, a: int | None = None):
+        """Row sums of words of at least ``k`` letters from the split kernel,
+        whose forward half holds ``a`` letters (``k - 1 <= a <= n``).
+
+        The state is the last ``k-1`` row digits; the window table picked by
+        the packed column window steps it as a shift register of base-``r2``
+        digits.
+        """
+        from .transfer import split_transfer_log
+
+        k = self.depth
+        r1, r2 = self.system.r1, self.system.r2
         S = r2 ** (k - 1)
-        grid, start = self._window_grid, self._start_table
+        grid = self._window_grid
         # Blocks of q keep the stacked tables within MAX_TRANSFER_TABLE.
         block = max(1, MAX_TRANSFER_TABLE // grid.size)
         columns = []
         for j in range(0, qs.size, block):
-            Q = qs[j : j + block].size
-            tables = scaled_powers(qs[j : j + block, None, None], grid).reshape(Q, r1**k, S, r2)
-            steps = np.concatenate([tables.transpose(1, 0, 2, 3), np.full((1, Q, S, r2), NEG_INF)])
-            states = np.broadcast_to(start[:, None], (len(start), Q, S))
-            columns.append(prefix_transfer_log(keys, states, steps))
+            qb = qs[j : j + block]
+            tables = scaled_powers(qb[:, None, None], grid).reshape(qb.size, r1**k, S, r2)
+            steps = np.ascontiguousarray(tables.transpose(1, 0, 2, 3))
+            columns.append(
+                split_transfer_log(a1s, qb, k, r1, self._start_table, steps, self._tails, a)
+            )
         return np.concatenate(columns, axis=1)
 
     # -- totals over full product words ----------------------------------
@@ -412,7 +423,7 @@ class MatrixCocycleWeight(CylinderWeight):
 
     def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
         # Kronecker powers exist at integer q >= 0; their tables must fit.
-        size = max(self.system.n_cells, self.system.r1 + 1)
+        size = max(self.system.n_cells, self.system.r1)
         return np.array(
             [
                 self.dim == 1
@@ -424,10 +435,9 @@ class MatrixCocycleWeight(CylinderWeight):
         )
 
     def _letter_tables(self, q: float) -> np.ndarray:
-        """``(r1 + 1, D, D)`` log tables with ``D = dim**q``:
+        """``(r1, D, D)`` log tables with ``D = dim**q``:
         ``T[a1][s, t] = log (sum_{a2 in fiber(a1)} M(a1, a2)^{(x)q})[t, s]``,
-        plus an all -inf table for out-of-range letters, for a q inside
-        :meth:`transfer_mask`.
+        for a q inside :meth:`transfer_mask`.
 
         Exact because ``(1^T P 1)^q = (1^{(x)q})^T P^{(x)q} 1^{(x)q}`` and
         Kronecker powers of products are products of Kronecker powers.
@@ -443,7 +453,7 @@ class MatrixCocycleWeight(CylinderWeight):
                 power[:, :, None, :, None] + log_mt[:, None, :, None, :]
             ).reshape(nc, p * d, p * d)
         columns = self.system.cells_array[:, 0]
-        tables = np.full((r1 + 1, D, D), NEG_INF)
+        tables = np.full((r1, D, D), NEG_INF)
         for a1 in range(r1):
             fiber = power[columns == a1]
             if fiber.shape[0]:
@@ -457,16 +467,24 @@ class MatrixCocycleWeight(CylinderWeight):
         W, n = a1s.shape
         if n == 0:
             return np.zeros((W, qs.size))
-        r1 = self.system.r1
-        keys = np.where((a1s >= 0) & (a1s < r1), a1s, r1)
-        # Each q keeps its own Kronecker route (the state size d**q differs).
-        # The state starts at 1^{(x)q}; its first step is the start table.
-        return np.column_stack(
-            [
-                prefix_transfer_log(keys, lse(steps, axis=1)[:, None], steps[:, None])[:, 0]
-                for steps in map(self._letter_tables, qs)
-            ]
-        )
+        return self._split_row_sums(a1s, qs)
+
+    def _split_row_sums(self, a1s: np.ndarray, qs: np.ndarray, a: int | None = None):
+        """Row sums from the split kernel, whose forward half holds ``a``
+        letters.  Each q keeps its own Kronecker route (the state size
+        ``d**q`` differs); the state starts at ``1^{(x)q}``."""
+        from .transfer import split_transfer_log
+
+        columns = []
+        for q in qs:
+            steps = self._letter_tables(q)[:, None]
+            start = np.zeros((1, steps.shape[-1]))
+            columns.append(
+                split_transfer_log(
+                    a1s, np.array([q]), 1, self.system.r1, start, steps, self._tails, a
+                )
+            )
+        return np.concatenate(columns, axis=1)
 
     def log_total_mass(self, m: int) -> float | None:
         if m == 0:
@@ -520,62 +538,6 @@ def _depth1_row_sums(
 def _lse_each_q(lw: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """``(W, Q)``: each q applied to the same ``(W, R)`` row log-weights."""
     return np.column_stack([lse(scaled_powers(q, lw), axis=1) for q in qs])
-
-
-# ---------------------------------------------------------------------------
-# Prefix-shared transfer kernel
-# ---------------------------------------------------------------------------
-
-def prefix_transfer_log(keys: np.ndarray, start: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """``log 1^T v_L`` per key sequence and q for a log-space transfer
-    recursion, as a ``(W, Q)`` array.
-
-    ``start`` is ``(K0, Q, S)`` and ``steps`` is ``(K, Q, S, C)`` with ``C``
-    dividing ``S``; the q axis rides along.  Row ``i`` of the ``(W, L)``
-    array ``keys`` starts at ``v_0 = start[keys[i, 0]]``; level ``l >= 1``
-    sums out axis 0 of ``(v_{l-1}[:, None] + steps[keys[i, l]]).reshape(C,
-    S)`` in log space, per q.
-    With ``C == S`` that is a product with a dense transfer matrix; with
-    ``S = C**j`` it is a shift register of ``j`` base-``C`` digits that drops
-    its oldest digit and appends the step's column digit.
-
-    A state depends only on the keys up to its level, so the batch is walked
-    as a prefix trie: a row whose first ``l + 1`` keys equal those of the row
-    before it reuses that row's state at level ``l``.  This is exact for any
-    row order; a lexicographically sorted batch of ``W`` rows over an
-    alphabet of size ``r`` costs about ``W r / (r - 1)`` state updates instead
-    of ``W L``.  Each row's result is bit-identical however the batch is
-    split or ordered, and whatever other q share the batch.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    W, L = keys.shape
-    _, Q, S, C = steps.shape
-    if W == 0:
-        return np.empty((0, Q))
-    differs = np.ones((W, L), dtype=bool)
-    differs[1:] = keys[1:] != keys[:-1]
-    # First level at which each row leaves the previous row's trie path.
-    first = np.where(differs.any(axis=1), differs.argmax(axis=1), L)
-    new = first == 0
-    states = start[keys[new, 0]]
-    node = np.cumsum(new) - 1  # each row's trie node at the current level
-    block = max(1, MAX_TRANSFER_TABLE // steps[0].size)  # nodes per transient
-    for level in range(1, L):
-        new = first <= level
-        parents = node[new]
-        letters = keys[new, level]
-        states = np.concatenate(
-            [
-                lse(
-                    (states[parents[i : i + block], :, :, None] + steps[letters[i : i + block]])
-                    .reshape(-1, Q, C, S),
-                    axis=2,
-                )
-                for i in range(0, parents.size, block)
-            ]
-        )
-        node = np.cumsum(new) - 1
-    return lse(states, axis=2)[node]
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def test_config_load_skips_jsonschema_and_the_pipeline(tmp_path):
     )
     assert "carpetmf.config" in loaded
     assert "jsonschema" not in loaded
-    assert not loaded & {"carpetmf.pressure", *PIPELINE}
+    assert not loaded & {"carpetmf.pressure", "carpetmf.transfer", *PIPELINE}
 
 
 def test_pressure_command_skips_the_pipeline(tmp_path):

@@ -1,14 +1,16 @@
-"""The prefix-shared transfer kernel and the q-batched pressure pass against
-row enumeration.
+"""The split transfer kernel and the q-batched pressure pass against row
+enumeration.
 
 Random small systems (including empty row fibers), window weights of depth
-1-3, matrix cocycles of dimension 1-3, and skew products and moment tilts
+1-4, matrix cocycles of dimension 1-3, and skew products and moment tilts
 over those; batches come unsorted, with repeated words and with
 out-of-range digits.
 """
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -31,10 +33,12 @@ from carpetmf import (
     pressure_curves,
     random_depth2_weight,
 )
-from carpetmf import gibbs, numerics, pressure, weights as weights_module
+from carpetmf import gibbs, numerics, pressure, transfer, weights as weights_module
 from carpetmf.numerics import lse, scaled_powers
+from carpetmf.reference import default_q_grid
 from carpetmf.symbolic import digits_of_indices
-from carpetmf.weights import prefix_transfer_log, row_sum_log_any
+from carpetmf.transfer import TailMemo, split_point, split_transfer_log
+from carpetmf.weights import MAX_TRANSFER_TABLE, row_sum_log_any
 
 Q_VALUES = (-1.5, 0.0, 0.7, 1.0, 2.0, 3.0)
 
@@ -62,6 +66,15 @@ def weights(draw):
     return make_matrix_cocycle(system, dim, rng.uniform(0.05, 1.0, (nc, dim, dim)))
 
 
+@st.composite
+def deep_windows(draw):
+    """Window weights of depth 4: states of three row digits, stepped as a
+    shift register."""
+    system = draw(small_systems())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return make_constant_cell(system, 4, rng.uniform(-1.0, 1.0, (system.n_cells,) * 4))
+
+
 #: Exponents of the factored weights: the tilts' q and the skew products'.
 FACTOR_QS = (0.0, 1.0, 1.5, 2.0)
 
@@ -86,9 +99,9 @@ def factored_weights(draw):
 
 
 @st.composite
-def batches(draw, r1: int) -> np.ndarray:
+def batches(draw, r1: int, n_min: int = 1, n_max: int = 4) -> np.ndarray:
     """Unsorted column words with repeats and a few out-of-range digits."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(n_min, n_max))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     words = rng.integers(0, r1, (draw(st.integers(1, 12)), n))
     repeats = draw(st.integers(0, words.shape[0]))
@@ -266,26 +279,191 @@ def test_total_mass_fallback_matches_enumeration(case):
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
 
 
+def _kernel_window(psi) -> int | None:
+    """The window span ``k`` of the split kernel's steps, or None when the
+    weight's row sums take another route."""
+    if getattr(psi, "depth", 1) >= 2:
+        return psi.depth
+    if getattr(psi, "dim", 1) >= 2:
+        return 1
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), psi=weights() | deep_windows())
+def test_split_points_match_enumeration(data, psi):
+    """Every split point from ``k - 1`` to ``n``, both ends included, gives
+    the enumerated row sums and their -inf pattern; a row's bytes do not
+    depend on its batch, its order or on the memo."""
+    k = _kernel_window(psi)
+    assume(k is not None)
+    words = data.draw(batches(psi.system.r1, n_min=k, n_max=max(5, k + 2)))
+    n = words.shape[1]
+    a = data.draw(st.integers(k - 1, n))
+    qs = np.array(Q_VALUES if k > 1 else [q for q in Q_VALUES if q >= 0 and q.is_integer()])
+    psi._tails = TailMemo()
+    cold = psi._split_row_sums(words, qs, a)
+    slow = row_sum_log_any(psi, words, qs, method="enumerate")
+    np.testing.assert_array_equal(np.isneginf(cold), np.isneginf(slow))
+    finite = np.isfinite(slow)
+    assert np.all(
+        np.abs(cold[finite] - slow[finite]) <= 1e-12 * np.maximum(1.0, np.abs(slow[finite]))
+    )
+    assert psi._split_row_sums(words, qs, a).tobytes() == cold.tobytes()  # memo warm
+    assert psi._split_row_sums(words[::-1], qs, a).tobytes() == cold[::-1].tobytes()
+    split = data.draw(st.integers(0, words.shape[0]))
+    halves = np.concatenate(
+        [psi._split_row_sums(words[:split], qs, a), psi._split_row_sums(words[split:], qs, a)]
+    )
+    assert halves.tobytes() == cold.tobytes()
+    # Production splits at split_point; a cocycle's state count is dim**q.
+    production = psi.row_sum_log_batch(words, qs)
+    for j, q in enumerate(qs):
+        S = psi.system.r2 ** (k - 1) if k > 1 else psi.dim ** int(q)
+        if a == split_point(n, k, psi.system.r1, S):
+            assert production[:, j].tobytes() == cold[:, j].tobytes()
+
+
+def test_untabled_tails_and_evicted_memo_keep_bytes():
+    # Depth-2 window on the reference: 64 floats of matrices per q, and a
+    # tail table of 2**6 * 5 = 320 floats per q at n = 10.
+    psi = random_depth2_weight(1)
+    words = digits_of_indices(np.arange(2**10), 2, 10)
+    qs = np.array([-2.0, 0.0, 1.0, 2.0, 4.0])
+    want = psi.row_sum_log_batch(words, qs)
+    # Room for three tables: five q keep none (each block would evict what
+    # the next chunk needs), and the batch's tails are walked.
+    with mock.patch.object(weights_module, "MAX_TRANSFER_TABLE", 1000):
+        psi._tails = TailMemo()
+        assert psi.row_sum_log_batch(words, qs).tobytes() == want.tobytes()
+        assert psi._tails.floats == 0
+        # Three q fit; two more drop the oldest two.
+        assert psi.row_sum_log_batch(words, qs[:3]).tobytes() == want[:, :3].tobytes()
+        assert psi._tails.floats == 3 * 320
+        assert psi.row_sum_log_batch(words, qs[3:]).tobytes() == want[:, 3:].tobytes()
+        assert psi._tails.floats == 3 * 320
+        assert sorted(psi._tails._entries) == [(6, 1.0), (6, 2.0), (6, 4.0)]
+        assert psi.row_sum_log_batch(words, qs).tobytes() == want.tobytes()
+
+
+def test_long_words_keep_distinct_prefixes_and_tails():
+    # 70-letter words that differ only in their first 4 letters: packed in
+    # base 2 their prefixes and tails would agree modulo 2**64, so long
+    # halves are told apart row by row.  Every split point gives the sums of
+    # the default one.
+    psi = random_depth2_weight(1)
+    shared = np.random.default_rng(0).integers(0, 2, 66)
+    words = np.array([[*head, *shared] for head in np.ndindex(2, 2, 2, 2)])
+    qs = np.array([1.0, 2.0])
+    want = psi.row_sum_log_batch(words, qs)
+    assert np.unique(want[:, 0]).size == 16
+    for a in (1, 2, 69, 70):
+        np.testing.assert_allclose(psi._split_row_sums(words, qs, a), want, rtol=1e-13)
+
+
+def test_memo_shared_by_threads_keeps_bytes():
+    # Eight threads on one weight, with a bound that keeps the memo evicting
+    # (tables of 160 floats per q at n = 8 and 320 at n = 9, 10; n = 11
+    # walks its tails) and a short switch interval: every call gets the
+    # serial bytes, and the memo stays within its bound.
+    psi = random_depth2_weight(1)
+    qs = np.array([-2.0, 1.0, 4.0])
+    batches = [digits_of_indices(np.arange(2**n), 2, n) for n in (8, 9, 10, 11)]
+    want = [psi.row_sum_log_batch(words, qs).tobytes() for words in batches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(weights_module, "MAX_TRANSFER_TABLE", 1000):
+            psi._tails = TailMemo()
+            with ThreadPoolExecutor(8) as pool:
+                calls = [
+                    pool.submit(psi.row_sum_log_batch, batches[i % 4], qs) for i in range(128)
+                ]
+                got = [call.result(timeout=60).tobytes() for call in calls]
+            assert psi._tails.floats <= 1000
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want[i % 4] for i in range(128)]
+
+
+def test_memo_bounded_on_default_grid():
+    psi = random_depth2_weight(1)
+    pressure.finite_values(psi, default_q_grid(), 16, workers=2)
+    assert 0 < psi._tails.floats <= MAX_TRANSFER_TABLE
+
+
 def test_kernel_shares_prefixes_exactly():
-    # Three-state dense chains for two q values; a lex-sorted batch and its
-    # reversal agree bit for bit, single-row batches reproduce every row, and
-    # each q column equals a run of that q alone.
+    # Three-state dense chains on two letters for two q values, stepped by
+    # windows of two letters.  Every split point gives the plain product of
+    # matrices; a batch and its reversal agree bit for bit, single-row
+    # batches reproduce every row, and each q column equals a run of that q
+    # alone.
     rng = np.random.default_rng(5)
-    steps = np.log(rng.uniform(0.1, 1.0, (2, 2, 3, 3)))  # (letter, q, state, next)
-    start = np.log(rng.uniform(0.1, 1.0, (2, 2, 3)))
-    keys = np.array(list(np.ndindex(2, 2, 2, 2)))
-    whole = prefix_transfer_log(keys, start, steps)
-    assert whole.shape == (keys.shape[0], 2)
-    rows = [prefix_transfer_log(k[None, :], start, steps)[0] for k in keys]
-    assert whole.tobytes() == np.array(rows).tobytes()
-    assert prefix_transfer_log(keys[::-1], start, steps).tobytes() == whole[::-1].tobytes()
-    for j in range(2):
-        alone = prefix_transfer_log(keys, start[:, j : j + 1], steps[:, j : j + 1])
-        assert alone[:, 0].tobytes() == whole[:, j].tobytes()
-    # Against the plain product of matrices in linear space.
-    for k, values in zip(keys, whole):
-        for j, value in enumerate(values):
-            v = np.exp(start[k[0], j])
-            for letter in k[1:]:
-                v = v @ np.exp(steps[letter, j])
-            assert value == pytest.approx(np.log(v.sum()), rel=1e-13)
+    steps = np.log(rng.uniform(0.1, 1.0, (4, 2, 3, 3)))  # (window, q, state, next)
+    start = np.log(rng.uniform(0.1, 1.0, (2, 3)))  # (first letter, state)
+    qs = np.array([0.5, 1.5])
+    words = np.array(list(np.ndindex(*(2,) * 5)))
+
+    def kernel(a1s, a, columns=slice(None)):
+        return split_transfer_log(
+            a1s, qs[columns], 2, 2, start, steps[:, columns], TailMemo(), a
+        )
+
+    for a in range(1, 6):
+        whole = kernel(words, a)
+        assert whole.shape == (words.shape[0], 2)
+        rows = [kernel(w[None, :], a)[0] for w in words]
+        assert whole.tobytes() == np.array(rows).tobytes()
+        assert kernel(words[::-1], a).tobytes() == whole[::-1].tobytes()
+        for j in range(2):
+            alone = kernel(words, a, slice(j, j + 1))
+            assert alone[:, 0].tobytes() == whole[:, j].tobytes()
+        # Against the plain product of matrices in linear space.
+        for w, values in zip(words, whole):
+            for j, value in enumerate(values):
+                v = np.exp(start[w[0]])
+                for i in range(4):
+                    v = v @ np.exp(steps[2 * w[i] + w[i + 1], j])
+                assert value == pytest.approx(np.log(v.sum()), rel=1e-13)
+
+
+def test_underflowing_dot_product_is_redone_in_log_space():
+    # Word (0, 1) split after one letter: u = [1, e, 0] and v = [0, e, 1]
+    # with e = 1e-200, so the linear dot product e**2 underflows to 0; the
+    # row sum is still positive and must come out as 2 log e.
+    e = np.log(1e-200)
+    inf = -np.inf
+    steps = np.array(
+        [
+            [[0.0, inf, inf], [inf, e, inf], [inf, inf, inf]],
+            [[inf, inf, inf], [inf, e, inf], [inf, inf, 0.0]],
+        ]
+    )[:, None]
+    words = np.array([[0, 1], [1, 0], [0, 0]])
+    for a in (0, 1, 2):
+        got = split_transfer_log(
+            words, np.array([1.0]), 1, 2, np.zeros((1, 3)), steps, TailMemo(), a
+        )[:, 0]
+        assert got[0] == pytest.approx(2 * e, rel=1e-15)
+        assert got[1] == pytest.approx(2 * e, rel=1e-15)
+        assert got[2] == 0.0  # log(1 + e**2)
+
+
+def test_words_through_an_empty_column_skip_the_log_space_walk():
+    # Column 2 holds no cell, so every word with the letter 2 is dead: its
+    # forward state or its tail vector is all zero, and it is -inf without
+    # the log-space walk, which no row of this batch needs.
+    system = CellSystem(3, 3, ((0, 0), (0, 2), (1, 1), (1, 2)))
+    rng = np.random.default_rng(7)
+    window = make_constant_cell(system, 2, rng.uniform(-1.0, 1.0, (4, 4)))
+    cocycle = make_matrix_cocycle(system, 2, rng.uniform(0.05, 1.0, (4, 2, 2)))
+    words = digits_of_indices(np.arange(3**6), 3, 6)
+    dead = (words == 2).any(axis=1)
+    qs = np.array([0.0, 1.0, 2.0])
+    for psi in (window, cocycle):
+        with mock.patch.object(transfer, "_walk_tails", wraps=transfer._walk_tails) as walk:
+            fast = psi.row_sum_log_batch(words, qs)
+        assert walk.call_count == 0
+        slow = row_sum_log_any(psi, words, qs, method="enumerate")
+        assert np.isneginf(fast[dead]).all() and np.isneginf(slow[dead]).all()
+        np.testing.assert_allclose(fast[~dead], slow[~dead], rtol=1e-12)

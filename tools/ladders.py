@@ -1,0 +1,61 @@
+"""In-process depth ladders of the transfer row-sum route.
+
+    python3 tools/ladders.py
+
+Prints the best of three wall times of ``pressure.finite_values`` (both
+kinds, ``workers=2``) for three ladders:
+
+* ``random_depth2_weight(1)``, the window-d2 weight, at q in
+  {-2, 0, 1, 2, 4} and n = 14 ... 22;
+* the same weight on the default 93-point q-grid at n = 14 ... 18;
+* the dim-2 cocycle of the ``cocycle-d2`` benchmark config (seed 1, built
+  with ``bench/workloads.py``) at q in {1, 2} and n = 14 ... 20.
+
+Each ladder uses one weight object, so the first depth also pays the
+weight's cached tables.  Run it on two checkouts on the same host to
+compare them.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # noqa: E402
+from carpetmf.config import parse_config  # noqa: E402
+from carpetmf.pressure import finite_values  # noqa: E402
+from carpetmf.reference import default_q_grid, random_depth2_weight  # noqa: E402
+
+REPEATS = 3
+WORKERS = 2
+
+
+def _best(psi, q_grid, n: int) -> float:
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        finite_values(psi, q_grid, n, workers=WORKERS)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def main() -> int:
+    window = random_depth2_weight(1)
+    cocycle = parse_config(workloads.build("cocycle-d2", 1).config).weight
+    ladders = (
+        ("window depth 2, 5 q", window, [-2.0, 0.0, 1.0, 2.0, 4.0], range(14, 23, 2)),
+        ("window depth 2, default grid", window, default_q_grid(), range(14, 19, 2)),
+        ("cocycle dim 2, q in {1, 2}", cocycle, [1.0, 2.0], range(14, 21, 2)),
+    )
+    for label, psi, q_grid, depths in ladders:
+        for n in depths:
+            print(f"{label:32s} n = {n:2d}  {_best(psi, q_grid, n):8.3f} s", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
