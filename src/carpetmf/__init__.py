@@ -41,13 +41,12 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "pressure": (
         "Extrapolation", "PressureCurve", "closed_form_T", "closed_form_beta",
         "column_log_sums", "extrapolate_pressure", "finite_T", "finite_beta", "finite_pressure",
-        "finite_values", "log_total_mass", "pressure_curve", "pressure_curves", "row_sum",
+        "finite_values", "log_total_mass", "pressure_curves", "row_sum",
     ),
     "spectra": (
         "Spectrum", "birkhoff_spectrum_carpet", "legendre", "legendre_involution_check",
         "lq_spectrum_empirical", "mcmullen_dimension", "support_dimension",
     ),
-    "streams": (),
     "gibbs": (
         "AuxiliaryWeight", "McEstimate", "VARIANT_PSI_Q", "VARIANT_PSI_TILDE_Q", "ball_mass",
         "local_dimension_mc", "make_auxiliary", "sample_path", "sample_paths",
@@ -55,7 +54,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "carpet": (
         "CarpetRender", "P3Report", "birkhoff_average_on_carpet", "box_count_tau",
-        "carpet_digits", "check_P1", "check_P2", "check_P3", "p3_scan", "project_numerators",
+        "carpet_digits", "check_P1", "check_P2", "p3_scan", "project_numerators",
         "project_point", "render_measure", "write_grid_csv", "write_pgm16",
     ),
     "reference": (

@@ -39,7 +39,6 @@ __all__ = [
     "carpet_digits",
     "check_P1",
     "check_P2",
-    "check_P3",
     "p3_scan",
     "project_numerators",
     "project_point",
@@ -393,19 +392,3 @@ def p3_scan(
         depths=depths,
         defects=defects,
     )
-
-
-def check_P3(
-    system: CellSystem,
-    psi: CylinderWeight,
-    q_set: Sequence[float] = (0.5, 1.0, 2.0),
-    depth_schedule: Sequence[int] = (2, 4, 6, 8),
-    tolerance: float = 1e-9,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[bool, float]:
-    """Boolean indication plus terminal defect; see :func:`p3_scan`."""
-    report = p3_scan(
-        system, psi, q_set=q_set, depth_schedule=depth_schedule,
-        tolerance=tolerance, cap=cap,
-    )
-    return report.holds, report.terminal_defect

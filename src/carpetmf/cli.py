@@ -384,7 +384,7 @@ def cmd_verify(config_path, workers, out_dir, seed, depth_max) -> None:
     """Run the verification suite; exit 0 only if every criterion passes."""
     from .verify import run_all
 
-    del seed, depth_max
+    del workers, seed, depth_max  # every criterion fixes its own worker count
     try:
         cfg = (
             _load_experiment(config_path, out_dir, None, None)
@@ -393,7 +393,7 @@ def cmd_verify(config_path, workers, out_dir, seed, depth_max) -> None:
         )
     except ConfigError as exc:
         _fail(str(exc))
-    results = run_all(workers=workers, config=cfg)
+    results = run_all(cfg)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:

@@ -23,6 +23,13 @@ probabilities are the exact weight conditionals (closed form for depth-1
 weights, backward transfer tables for wider windows, enumeration otherwise),
 with one counter-based RNG stream per sample index so runs are reproducible
 for any worker count.
+
+The streams are numpy's Philox4x64-10 under the key
+``SeedSequence(master_seed).generate_state(2, uint64)``: uniform ``j`` of
+path ``i`` is word ``j % 4`` of the block at counter ``(i, j // 4, 0, 0)``,
+lowest word first, read as ``(word >> 11) * 2**-53``.  A path's uniforms
+depend neither on its chunk nor on how many are drawn, and path indices stop
+at ``2**64``, where the path word would carry into the block word.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ import numpy as np
 from . import weights as weights_module
 from .numerics import NEG_INF, lse, mean_and_stderr, run_chunked_arrays
 from .pressure import log_total_mass, row_sum
-from .streams import path_uniforms
 from .symbolic import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
@@ -137,6 +143,23 @@ def ball_mass(
 # ---------------------------------------------------------------------------
 # Path sampling
 # ---------------------------------------------------------------------------
+
+
+def path_uniforms(master_seed: int, lo: int, hi: int, n_draws: int) -> np.ndarray:
+    """``(hi - lo, n_draws)`` uniforms of paths ``lo .. hi-1``, laid out as
+    the module docstring says: one generator per block of four draws serves
+    every path of the range."""
+    if master_seed < 0:
+        raise ValueError("master seed must be >= 0")
+    if hi > 2**64:
+        raise ValueError("path indices must be < 2**64")
+    key = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+    out = np.empty((hi - lo, -(-n_draws // 4) * 4))
+    start = int(lo) - 1  # numpy steps the counter before each block
+    for b in range(out.shape[1] // 4):
+        bits = np.random.Philox(key=key, counter=((b << 64) + start) % 2**256)
+        out[:, 4 * b : 4 * b + 4] = np.random.Generator(bits).random((hi - lo, 4))
+    return out[:, :n_draws]
 
 
 #: A route's draw: ``(B, n_draws)`` uniforms -> ``(B, horizon)`` cell indices.

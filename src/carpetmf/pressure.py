@@ -433,16 +433,3 @@ def _extrapolated_curve(
         error_estimate=errors,
         monotone_within_error=monotone,
     )
-
-
-def pressure_curve(
-    psi: CylinderWeight,
-    q_grid: np.ndarray,
-    depth_schedule: Sequence[int],
-    kind: str = "beta",
-    workers: int = 1,
-    method: str = "auto",
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> PressureCurve:
-    """One curve of :func:`pressure_curves`."""
-    return pressure_curves(psi, q_grid, depth_schedule, (kind,), workers, method, cap)[kind]

@@ -451,16 +451,13 @@ def _config_criterion_rows(config: ExperimentConfig) -> list[CriterionResult]:
     return rows
 
 
-def run_all(
-    workers: int = 1, config: ExperimentConfig | None = None
-) -> list[CriterionResult]:
+def run_all(config: ExperimentConfig | None = None) -> list[CriterionResult]:
     """Execute the verification suite and return per-criterion results.
 
     Without a config the full ten-criterion reference suite runs.  With a
     config, only the weight-agnostic checks run against the configured
     system; reference-bound criteria are reported as not applicable.
     """
-    del workers  # all criteria fix their own worker counts for determinism
     results: list[CriterionResult] = []
     if config is not None:
         generic = {r.index: r for r in _config_criterion_rows(config)}

@@ -20,7 +20,6 @@ from carpetmf import (
     make_auxiliary,
     make_constant_cell,
     make_matrix_cocycle,
-    pressure_curve,
     pressure_curves,
     row_sum,
     VARIANT_PSI_Q,
@@ -266,22 +265,22 @@ def test_sandwich_with_scanned_constant(ref_system, depth2_weight):
 
 def test_curve_depth1_matches_closed_form(ref_weight):
     grid = default_q_grid()
-    curve = pressure_curve(ref_weight, grid, (4, 6), kind="T")
+    curve = pressure_curves(ref_weight, grid, (4, 6), ("T",))["T"]
     want = np.array([closed_form_T(ref_weight, float(q)) for q in curve.q_grid])
     np.testing.assert_allclose(curve.extrapolated, want, rtol=1e-10, atol=1e-10)
     assert curve.monotone_within_error
 
 
 def test_curve_single_point_grid(ref_weight):
-    t0 = pressure_curve(ref_weight, np.array([0.0]), (4, 6), kind="T")
-    b0 = pressure_curve(ref_weight, np.array([0.0]), (4, 6), kind="beta")
+    t0 = pressure_curves(ref_weight, np.array([0.0]), (4, 6), ("T",))["T"]
+    b0 = pressure_curves(ref_weight, np.array([0.0]), (4, 6), ("beta",))["beta"]
     assert t0.extrapolated[0] == pytest.approx(b0.extrapolated[0], abs=1e-12)
 
 
 def test_curve_with_empty_fiber_row():
     sys_ = CellSystem(3, 3, ((0, 0), (0, 2), (2, 1)))
     psi = make_constant_cell(sys_, 1, np.log([0.4, 0.3, 0.3]))
-    curve = pressure_curve(psi, np.linspace(-2, 2, 9), (3, 5), kind="T")
+    curve = pressure_curves(psi, np.linspace(-2, 2, 9), (3, 5), ("T",))["T"]
     assert np.all(np.isfinite(curve.extrapolated))
 
 
@@ -297,7 +296,7 @@ def test_curve_slices_concave(ref_weight, depth2_weight, ref_system):
 
 
 def test_curve_accessors(ref_weight):
-    curve = pressure_curve(ref_weight, np.linspace(-1, 1, 9), (4, 6), kind="beta")
+    curve = pressure_curves(ref_weight, np.linspace(-1, 1, 9), (4, 6), ("beta",))["beta"]
     assert curve.depths == (4, 6)
     assert curve.value_at(0.0) == pytest.approx(closed_form_beta(ref_weight, 0.0), abs=1e-10)
     assert curve.finite_value_at(4, 0.5) == pytest.approx(
@@ -311,4 +310,4 @@ def test_curve_infeasible_depths():
     sys_ = CellSystem(2, 4, ((0, 0), (1, 1)))
     psi = make_constant_cell(sys_, 1, np.zeros(2))
     with pytest.raises(CapExceededError):
-        pressure_curve(psi, np.array([0.0]), (40, 50), kind="T", cap=2**10)
+        pressure_curves(psi, np.array([0.0]), (40, 50), ("T",), cap=2**10)["T"]

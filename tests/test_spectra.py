@@ -20,7 +20,7 @@ from carpetmf import (
     lq_spectrum_empirical,
     make_constant_cell,
     mcmullen_dimension,
-    pressure_curve,
+    pressure_curves,
     support_dimension,
 )
 from carpetmf import verify
@@ -159,7 +159,7 @@ def test_carpet_spectrum_constant_curve(ref_system):
 
 
 def test_carpet_spectrum_requires_T_kind(ref_weight, ref_system):
-    beta_curve = pressure_curve(ref_weight, np.linspace(-1, 1, 5), (3, 5), kind="beta")
+    beta_curve = pressure_curves(ref_weight, np.linspace(-1, 1, 5), (3, 5), ("beta",))["beta"]
     with pytest.raises(ValueError):
         birkhoff_spectrum_carpet(beta_curve, ref_system)
 
@@ -255,7 +255,7 @@ def test_derivative_match_at_one(ref_weight):
 
 
 def test_support_dimension_reference(ref_weight, ref_system):
-    curve = pressure_curve(ref_weight, np.array([0.0]), (4, 6), kind="T")
+    curve = pressure_curves(ref_weight, np.array([0.0]), (4, 6), ("T",))["T"]
     want = math.log2(math.sqrt(2) + math.sqrt(3))
     assert support_dimension(curve) == pytest.approx(want, abs=1e-10)
     assert mcmullen_dimension(ref_system) == pytest.approx(want, abs=1e-14)
@@ -264,13 +264,13 @@ def test_support_dimension_reference(ref_weight, ref_system):
 def test_support_dimension_full_grid():
     sys_ = CellSystem(2, 4, tuple((a1, a2) for a1 in range(2) for a2 in range(4)))
     psi = make_constant_cell(sys_, 1, np.zeros(8))
-    curve = pressure_curve(psi, np.array([0.0]), (3, 5), kind="T")
+    curve = pressure_curves(psi, np.array([0.0]), (3, 5), ("T",))["T"]
     assert support_dimension(curve) == pytest.approx(2.0, abs=1e-12)
     assert mcmullen_dimension(sys_) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_support_dimension_routes_agree(depth2_weight, ref_system):
-    curve = pressure_curve(depth2_weight, np.array([0.0]), (4, 6, 8), kind="beta")
+    curve = pressure_curves(depth2_weight, np.array([0.0]), (4, 6, 8), ("beta",))["beta"]
     assert support_dimension(curve) == pytest.approx(
         mcmullen_dimension(ref_system), abs=1e-9
     )
@@ -290,6 +290,6 @@ def test_monotone_extrapolated_curves(ref_weight, depth2_weight):
     # genuinely is not, and the informational flag reports that honestly
     grid = np.linspace(-3, 3, 25)
     for kind in ("T", "beta"):
-        assert pressure_curve(ref_weight, grid, (4, 6), kind=kind).monotone_within_error
-        deep = pressure_curve(depth2_weight, grid, (4, 6), kind=kind)
+        assert pressure_curves(ref_weight, grid, (4, 6), (kind,))[kind].monotone_within_error
+        deep = pressure_curves(depth2_weight, grid, (4, 6), (kind,))[kind]
         assert deep.monotone_within_error is False
