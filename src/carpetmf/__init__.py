@@ -29,8 +29,8 @@ __version__ = TOOL_VERSION
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "numerics": (),
     "symbolic": (
-        "Ball", "CapExceededError", "CellSystem", "DEFAULT_ENUMERATION_CAP", "ProductWord",
-        "ball", "depth_map",
+        "Ball", "CapExceededError", "CellSystem", "ENUMERATION_CAP", "ProductWord", "ball",
+        "depth_map",
     ),
     "weights": (
         "AmEstimate", "ConstantCellWeight", "CylinderWeight", "MatrixCocycleWeight",

@@ -21,11 +21,11 @@ import numpy as np
 from .numerics import NEG_INF, lse, map_chunks, scaled_powers
 from .pressure import log_total_mass
 from .symbolic import (
-    DEFAULT_ENUMERATION_CAP,
     CapExceededError,
     CellSystem,
     admissible_word_count,
     admissible_words_range,
+    check_budget,
     depth_map,
     digits_of_indices,
 )
@@ -187,7 +187,6 @@ def render_measure(
     psi: CylinderWeight,
     n: int,
     workers: int = 1,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CarpetRender:
     """Fill the depth-``n`` grid with ball masses of a normalized weight.
 
@@ -202,10 +201,7 @@ def render_measure(
     m = g - n
     n_cols = system.r1**g
     n_rows = system.r2**n
-    if n_cols * n_rows > cap:
-        raise CapExceededError(
-            f"grid r1**{g} x r2**{n} = {n_cols * n_rows} exceeds cap {cap}"
-        )
+    check_budget(n_cols * n_rows, f"grid r1**{g} x r2**{n} = {n_cols * n_rows} cells")
     # Normalized log marginal of every column suffix (all r1**m digit words).
     if m == 0:
         suffix_marginals = np.zeros(1)
@@ -213,9 +209,7 @@ def render_measure(
         suffix_words = digits_of_indices(
             np.arange(system.r1**m, dtype=np.int64), system.r1, m
         )
-        suffix_marginals = row_sum_log_any(psi, suffix_words, 1.0, cap=cap) - log_total_mass(
-            psi, m, cap=cap
-        )
+        suffix_marginals = row_sum_log_any(psi, suffix_words, 1.0) - log_total_mass(psi, m)
 
     total_words = admissible_word_count(system, n)
     grid = np.full((n_cols, n_rows), NEG_INF)
@@ -349,7 +343,6 @@ def p3_scan(
     depth_schedule: Sequence[int] = (2, 4, 6, 8),
     tolerance: float = 1e-9,
     monotone_slack: float = 1e-12,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> P3Report:
     """Probe the P3 limit condition on constant boundary words.
 
@@ -357,8 +350,9 @@ def p3_scan(
     defect is ``|log I_q(0^n) - log I_q((r1-1)^n)| / n``; the limit condition
     demands it to vanish.  Any empty boundary fiber leaves the defect
     infinite and the verdict negative.  The scan stops at the first depth
-    whose probe would exceed ``cap`` and reports the depths probed before it
-    (it raises :class:`CapExceededError` when that is the first depth).
+    whose probe would exceed the enumeration cap and reports the depths
+    probed before it (it raises :class:`CapExceededError` when that is the
+    first depth).
     """
     if any(q <= 0 for q in q_set):
         raise ValueError("the P3 condition concerns q > 0 only")
@@ -370,7 +364,7 @@ def p3_scan(
     for n in depths:
         try:
             left, right = (
-                row_sum_log_any(psi, np.full((1, n), letter, dtype=np.int64), q_set, cap=cap)[0]
+                row_sum_log_any(psi, np.full((1, n), letter, dtype=np.int64), q_set)[0]
                 for letter in (0, system.r1 - 1)
             )
         except CapExceededError:

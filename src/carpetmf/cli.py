@@ -213,18 +213,20 @@ def cmd_spectrum(config_path, workers, out_dir, seed, depth_max) -> None:
             io_utils.write_csv(out / f"{stem}.csv", header, rows, comments)
         if "json" in cfg.formats:
             io_utils.write_json(out / f"{stem}.json", _spectrum_payload(spec), cfg.sha256)
-    io_utils.write_plot_script(
-        out / "spectrum.gp",
-        [
-            ("spectrum_birkhoff.csv", 2, 3, "Birkhoff levels"),
-            ("spectrum_gibbs.csv", 2, 3, "Gibbs local dimensions"),
-        ],
-        title="Multifractal spectra",
-        xlabel="level",
-        ylabel="dimension",
-        comments=comments,
-    )
-    click.echo(f"wrote 3 spectra and plot script to {out}")
+    if "csv" in cfg.formats:  # the plot reads the CSVs
+        io_utils.write_plot_script(
+            out / "spectrum.gp",
+            [
+                ("spectrum_birkhoff.csv", 2, 3, "Birkhoff levels"),
+                ("spectrum_gibbs.csv", 2, 3, "Gibbs local dimensions"),
+            ],
+            title="Multifractal spectra",
+            xlabel="level",
+            ylabel="dimension",
+            comments=comments,
+        )
+    plot = " and plot script" if "csv" in cfg.formats else ""
+    click.echo(f"wrote 3 spectra{plot} to {out}")
 
 
 @main.command("sample")

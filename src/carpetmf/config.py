@@ -162,7 +162,7 @@ CONFIG_SCHEMA: dict = {
                 "formats": {
                     "type": "array",
                     "minItems": 1,
-                    "items": {"enum": ["csv", "json", "pgm", "plot"]},
+                    "items": {"enum": ["csv", "json"]},
                 },
             },
         },

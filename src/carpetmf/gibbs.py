@@ -43,13 +43,7 @@ import numpy as np
 from . import weights as weights_module
 from .numerics import NEG_INF, lse, mean_and_stderr, run_chunked_arrays
 from .pressure import log_total_mass, row_sum
-from .symbolic import (
-    DEFAULT_ENUMERATION_CAP,
-    CapExceededError,
-    CellSystem,
-    depth_map,
-    digits_of_indices,
-)
+from .symbolic import CellSystem, check_budget, depth_map, digits_of_indices
 from .weights import (
     ConstantCellWeight,
     CylinderWeight,
@@ -108,7 +102,6 @@ def ball_mass(
     column_word: Sequence[int],
     row_word: Sequence[int],
     method: str = "auto",
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Log mass of the anisotropic ball given by a depth-n row word and a
     depth-g(n) column word.
@@ -133,10 +126,10 @@ def ball_mass(
     m = g - n
     if m == 0:
         return lw
-    lmar = row_sum(psi, column_word[n:], 1.0, method=method, cap=cap)
+    lmar = row_sum(psi, column_word[n:], 1.0, method=method)
     if lmar == NEG_INF:
         return NEG_INF
-    lz = log_total_mass(psi, m, method=method, cap=cap)
+    lz = log_total_mass(psi, m, method=method)
     return lw + lmar - lz
 
 
@@ -222,15 +215,12 @@ def _window_route(weight: ConstantCellWeight, m: int) -> Advance:
     return advance
 
 
-def _enumerate_route(weight: CylinderWeight, m: int, cap: int) -> Advance:
+def _enumerate_route(weight: CylinderWeight, m: int) -> Advance:
     """Any weight: conditionals from the log weights of all ``nc**m`` words."""
     system = weight.system
     nc = system.n_cells
     total = nc**m
-    if total > cap:
-        raise CapExceededError(
-            f"sampling this weight needs {total} extension evaluations (> cap {cap})"
-        )
+    check_budget(total, f"sampling this weight needs {total} extension evaluations")
     cells = system.cells_array
     # Words are built ENUMERATION_BLOCK at a time; only their log weights
     # persist.  Word index = packed cell indices, so the extensions of a
@@ -256,7 +246,7 @@ def _enumerate_route(weight: CylinderWeight, m: int, cap: int) -> Advance:
 
 
 def _path_sampler(
-    weight: CylinderWeight, horizon: int, master_seed: int, cap: int
+    weight: CylinderWeight, horizon: int, master_seed: int
 ) -> Callable[[int, int], np.ndarray]:
     """``draw(lo, hi)`` -> the ``(hi - lo, horizon, 2)`` cells of paths
     ``lo .. hi-1``, with the route chosen and its tables built once here.
@@ -276,7 +266,7 @@ def _path_sampler(
         advance = _window_route(core, horizon)
         n_draws = horizon - core.depth + 2
     else:
-        advance = _enumerate_route(core, horizon, cap)
+        advance = _enumerate_route(core, horizon)
 
     def draw(lo: int, hi: int) -> np.ndarray:
         if not 0 <= lo <= hi:
@@ -292,7 +282,6 @@ def sample_paths(
     master_seed: int,
     lo: int,
     hi: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
     """The ``(hi - lo, horizon, 2)`` cells of paths ``lo .. hi-1`` drawn from
     ``weight``'s exact cylinder process, path ``i`` on RNG stream ``i``.
@@ -302,7 +291,7 @@ def sample_paths(
     weights for depth-1 weights, backward completion tables for window
     weights, and enumeration of all extensions otherwise.
     """
-    return _path_sampler(weight, horizon, master_seed, cap)(lo, hi)
+    return _path_sampler(weight, horizon, master_seed)(lo, hi)
 
 
 def sample_path(
@@ -310,10 +299,9 @@ def sample_path(
     horizon: int,
     master_seed: int = 0,
     sample_index: int = 0,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
     """The ``(horizon, 2)`` cells of path ``sample_index`` of :func:`sample_paths`."""
-    return sample_paths(weight, horizon, master_seed, sample_index, sample_index + 1, cap)[0]
+    return sample_paths(weight, horizon, master_seed, sample_index, sample_index + 1)[0]
 
 
 def sampled_log_masses(
@@ -324,7 +312,6 @@ def sampled_log_masses(
     n_samples: int,
     master_seed: int = 0,
     workers: int = 1,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Depth-``n`` log masses under ``psi`` of the paths ``sample_paths(weight,
     horizon, master_seed, 0, n_samples)``.
@@ -342,9 +329,9 @@ def sampled_log_masses(
     g = depth_map(psi.system, n)
     with_ball = horizon >= g
     m = g - n
-    log_z = log_total_mass(psi, m, cap=cap) if (with_ball and m > 0) else 0.0
+    log_z = log_total_mass(psi, m) if (with_ball and m > 0) else 0.0
 
-    draw = _path_sampler(weight, horizon, master_seed, cap)
+    draw = _path_sampler(weight, horizon, master_seed)
 
     def chunk(lo: int, hi: int) -> np.ndarray:
         paths = draw(lo, hi)  # (B, horizon, 2)
@@ -353,7 +340,7 @@ def sampled_log_masses(
             return np.column_stack([lw, np.full(lw.shape, np.nan)])
         if m > 0:
             return np.column_stack(
-                [lw, lw + row_sum_log_any(psi, paths[:, n:g, 0], 1.0, cap=cap) - log_z]
+                [lw, lw + row_sum_log_any(psi, paths[:, n:g, 0], 1.0) - log_z]
             )
         return np.column_stack([lw, lw])
 
@@ -386,7 +373,6 @@ def local_dimension_mc(
     depth: int,
     master_seed: int = 0,
     workers: int = 1,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> McEstimate:
     """Sample local dimensions of ``psi``'s measure under the tilt ``aux``.
 
@@ -405,7 +391,7 @@ def local_dimension_mc(
     use_ball = aux.variant == VARIANT_PSI_Q
     horizon = depth_map(psi.system, n) if use_ball else n
     cylinder, ball = sampled_log_masses(
-        psi, aux, n, horizon, n_samples, master_seed, workers, cap
+        psi, aux, n, horizon, n_samples, master_seed, workers
     )
     stats = (ball if use_ball else cylinder) / (-n * math.log(psi.system.r2))
     mean, stderr = mean_and_stderr(stats)

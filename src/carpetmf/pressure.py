@@ -39,10 +39,10 @@ from .numerics import (
     tree_combine,
 )
 from .symbolic import (
-    DEFAULT_ENUMERATION_CAP,
     CapExceededError,
     admissible_word_count,
     admissible_words_range,
+    check_budget,
     row_word_count,
     row_words_range,
 )
@@ -66,11 +66,10 @@ def row_sum(
     w1: Sequence[int],
     q: float,
     method: str = "auto",
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """``log I_q(w1)`` for a single column word."""
     a1s = np.asarray(w1, dtype=np.int64).reshape(1, -1)
-    return float(row_sum_log_any(psi, a1s, q, method=method, cap=cap)[0])
+    return float(row_sum_log_any(psi, a1s, q, method=method)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +82,6 @@ def log_total_mass(
     m: int,
     workers: int = 1,
     method: str = "auto",
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """``log sum_{|w| = m} psi(w)`` over all admissible product words."""
     if m < 0:
@@ -92,8 +90,7 @@ def log_total_mass(
         return 0.0
     if method == "enumerate":
         total = admissible_word_count(psi.system, m)
-        if total > cap:
-            raise CapExceededError(f"{total} product words at depth {m} exceed cap {cap}")
+        check_budget(total, f"{total} product words at depth {m}")
 
         def partial(start: int, stop: int):
             a1s, a2s = admissible_words_range(psi.system, m, start, stop)
@@ -103,7 +100,7 @@ def log_total_mass(
     fast = psi.log_total_mass(m)
     if fast is not None:
         return fast
-    return float(column_log_sums(psi, [1.0], m, ("rows",), workers, method, cap)["rows"][0])
+    return float(column_log_sums(psi, [1.0], m, ("rows",), workers, method)["rows"][0])
 
 
 def finite_pressure(
@@ -111,12 +108,11 @@ def finite_pressure(
     n: int,
     workers: int = 1,
     method: str = "auto",
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """``(1/n) log sum_{|w| = n} psi(w)`` — the depth-n pressure estimate."""
     if n < 1:
         raise ValueError("pressure needs depth >= 1")
-    value = log_total_mass(psi, n, workers=workers, method=method, cap=cap)
+    value = log_total_mass(psi, n, workers=workers, method=method)
     if value == NEG_INF:
         raise ValueError("weight has empty support at this depth")
     return value / n
@@ -127,13 +123,14 @@ def _check_kinds(kinds: Sequence[str]) -> None:
         raise ValueError("curve kind must be 'T' or 'beta'")
 
 
-def _pass_row_qs(psi, n, q_grid, kinds, method, cap) -> np.ndarray:
+def _pass_row_qs(psi, n, q_grid, kinds, method) -> np.ndarray:
     """The row-sum q values of a depth-n pass over ``kinds``: the grid for
     ``T``, ``beta`` and ``rows``, and q = 1 for ``beta`` and ``marginal``.
 
-    Raises first if the pass has over ``cap`` column words, or if some q has
-    no transfer route and enumerating the ``r2**n`` rows of every column
-    word once (``r1**n * r2**n * n`` digit cells) would exceed ``cap``.
+    Raises first if the pass has more column words than the enumeration
+    cap, or if some q enumerates rows, on ``psi``'s route or on the row sums
+    a skew product reads, and enumerating the ``r2**n`` rows of every
+    column word once (``r1**n * r2**n * n`` digit cells) would exceed it.
     """
     if not kinds or any(kind not in COLUMN_KINDS for kind in kinds):
         raise ValueError(f"column sum kinds must be among {COLUMN_KINDS}")
@@ -142,15 +139,15 @@ def _pass_row_qs(psi, n, q_grid, kinds, method, cap) -> np.ndarray:
         row_qs = np.append(row_qs, 1.0)
     system = psi.system
     total = row_word_count(system, n)
-    if total > cap:
-        raise CapExceededError(f"{total} column words at depth {n} exceed cap {cap}")
-    enumerated = enumerated_qs(psi, row_qs, method)
-    volume = total * system.r2**n * n
-    if enumerated.any() and volume > cap:
-        qs = ", ".join(f"{q:g}" for q in row_qs[enumerated])
-        raise CapExceededError(
+    check_budget(total, f"{total} column words at depth {n}")
+    enumerated = enumerated_qs(psi, row_qs, method) | psi.row_enumeration_mask(row_qs)
+    if enumerated.any():
+        volume = total * system.r2**n * n
+        qs = ", ".join(f"{q:g}" for q in np.unique(row_qs[enumerated]))
+        check_budget(
+            volume,
             f"depth {n}: row enumeration for q = {qs} builds {volume} digit cells "
-            f"({total} column words x {system.r2}**{n} rows), over cap {cap}"
+            f"({total} column words x {system.r2}**{n} rows)",
         )
     return row_qs
 
@@ -162,7 +159,6 @@ def column_log_sums(
     kinds: Sequence[str],
     workers: int = 1,
     method: str = "auto",
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> dict[str, np.ndarray]:
     """``log sum_{|w1| = n}`` of each kind's term at every q of ``q_grid``.
 
@@ -176,11 +172,11 @@ def column_log_sums(
     q_grid = np.asarray(q_grid, dtype=float).ravel()
     Q = q_grid.size
     s = psi.system.s
-    row_qs = _pass_row_qs(psi, n, q_grid, kinds, method, cap)
+    row_qs = _pass_row_qs(psi, n, q_grid, kinds, method)
 
     def partial(start: int, stop: int):
         words = row_words_range(psi.system, n, start, stop)
-        li = np.ascontiguousarray(row_sum_log_any(psi, words, row_qs, method, cap).T)
+        li = np.ascontiguousarray(row_sum_log_any(psi, words, row_qs, method).T)
         parts = {kind: [] for kind in kinds}
         # Terms are reduced PART_BLOCK q at a time, so the transients stay
         # (PART_BLOCK, W) however long the grid; each row reduces alone.
@@ -211,14 +207,13 @@ def finite_values(
     kinds: Sequence[str] = KINDS,
     workers: int = 1,
     method: str = "auto",
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> dict[str, np.ndarray]:
     """``T_n`` and/or ``beta_n`` at every q of ``q_grid`` from one
     :func:`column_log_sums` pass."""
     if n < 1:
         raise ValueError("pressure needs depth >= 1")
     _check_kinds(kinds)
-    logs = column_log_sums(psi, q_grid, n, kinds, workers, method, cap)
+    logs = column_log_sums(psi, q_grid, n, kinds, workers, method)
     if any(np.any(values == NEG_INF) for values in logs.values()):
         raise ValueError("weight has empty support at this depth")
     scale = n * math.log(psi.system.r1)
@@ -231,10 +226,9 @@ def finite_T(
     n: int,
     workers: int = 1,
     method: str = "auto",
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Depth-n row-sum pressure ``T_n(q)``."""
-    return float(finite_values(psi, [q], n, ("T",), workers, method, cap)["T"][0])
+    return float(finite_values(psi, [q], n, ("T",), workers, method)["T"][0])
 
 
 def finite_beta(
@@ -243,10 +237,9 @@ def finite_beta(
     n: int,
     workers: int = 1,
     method: str = "auto",
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
     """Depth-n mixed-moment pressure ``beta_n(q)``."""
-    return float(finite_values(psi, [q], n, ("beta",), workers, method, cap)["beta"][0])
+    return float(finite_values(psi, [q], n, ("beta",), workers, method)["beta"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -363,35 +356,39 @@ def pressure_curves(
     kinds: Sequence[str] = KINDS,
     workers: int = 1,
     method: str = "auto",
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> dict[str, PressureCurve]:
     """Evaluate ``T_n`` and ``beta_n`` over a grid, extrapolate, sanity-check.
 
     One :func:`finite_values` pass per depth serves every kind and q.  Depths
-    beyond the enumeration cap are dropped, and every retained depth's row
-    enumeration volume is checked before the first depth runs.  Every slice
-    must be concave up to ``CONCAVITY_RTOL`` (relative to its sup-norm),
-    otherwise a ValueError flags the weight/grid combination.  Each curve
-    also records whether its extrapolated values are nondecreasing within
-    the summed error bands (expected for genuine pressure data at q >= 0
-    kinds; informational otherwise).
+    with more column words than the enumeration cap are dropped, and every
+    retained depth's row enumeration volume is checked before the first
+    depth runs.  Every slice must be concave up to ``CONCAVITY_RTOL``
+    (relative to its sup-norm), otherwise a ValueError flags the
+    weight/grid combination.  Each curve also records whether its
+    extrapolated values are nondecreasing within the summed error bands
+    (expected for genuine pressure data at q >= 0 kinds; informational
+    otherwise).
     """
     _check_kinds(kinds)
     q_grid = np.unique(np.asarray(q_grid, dtype=float))
     if q_grid.size < 1:
         raise ValueError("q grid needs at least one point")
-    feasible = [
-        n
-        for n in sorted(set(int(n) for n in depth_schedule))
-        if n >= 1 and row_word_count(psi.system, n) <= cap
-    ]
+    feasible, dropped = [], ""
+    for n in sorted({int(n) for n in depth_schedule if int(n) >= 1}):
+        total = row_word_count(psi.system, n)
+        try:
+            check_budget(total, f"{total} column words at depth {n}")
+        except CapExceededError as exc:
+            dropped = f"; depth {n} and deeper dropped: {exc}"
+            break  # deeper depths have more column words
+        feasible.append(n)
     if len(feasible) < 2:
-        raise CapExceededError("need at least two feasible depths for extrapolation")
+        raise CapExceededError(f"need at least two feasible depths for extrapolation{dropped}")
     for n in feasible:
-        _pass_row_qs(psi, n, q_grid, kinds, method, cap)
+        _pass_row_qs(psi, n, q_grid, kinds, method)
     finite: dict[str, dict[int, np.ndarray]] = {kind: {} for kind in kinds}
     for n in feasible:
-        values = finite_values(psi, q_grid, n, kinds, workers, method, cap)
+        values = finite_values(psi, q_grid, n, kinds, workers, method)
         for kind in kinds:
             require_concave(q_grid, values[kind], f"{kind}_{n} violates concavity")
             finite[kind][n] = values[kind]

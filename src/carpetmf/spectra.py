@@ -26,7 +26,7 @@ import numpy as np
 
 from .numerics import NEG_INF, grid_derivative
 from .pressure import PressureCurve, column_log_sums, log_total_mass, require_concave
-from .symbolic import DEFAULT_ENUMERATION_CAP, CellSystem, depth_map
+from .symbolic import CellSystem, depth_map
 from .weights import CylinderWeight
 
 FLAG_OK = "ok"
@@ -164,7 +164,6 @@ def lq_spectrum_empirical(
     n: int,
     method: str = "auto",
     workers: int = 1,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> float | np.ndarray:
     """``tau_n(q) = -(1/n) log_{r2} sum_B mu_n(B)^q`` over depth-n balls.
 
@@ -180,10 +179,10 @@ def lq_spectrum_empirical(
         raise ValueError("depth must be >= 1")
     qs = np.asarray(q, dtype=float).ravel()
     m = depth_map(psi.system, n) - n
-    log_sum = column_log_sums(psi, qs, n, ("rows",), workers, method, cap)["rows"]
+    log_sum = column_log_sums(psi, qs, n, ("rows",), workers, method)["rows"]
     if m > 0:
-        log_ext = column_log_sums(psi, qs, m, ("marginal",), workers, method, cap)["marginal"]
-        log_z = log_total_mass(psi, m, workers=workers, method=method, cap=cap)
+        log_ext = column_log_sums(psi, qs, m, ("marginal",), workers, method)["marginal"]
+        log_z = log_total_mass(psi, m, workers=workers, method=method)
         log_sum = log_sum + (log_ext - qs * log_z)
     if np.any(log_sum == NEG_INF):
         raise ValueError("measure charges no ball at this depth")

@@ -8,8 +8,8 @@ finite depth the natural metric balls are anisotropic: a ball of row depth
 :func:`depth_map`.
 
 Enumeration helpers stream words in the lexicographic order of their digit
-(or cell) sequences and refuse to start when the requested volume exceeds a
-cap, so accidental combinatorial explosions fail fast.
+(or cell) sequences and refuse to start when the requested volume exceeds
+:data:`ENUMERATION_CAP`, so accidental combinatorial explosions fail fast.
 """
 
 from __future__ import annotations
@@ -22,12 +22,21 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-#: Largest number of items an enumeration stream may cover.
-DEFAULT_ENUMERATION_CAP = 1 << 24
+#: Largest number of items (words, digit cells, grid cells) any enumeration
+#: may build; every check reads it at call time through :func:`check_budget`.
+ENUMERATION_CAP = 1 << 24
 
 
 class CapExceededError(RuntimeError):
-    """Requested enumeration or table is larger than the configured cap."""
+    """Requested enumeration or table is larger than its budget."""
+
+
+def check_budget(volume: int, what: str) -> None:
+    """Raise :class:`CapExceededError` when an enumeration would build
+    ``volume`` items, more than :data:`ENUMERATION_CAP`.  ``what`` names
+    them, volume and unit included; the message appends the budget."""
+    if volume > ENUMERATION_CAP:
+        raise CapExceededError(f"{what}, over the enumeration cap {ENUMERATION_CAP}")
 
 
 @dataclass(frozen=True)
@@ -228,13 +237,10 @@ def row_words_range(system: CellSystem, n: int, start: int, stop: int) -> np.nda
     return digits_of_indices(np.arange(start, stop, dtype=np.int64), system.r1, n)
 
 
-def enumerate_row_words(
-    system: CellSystem, n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[tuple[int, ...]]:
+def enumerate_row_words(system: CellSystem, n: int) -> Iterator[tuple[int, ...]]:
     """All column words of length ``n`` in lexicographic order."""
     total = row_word_count(system, n)
-    if total > cap:
-        raise CapExceededError(f"{total} column words of depth {n} exceed cap {cap}")
+    check_budget(total, f"{total} column words of depth {n}")
     yield from itertools.product(range(system.r1), repeat=n)
 
 
@@ -257,12 +263,9 @@ def admissible_words_range(
     return cells[..., 0], cells[..., 1]
 
 
-def enumerate_admissible(
-    system: CellSystem, n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[ProductWord]:
+def enumerate_admissible(system: CellSystem, n: int) -> Iterator[ProductWord]:
     """All admissible product words of length ``n``, lexicographic in cells."""
     total = admissible_word_count(system, n)
-    if total > cap:
-        raise CapExceededError(f"{total} product words of depth {n} exceed cap {cap}")
+    check_budget(total, f"{total} product words of depth {n}")
     for cells in itertools.product(system.allowed, repeat=n):
         yield ProductWord.from_cells(cells)

@@ -283,6 +283,8 @@ def _criterion_mc_local_dimension() -> tuple[bool, str]:
     skewed = make_constant_cell(reference_system(), 1, np.log(_SKEWED_MASSES))
     pulls["skewed T'(2)"] = _mc_pull(skewed, 2.0, gibbs.VARIANT_PSI_TILDE_Q)
     pulls["skewed beta'(2)"] = _mc_pull(skewed, 2.0, gibbs.VARIANT_PSI_Q)
+    # Under a correct sampler each pull exceeds 3 with probability 2.7e-3: the
+    # 5 distinct pulls (T' = beta' on the reference) fail by chance ~1.3%.
     ok = all(pull <= 3.0 for pull in pulls.values())
     return ok, ", ".join(f"{name} pull {pull:.2f}" for name, pull in pulls.items())
 
@@ -325,6 +327,7 @@ def _criterion_carpet_birkhoff() -> tuple[bool, str]:
         averages = run_chunked_arrays(chunk, n_samples)
         mean, stderr = mean_and_stderr(averages)
         pull = abs(mean - target) / stderr
+        # Two 3-sigma pulls: ~0.5% chance failures under a correct sampler.
         ok &= pull <= 3.0
         details.append(f"q={q:g} pull {pull:.2f}")
     curve = _closed_T_curve(psi, default_q_grid())

@@ -39,12 +39,12 @@ import numpy as np
 
 from .numerics import NEG_INF, lse, scaled_powers
 from .symbolic import (
-    DEFAULT_ENUMERATION_CAP,
     CapExceededError,
     CellSystem,
     ProductWord,
     admissible_word_count,
     admissible_words_range,
+    check_budget,
     digits_of_indices,
 )
 
@@ -93,6 +93,12 @@ class CylinderWeight:
         """Boolean mask of the q values :meth:`row_sum_log_batch` serves;
         callers enumerate rows for the others."""
         return np.zeros(len(qs), dtype=bool)
+
+    def row_enumeration_mask(self, qs: np.ndarray) -> np.ndarray:
+        """Boolean mask of the q values whose row sums enumerate rows, on
+        this weight's own route or on the row sums of a weight its transfer
+        route reads."""
+        return ~self.transfer_mask(qs)
 
     def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """``(W, Q)`` array of ``log I_q`` for a batch of column words and a
@@ -212,7 +218,10 @@ class ConstantCellWeight(CylinderWeight):
         k = self.depth
         r1, r2 = self.system.r1, self.system.r2
         if (r1**k) * (r2**k) > MAX_TRANSFER_TABLE:
-            raise CapExceededError("window transfer table too large")
+            raise CapExceededError(
+                f"window transfer table too large: {r1}**{k} x {r2}**{k} = "
+                f"{r1**k * r2**k} floats, over MAX_TRANSFER_TABLE {MAX_TRANSFER_TABLE}"
+            )
         a1grid = digits_of_indices(np.arange(r1**k), r1, k)
         a2grid = digits_of_indices(np.arange(r2**k), r2, k)
         cidx = self.system.cell_index[a1grid[:, None, :], a2grid[None, :, :]]
@@ -243,7 +252,7 @@ class ConstantCellWeight(CylinderWeight):
             return np.zeros((W, qs.size))
         k = self.depth
         if n < k:  # shorter than the window: few rows, enumerate them
-            return _enumerate_row_sums(self, a1s, qs, DEFAULT_ENUMERATION_CAP)
+            return _enumerate_row_sums(self, a1s, qs)
         if k == 1:  # the window grid is then the per-cell log table
             return _depth1_row_sums(self.system, self._window_grid, a1s, qs)
         return self._split_row_sums(a1s, qs)
@@ -602,6 +611,13 @@ class SkewProductWeight(CylinderWeight):
     def transfer_mask(self, rs: np.ndarray) -> np.ndarray:
         return np.ones(len(rs), dtype=bool)
 
+    def row_enumeration_mask(self, rs: np.ndarray) -> np.ndarray:
+        # Every r reads rho's row sums at q and each p_j; r itself at q * r.
+        shared = 1 + len(self.moments)
+        rho_qs = np.array([self.q, *(p for p, _ in self.moments), *(self.q * rs)])
+        inner = self.rho.row_enumeration_mask(rho_qs)
+        return inner[:shared].any() | inner[shared:]
+
     def row_sum_log_batch(self, a1s: np.ndarray, rs: np.ndarray) -> np.ndarray:
         """``I_r = theta1^r I_{rho,qr} / I_{rho,q}^r``: one batch of rho row sums."""
         liq, lt, liqr = self._column_terms(a1s, self.q * rs)
@@ -681,6 +697,9 @@ class ShiftedWeight(CylinderWeight):
     def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
         return self.base.transfer_mask(qs)
 
+    def row_enumeration_mask(self, qs: np.ndarray) -> np.ndarray:
+        return self.base.row_enumeration_mask(qs)
+
     def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
         n = np.asarray(a1s).shape[1]
         return self.base.row_sum_log_batch(a1s, qs) - n * qs * self.shift
@@ -720,7 +739,6 @@ def row_sum_log_any(
     a1s: np.ndarray,
     q: float | np.ndarray,
     method: str = "auto",
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
     """``log I_q`` for a batch of column words, preferring fast structure.
 
@@ -742,11 +760,11 @@ def row_sum_log_any(
     if not enumerated.any():
         out = weight.row_sum_log_batch(a1s, qs)
     elif enumerated.all():
-        out = _enumerate_row_sums(weight, a1s, qs, cap)
+        out = _enumerate_row_sums(weight, a1s, qs)
     else:
         out = np.empty((a1s.shape[0], qs.size))
         out[:, ~enumerated] = weight.row_sum_log_batch(a1s, qs[~enumerated])
-        out[:, enumerated] = _enumerate_row_sums(weight, a1s, qs[enumerated], cap)
+        out[:, enumerated] = _enumerate_row_sums(weight, a1s, qs[enumerated])
     return out[:, 0] if np.ndim(q) == 0 else out[:, inverse]
 
 
@@ -759,7 +777,7 @@ def enumerated_qs(weight: CylinderWeight, qs: np.ndarray, method: str = "auto") 
     return ~weight.transfer_mask(qs)
 
 
-def _enumerate_row_sums(weight, a1s, qs, cap) -> np.ndarray:
+def _enumerate_row_sums(weight, a1s, qs) -> np.ndarray:
     """``(W, Q)`` row sums by enumerating all ``r2**n`` rows of each word.
 
     Row digits are built ``ENUMERATION_BLOCK`` rows at a time, and the log
@@ -773,11 +791,9 @@ def _enumerate_row_sums(weight, a1s, qs, cap) -> np.ndarray:
     total = r2**n
     # The batch builds W * r2**n words of n digit cells each.
     cells = W * total * n
-    if cells > cap:
-        raise CapExceededError(
-            f"row enumeration of {W} column words x {r2}**{n} rows builds "
-            f"{cells} digit cells, over cap {cap}"
-        )
+    check_budget(
+        cells, f"row enumeration of {W} column words x {r2}**{n} rows builds {cells} digit cells"
+    )
     out = np.empty((W, qs.size))
     words_per_block = max(1, ENUMERATION_BLOCK // total)
     for lo in range(0, W, words_per_block):
@@ -806,9 +822,7 @@ class AmEstimate:
     max_depth: int
 
 
-def estimate_am_constant(
-    psi: CylinderWeight, max_depth: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> AmEstimate:
+def estimate_am_constant(psi: CylinderWeight, max_depth: int) -> AmEstimate:
     """Max of ``|log psi(uv) - log psi(u) - log psi(v)|`` over admissible
     ``u, v`` with ``|u| + |v| <= max_depth`` (a certified lower bound for the
     almost-multiplicativity constant, reported with the split attaining it).
@@ -821,10 +835,8 @@ def estimate_am_constant(
     best_split = (1, 1)
     for nu in range(1, max_depth):
         for nv in range(1, max_depth - nu + 1):
-            if nc ** (nu + nv) > cap:
-                raise CapExceededError(
-                    f"{nc ** (nu + nv)} word pairs at split ({nu}, {nv}) exceed cap {cap}"
-                )
+            pairs = nc ** (nu + nv)
+            check_budget(pairs, f"{pairs} word pairs at split ({nu}, {nv})")
             a1u, a2u = _all_admissible(system, nu)
             a1v, a2v = _all_admissible(system, nv)
             lwu = psi.log_weight_arrays(a1u, a2u)

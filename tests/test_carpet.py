@@ -136,9 +136,10 @@ def test_render_workers_agree(ref_weight):
     assert np.array_equal(one.log_masses, four.log_masses)
 
 
-def test_render_cap(ref_weight):
+def test_render_cap(ref_weight, monkeypatch):
+    monkeypatch.setattr("carpetmf.symbolic.ENUMERATION_CAP", 2**10)
     with pytest.raises(CapExceededError):
-        render_measure(ref_weight, 6, cap=2**10)
+        render_measure(ref_weight, 6)
 
 
 def test_render_uniform_full_grid(tmp_path):
@@ -357,15 +358,16 @@ def test_p3_scan_validation(ref_weight, ref_system):
         p3_scan(ref_system, ref_weight, depth_schedule=())
 
 
-def test_p3_scan_stops_at_cap(ref_system):
+def test_p3_scan_stops_at_cap(ref_system, monkeypatch):
     # q = 0.5 has no transfer route on a dim-2 cocycle: the probe enumerates
     # 4**n rows of n digits per boundary word, 24,576 cells at n = 6.
+    monkeypatch.setattr("carpetmf.symbolic.ENUMERATION_CAP", 2**14)
     matrices = np.random.default_rng(3).uniform(0.05, 1.0, (ref_system.n_cells, 2, 2))
     psi = make_matrix_cocycle(ref_system, 2, matrices)
-    report = p3_scan(ref_system, psi, depth_schedule=(2, 4, 6, 8), cap=2**14)
+    report = p3_scan(ref_system, psi, depth_schedule=(2, 4, 6, 8))
     assert report.depths == (2, 4)
     assert len(report.defects) == 2
     full = p3_scan(ref_system, psi, depth_schedule=(2, 4))
     assert full == report
     with pytest.raises(CapExceededError, match="24576 digit cells"):
-        p3_scan(ref_system, psi, depth_schedule=(6, 8), cap=2**14)
+        p3_scan(ref_system, psi, depth_schedule=(6, 8))

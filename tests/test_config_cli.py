@@ -353,6 +353,20 @@ def test_cli_spectrum(tmp_path):
     assert carpet_body[0] == "q,beta,dimension,flag"
 
 
+def test_cli_spectrum_json_only(tmp_path):
+    # The plot script reads the spectrum CSVs, so it goes out only with them.
+    json_only = small_config(output={"directory": "out", "formats": ["json"]})
+    cfgfile = write_config(tmp_path, json_only)
+    result = invoke("spectrum", "--config", str(cfgfile), "--out", str(tmp_path / "out"))
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "spectrum_birkhoff.json",
+        "spectrum_carpet.json",
+        "spectrum_gibbs.json",
+    ]
+    assert "plot script" not in result.output
+
+
 def test_cli_sample(tmp_path):
     cfgfile = write_config(tmp_path, small_config())
     result = invoke("sample", "--config", str(cfgfile), "--out", str(tmp_path / "out"))

@@ -32,7 +32,7 @@ def _constant_cell_config() -> dict:
     }
     data["grids"] = {"qGrid": [0.0, 1.0, 2.0], "depthSchedule": [2, 4]}
     data["sampling"]["horizon"] = 8
-    data["output"]["formats"] = ["csv", "json", "pgm", "plot"]
+    data["output"]["formats"] = ["csv", "json"]
     return data
 
 
@@ -142,6 +142,11 @@ KEYWORD_TABLE = [
         "grids.qGrid: 'count' is a required property",
     ),
     ("oneOf", _set("grids.qGrid", [1.0, None]), "grids.qGrid.1: None is not of type 'number'"),
+    (
+        "enum",
+        _set("output.formats.0", "pgm"),
+        "output.formats.0: 'pgm' is not one of ['csv', 'json']",
+    ),
 ]
 
 

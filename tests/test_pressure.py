@@ -306,8 +306,9 @@ def test_curve_accessors(ref_weight):
         curve.value_at(0.3)
 
 
-def test_curve_infeasible_depths():
+def test_curve_infeasible_depths(monkeypatch):
+    monkeypatch.setattr("carpetmf.symbolic.ENUMERATION_CAP", 2**10)
     sys_ = CellSystem(2, 4, ((0, 0), (1, 1)))
     psi = make_constant_cell(sys_, 1, np.zeros(2))
     with pytest.raises(CapExceededError):
-        pressure_curves(psi, np.array([0.0]), (40, 50), ("T",), cap=2**10)["T"]
+        pressure_curves(psi, np.array([0.0]), (40, 50), ("T",))["T"]

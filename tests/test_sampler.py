@@ -97,15 +97,16 @@ def test_enumeration_blocks_draw_identical_paths(block):
         assert np.array_equal(sample_paths(weight, 3, 2, 0, 300), want)
 
 
-def test_sampler_validation():
+def test_sampler_validation(monkeypatch):
     weight = reference_weight()
     assert sample_paths(weight, 5, 0, 4, 4).shape == (0, 5, 2)
     with pytest.raises(ValueError):
         sample_paths(weight, 5, 0, 4, 3)
     with pytest.raises(ValueError):
         sample_paths(weight, 0, 0, 0, 1)
+    monkeypatch.setattr("carpetmf.symbolic.ENUMERATION_CAP", 4)
     with pytest.raises(CapExceededError, match="5 extension evaluations"):
-        sample_paths(Opaque(weight), 1, 0, 0, 1, cap=4)
+        sample_paths(Opaque(weight), 1, 0, 0, 1)
 
 
 def _calls(target, name, run) -> int:

@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carpetmf import CapExceededError, CellSystem, ProductWord, ball, depth_map
-from carpetmf.pressure import finite_pressure
+from carpetmf.carpet import p3_scan, render_measure
+from carpetmf.gibbs import sample_paths
+from carpetmf.pressure import finite_pressure, log_total_mass, pressure_curves
+from carpetmf.reference import reference_system, reference_weight
 from carpetmf.symbolic import (
     admissible_word_count,
     admissible_words_range,
@@ -21,6 +24,7 @@ from carpetmf.symbolic import (
     row_word_count,
     row_words_range,
 )
+from carpetmf.weights import estimate_am_constant, make_matrix_cocycle, row_sum_log_any
 
 DIAGONAL = CellSystem(2, 2, ((0, 0), (1, 1)))
 
@@ -173,11 +177,52 @@ def test_enumerate_row_words(ref_system):
     assert sum(1 for _ in enumerate_row_words(ref_system, 10)) == 1024
 
 
-def test_enumeration_cap(ref_system):
+def test_enumeration_cap(ref_system, monkeypatch):
+    monkeypatch.setattr("carpetmf.symbolic.ENUMERATION_CAP", 2**20)
     with pytest.raises(CapExceededError):
-        list(enumerate_row_words(ref_system, 30, cap=2**20))
+        list(enumerate_row_words(ref_system, 30))
     with pytest.raises(CapExceededError):
-        list(enumerate_admissible(ref_system, 12, cap=2**20))
+        list(enumerate_admissible(ref_system, 12))
+
+
+def _cocycle():
+    """Dim-2 cocycle: no transfer route at q = 0.5, no sampler table."""
+    system = reference_system()
+    matrices = np.random.default_rng(3).uniform(0.05, 1.0, (system.n_cells, 2, 2))
+    return make_matrix_cocycle(system, 2, matrices)
+
+
+# (site, call, volume it would build) on the 2 x 4 reference system with
+# its five cells, under a budget of 1000 items.
+BUDGET_SITES = [
+    (
+        "row sums",
+        lambda: row_sum_log_any(reference_weight(), np.zeros((1, 5)), 1.0, method="enumerate"),
+        4**5 * 5,
+    ),
+    ("total mass", lambda: log_total_mass(reference_weight(), 5, method="enumerate"), 5**5),
+    (
+        "pressure preflight",
+        lambda: pressure_curves(reference_weight(), [1.0], (2, 5), method="enumerate"),
+        2**5 * 4**5 * 5,
+    ),
+    ("pressure depth filter", lambda: pressure_curves(reference_weight(), [1.0], (2, 10)), 2**10),
+    ("sampler", lambda: sample_paths(_cocycle(), 5, 0, 0, 1), 5**5),
+    ("render grid", lambda: render_measure(reference_weight(), 3), 2**6 * 4**3),
+    ("am constant", lambda: estimate_am_constant(reference_weight(), 5), 5**5),
+    ("column words", lambda: list(enumerate_row_words(reference_system(), 10)), 2**10),
+    ("product words", lambda: list(enumerate_admissible(reference_system(), 5)), 5**5),
+    ("p3 probe", lambda: p3_scan(reference_system(), _cocycle(), (0.5,), (5, 6)), 4**5 * 5),
+]
+
+
+@pytest.mark.parametrize(
+    "call, volume", [row[1:] for row in BUDGET_SITES], ids=[row[0] for row in BUDGET_SITES]
+)
+def test_one_budget_names_volume_and_cap(monkeypatch, call, volume):
+    monkeypatch.setattr("carpetmf.symbolic.ENUMERATION_CAP", 1000)
+    with pytest.raises(CapExceededError, match=rf"\b{volume} .*, over the enumeration cap 1000$"):
+        call()
 
 
 def test_range_partitions_cover_enumeration(ref_system):

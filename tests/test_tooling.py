@@ -1,10 +1,11 @@
 """The benchmark harness under ``bench/`` reaches into ``carpetmf`` by name.
 
 ``bench/tracer.py`` wraps module functions and weight methods listed in its
-``FUNCTIONS`` and ``METHODS`` tables, and the other bench modules import
-package names directly.  These tests read those files without running them
-and check that every name still resolves, so a refactor of the package
-cannot silently break ``bench/run.py --trace 1``.
+``FUNCTIONS`` and ``METHODS`` tables, its recorders read arguments by
+position, and the other bench modules import package names directly.  These
+tests read those files without running them and check that every name and
+argument position still resolves, so a refactor of the package cannot
+silently break ``bench/run.py --trace 1``.
 
 The start-up tests check, in fresh interpreters, which modules loading a
 config and running ``pressure`` import, and that the lazy package namespace
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -27,19 +29,38 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _tracer() -> ast.Module:
+    return ast.parse((BENCH / "tracer.py").read_text(encoding="utf-8"))
+
+
 def _table(name: str) -> list[tuple]:
     """The literal tuple assigned to ``name`` in ``bench/tracer.py``, with
-    the recorder callables (plain names) read as ``None``."""
-    tree = ast.parse((BENCH / "tracer.py").read_text(encoding="utf-8"))
-    for node in tree.body:
+    the recorder callables (plain names) read as their names."""
+    for node in _tracer().body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return [
-                tuple(e.value if isinstance(e, ast.Constant) else None for e in row.elts)
+                tuple(e.value if isinstance(e, ast.Constant) else e.id for e in row.elts)
                 for row in node.value.elts
             ]
     raise AssertionError(f"bench/tracer.py has no {name} table")
+
+
+def _recorder_reads() -> dict[str, list[tuple[int, str]]]:
+    """``recorder -> [(index, name)]`` of each ``_arg(args, kwargs, index,
+    name)`` call in ``bench/tracer.py``'s recorders."""
+    reads = {}
+    for node in _tracer().body:
+        if isinstance(node, ast.FunctionDef):
+            calls = [
+                call
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg"
+            ]
+            if calls:
+                reads[node.name] = [(c.args[2].value, c.args[3].value) for c in calls]
+    return reads
 
 
 def _package_imports() -> list[tuple[str, str, str]]:
@@ -65,6 +86,45 @@ def test_tracer_methods_resolve():
     assert rows
     for method, span, _ in rows:
         assert callable(getattr(CylinderWeight, method, None)), f"tracer span {span}"
+
+
+def test_tracer_argument_positions():
+    # A recorder reads an argument at the same position whether it was
+    # passed by position or by keyword; a shifted parameter would corrupt
+    # the traced counts without an error.
+    from carpetmf import gibbs, weights
+
+    reads = _recorder_reads()
+    targets = [
+        (f"{module}.{attr}", getattr(importlib.import_module(f"carpetmf.{module}"), attr), record)
+        for module, attr, _, record in _table("FUNCTIONS")
+    ]
+    for method, _, record in _table("METHODS"):
+        for module in (weights, gibbs):
+            for cls in vars(module).values():
+                if isinstance(cls, type) and method in vars(cls):
+                    targets.append((f"{cls.__name__}.{method}", vars(cls)[method], record))
+    used = set()
+    for label, target, record in targets:
+        params = list(inspect.signature(target).parameters)
+        for index, name in reads.get(record, ()):
+            assert index < len(params) and params[index] == name, (
+                f"{record} reads argument {index} of {label} as {name!r}; "
+                f"its parameters are {params}"
+            )
+            used.add(record)
+    assert used == set(reads)
+
+
+def test_no_function_takes_a_cap():
+    # One enumeration budget, symbolic.ENUMERATION_CAP, read where it is
+    # checked: no function of the package takes its own.
+    for path in sorted((SRC / "carpetmf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+                assert "cap" not in names, f"{path.name}:{node.lineno} takes cap"
 
 
 def _resolves(module: str, name: str) -> bool:

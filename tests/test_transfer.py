@@ -30,6 +30,7 @@ from carpetmf import (
     make_auxiliary,
     make_constant_cell,
     make_matrix_cocycle,
+    normalize_to_gibbs,
     pressure_curves,
     random_depth2_weight,
 )
@@ -219,19 +220,32 @@ def test_pressure_curves_per_q_values(psi, grid, keep):
             assert whole[kind].value_at(q) == part[kind].value_at(q)
 
 
-def test_preflight_raises_before_any_depth(ref_system):
+def test_preflight_raises_before_any_depth(ref_system, monkeypatch):
     # q = 0.5 has no Kronecker route, so every depth enumerates its rows;
     # depth 6 builds 2**6 * 4**6 * 6 digit cells, over the cap.
+    monkeypatch.setattr("carpetmf.symbolic.ENUMERATION_CAP", 2**20)
     mats = np.random.default_rng(3).uniform(0.05, 1.0, (ref_system.n_cells, 2, 2))
     psi = make_matrix_cocycle(ref_system, 2, mats)
     with mock.patch.object(pressure, "finite_values", side_effect=AssertionError("ran")):
         with pytest.raises(CapExceededError, match=r"depth 6: row enumeration for q = 0\.5"):
-            pressure_curves(psi, [0.5, 1.0, 2.0], (2, 4, 6), cap=2**20)
+            pressure_curves(psi, [0.5, 1.0, 2.0], (2, 4, 6))
     # Integer q have a transfer route, so the same stage fits.
-    curves = pressure_curves(psi, [1.0, 2.0], (2, 4, 6), cap=2**20)
+    curves = pressure_curves(psi, [1.0, 2.0], (2, 4, 6))
     assert curves["T"].depths == (2, 4, 6)
     with pytest.raises(CapExceededError, match="depth 6"):
-        finite_T(psi, 1.0, 6, method="enumerate", cap=2**20)
+        finite_T(psi, 1.0, 6, method="enumerate")
+
+
+def test_preflight_counts_the_row_sums_a_tilt_reads(ref_system):
+    # The tilt's own route is transfer at every q, but it reads the
+    # cocycle's row sums at q = 0.5, which enumerate 4**n rows: depth 10
+    # builds 2**10 * 4**10 * 10 digit cells, over the cap.
+    mats = np.random.default_rng(3).uniform(0.05, 1.0, (ref_system.n_cells, 2, 2))
+    aux = make_auxiliary(make_matrix_cocycle(ref_system, 2, mats), 0.5, 0.0, VARIANT_PSI_TILDE_Q)
+    with mock.patch.object(pressure, "finite_values", side_effect=AssertionError("ran")):
+        for tilt in (aux, normalize_to_gibbs(aux, 0.25)):
+            with pytest.raises(CapExceededError, match="depth 10"):
+                pressure_curves(tilt, [1.0], (2, 10))
 
 
 @settings(max_examples=40, deadline=None)
@@ -344,6 +358,15 @@ def test_untabled_tails_and_evicted_memo_keep_bytes():
         assert psi._tails.floats == 3 * 320
         assert sorted(psi._tails._entries) == [(6, 1.0), (6, 2.0), (6, 4.0)]
         assert psi.row_sum_log_batch(words, qs).tobytes() == want.tobytes()
+
+
+def test_window_table_error_names_its_size():
+    psi = random_depth2_weight(1)
+    with mock.patch.object(weights_module, "MAX_TRANSFER_TABLE", 32):
+        with pytest.raises(
+            CapExceededError, match=r"2\*\*2 x 4\*\*2 = 64 floats, over MAX_TRANSFER_TABLE 32$"
+        ):
+            psi.row_sum_log_batch(np.zeros((1, 3), dtype=np.int64), np.array([1.0]))
 
 
 def test_long_words_keep_distinct_prefixes_and_tails():
