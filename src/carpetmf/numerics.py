@@ -151,12 +151,18 @@ def chunk_ranges(total: int) -> list[tuple[int, int]]:
 def map_chunks(
     fn: Callable[[int, int], ChunkResult], total: int, workers: int = 1
 ) -> list[ChunkResult]:
-    """``fn(start, stop)`` over :func:`chunk_ranges`, results in index order.
+    """``fn(start, stop)`` over :func:`chunk_ranges`, results in index order."""
+    return map_ranges(fn, chunk_ranges(total), workers)
+
+
+def map_ranges(
+    fn: Callable[[int, int], ChunkResult], ranges: Sequence[tuple[int, int]], workers: int = 1
+) -> list[ChunkResult]:
+    """``fn(start, stop)`` over a chunk layout, results in index order.
 
     Threads only change which worker evaluates a chunk, not the chunk layout
     or the order of the results.
     """
-    ranges = chunk_ranges(total)
     if workers <= 1 or len(ranges) <= 1:
         return [fn(a, b) for a, b in ranges]
     with ThreadPoolExecutor(max_workers=workers) as pool:

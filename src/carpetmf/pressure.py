@@ -28,10 +28,11 @@ import numpy as np
 
 from .numerics import (
     NEG_INF,
+    REDUCTION_CHUNKS,
     chunked_logsumexp,
     concavity_defect,
     lse,
-    map_chunks,
+    map_ranges,
     part_from_array,
     part_value,
     parts_from_rows,
@@ -44,9 +45,8 @@ from .symbolic import (
     admissible_words_range,
     check_budget,
     row_word_count,
-    row_words_range,
 )
-from .weights import CylinderWeight, enumerated_qs, row_sum_log_any
+from .weights import CylinderWeight, enumerated_qs, row_sum_log_any, row_sum_log_ranks
 
 #: Relative tolerance for the concavity sanity check on pressure slices.
 CONCAVITY_RTOL = 1e-9
@@ -59,6 +59,11 @@ COLUMN_KINDS = (*KINDS, "rows", "marginal")
 
 #: q values whose pressure terms one chunk reduces at a time.
 PART_BLOCK = 16
+
+#: Fewest column words in a chunk of a pass that has more.  Smaller chunks
+#: make numpy calls short enough that two threads lose more to the
+#: interpreter lock than they gain (``tools/ladders.py``, dim-2 cocycle).
+CHUNK_WORDS = 1 << 16
 
 
 def row_sum(
@@ -125,7 +130,8 @@ def _check_kinds(kinds: Sequence[str]) -> None:
 
 def _pass_row_qs(psi, n, q_grid, kinds, method) -> np.ndarray:
     """The row-sum q values of a depth-n pass over ``kinds``: the grid for
-    ``T``, ``beta`` and ``rows``, and q = 1 for ``beta`` and ``marginal``.
+    ``T``, ``beta`` and ``rows``, and q = 1 for ``beta`` and ``marginal``,
+    appended unless the grid has it.
 
     Raises first if the pass has more column words than the enumeration
     cap, or if some q enumerates rows, on ``psi``'s route or on the row sums
@@ -135,7 +141,7 @@ def _pass_row_qs(psi, n, q_grid, kinds, method) -> np.ndarray:
     if not kinds or any(kind not in COLUMN_KINDS for kind in kinds):
         raise ValueError(f"column sum kinds must be among {COLUMN_KINDS}")
     row_qs = q_grid if {"T", "beta", "rows"} & set(kinds) else np.empty(0)
-    if {"beta", "marginal"} & set(kinds):
+    if {"beta", "marginal"} & set(kinds) and not np.any(row_qs == 1.0):
         row_qs = np.append(row_qs, 1.0)
     system = psi.system
     total = row_word_count(system, n)
@@ -163,20 +169,28 @@ def column_log_sums(
     """``log sum_{|w1| = n}`` of each kind's term at every q of ``q_grid``.
 
     The terms are ``I_q^s`` (``T``), ``I_1^{q(1-s)} I_q^s`` (``beta``),
-    ``I_q`` (``rows``) and ``I_1^q`` (``marginal``).  Each chunk of depth-n
-    column words gets one row-sum batch for the q values the kinds need;
-    every (kind, q) keeps its own partial sum, combined over the same chunk
-    tree, so a value does not depend on ``workers`` or on the other q values
-    of the grid.
+    ``I_q`` (``rows``) and ``I_1^q`` (``marginal``).  The chunks of
+    :func:`pass_chunks` are ranges of column word ranks: whole blocks of
+    words that share their first letters.  Each gets one row-sum call for
+    the q values the kinds need, through
+    :func:`carpetmf.weights.row_sum_log_ranks`.  Windows of depth >= 2 and
+    integer-q cocycles read their row sums from the split kernel's tables
+    by rank (:func:`carpetmf.transfer.split_transfer_range`, the entry for
+    complete ranges); the other routes, and the split kernel's entry for
+    arbitrary batches (:func:`carpetmf.transfer.split_transfer_log`) when
+    the range entry falls back, get the chunk's digit rows.  Every
+    (kind, q) keeps its own partial sum, combined over the same chunk tree,
+    so a value does not depend on ``workers`` or on the other q values of
+    the grid.
     """
     q_grid = np.asarray(q_grid, dtype=float).ravel()
     Q = q_grid.size
     s = psi.system.s
     row_qs = _pass_row_qs(psi, n, q_grid, kinds, method)
+    one = np.flatnonzero(row_qs == 1.0)[:1]  # the row of I_1, if a kind reads it
 
     def partial(start: int, stop: int):
-        words = row_words_range(psi.system, n, start, stop)
-        li = np.ascontiguousarray(row_sum_log_any(psi, words, row_qs, method).T)
+        li = np.ascontiguousarray(row_sum_log_ranks(psi, n, start, stop, row_qs, method).T)
         parts = {kind: [] for kind in kinds}
         # Terms are reduced PART_BLOCK q at a time, so the transients stay
         # (PART_BLOCK, W) however long the grid; each row reduces alone.
@@ -188,16 +202,29 @@ def column_log_sums(
             if "T" in kinds:
                 parts["T"] += parts_from_rows(t)
             if "beta" in kinds:
-                parts["beta"] += parts_from_rows(scaled_powers(qs * (1.0 - s), li[-1]) + t)
+                parts["beta"] += parts_from_rows(scaled_powers(qs * (1.0 - s), li[one]) + t)
             if "rows" in kinds:
                 parts["rows"] += parts_from_rows(li[block])
             if "marginal" in kinds:
-                parts["marginal"] += parts_from_rows(scaled_powers(qs, li[-1]))
+                parts["marginal"] += parts_from_rows(scaled_powers(qs, li[one]))
         return [part for kind in kinds for part in parts[kind]]
 
-    chunks = map_chunks(partial, row_word_count(psi.system, n), workers)
+    chunks = map_ranges(partial, pass_chunks(psi.system.r1, n), workers)
     logs = np.array([part_value(tree_combine(parts)) for parts in zip(*chunks)])
     return dict(zip(kinds, logs.reshape(len(kinds), Q)))
+
+
+def pass_chunks(r1: int, n: int) -> list[tuple[int, int]]:
+    """The chunks of a pass over the ``r1**n`` column words of depth ``n``:
+    the blocks of ranks whose words share their first ``t`` letters, for the
+    largest ``t`` that gives at most ``REDUCTION_CHUNKS`` blocks of at least
+    ``CHUNK_WORDS`` words.  A smaller pass is one chunk, which runs on the
+    calling thread.  The layout depends on ``r1`` and ``n`` alone."""
+    t = 0
+    while t < n and r1 ** (t + 1) <= REDUCTION_CHUNKS and r1 ** (n - t - 1) >= CHUNK_WORDS:
+        t += 1
+    size = r1 ** (n - t)
+    return [(i * size, (i + 1) * size) for i in range(r1**t)]
 
 
 def finite_values(

@@ -228,6 +228,23 @@ def pack_digits(digits: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
+def distinct_rows(digits: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a ``(W, n)`` digit array and each row's index
+    among them.  Rows of digits in ``0 .. base - 1`` are packed to one
+    integer each when that fits 63 bits (rows in increasing order, such as a
+    range of word ranks, are then distinct as they stand); other rows are
+    compared whole."""
+    n = digits.shape[1]
+    if base**n < 2**63 and (digits.size == 0 or (digits.min() >= 0 and digits.max() < base)):
+        packed = pack_digits(digits, base)
+        if (np.diff(packed) > 0).all():
+            return digits, np.arange(packed.size)
+        _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+        return digits[first], inverse
+    rows, inverse = np.unique(digits, axis=0, return_inverse=True)
+    return rows, inverse.ravel()
+
+
 def row_word_count(system: CellSystem, n: int) -> int:
     return system.r1**n
 

@@ -3,13 +3,27 @@
 
 A row sum ``I_q(w1)`` of a window weight of depth ``k >= 2`` or of a matrix
 cocycle at integer q is a product of transfer matrices picked by the column
-letters.  :func:`split_transfer_log` splits each column word after
-:func:`split_point` letters and takes the dot product of the forward state
-of its prefix with the backward vector of its tail; the tail vectors of
-every tail come from one table per ``(m, q)``, kept on the weight in a
-:class:`TailMemo`.  One level function, :func:`_transfer_level`, builds
-both halves.  :mod:`carpetmf.weights` imports this module the first time a
-transfer row sum runs, so loading a config does not compile it.
+letters.  The kernel splits each column word after :func:`split_point`
+letters and takes the dot product of the forward state of its prefix with
+the backward vector of its tail.  It has two entry points, which give a
+word the same bytes:
+
+* :func:`split_transfer_range` serves a complete range of column word
+  ranks, as :func:`carpetmf.pressure.column_log_sums` passes them: chunks
+  of :func:`carpetmf.pressure.pass_chunks`, whole blocks of words that
+  share their first letters.  A word's prefix and tail are index
+  arithmetic on its rank, and both halves are read from tables of every
+  prefix and every tail, so no digit row is built.
+* :func:`split_transfer_log` serves an arbitrary batch of digit rows (P3
+  words, sampler suffixes, ball masses).  It walks the batch's distinct
+  prefixes, and reads the tails from the same table.  It is the range
+  route's oracle, and its fallback where the tables do not fit.
+
+One level function, :func:`_transfer_level`, builds every state, and
+:func:`_level_table` grows both tables with it.  The tables are kept on
+the weight in a :class:`TailMemo`.  :mod:`carpetmf.weights` imports this
+module the first time a transfer row sum runs, so loading a config does not
+compile it.
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ import numpy as np
 
 from . import weights
 from .numerics import NEG_INF, lse
-from .symbolic import pack_digits
+from .symbolic import digits_of_indices, distinct_rows, pack_digits
 
 #: Row dot products below this fall back to log space: an entry that
 #: underflowed in a linear state then cannot move the result by an ulp.
@@ -30,6 +44,10 @@ _LINEAR_FLOOR = 2.0**-900
 #: tables (more of smaller ones), so a q-grid reads its tables back from
 #: chunk to chunk.
 MAX_TAIL_TABLE = weights.MAX_TRANSFER_TABLE // 64
+
+#: Most word-q pairs one block of :func:`split_transfer_range` computes at
+#: once: the block's grids of floats then stay in cache.
+SPLIT_BLOCK = 1 << 16
 
 
 def split_point(n: int, k: int, r1: int, S: int) -> int:
@@ -45,9 +63,14 @@ def split_point(n: int, k: int, r1: int, S: int) -> int:
 
 
 class TailMemo:
-    """Backward vectors of every ``m``-letter tail, one entry per ``(m, q)``:
-    the ``(r1**m, S)`` linear vectors, each scaled to peak 1, and their
-    ``(r1**m,)`` log scales.
+    """The split kernel's tables, one entry per ``(direction, length, q)``:
+
+    * ``("backward", m, q)``: the backward vectors of every ``m``-letter
+      tail, as ``(r1**m, S)`` linear vectors scaled to peak 1 and their
+      ``(r1**m,)`` log scales;
+    * ``("forward", a, q)``: the ``(r1**a, S)`` log forward states of every
+      ``a``-letter prefix.  A range scales only the prefixes it reads, and
+      its log-space redo reads the log states.
 
     Entries hold at most ``weights.MAX_TRANSFER_TABLE`` floats in total;
     the oldest entry is dropped first.  Two threads that build the same
@@ -55,24 +78,27 @@ class TailMemo:
     """
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+        self._entries: dict[tuple[str, int, float], tuple[np.ndarray, ...]] = {}
         self._lock = threading.Lock()
 
     @property
     def floats(self) -> int:
-        return sum(lin.size + scale.size for lin, scale in list(self._entries.values()))
+        return sum(part.size for entry in list(self._entries.values()) for part in entry)
 
-    def vectors(self, m: int, qs: np.ndarray, build) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The entries of ``m`` at each q; ``build(missing)`` returns the
-        ``(r1**m, len(missing), S)`` log table for the positions of ``qs``
-        not held yet."""
-        keys = [(m, float(q)) for q in qs]
+    def tables(
+        self, direction: str, length: int, qs: np.ndarray, build
+    ) -> list[tuple[np.ndarray, ...]]:
+        """The entries of ``(direction, length)`` at each q;
+        ``build(missing)`` returns the ``(r1**length, len(missing), S)`` log
+        table for the positions of ``qs`` not held yet."""
+        keys = [(direction, length, float(q)) for q in qs]
         found = [self._entries.get(key) for key in keys]
         missing = [j for j, entry in enumerate(found) if entry is None]
         if missing:
-            lin, scale = _linear(build(missing))
+            table = build(missing)
+            parts = _linear(table) if direction == "backward" else (table,)
             for i, j in enumerate(missing):
-                found[j] = (np.ascontiguousarray(lin[:, i]), np.ascontiguousarray(scale[:, i]))
+                found[j] = tuple(np.ascontiguousarray(part[:, i]) for part in parts)
                 self._store(keys[j], found[j])
         return found
 
@@ -82,8 +108,7 @@ class TailMemo:
             self._entries[key] = entry
             total = self.floats
             while total > weights.MAX_TRANSFER_TABLE:
-                lin, scale = self._entries.pop(next(iter(self._entries)))
-                total -= lin.size + scale.size
+                total -= sum(part.size for part in self._entries.pop(next(iter(self._entries))))
 
 
 def _linear(log_states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,17 +127,6 @@ def _window_keys(letters: np.ndarray, k: int, r1: int) -> np.ndarray:
     for i in range(k):
         keys = keys * r1 + letters[:, i : i + count]
     return keys
-
-
-def _distinct_rows(letters: np.ndarray, r1: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a letter array and each row's index among them."""
-    if r1 ** letters.shape[1] < 2**63:
-        _, first, inverse = np.unique(
-            pack_digits(letters, r1), return_index=True, return_inverse=True
-        )
-        return letters[first], inverse
-    rows, inverse = np.unique(letters, axis=0, return_inverse=True)
-    return rows, inverse.ravel()
 
 
 def _transfer_level(
@@ -186,28 +200,159 @@ def _walk_tails(tails: np.ndarray, k: int, r1: int, steps_t: np.ndarray):
     all-ones vector, the transposed steps ``steps_t`` of the windows, last
     first.  The rows are sorted on their reversed letters, so tails that
     end alike share their last windows' nodes."""
-    reversed_rows, inverse = _distinct_rows(tails[:, ::-1], r1)
+    reversed_rows, inverse = distinct_rows(tails[:, ::-1], r1)
     keys = _window_keys(reversed_rows[:, ::-1], k, r1)[:, ::-1]
     ones = np.zeros((1, steps_t.shape[1], steps_t.shape[3]))
     rows = np.zeros(len(reversed_rows), dtype=np.int64)
     return _walk(ones, rows, keys, steps_t, backward=True), inverse
 
 
-def _tail_table(r1: int, k: int, m: int, steps_t: np.ndarray) -> np.ndarray:
-    """``(r1**m, Q, S)`` log backward vectors of every ``m``-letter tail.
+def _level_table(
+    states: np.ndarray, r1: int, k: int, levels: int, steps: np.ndarray, backward: bool = False
+) -> np.ndarray:
+    """Log states of every word grown by ``levels`` letters from ``states``,
+    the ``(r1**(k-1), Q, S)`` states of the words of ``k - 1`` letters; rows
+    are indexed by the packed letters.
 
-    A tail of ``k - 1`` letters carries no window; each level prepends a
-    letter to every tail and applies the transposed step of the new window.
-    These are the steps :func:`_walk_tails` applies to one tail, in the
-    same order, so a tail's vector has the same bytes either way.
+    Forward, each level appends a letter to every prefix and applies the
+    step of its last window.  Backward (``steps`` transposed), it prepends a
+    letter to every tail and applies the step of its first window.  These
+    are the steps :func:`_walk` applies to one word, in the same order, so a
+    word's state has the same bytes in the table and in a walked batch.
     """
-    states = np.zeros((r1 ** (k - 1), steps_t.shape[1], steps_t.shape[3]))
-    for j in range(m - k + 1):
-        tails = np.arange(states.shape[0])
-        parents = np.tile(tails, r1)
-        keys = np.repeat(np.arange(r1) * r1 ** (k - 1), tails.size) + parents // r1**j
-        states = _transfer_level(states, parents, keys, steps_t, backward=True)
+    for j in range(levels):
+        nodes = np.arange(states.shape[0] * r1)
+        if backward:  # node = letter * r1**(k - 1 + j) + tail
+            parents, keys = nodes % states.shape[0], nodes // r1**j
+        else:  # node = prefix * r1 + letter
+            parents, keys = nodes // r1, nodes % r1**k
+        states = _transfer_level(states, parents, keys, steps, backward)
     return states
+
+
+def _memo_tables(tails: TailMemo, direction: str, length: int, qs, k, r1, start, steps):
+    """The memo's ``direction`` tables of ``length`` letters at each q,
+    grown by :func:`_level_table` from the ``start`` states (forward) or
+    from the all-ones vector (backward, ``steps`` transposed)."""
+    backward = direction == "backward"
+
+    def build(missing):
+        if backward:
+            first = np.zeros((r1 ** (k - 1), len(missing), start.shape[1]))
+        else:
+            first = np.repeat(start[:, None], len(missing), axis=1)
+        return _level_table(first, r1, k, length - k + 1, steps[:, missing], backward)
+
+    return tails.tables(direction, length, qs, build)
+
+
+def _stacked(entries) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(R, Q, S)`` tail vectors and ``(R, Q)`` log scales of the
+    memo's backward entries of a q block."""
+    return (
+        np.stack([vectors for vectors, _ in entries], axis=1),
+        np.stack([scales for _, scales in entries], axis=1),
+    )
+
+
+def _split_dot(u, u_scale, v, v_scale, redo) -> np.ndarray:
+    """``(W, Q)`` array of ``log u . v`` for each word and q, in the order of
+    the words' grid.
+
+    ``u`` and ``v`` are the linear forward states and tail vectors,
+    ``(..., Q, S)`` arrays scaled to peak 1 that broadcast to the grid of
+    words, and ``u_scale`` and ``v_scale`` their ``(..., Q)`` log scales.
+    The products are summed in state order, so a word's value does not
+    depend on the grid's shape.  A word whose ``u`` or ``v`` is all zero is
+    -inf; any other product below ``_LINEAR_FLOOR`` (underflow, or disjoint
+    supports) is redone in log space from ``redo(rows)``, the ``(N, Q, S)``
+    log forward states and log backward vectors of those rows of the
+    grid, so zeros match enumeration exactly.
+    """
+    dot = u[..., 0] * v[..., 0]
+    term = np.empty_like(dot)
+    for state in range(1, u.shape[-1]):
+        dot += np.multiply(u[..., state], v[..., state], out=term)
+    with np.errstate(divide="ignore"):
+        values = np.log(dot)
+    values += u_scale
+    values += v_scale
+    low = dot < _LINEAR_FLOOR
+    if low.any():
+        low &= np.isfinite(u_scale) & np.isfinite(v_scale)
+    Q = values.shape[-1]
+    values, low = values.reshape(-1, Q), low.reshape(-1, Q)
+    rows = np.flatnonzero(low.any(axis=1))
+    if rows.size:
+        forward, backward = redo(rows)
+        values[rows] = np.where(low[rows], lse(forward + backward, axis=2), values[rows])
+    return values
+
+
+def split_transfer_range(
+    n: int,
+    lo: int,
+    hi: int,
+    qs: np.ndarray,
+    k: int,
+    r1: int,
+    start: np.ndarray,
+    steps: np.ndarray,
+    tails: TailMemo,
+) -> np.ndarray:
+    """``(hi - lo, Q)`` array of ``log I_q`` for the depth-``n`` column words
+    of ranks ``lo .. hi - 1``, ``n >= k``: the bytes :func:`split_transfer_log`
+    gives for their digit rows, without building them.
+
+    With ``a`` the :func:`split_point`, ``T = r1**(n - a)`` and
+    ``C = r1**(k-1)``, the word of rank ``i`` has prefix ``p = i // T`` and
+    tail ``(p mod C) * T + i mod T``.  So the words of ``C`` consecutive
+    prefixes, from a multiple of ``C``, read the whole tail table in order:
+    over the range widened to such blocks, the forward states ``(P/C, C,
+    1)`` and the tail vectors ``(1, C, T)`` broadcast to the grid of words,
+    and no vector is gathered.  Both tables, of all ``r1**a`` prefixes and
+    all ``r1**m = C * T`` tails, come from the ``tails`` memo, built once
+    per ``(length, q)``.  When the tail holds no window (``a == n``) or the
+    tables of ``qs`` would pass ``weights.MAX_TRANSFER_TABLE`` floats
+    together, the range runs :func:`split_transfer_log` on its digit rows
+    instead.
+    """
+    S = start.shape[1]
+    a = split_point(n, k, r1, S)
+    m = n - a + k - 1
+    if a == n or qs.size * (r1**a * S + r1**m * (S + 1)) > weights.MAX_TRANSFER_TABLE:
+        words = digits_of_indices(np.arange(lo, hi, dtype=np.int64), r1, n)
+        return split_transfer_log(words, qs, k, r1, start, steps, tails, a)
+    C, T = r1 ** (k - 1), r1 ** (n - a)
+    first, last = lo // (C * T) * C, -(-hi // (C * T)) * C  # the widened prefixes
+    steps_t = np.ascontiguousarray(steps.swapaxes(2, 3))
+    forward = _memo_tables(tails, "forward", a, qs, k, r1, start, steps)
+    backward = _memo_tables(tails, "backward", m, qs, k, r1, start, steps_t)
+    # Blocks of q keep the grid of one block within SPLIT_BLOCK floats.
+    block = max(1, SPLIT_BLOCK // max(1, (last - first) * T))
+    out = np.empty((qs.size, hi - lo))
+    for j in range(0, qs.size, block):
+        part = slice(j, j + block)
+        states = np.stack([table[first:last] for (table,) in forward[part]], axis=1)
+        u, u_scale = _linear(states)
+        v, v_scale = _stacked(backward[part])
+        Q = u_scale.shape[1]
+
+        def redo(rows, states=states, part=part):
+            prefix, suffix = np.divmod(first * T + rows, T)
+            letters = digits_of_indices(prefix % C * T + suffix, r1, m)
+            back, inverse = _walk_tails(letters, k, r1, steps_t[:, part])
+            return states[prefix - first], back[inverse]
+
+        values = _split_dot(
+            u.reshape(-1, C, 1, Q, S),
+            u_scale.reshape(-1, C, 1, Q),
+            v.reshape(1, C, T, Q, S),
+            v_scale.reshape(1, C, T, Q),
+            redo,
+        )
+        out[part] = values[lo - first * T : hi - first * T].T
+    return out.T  # stored q-major: a column pass reads each q as one row
 
 
 def split_transfer_log(
@@ -236,15 +381,12 @@ def split_transfer_log(
     * ``v`` is the backward vector of the last ``m = n - a + k - 1``
       letters (the windows ending after the prefix), read from the
       ``tails`` memo of all ``r1**m`` tails, built once per ``(m, q)`` by
-      the same level loop.  When the tables of all ``qs`` would pass
+      :func:`_level_table`.  When the tables of all ``qs`` would pass
       ``weights.MAX_TRANSFER_TABLE`` floats, none is kept, and the
       batch's distinct tails are walked instead.
-    * The dot product runs in linear space with one log scale per row.  A
-      row whose ``u`` or ``v`` is all zero is -inf; any other product
-      below ``_LINEAR_FLOOR`` (underflow, or disjoint supports) is redone
-      in log space, so zeros match enumeration exactly.  With ``a = n``
-      (deep windows, see :func:`split_point`) the tail holds no window,
-      and the row sum is the lse of ``u``.
+    * :func:`_split_dot` takes the dot products.  With ``a = n`` (deep
+      windows, see :func:`split_point`) the tail holds no window, and the
+      row sum is the lse of ``u``.
 
     Words with an out-of-range letter get ``-inf`` at every q.  A row's
     value depends on its own letters, ``a``, ``k`` and its q alone, so it is
@@ -258,7 +400,7 @@ def split_transfer_log(
     if W and (a1s.min() < 0 or a1s.max() >= r1):
         valid = ((a1s >= 0) & (a1s < r1)).all(axis=1)
         letters = np.where(valid[:, None], a1s, 0)
-    prefixes, pid = _distinct_rows(letters[:, :a], r1)
+    prefixes, pid = distinct_rows(letters[:, :a], r1)
     head = pack_digits(prefixes[:, : k - 1], r1)
     prefix_keys = _window_keys(prefixes, k, r1)
     tail_letters = letters[:, a - k + 1 :]
@@ -278,34 +420,24 @@ def split_transfer_log(
         if a == n:  # no window in the tail: v is the all-ones vector
             out[:, j : j + block] = np.take(lse(forward, axis=2), pid, axis=0, mode="clip")
             continue
-        u, u_scale = _linear(forward)
         if tabled:
-            entries = tails.vectors(
-                m, qb, lambda missing: _tail_table(r1, k, m, steps_t[:, missing])
-            )
-            lin = np.stack([vectors for vectors, _ in entries], axis=1)
-            scale = np.stack([scales for _, scales in entries], axis=1)
+            lin, scale = _stacked(_memo_tables(tails, "backward", m, qb, k, r1, start, steps_t))
         else:
             back, tid = _walk_tails(tail_letters, k, r1, steps_t)
             lin, scale = _linear(back)
-        v = np.take(lin, tid, axis=0, mode="clip")
-        v *= np.take(u, pid, axis=0, mode="clip")
-        dot = v[..., 0].copy()  # summed in state order, whatever the batch
-        for state in range(1, S):
-            dot += v[..., state]
-        with np.errstate(divide="ignore"):
-            values = np.log(dot)
-        u_part = np.take(u_scale, pid, axis=0, mode="clip")
-        v_part = np.take(scale, tid, axis=0, mode="clip")
-        values += u_part
-        values += v_part
-        low = (dot < _LINEAR_FLOOR) & np.isfinite(u_part) & np.isfinite(v_part)
-        rows = np.flatnonzero(low.any(axis=1))
-        if rows.size:
+        u, u_scale = _linear(forward)
+
+        def redo(rows, forward=forward, steps_t=steps_t):
             back, inverse = _walk_tails(tail_letters[rows], k, r1, steps_t)
-            redo = lse(forward[pid[rows]] + back[inverse], axis=2)
-            values[rows] = np.where(low[rows], redo, values[rows])
-        out[:, j : j + block] = values
+            return forward[pid[rows]], back[inverse]
+
+        out[:, j : j + block] = _split_dot(
+            np.take(u, pid, axis=0, mode="clip"),
+            np.take(u_scale, pid, axis=0, mode="clip"),
+            np.take(lin, tid, axis=0, mode="clip"),
+            np.take(scale, tid, axis=0, mode="clip"),
+            redo,
+        )
     if valid is not None:
         out[~valid] = NEG_INF
     return out

@@ -46,6 +46,8 @@ from .symbolic import (
     admissible_words_range,
     check_budget,
     digits_of_indices,
+    distinct_rows,
+    row_words_range,
 )
 
 #: Largest transient table a transfer recursion may allocate, and the most
@@ -105,6 +107,13 @@ class CylinderWeight:
         1-d array of q values inside :meth:`transfer_mask`, without
         enumerating rows."""
         raise NotImplementedError
+
+    def row_sum_log_range(self, n: int, lo: int, hi: int, qs: np.ndarray) -> np.ndarray:
+        """:meth:`row_sum_log_batch` of the depth-``n`` column words of
+        ranks ``lo .. hi - 1``, with the same bytes.  Weights on the split
+        kernel read these from its tables without digit rows; the default
+        builds the digit rows."""
+        return self.row_sum_log_batch(row_words_range(self.system, n, lo, hi), qs)
 
     def log_total_mass(self, m: int) -> float | None:
         """``log sum_{|w|=m} psi(w)`` when computable without row-word
@@ -257,16 +266,19 @@ class ConstantCellWeight(CylinderWeight):
             return _depth1_row_sums(self.system, self._window_grid, a1s, qs)
         return self._split_row_sums(a1s, qs)
 
-    def _split_row_sums(self, a1s: np.ndarray, qs: np.ndarray, a: int | None = None):
-        """Row sums of words of at least ``k`` letters from the split kernel,
-        whose forward half holds ``a`` letters (``k - 1 <= a <= n``).
+    def row_sum_log_range(self, n: int, lo: int, hi: int, qs: np.ndarray) -> np.ndarray:
+        if self.depth < 2 or n < self.depth:
+            return super().row_sum_log_range(n, lo, hi, qs)
+        return self._split_row_sums((n, lo, hi), qs)
+
+    def _split_row_sums(self, words, qs: np.ndarray, a: int | None = None):
+        """Row sums of words of at least ``k`` letters from the split kernel
+        (see :func:`_split_kernel` for ``words`` and ``a``).
 
         The state is the last ``k-1`` row digits; the window table picked by
         the packed column window steps it as a shift register of base-``r2``
         digits.
         """
-        from .transfer import split_transfer_log
-
         k = self.depth
         r1, r2 = self.system.r1, self.system.r2
         S = r2 ** (k - 1)
@@ -279,9 +291,9 @@ class ConstantCellWeight(CylinderWeight):
             tables = scaled_powers(qb[:, None, None], grid).reshape(qb.size, r1**k, S, r2)
             steps = np.ascontiguousarray(tables.transpose(1, 0, 2, 3))
             columns.append(
-                split_transfer_log(a1s, qb, k, r1, self._start_table, steps, self._tails, a)
+                _split_kernel(words, qb, k, r1, self._start_table, steps, self._tails, a)
             )
-        return np.concatenate(columns, axis=1)
+        return _join_q_blocks(columns)
 
     # -- totals over full product words ----------------------------------
 
@@ -478,22 +490,25 @@ class MatrixCocycleWeight(CylinderWeight):
             return np.zeros((W, qs.size))
         return self._split_row_sums(a1s, qs)
 
-    def _split_row_sums(self, a1s: np.ndarray, qs: np.ndarray, a: int | None = None):
-        """Row sums from the split kernel, whose forward half holds ``a``
-        letters.  Each q keeps its own Kronecker route (the state size
-        ``d**q`` differs); the state starts at ``1^{(x)q}``."""
-        from .transfer import split_transfer_log
+    def row_sum_log_range(self, n: int, lo: int, hi: int, qs: np.ndarray) -> np.ndarray:
+        if self.dim == 1 or n == 0:
+            return super().row_sum_log_range(n, lo, hi, qs)
+        return self._split_row_sums((n, lo, hi), qs)
 
+    def _split_row_sums(self, words, qs: np.ndarray, a: int | None = None):
+        """Row sums from the split kernel (see :func:`_split_kernel` for
+        ``words`` and ``a``).  Each q keeps its own Kronecker route (the
+        state size ``d**q`` differs); the state starts at ``1^{(x)q}``."""
         columns = []
         for q in qs:
             steps = self._letter_tables(q)[:, None]
             start = np.zeros((1, steps.shape[-1]))
             columns.append(
-                split_transfer_log(
-                    a1s, np.array([q]), 1, self.system.r1, start, steps, self._tails, a
+                _split_kernel(
+                    words, np.array([q]), 1, self.system.r1, start, steps, self._tails, a
                 )
             )
-        return np.concatenate(columns, axis=1)
+        return _join_q_blocks(columns)
 
     def log_total_mass(self, m: int) -> float | None:
         if m == 0:
@@ -524,6 +539,24 @@ def make_matrix_cocycle(
             stack.append(np.asarray(matrices[cell], dtype=float))
         matrices = np.stack(stack)
     return MatrixCocycleWeight(system, dim, np.asarray(matrices, dtype=float))
+
+
+def _split_kernel(words, qs, k, r1, start, steps, tails, a):
+    """The split kernel of :mod:`carpetmf.transfer` on ``words``: a
+    ``(W, n)`` batch of column words, split after ``a`` letters (by default
+    at the split point), or ``(n, lo, hi)``, the depth-``n`` column words of
+    ranks ``lo .. hi - 1``, split at the split point."""
+    from . import transfer
+
+    if isinstance(words, tuple):
+        return transfer.split_transfer_range(*words, qs, k, r1, start, steps, tails)
+    return transfer.split_transfer_log(words, qs, k, r1, start, steps, tails, a)
+
+
+def _join_q_blocks(blocks: list[np.ndarray]) -> np.ndarray:
+    """The ``(W, Q)`` row sums of ``(W, Qb)`` blocks of q, stored q-major,
+    so a column pass reads each q as one contiguous row."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate([b.T for b in blocks]).T
 
 
 def _depth1_row_sums(
@@ -590,15 +623,18 @@ class SkewProductWeight(CylinderWeight):
 
     def _column_terms(self, a1s: np.ndarray, extra_qs: Sequence[float] = ()):
         """``log I_{rho,q}``, ``log theta1`` and the ``(W, len(extra_qs))``
-        ``log I_{rho,p}`` at ``extra_qs``, from one batch of rho row sums."""
-        a1s = np.asarray(a1s, dtype=np.int64)
-        ps = [p for p, _ in self.moments]
-        li = row_sum_log_any(self.rho, a1s, np.array([self.q, *ps, *extra_qs]))
+        ``log I_{rho,p}`` at ``extra_qs``, from one batch of rho row sums
+        over the distinct column words (the enumerated rows of a word all
+        repeat it; a row sum does not depend on its batch)."""
         r1 = self.system.r1
+        words, inverse = distinct_rows(np.asarray(a1s, dtype=np.int64), r1)
+        ps = [p for p, _ in self.moments]
+        li = row_sum_log_any(self.rho, words, np.array([self.q, *ps, *extra_qs]))
         padded = np.append(self.letters, NEG_INF)  # out-of-range letters weigh 0
-        lt = padded[np.where((a1s >= 0) & (a1s < r1), a1s, r1)].sum(axis=1)
+        lt = padded[np.where((words >= 0) & (words < r1), words, r1)].sum(axis=1)
         for j, (_, e) in enumerate(self.moments, start=1):
             lt = lt + scaled_powers(e, li[:, j])
+        li, lt = li[inverse], lt[inverse]
         return li[:, 0], lt, li[:, 1 + len(ps) :]
 
     def log_weight_arrays(self, a1s: np.ndarray, a2s: np.ndarray) -> np.ndarray:
@@ -704,6 +740,9 @@ class ShiftedWeight(CylinderWeight):
         n = np.asarray(a1s).shape[1]
         return self.base.row_sum_log_batch(a1s, qs) - n * qs * self.shift
 
+    def row_sum_log_range(self, n: int, lo: int, hi: int, qs: np.ndarray) -> np.ndarray:
+        return self.base.row_sum_log_range(n, lo, hi, qs) - n * qs * self.shift
+
     def log_total_mass(self, m: int) -> float | None:
         inner = self.base.log_total_mass(m)
         if inner is None:
@@ -750,20 +789,51 @@ def row_sum_log_any(
     their log weights.
     """
     a1s = np.asarray(a1s, dtype=np.int64)
+    return _routed_row_sums(
+        weight, q, method, lambda qs: weight.row_sum_log_batch(a1s, qs), lambda: a1s
+    )
+
+
+def row_sum_log_ranks(
+    weight: CylinderWeight,
+    n: int,
+    lo: int,
+    hi: int,
+    q: float | np.ndarray,
+    method: str = "auto",
+) -> np.ndarray:
+    """:func:`row_sum_log_any` of the depth-``n`` column words of ranks
+    ``lo .. hi - 1``: the q values with a transfer route read
+    :meth:`CylinderWeight.row_sum_log_range`, and only the q values that
+    enumerate rows build the words' digit rows."""
+    return _routed_row_sums(
+        weight,
+        q,
+        method,
+        lambda qs: weight.row_sum_log_range(n, lo, hi, qs),
+        lambda: row_words_range(weight.system, n, lo, hi),
+    )
+
+
+def _routed_row_sums(weight, q, method, fast, words) -> np.ndarray:
+    """The routing of :func:`row_sum_log_any`: ``fast(qs)`` gives the
+    ``(W, Q)`` row sums of q values inside the transfer mask, ``words()``
+    the ``(W, n)`` digit rows whose rows the other q values enumerate."""
     qs = np.atleast_1d(np.asarray(q, dtype=float))
     inverse = slice(None)
-    if qs.size > 1:
+    if qs.size > 1 and not (np.diff(qs) > 0).all():
         qs, inverse = np.unique(qs, return_inverse=True)
     enumerated = enumerated_qs(weight, qs, method)
     if method == "transfer" and enumerated.any():
         raise ValueError("weight has no transfer structure for row sums")
     if not enumerated.any():
-        out = weight.row_sum_log_batch(a1s, qs)
+        out = fast(qs)
     elif enumerated.all():
-        out = _enumerate_row_sums(weight, a1s, qs)
+        out = _enumerate_row_sums(weight, words(), qs)
     else:
+        a1s = words()
         out = np.empty((a1s.shape[0], qs.size))
-        out[:, ~enumerated] = weight.row_sum_log_batch(a1s, qs[~enumerated])
+        out[:, ~enumerated] = fast(qs[~enumerated])
         out[:, enumerated] = _enumerate_row_sums(weight, a1s, qs[enumerated])
     return out[:, 0] if np.ndim(q) == 0 else out[:, inverse]
 

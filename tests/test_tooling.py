@@ -223,3 +223,34 @@ def test_lazy_package_namespace(tmp_path):
             tmp_path,
         )
         assert set(PIPELINE) <= loaded
+
+
+# -- the column pass reads row sums by rank ------------------------------------
+
+
+def test_column_pass_builds_no_digit_rows(monkeypatch):
+    # The window-d2 benchmark weight at n = 12: once the weight's cached
+    # tables exist, a column pass reads every row sum from the split
+    # kernel's tables by rank, on one thread or on a pool, and never falls
+    # back to digit rows or a walk of prefixes.
+    import numpy as np
+
+    from carpetmf import pressure, symbolic, transfer, weights
+    from carpetmf.reference import random_depth2_weight
+
+    psi = random_depth2_weight(1)
+    qs = np.array([-2.0, 0.0, 1.0, 2.0, 4.0])
+    assert psi._window_grid.size and psi._start_table.size
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a column pass built digit rows or walked prefixes")
+
+    for module in (symbolic, transfer, weights):
+        monkeypatch.setattr(module, "digits_of_indices", forbidden)
+    monkeypatch.setattr(transfer, "_walk", forbidden)
+    serial = pressure.column_log_sums(psi, qs, 12, pressure.COLUMN_KINDS)
+    monkeypatch.setattr(pressure, "CHUNK_WORDS", 256)  # 16 chunks on two threads
+    threaded = pressure.column_log_sums(psi, qs, 12, pressure.COLUMN_KINDS, workers=2)
+    for kind in pressure.COLUMN_KINDS:
+        assert np.all(np.isfinite(serial[kind]))
+        np.testing.assert_allclose(threaded[kind], serial[kind], rtol=1e-13)

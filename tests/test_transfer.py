@@ -202,7 +202,9 @@ def test_pressure_curves_per_q_values(psi, grid, keep):
     schedule = (2, 3)
     # Small chunks, so that several chunk partials combine and workers=3
     # really runs a thread pool.
-    with mock.patch.object(numerics, "MIN_CHUNK_SIZE", 2):
+    with mock.patch.object(numerics, "MIN_CHUNK_SIZE", 2), mock.patch.object(
+        pressure, "CHUNK_WORDS", 2
+    ):
         whole = pressure_curves(psi, grid, schedule, workers=1)
         sub = [q for q, k in zip(grid, keep) if k] or grid[:1]
         part = pressure_curves(psi, sub, schedule, workers=3)
@@ -338,6 +340,56 @@ def test_split_points_match_enumeration(data, psi):
             assert production[:, j].tobytes() == cold[:, j].tobytes()
 
 
+@st.composite
+def range_weights(draw):
+    """Weights whose complete ranges take the split kernel's range route:
+    windows of depth 2-3 and dim-2 cocycles, on random small systems and on
+    a system whose column 2 holds no cell (-inf rows)."""
+    system = draw(small_systems() | st.just(CellSystem(3, 3, ((0, 0), (0, 2), (1, 1), (1, 2)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nc = system.n_cells
+    if draw(st.booleans()):
+        depth = draw(st.integers(2, 3))
+        return make_constant_cell(system, depth, rng.uniform(-1.0, 1.0, (nc,) * depth))
+    return make_matrix_cocycle(system, 2, rng.uniform(0.05, 1.0, (nc, 2, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    psi=range_weights() | st.none(),
+    block=st.sampled_from((1, 5, 64, transfer.SPLIT_BLOCK)),
+)
+def test_ranges_match_the_batch_kernel(data, psi, block):
+    """Any range of column word ranks, in q blocks of any size, gets the
+    bytes of the batch kernel on its digit rows at the same split point,
+    and the enumerated row sums.  ``psi = None`` is the kernel of
+    :func:`test_underflowing_dot_product_is_redone_in_log_space`, whose
+    products underflow and are redone in log space."""
+    k, r1 = (1, 2) if psi is None else (_kernel_window(psi), psi.system.r1)
+    n = data.draw(st.integers(max(k, 2), 8 if r1 == 2 else 5))
+    lo = data.draw(st.integers(0, r1**n))
+    hi = data.draw(st.integers(lo, r1**n))
+    words = digits_of_indices(np.arange(lo, hi), r1, n)
+    with mock.patch.object(transfer, "SPLIT_BLOCK", block):
+        if psi is None:
+            kernel = (np.array([1.0]), 1, 2, np.zeros((1, 3)), _underflow_steps())
+            got = transfer.split_transfer_range(n, lo, hi, *kernel, TailMemo())
+            assert got.tobytes() == split_transfer_log(words, *kernel, TailMemo()).tobytes()
+            return
+        qs = np.array([0.0, 1.0, 2.0])
+        psi._tails = TailMemo()
+        got = psi.row_sum_log_range(n, lo, hi, qs)
+    assert got.tobytes() == psi.row_sum_log_batch(words, qs).tobytes()
+    if n <= 4:
+        slow = row_sum_log_any(psi, words, qs, method="enumerate")
+        np.testing.assert_array_equal(np.isneginf(got), np.isneginf(slow))
+        finite = np.isfinite(slow)
+        assert np.all(
+            np.abs(got[finite] - slow[finite]) <= 1e-12 * np.maximum(1.0, np.abs(slow[finite]))
+        )
+
+
 def test_untabled_tails_and_evicted_memo_keep_bytes():
     # Depth-2 window on the reference: 64 floats of matrices per q, and a
     # tail table of 2**6 * 5 = 320 floats per q at n = 10.
@@ -356,7 +408,7 @@ def test_untabled_tails_and_evicted_memo_keep_bytes():
         assert psi._tails.floats == 3 * 320
         assert psi.row_sum_log_batch(words, qs[3:]).tobytes() == want[:, 3:].tobytes()
         assert psi._tails.floats == 3 * 320
-        assert sorted(psi._tails._entries) == [(6, 1.0), (6, 2.0), (6, 4.0)]
+        assert sorted(psi._tails._entries) == [("backward", 6, q) for q in (1.0, 2.0, 4.0)]
         assert psi.row_sum_log_batch(words, qs).tobytes() == want.tobytes()
 
 
@@ -385,25 +437,33 @@ def test_long_words_keep_distinct_prefixes_and_tails():
 
 
 def test_memo_shared_by_threads_keeps_bytes():
-    # Eight threads on one weight, with a bound that keeps the memo evicting
-    # (tables of 160 floats per q at n = 8 and 320 at n = 9, 10; n = 11
-    # walks its tails) and a short switch interval: every call gets the
-    # serial bytes, and the memo stays within its bound.
+    # Eight threads on one weight, batches and complete ranges, with a bound
+    # that keeps the memo evicting and a short switch interval: every call
+    # gets the serial bytes, and the memo stays within its bound.  Per q,
+    # tail tables hold 160 floats at n = 8 and 320 at n = 9, 10, and prefix
+    # tables 64 at n = 8, 9 and 128 at n = 10; at n = 11 a range takes the
+    # batch route, which walks its tails.
     psi = random_depth2_weight(1)
     qs = np.array([-2.0, 1.0, 4.0])
-    batches = [digits_of_indices(np.arange(2**n), 2, n) for n in (8, 9, 10, 11)]
+    depths = (8, 9, 10, 11)
+    batches = [digits_of_indices(np.arange(2**n), 2, n) for n in depths]
     want = [psi.row_sum_log_batch(words, qs).tobytes() for words in batches]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(weights_module, "MAX_TRANSFER_TABLE", 1000):
+        with mock.patch.object(weights_module, "MAX_TRANSFER_TABLE", 1500):
             psi._tails = TailMemo()
             with ThreadPoolExecutor(8) as pool:
                 calls = [
-                    pool.submit(psi.row_sum_log_batch, batches[i % 4], qs) for i in range(128)
+                    pool.submit(psi.row_sum_log_batch, batches[i % 4], qs)
+                    if i % 8 < 4
+                    else pool.submit(psi.row_sum_log_range, depths[i % 4], 0, 2 ** (8 + i % 4), qs)
+                    for i in range(128)
                 ]
                 got = [call.result(timeout=60).tobytes() for call in calls]
-            assert psi._tails.floats <= 1000
+            assert psi._tails.floats <= 1500
+            psi.row_sum_log_range(10, 0, 2**10, qs)
+            assert {("forward", 5), ("backward", 6)} <= {key[:2] for key in psi._tails._entries}
     finally:
         sys.setswitchinterval(interval)
     assert got == [want[i % 4] for i in range(128)]
@@ -413,6 +473,10 @@ def test_memo_bounded_on_default_grid():
     psi = random_depth2_weight(1)
     pressure.finite_values(psi, default_q_grid(), 16, workers=2)
     assert 0 < psi._tails.floats <= MAX_TRANSFER_TABLE
+    # The pass read all 93 q of both halves, split after 8 of 16 letters.
+    keys = {key[:2] for key in psi._tails._entries}
+    assert keys == {("forward", 8), ("backward", 9)}
+    assert len(psi._tails._entries) == 2 * default_q_grid().size
 
 
 def test_kernel_shares_prefixes_exactly():
@@ -450,18 +514,26 @@ def test_kernel_shares_prefixes_exactly():
                 assert value == pytest.approx(np.log(v.sum()), rel=1e-13)
 
 
-def test_underflowing_dot_product_is_redone_in_log_space():
-    # Word (0, 1) split after one letter: u = [1, e, 0] and v = [0, e, 1]
-    # with e = 1e-200, so the linear dot product e**2 underflows to 0; the
-    # row sum is still positive and must come out as 2 log e.
+def _underflow_steps() -> np.ndarray:
+    """Three states on two letters: letter 0 keeps state 0 and takes state 1
+    to itself with weight e = 1e-200, letter 1 keeps state 2 and takes state
+    1 to itself with weight e."""
     e = np.log(1e-200)
     inf = -np.inf
-    steps = np.array(
+    return np.array(
         [
             [[0.0, inf, inf], [inf, e, inf], [inf, inf, inf]],
             [[inf, inf, inf], [inf, e, inf], [inf, inf, 0.0]],
         ]
     )[:, None]
+
+
+def test_underflowing_dot_product_is_redone_in_log_space():
+    # Word (0, 1) split after one letter: u = [1, e, 0] and v = [0, e, 1]
+    # with e = 1e-200, so the linear dot product e**2 underflows to 0; the
+    # row sum is still positive and must come out as 2 log e.
+    e = np.log(1e-200)
+    steps = _underflow_steps()
     words = np.array([[0, 1], [1, 0], [0, 0]])
     for a in (0, 1, 2):
         got = split_transfer_log(
@@ -470,6 +542,38 @@ def test_underflowing_dot_product_is_redone_in_log_space():
         assert got[0] == pytest.approx(2 * e, rel=1e-15)
         assert got[1] == pytest.approx(2 * e, rel=1e-15)
         assert got[2] == 0.0  # log(1 + e**2)
+    # The range route splits (0, 1) and (1, 0) at the same point and redoes
+    # both in log space.
+    want = split_transfer_log(
+        digits_of_indices(np.arange(4), 2, 2), np.array([1.0]), 1, 2, np.zeros((1, 3)),
+        steps, TailMemo(),
+    )
+    with mock.patch.object(transfer, "_walk_tails", wraps=transfer._walk_tails) as walk:
+        got = transfer.split_transfer_range(
+            2, 0, 4, np.array([1.0]), 1, 2, np.zeros((1, 3)), steps, TailMemo()
+        )
+    assert walk.call_count == 1 and got.tobytes() == want.tobytes()
+
+
+def test_skew_rows_read_rho_once_per_column_word(ref_system):
+    # The tilt's rows enumerate, and each row's log weight reads the
+    # cocycle's row sums at q = 0.5, which enumerate 4**n rows again.  Read
+    # once per distinct column word, depth 6 builds 64 x 4**6 x 6 digit
+    # cells for them, not one word per tilt row (1.6e9 cells).
+    mats = np.random.default_rng(3).uniform(0.05, 1.0, (ref_system.n_cells, 2, 2))
+    aux = make_auxiliary(make_matrix_cocycle(ref_system, 2, mats), 0.5, 0.0, VARIANT_PSI_TILDE_Q)
+    curves = pressure_curves(aux, [1.0], (2, 4, 6), method="enumerate")
+    assert curves["T"].depths == (2, 4, 6)
+    # Rows that share their column words, one with an out-of-range letter:
+    # the batch's log weights are the per-row ones, bit for bit.
+    rng = np.random.default_rng(0)
+    a1s = rng.integers(0, 2, (6, 3))[rng.integers(0, 6, 40)]
+    a1s[0, 1] = -1
+    a2s = rng.integers(0, 4, (40, 3))
+    whole = aux.log_weight_arrays(a1s, a2s)
+    rows = [aux.log_weight_arrays(a1s[i : i + 1], a2s[i : i + 1])[0] for i in range(40)]
+    assert whole.tobytes() == np.array(rows).tobytes()
+    assert np.isneginf(whole[0]) and np.isfinite(whole).sum() > 10
 
 
 def test_words_through_an_empty_column_skip_the_log_space_walk():

@@ -3,7 +3,7 @@
     python3 tools/ladders.py
 
 Prints the best of three wall times of ``pressure.finite_values`` (both
-kinds, ``workers=2``) for three ladders:
+kinds) at ``workers=1`` and ``workers=2`` for three ladders:
 
 * ``random_depth2_weight(1)``, the window-d2 weight, at q in
   {-2, 0, 1, 2, 4} and n = 14 ... 22;
@@ -12,8 +12,9 @@ kinds, ``workers=2``) for three ladders:
   with ``bench/workloads.py``) at q in {1, 2} and n = 14 ... 20.
 
 Each ladder uses one weight object, so the first depth also pays the
-weight's cached tables.  Run it on two checkouts on the same host to
-compare them.
+weight's cached tables (in its ``workers=1`` column).  A ladder point whose
+``workers=2`` time is above its ``workers=1`` time loses to the interpreter
+lock.  Run it on two checkouts on the same host to compare them.
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ from carpetmf.pressure import finite_values  # noqa: E402
 from carpetmf.reference import default_q_grid, random_depth2_weight  # noqa: E402
 
 REPEATS = 3
-WORKERS = 2
+WORKERS = (1, 2)
 
 
-def _best(psi, q_grid, n: int) -> float:
+def _best(psi, q_grid, n: int, workers: int) -> float:
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        finite_values(psi, q_grid, n, workers=WORKERS)
+        finite_values(psi, q_grid, n, workers=workers)
         times.append(time.perf_counter() - start)
     return min(times)
 
@@ -53,7 +54,10 @@ def main() -> int:
     )
     for label, psi, q_grid, depths in ladders:
         for n in depths:
-            print(f"{label:32s} n = {n:2d}  {_best(psi, q_grid, n):8.3f} s", flush=True)
+            times = "  ".join(
+                f"workers={workers} {_best(psi, q_grid, n, workers):7.3f} s" for workers in WORKERS
+            )
+            print(f"{label:32s} n = {n:2d}  {times}", flush=True)
     return 0
 
 
