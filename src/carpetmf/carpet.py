@@ -27,9 +27,9 @@ from .symbolic import (
     admissible_words_range,
     check_budget,
     depth_map,
-    digits_of_indices,
+    pack_digits,
 )
-from .weights import CylinderWeight, row_sum_log_any
+from .weights import CylinderWeight, row_sum_log_any, row_sum_log_ranks
 
 __all__ = [
     "CarpetRender",
@@ -176,13 +176,6 @@ class CarpetRender:
         return lse(self.log_masses.ravel())
 
 
-def _word_values(digits: np.ndarray, base: int) -> np.ndarray:
-    """Integer value of each digit row (most significant digit first)."""
-    n = digits.shape[1]
-    weights = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return digits @ weights
-
-
 def render_measure(
     psi: CylinderWeight,
     n: int,
@@ -202,14 +195,12 @@ def render_measure(
     n_cols = system.r1**g
     n_rows = system.r2**n
     check_budget(n_cols * n_rows, f"grid r1**{g} x r2**{n} = {n_cols * n_rows} cells")
-    # Normalized log marginal of every column suffix (all r1**m digit words).
+    # Normalized log marginal of every column suffix (all r1**m words, by rank).
     if m == 0:
         suffix_marginals = np.zeros(1)
     else:
-        suffix_words = digits_of_indices(
-            np.arange(system.r1**m, dtype=np.int64), system.r1, m
-        )
-        suffix_marginals = row_sum_log_any(psi, suffix_words, 1.0) - log_total_mass(psi, m)
+        marginals = row_sum_log_ranks(psi, m, 0, system.r1**m, 1.0)
+        suffix_marginals = marginals - log_total_mass(psi, m)
 
     total_words = admissible_word_count(system, n)
     grid = np.full((n_cols, n_rows), NEG_INF)
@@ -218,8 +209,8 @@ def render_measure(
     def fill_chunk(start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         a1s, a2s = admissible_words_range(system, n, start, stop)
         lw = psi.log_weight_arrays(a1s, a2s)
-        base_cols = _word_values(a1s, system.r1) * n_suffix
-        rows = _word_values(a2s, system.r2)
+        base_cols = pack_digits(a1s, system.r1) * n_suffix
+        rows = pack_digits(a2s, system.r2)
         block = lw[:, None] + suffix_marginals[None, :]
         return base_cols, rows, block
 
@@ -319,14 +310,23 @@ def check_P2(system: CellSystem) -> bool:
     return 0 not in occupied or (system.r1 - 1) not in occupied
 
 
+#: Largest terminal P3 defect that counts as the limit condition holding.
+P3_TOLERANCE = 1e-9
+
+#: Growth of the P3 defect between probed depths that still counts as
+#: non-increasing (rounding of the boundary row sums).
+P3_MONOTONE_SLACK = 1e-12
+
+
 @dataclass(frozen=True)
 class P3Report:
     """Finite-depth evidence for the boundary-row balance condition.
 
     ``holds`` is an indication, not a proof: it requires both boundary
     letters to be occupied, the per-depth defects (max over the probed
-    ``q``) to be non-increasing along the schedule, and the terminal defect
-    to sit below the tolerance.
+    ``q``) to be non-increasing along the schedule (up to
+    ``P3_MONOTONE_SLACK``), and the terminal defect to sit below
+    ``P3_TOLERANCE``.
     """
 
     holds: bool
@@ -341,8 +341,6 @@ def p3_scan(
     psi: CylinderWeight,
     q_set: Sequence[float] = (0.5, 1.0, 2.0),
     depth_schedule: Sequence[int] = (2, 4, 6, 8),
-    tolerance: float = 1e-9,
-    monotone_slack: float = 1e-12,
 ) -> P3Report:
     """Probe the P3 limit condition on constant boundary words.
 
@@ -375,10 +373,10 @@ def p3_scan(
         columns.append(np.where(empty, np.inf, np.abs(left - right) / n))
     depths = depths[: len(columns)]
     per_q = np.column_stack(columns)
-    monotone = bool(np.all(per_q[:, 1:] <= per_q[:, :-1] + monotone_slack))
+    monotone = bool(np.all(per_q[:, 1:] <= per_q[:, :-1] + P3_MONOTONE_SLACK))
     terminal = float(per_q[:, -1].max())
     defects = tuple(float(v) for v in per_q.max(axis=0))
-    holds = subset and monotone and terminal <= tolerance
+    holds = subset and monotone and terminal <= P3_TOLERANCE
     return P3Report(
         holds=holds,
         terminal_defect=terminal,

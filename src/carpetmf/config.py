@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .reference import DEFAULT_DEPTH_SCHEDULE, default_config
+from .reference import DEFAULT_DEPTH_SCHEDULE, default_config, q_grid_from_spec
 from .symbolic import CellSystem, row_word_count
 from .weights import (
     CylinderWeight,
@@ -42,9 +42,6 @@ __all__ = [
     "parse_config",
     "validate_raw",
 ]
-
-#: Dyadic offsets added on both sides of each refinement center of a q-grid.
-REFINE_OFFSETS = (0.03125, 0.0625, 0.125)
 
 _POSITIVE_ARRAY = {
     "type": "array",
@@ -301,6 +298,32 @@ def validate_raw(data: dict) -> None:
         raise ConfigError(f"{path}: {error.message}")
 
 
+#: The keys of the q values, which the pipeline reads without a later check
+#: (JSON readers accept ``NaN`` and ``Infinity``).
+Q_KEYS = (("grids", "qGrid"), ("sampling", "q"), ("weight", "theta1", "q"))
+
+
+def _floats(value, path: tuple = ()) -> Iterator[tuple[tuple, float]]:
+    """``(path, number)`` of every float in a JSON value."""
+    if isinstance(value, float):
+        yield path, value
+    elif isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _floats(item, (*path, key))
+
+
+def _reject_non_finite_q(data: dict) -> None:
+    """Raise ``ConfigError("path: nan is not a finite number")`` for the
+    first non-finite number under a key of ``Q_KEYS``."""
+    for keys in Q_KEYS:
+        value = data
+        for key in keys:
+            value = value.get(key) if isinstance(value, dict) else None
+        for path, number in _floats(value, keys):
+            if not math.isfinite(number):
+                raise ConfigError(f"{'.'.join(map(str, path))}: {number!r} is not a finite number")
+
+
 def config_sha256(data: dict) -> str:
     """Hash of the canonical (sorted, compact) JSON serialization."""
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
@@ -445,23 +468,6 @@ def build_weight(
     return weight
 
 
-def _build_q_grid(spec) -> np.ndarray:
-    if isinstance(spec, dict):
-        base = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["count"]))
-        extras = [
-            center + sign * offset
-            for center in spec.get("refine", [])
-            for sign in (-1.0, 1.0)
-            for offset in REFINE_OFFSETS
-        ]
-        grid = np.unique(np.concatenate([base, np.asarray(extras, dtype=float)]))
-    else:
-        grid = np.unique(np.asarray(spec, dtype=float))
-    if grid.size == 0:
-        raise ConfigError("grids.qGrid: empty grid")
-    return grid
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A validated experiment: constructed objects plus provenance hash."""
@@ -485,6 +491,7 @@ class ExperimentConfig:
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a config dictionary and build the experiment objects."""
     validate_raw(data)
+    _reject_non_finite_q(data)
     filled = dict(default_config())
     filled.update({k: v for k, v in data.items()})
     system = build_system(filled["cellSystem"])
@@ -493,7 +500,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     schedule = tuple(int(n) for n in grids.get("depthSchedule", DEFAULT_DEPTH_SCHEDULE))
     if list(schedule) != sorted(set(schedule)):
         raise ConfigError("grids.depthSchedule: must be strictly increasing")
-    q_grid = _build_q_grid(grids.get("qGrid", default_config()["grids"]["qGrid"]))
+    q_grid = q_grid_from_spec(grids.get("qGrid", default_config()["grids"]["qGrid"]))
 
     weight = build_weight(filled["weight"], system, schedule)
 

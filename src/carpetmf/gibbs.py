@@ -98,10 +98,7 @@ def make_auxiliary(
 
 
 def ball_mass(
-    psi: CylinderWeight,
-    column_word: Sequence[int],
-    row_word: Sequence[int],
-    method: str = "auto",
+    psi: CylinderWeight, column_word: Sequence[int], row_word: Sequence[int]
 ) -> float:
     """Log mass of the anisotropic ball given by a depth-n row word and a
     depth-g(n) column word.
@@ -126,10 +123,10 @@ def ball_mass(
     m = g - n
     if m == 0:
         return lw
-    lmar = row_sum(psi, column_word[n:], 1.0, method=method)
+    lmar = row_sum(psi, column_word[n:], 1.0)
     if lmar == NEG_INF:
         return NEG_INF
-    lz = log_total_mass(psi, m, method=method)
+    lz = log_total_mass(psi, m)
     return lw + lmar - lz
 
 

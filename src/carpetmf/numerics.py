@@ -193,8 +193,17 @@ def run_chunked_arrays(
 
 
 # ---------------------------------------------------------------------------
-# Derivatives on 1-d grids
+# 1-d grids and their derivatives
 # ---------------------------------------------------------------------------
+
+
+def sorted_unique(values) -> np.ndarray:
+    """The sorted distinct values of a float array, as ``np.unique`` gives
+    them, without the ``numpy.ma`` import its plain form pays."""
+    out = np.sort(np.asarray(values, dtype=float).ravel())
+    keep = np.ones(out.size, dtype=bool)
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
 
 
 def central_derivative(f: Callable[[float], float], x: float, h: float = 1e-4) -> float:

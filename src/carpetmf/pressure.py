@@ -16,6 +16,11 @@ converge at rate O(1/n); :func:`extrapolate_pressure` removes the leading
 term with a two-point fit and reports a superadditivity-defect error proxy.
 All outer sums run through the deterministic chunked reduction in
 :mod:`carpetmf.numerics`, so worker counts never change results.
+
+The pass has one route per weight and q (transfer where the weight has one,
+else row enumeration); it takes no route argument.  Enumeration as an oracle
+is a call of its own: ``method="enumerate"`` of :func:`log_total_mass` and
+of :func:`carpetmf.weights.row_sum_log_any`.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .numerics import (
     part_value,
     parts_from_rows,
     scaled_powers,
+    sorted_unique,
     tree_combine,
 )
 from .symbolic import (
@@ -46,7 +52,7 @@ from .symbolic import (
     check_budget,
     row_word_count,
 )
-from .weights import CylinderWeight, enumerated_qs, row_sum_log_any, row_sum_log_ranks
+from .weights import METHODS, CylinderWeight, row_sum_log_any, row_sum_log_ranks
 
 #: Relative tolerance for the concavity sanity check on pressure slices.
 CONCAVITY_RTOL = 1e-9
@@ -66,15 +72,10 @@ PART_BLOCK = 16
 CHUNK_WORDS = 1 << 16
 
 
-def row_sum(
-    psi: CylinderWeight,
-    w1: Sequence[int],
-    q: float,
-    method: str = "auto",
-) -> float:
+def row_sum(psi: CylinderWeight, w1: Sequence[int], q: float) -> float:
     """``log I_q(w1)`` for a single column word."""
     a1s = np.asarray(w1, dtype=np.int64).reshape(1, -1)
-    return float(row_sum_log_any(psi, a1s, q, method=method)[0])
+    return float(row_sum_log_any(psi, a1s, q)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +83,16 @@ def row_sum(
 # ---------------------------------------------------------------------------
 
 
-def log_total_mass(
-    psi: CylinderWeight,
-    m: int,
-    workers: int = 1,
-    method: str = "auto",
-) -> float:
-    """``log sum_{|w| = m} psi(w)`` over all admissible product words."""
+def log_total_mass(psi: CylinderWeight, m: int, workers: int = 1, method: str = "auto") -> float:
+    """``log sum_{|w| = m} psi(w)`` over all admissible product words.
+
+    Under ``method="auto"``, the production route, it is the weight's closed
+    form where it has one, else the ``rows`` sum of one
+    :func:`column_log_sums` pass at q = 1; ``method="enumerate"`` sums the
+    weights of every product word, the oracle of both.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if m < 0:
         raise ValueError("depth must be >= 0")
     if m == 0:
@@ -105,19 +109,14 @@ def log_total_mass(
     fast = psi.log_total_mass(m)
     if fast is not None:
         return fast
-    return float(column_log_sums(psi, [1.0], m, ("rows",), workers, method)["rows"][0])
+    return float(column_log_sums(psi, [1.0], m, ("rows",), workers)["rows"][0])
 
 
-def finite_pressure(
-    psi: CylinderWeight,
-    n: int,
-    workers: int = 1,
-    method: str = "auto",
-) -> float:
+def finite_pressure(psi: CylinderWeight, n: int, workers: int = 1) -> float:
     """``(1/n) log sum_{|w| = n} psi(w)`` — the depth-n pressure estimate."""
     if n < 1:
         raise ValueError("pressure needs depth >= 1")
-    value = log_total_mass(psi, n, workers=workers, method=method)
+    value = log_total_mass(psi, n, workers=workers)
     if value == NEG_INF:
         raise ValueError("weight has empty support at this depth")
     return value / n
@@ -128,7 +127,7 @@ def _check_kinds(kinds: Sequence[str]) -> None:
         raise ValueError("curve kind must be 'T' or 'beta'")
 
 
-def _pass_row_qs(psi, n, q_grid, kinds, method) -> np.ndarray:
+def _pass_row_qs(psi, n, q_grid, kinds) -> np.ndarray:
     """The row-sum q values of a depth-n pass over ``kinds``: the grid for
     ``T``, ``beta`` and ``rows``, and q = 1 for ``beta`` and ``marginal``,
     appended unless the grid has it.
@@ -146,10 +145,10 @@ def _pass_row_qs(psi, n, q_grid, kinds, method) -> np.ndarray:
     system = psi.system
     total = row_word_count(system, n)
     check_budget(total, f"{total} column words at depth {n}")
-    enumerated = enumerated_qs(psi, row_qs, method) | psi.row_enumeration_mask(row_qs)
+    enumerated = psi.row_enumeration_mask(row_qs)
     if enumerated.any():
         volume = total * system.r2**n * n
-        qs = ", ".join(f"{q:g}" for q in np.unique(row_qs[enumerated]))
+        qs = ", ".join(f"{q:g}" for q in sorted_unique(row_qs[enumerated]))
         check_budget(
             volume,
             f"depth {n}: row enumeration for q = {qs} builds {volume} digit cells "
@@ -159,12 +158,7 @@ def _pass_row_qs(psi, n, q_grid, kinds, method) -> np.ndarray:
 
 
 def column_log_sums(
-    psi: CylinderWeight,
-    q_grid: np.ndarray,
-    n: int,
-    kinds: Sequence[str],
-    workers: int = 1,
-    method: str = "auto",
+    psi: CylinderWeight, q_grid: np.ndarray, n: int, kinds: Sequence[str], workers: int = 1
 ) -> dict[str, np.ndarray]:
     """``log sum_{|w1| = n}`` of each kind's term at every q of ``q_grid``.
 
@@ -186,11 +180,11 @@ def column_log_sums(
     q_grid = np.asarray(q_grid, dtype=float).ravel()
     Q = q_grid.size
     s = psi.system.s
-    row_qs = _pass_row_qs(psi, n, q_grid, kinds, method)
+    row_qs = _pass_row_qs(psi, n, q_grid, kinds)
     one = np.flatnonzero(row_qs == 1.0)[:1]  # the row of I_1, if a kind reads it
 
     def partial(start: int, stop: int):
-        li = np.ascontiguousarray(row_sum_log_ranks(psi, n, start, stop, row_qs, method).T)
+        li = np.ascontiguousarray(row_sum_log_ranks(psi, n, start, stop, row_qs).T)
         parts = {kind: [] for kind in kinds}
         # Terms are reduced PART_BLOCK q at a time, so the transients stay
         # (PART_BLOCK, W) however long the grid; each row reduces alone.
@@ -228,45 +222,28 @@ def pass_chunks(r1: int, n: int) -> list[tuple[int, int]]:
 
 
 def finite_values(
-    psi: CylinderWeight,
-    q_grid: np.ndarray,
-    n: int,
-    kinds: Sequence[str] = KINDS,
-    workers: int = 1,
-    method: str = "auto",
+    psi: CylinderWeight, q_grid: np.ndarray, n: int, kinds: Sequence[str] = KINDS, workers: int = 1
 ) -> dict[str, np.ndarray]:
     """``T_n`` and/or ``beta_n`` at every q of ``q_grid`` from one
     :func:`column_log_sums` pass."""
     if n < 1:
         raise ValueError("pressure needs depth >= 1")
     _check_kinds(kinds)
-    logs = column_log_sums(psi, q_grid, n, kinds, workers, method)
+    logs = column_log_sums(psi, q_grid, n, kinds, workers)
     if any(np.any(values == NEG_INF) for values in logs.values()):
         raise ValueError("weight has empty support at this depth")
     scale = n * math.log(psi.system.r1)
     return {kind: -values / scale for kind, values in logs.items()}
 
 
-def finite_T(
-    psi: CylinderWeight,
-    q: float,
-    n: int,
-    workers: int = 1,
-    method: str = "auto",
-) -> float:
+def finite_T(psi: CylinderWeight, q: float, n: int, workers: int = 1) -> float:
     """Depth-n row-sum pressure ``T_n(q)``."""
-    return float(finite_values(psi, [q], n, ("T",), workers, method)["T"][0])
+    return float(finite_values(psi, [q], n, ("T",), workers)["T"][0])
 
 
-def finite_beta(
-    psi: CylinderWeight,
-    q: float,
-    n: int,
-    workers: int = 1,
-    method: str = "auto",
-) -> float:
+def finite_beta(psi: CylinderWeight, q: float, n: int, workers: int = 1) -> float:
     """Depth-n mixed-moment pressure ``beta_n(q)``."""
-    return float(finite_values(psi, [q], n, ("beta",), workers, method)["beta"][0])
+    return float(finite_values(psi, [q], n, ("beta",), workers)["beta"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +359,6 @@ def pressure_curves(
     depth_schedule: Sequence[int],
     kinds: Sequence[str] = KINDS,
     workers: int = 1,
-    method: str = "auto",
 ) -> dict[str, PressureCurve]:
     """Evaluate ``T_n`` and ``beta_n`` over a grid, extrapolate, sanity-check.
 
@@ -397,7 +373,7 @@ def pressure_curves(
     otherwise).
     """
     _check_kinds(kinds)
-    q_grid = np.unique(np.asarray(q_grid, dtype=float))
+    q_grid = sorted_unique(q_grid)
     if q_grid.size < 1:
         raise ValueError("q grid needs at least one point")
     feasible, dropped = [], ""
@@ -412,10 +388,10 @@ def pressure_curves(
     if len(feasible) < 2:
         raise CapExceededError(f"need at least two feasible depths for extrapolation{dropped}")
     for n in feasible:
-        _pass_row_qs(psi, n, q_grid, kinds, method)
+        _pass_row_qs(psi, n, q_grid, kinds)
     finite: dict[str, dict[int, np.ndarray]] = {kind: {} for kind in kinds}
     for n in feasible:
-        values = finite_values(psi, q_grid, n, kinds, workers, method)
+        values = finite_values(psi, q_grid, n, kinds, workers)
         for kind in kinds:
             require_concave(q_grid, values[kind], f"{kind}_{n} violates concavity")
             finite[kind][n] = values[kind]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .numerics import sorted_unique
 from .symbolic import CellSystem
 from .weights import ConstantCellWeight, make_constant_cell
 
@@ -18,6 +19,7 @@ __all__ = [
     "DEFAULT_MASTER_SEED",
     "default_config",
     "default_q_grid",
+    "q_grid_from_spec",
     "random_depth2_weight",
     "reference_cell_masses",
     "reference_system",
@@ -27,6 +29,12 @@ __all__ = [
 
 #: Depth schedule used for extrapolation when nothing else is requested.
 DEFAULT_DEPTH_SCHEDULE: tuple[int, ...] = (4, 6, 8, 10, 12)
+
+#: Dyadic offsets added on both sides of each refinement center of a q-grid.
+REFINE_OFFSETS = (0.03125, 0.0625, 0.125)
+
+#: Half-width of the uniform window values of :func:`random_depth2_weight`.
+WINDOW_SPREAD = 0.5
 
 #: Master seed for sampling defaults (any fixed value works; this one is
 #: the release date of the first frozen verification run).
@@ -62,32 +70,44 @@ def zero_potential_weight(system: CellSystem | None = None) -> ConstantCellWeigh
     return make_constant_cell(system, 1, np.zeros(system.n_cells))
 
 
-def random_depth2_weight(
-    seed: int = 7, spread: float = 0.5, system: CellSystem | None = None
-) -> ConstantCellWeight:
+def random_depth2_weight(seed: int = 7, system: CellSystem | None = None) -> ConstantCellWeight:
     """Seeded random depth-2 window potential on a cell system.
 
-    Window values are uniform on ``[-spread, spread]`` over all cell pairs;
-    the depth-1 truncation table stays at zero.  Used wherever a genuinely
-    non-factorizing weight is needed.
+    Window values are uniform on ``[-WINDOW_SPREAD, WINDOW_SPREAD]`` over
+    all cell pairs; the depth-1 truncation table stays at zero.  Used
+    wherever a genuinely non-factorizing weight is needed.
     """
     system = reference_system() if system is None else system
     rng = np.random.default_rng(seed)
     nc = system.n_cells
-    window = rng.uniform(-spread, spread, size=(nc, nc))
+    window = rng.uniform(-WINDOW_SPREAD, WINDOW_SPREAD, size=(nc, nc))
     return make_constant_cell(system, 2, window)
 
 
+def q_grid_from_spec(spec) -> np.ndarray:
+    """The sorted distinct points of a config's ``grids.qGrid``: its list
+    of points, or ``count`` evenly spaced points from ``start`` to ``stop``
+    plus ``REFINE_OFFSETS`` on both sides of each ``refine`` center."""
+    if not isinstance(spec, dict):
+        return sorted_unique(spec)
+    base = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["count"]))
+    extras = [
+        center + sign * offset
+        for center in spec.get("refine", [])
+        for sign in (-1.0, 1.0)
+        for offset in REFINE_OFFSETS
+    ]
+    return sorted_unique(np.concatenate([base, np.asarray(extras, dtype=float)]))
+
+
 def default_q_grid() -> np.ndarray:
-    """81 points on [-10, 10] plus dyadic refinements near 0 and 1.
+    """The default config's q-grid: 81 points on [-10, 10] plus dyadic
+    refinements near 0 and 1.
 
     The base step is 1/4 and the refinement offsets are dyadic, so every
     grid point is an exact binary float and unions deduplicate cleanly.
     """
-    base = np.linspace(-10.0, 10.0, 81)
-    offsets = np.array([0.03125, 0.0625, 0.125])
-    refined = np.concatenate([c + sign * offsets for c in (0.0, 1.0) for sign in (-1, 1)])
-    return np.unique(np.concatenate([base, refined]))
+    return q_grid_from_spec(default_config()["grids"]["qGrid"])
 
 
 def default_config() -> dict:

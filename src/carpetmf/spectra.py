@@ -159,11 +159,7 @@ def mcmullen_dimension(system: CellSystem) -> float:
 
 
 def lq_spectrum_empirical(
-    psi: CylinderWeight,
-    q: float | np.ndarray,
-    n: int,
-    method: str = "auto",
-    workers: int = 1,
+    psi: CylinderWeight, q: float | np.ndarray, n: int, workers: int = 1
 ) -> float | np.ndarray:
     """``tau_n(q) = -(1/n) log_{r2} sum_B mu_n(B)^q`` over depth-n balls.
 
@@ -172,17 +168,17 @@ def lq_spectrum_empirical(
     ``I_1(u) / Z_m`` of ``u``, so the ball sum factorizes exactly:
     ``sum_B mu(B)^q = [sum_{w1} I_q(w1)] * [sum_u I_1(u)^q] / Z_m^q``, the
     ``rows`` and ``marginal`` kinds of :func:`column_log_sums`.  ``q`` is a
-    scalar (scalar result) or an array (one value per q); ``method``
-    selects the row-sum route.
+    scalar (scalar result) or an array (one value per q).  Box counting a
+    rendered grid is its oracle.
     """
     if n < 1:
         raise ValueError("depth must be >= 1")
     qs = np.asarray(q, dtype=float).ravel()
     m = depth_map(psi.system, n) - n
-    log_sum = column_log_sums(psi, qs, n, ("rows",), workers, method)["rows"]
+    log_sum = column_log_sums(psi, qs, n, ("rows",), workers)["rows"]
     if m > 0:
-        log_ext = column_log_sums(psi, qs, m, ("marginal",), workers, method)["marginal"]
-        log_z = log_total_mass(psi, m, workers=workers, method=method)
+        log_ext = column_log_sums(psi, qs, m, ("marginal",), workers)["marginal"]
+        log_z = log_total_mass(psi, m, workers=workers)
         log_sum = log_sum + (log_ext - qs * log_z)
     if np.any(log_sum == NEG_INF):
         raise ValueError("measure charges no ball at this depth")

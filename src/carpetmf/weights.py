@@ -54,6 +54,11 @@ from .symbolic import (
 #: floats a weight's memo of transfer tail vectors holds.
 MAX_TRANSFER_TABLE = 1 << 22
 
+#: The routes of the two oracle entries, :func:`row_sum_log_any` and
+#: :func:`carpetmf.pressure.log_total_mass`: ``auto`` is the production
+#: route, ``enumerate`` the enumeration oracle it is checked against.
+METHODS = ("auto", "enumerate")
+
 #: Rows (or gathered letters) whose digits are built at once when row sums
 #: enumerate rows or gather depth-1 letter sums; bounds the transient.
 ENUMERATION_BLOCK = 1 << 16
@@ -779,14 +784,15 @@ def row_sum_log_any(
     q: float | np.ndarray,
     method: str = "auto",
 ) -> np.ndarray:
-    """``log I_q`` for a batch of column words, preferring fast structure.
+    """``log I_q`` for a batch of column words.
 
     ``q`` is a scalar (result ``(W,)``) or a 1-d array (result ``(W, Q)``).
-    ``method`` is one of ``auto`` (transfer where available, else
-    enumerate), ``transfer`` (error if unavailable for some q) or
-    ``enumerate`` (force the oracle).  Each distinct q is computed once, and
-    the q values without a transfer route enumerate the rows once and share
-    their log weights.
+    Under ``method="auto"``, the production route, the q values inside
+    :meth:`CylinderWeight.transfer_mask` take the weight's transfer route
+    and the others enumerate rows; ``method="enumerate"`` enumerates rows
+    at every q, the oracle the transfer routes are checked against.  Each
+    distinct q is computed once, and the q values that enumerate share one
+    enumeration of the rows and their log weights.
     """
     a1s = np.asarray(a1s, dtype=np.int64)
     return _routed_row_sums(
@@ -795,12 +801,7 @@ def row_sum_log_any(
 
 
 def row_sum_log_ranks(
-    weight: CylinderWeight,
-    n: int,
-    lo: int,
-    hi: int,
-    q: float | np.ndarray,
-    method: str = "auto",
+    weight: CylinderWeight, n: int, lo: int, hi: int, q: float | np.ndarray
 ) -> np.ndarray:
     """:func:`row_sum_log_any` of the depth-``n`` column words of ranks
     ``lo .. hi - 1``: the q values with a transfer route read
@@ -809,7 +810,7 @@ def row_sum_log_ranks(
     return _routed_row_sums(
         weight,
         q,
-        method,
+        "auto",
         lambda qs: weight.row_sum_log_range(n, lo, hi, qs),
         lambda: row_words_range(weight.system, n, lo, hi),
     )
@@ -819,13 +820,13 @@ def _routed_row_sums(weight, q, method, fast, words) -> np.ndarray:
     """The routing of :func:`row_sum_log_any`: ``fast(qs)`` gives the
     ``(W, Q)`` row sums of q values inside the transfer mask, ``words()``
     the ``(W, n)`` digit rows whose rows the other q values enumerate."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     qs = np.atleast_1d(np.asarray(q, dtype=float))
     inverse = slice(None)
     if qs.size > 1 and not (np.diff(qs) > 0).all():
         qs, inverse = np.unique(qs, return_inverse=True)
-    enumerated = enumerated_qs(weight, qs, method)
-    if method == "transfer" and enumerated.any():
-        raise ValueError("weight has no transfer structure for row sums")
+    enumerated = np.full(qs.size, method == "enumerate") | ~weight.transfer_mask(qs)
     if not enumerated.any():
         out = fast(qs)
     elif enumerated.all():
@@ -836,15 +837,6 @@ def _routed_row_sums(weight, q, method, fast, words) -> np.ndarray:
         out[:, ~enumerated] = fast(qs[~enumerated])
         out[:, enumerated] = _enumerate_row_sums(weight, a1s, qs[enumerated])
     return out[:, 0] if np.ndim(q) == 0 else out[:, inverse]
-
-
-def enumerated_qs(weight: CylinderWeight, qs: np.ndarray, method: str = "auto") -> np.ndarray:
-    """Mask of the q values whose row sums enumerate rows under ``method``."""
-    if method not in ("auto", "transfer", "enumerate"):
-        raise ValueError(f"unknown row-sum method {method!r}")
-    if method == "enumerate":
-        return np.ones(len(qs), dtype=bool)
-    return ~weight.transfer_mask(qs)
 
 
 def _enumerate_row_sums(weight, a1s, qs) -> np.ndarray:

@@ -38,6 +38,7 @@ from carpetmf import (
     row_sum_log_any,
     sample_paths,
 )
+from carpetmf import pressure as pressure_module
 from carpetmf.cli import main
 from carpetmf.numerics import mean_and_stderr
 from carpetmf.reference import (
@@ -185,35 +186,62 @@ def test_criterion_4_tilt_identities():
             assert d <= c_hat / n + 1e-15, f"measured c_hat {c_hat:.3e} violated at n={n}"
 
 
+def _criterion_5_worst() -> float:
+    """Worst relative disagreement of the transfer row sums with row
+    enumeration, and of ``finite_T``/``finite_beta`` with their definition
+    over the enumerated row sums."""
+    qs = (-1.0, 0.7, 1.0, 2.0)
+    worst = 0.0
+    for psi in (reference_weight(), random_depth2_weight()):
+        system = psi.system
+        assert psi.transfer_mask(np.array(qs)).all()
+        for n in (2, 4, 6):
+            words = np.stack(
+                [np.array(w, dtype=np.int64) for w in np.ndindex(*(system.r1,) * n)]
+            )
+            assert words.shape[0] == row_word_count(system, n)
+            fast = row_sum_log_any(psi, words, qs)
+            slow = row_sum_log_any(psi, words, qs, method="enumerate")
+            finite = np.isfinite(fast) | np.isfinite(slow)
+            worst = max(
+                worst,
+                float(
+                    np.max(
+                        np.abs(fast[finite] - slow[finite])
+                        / np.maximum(1.0, np.abs(slow[finite]))
+                    )
+                ),
+            )
+            # T_n = -log2(sum I_q^s) / n and
+            # beta_n = -log2(sum I_1^(q(1-s)) I_q^s) / n, with s = 1/2.
+            log_i1 = slow[:, qs.index(1.0)]
+            for q in (0.7, 2.0):
+                log_iq = slow[:, qs.index(q)]
+                want = {
+                    finite_T: -math.log2(np.sum(np.exp(S * log_iq))) / n,
+                    finite_beta: -math.log2(
+                        np.sum(np.exp(q * (1 - S) * log_i1 + S * log_iq))
+                    ) / n,
+                }
+                for fn, b in want.items():
+                    a = fn(psi, q, n)
+                    worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+    return worst
+
+
 def test_criterion_5_transfer_vs_enumeration():
     with budget(10.0):
-        worst = 0.0
-        for psi in (reference_weight(), random_depth2_weight()):
-            system = psi.system
-            for n in (2, 4, 6):
-                words = np.stack(
-                    [np.array(w, dtype=np.int64) for w in np.ndindex(*(system.r1,) * n)]
-                )
-                assert words.shape[0] == row_word_count(system, n)
-                for q in (-1.0, 0.7, 2.0):
-                    fast = row_sum_log_any(psi, words, q, method="transfer")
-                    slow = row_sum_log_any(psi, words, q, method="enumerate")
-                    finite = np.isfinite(fast) | np.isfinite(slow)
-                    worst = max(
-                        worst,
-                        float(
-                            np.max(
-                                np.abs(fast[finite] - slow[finite])
-                                / np.maximum(1.0, np.abs(slow[finite]))
-                            )
-                        ),
-                    )
-                for q in (0.7, 2.0):
-                    for fn in (finite_T, finite_beta):
-                        a = fn(psi, q, n, method="transfer")
-                        b = fn(psi, q, n, method="enumerate")
-                        worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-        assert worst <= 1e-12
+        assert _criterion_5_worst() <= 1e-12
+
+
+def test_criterion_5_catches_a_wrong_pass(monkeypatch):
+    real = pressure_module.column_log_sums
+
+    def shifted(*args, **kwargs):
+        return {kind: logs + 1e-9 for kind, logs in real(*args, **kwargs).items()}
+
+    monkeypatch.setattr(pressure_module, "column_log_sums", shifted)
+    assert _criterion_5_worst() > 1e-12
 
 
 def test_criterion_6_legendre_involution():

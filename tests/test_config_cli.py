@@ -320,6 +320,35 @@ def test_cli_rejects_malformed_config(tmp_path):
     assert "error:" in result.stderr and "surprise" in result.stderr
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("pressure", {"grids": {"qGrid": [0.0, 1.0, NAN, 2.0]}}, "grids.qGrid.2: nan"),
+        ("pressure", {"grids": {"qGrid": [0.0, INF]}}, "grids.qGrid.1: inf"),
+        ("pressure", {"grids": {"qGrid": {"start": NAN, "stop": 1, "count": 3}}},
+         "grids.qGrid.start: nan"),
+        ("pressure", {"grids": {"qGrid": {"start": 0, "stop": -INF, "count": 3}}},
+         "grids.qGrid.stop: -inf"),
+        ("pressure", {"grids": {"qGrid": {"start": 0, "stop": 1, "count": 3, "refine": [INF]}}},
+         "grids.qGrid.refine.0: inf"),
+        ("sample", {"sampling": {"nSamples": 5, "depth": 4, "q": NAN}}, "sampling.q: nan"),
+        ("pressure", {"weight": {"kind": "skewProduct", "rho": SKEW_RHO,
+                                 "theta1": {"kind": "rowSum", "q": INF}}},
+         "weight.theta1.q: inf"),
+    ],
+    ids=["qGrid-nan", "qGrid-inf", "start", "stop", "refine", "sampling.q", "theta1.q"],
+)
+def test_cli_rejects_non_finite_q(tmp_path, command, overrides, message):
+    # JSON readers accept NaN and Infinity; validation names the key.
+    cfgfile = write_config(tmp_path, small_config(**overrides))
+    result = invoke(command, "--config", str(cfgfile), "--out", str(tmp_path / "out"))
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {message} is not a finite number\n"
+
+
 def test_cli_workers_deterministic(tmp_path):
     cfgfile = write_config(tmp_path, small_config())
     invoke("pressure", "--config", str(cfgfile), "--out", str(tmp_path / "a"), "--workers", "1")

@@ -22,9 +22,11 @@ from carpetmf import (
     make_matrix_cocycle,
     pressure_curves,
     row_sum,
+    row_sum_log_any,
     VARIANT_PSI_Q,
     VARIANT_PSI_TILDE_Q,
 )
+from carpetmf import pressure, verify
 from carpetmf.numerics import concavity_defect
 from carpetmf.reference import default_q_grid
 
@@ -66,9 +68,22 @@ def test_row_sum_transfer_equals_enumeration(ref_system, depth2_weight):
             for idx in range(2**n):
                 w1 = [(idx >> k) & 1 for k in range(n)]
                 for q in (-1.0, 0.7, 2.0):
-                    fast = row_sum(psi, w1, q, method="auto")
-                    slow = row_sum(psi, w1, q, method="enumerate")
+                    fast = row_sum(psi, w1, q)
+                    slow = row_sum_log_any(psi, [w1], q, method="enumerate")[0]
                     assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
+
+
+def test_criterion_5_catches_a_wrong_pass(monkeypatch):
+    # Criterion 5 checks the pass's T_n and beta_n against their definition
+    # over enumerated row sums, so a pass that is off by 1e-9 in log fails it.
+    real = pressure.column_log_sums
+
+    def shifted(*args, **kwargs):
+        return {kind: logs + 1e-9 for kind, logs in real(*args, **kwargs).items()}
+
+    assert verify._criterion_transfer_oracle()[0]
+    monkeypatch.setattr(pressure, "column_log_sums", shifted)
+    assert not verify._criterion_transfer_oracle()[0]
 
 
 # -- finite pressures -----------------------------------------------------------

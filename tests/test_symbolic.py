@@ -203,7 +203,7 @@ BUDGET_SITES = [
     ("total mass", lambda: log_total_mass(reference_weight(), 5, method="enumerate"), 5**5),
     (
         "pressure preflight",
-        lambda: pressure_curves(reference_weight(), [1.0], (2, 5), method="enumerate"),
+        lambda: pressure_curves(_cocycle(), [0.5], (2, 5)),
         2**5 * 4**5 * 5,
     ),
     ("pressure depth filter", lambda: pressure_curves(reference_weight(), [1.0], (2, 10)), 2**10),

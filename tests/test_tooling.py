@@ -22,8 +22,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
-from carpetmf.weights import CylinderWeight
+import numpy as np
+import pytest
+
+from carpetmf.pressure import log_total_mass
+from carpetmf.reference import reference_weight
+from carpetmf.weights import CylinderWeight, row_sum_log_any
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -116,15 +122,42 @@ def test_tracer_argument_positions():
     assert used == set(reads)
 
 
+def _parameters(path: Path) -> Iterator[tuple[str, int, list[str]]]:
+    """``(name, line, parameter names)`` of every function in a source file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+            yield getattr(node, "name", "<lambda>"), node.lineno, names
+
+
 def test_no_function_takes_a_cap():
     # One enumeration budget, symbolic.ENUMERATION_CAP, read where it is
     # checked: no function of the package takes its own.
     for path in sorted((SRC / "carpetmf").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                args = node.args
-                names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
-                assert "cap" not in names, f"{path.name}:{node.lineno} takes cap"
+        for _, line, names in _parameters(path):
+            assert "cap" not in names, f"{path.name}:{line} takes cap"
+
+
+def test_only_the_oracle_entries_take_a_method():
+    # Enumeration is an oracle call, not a mode: the row-sum and total-mass
+    # entries take method="enumerate" (and their router passes it on); the
+    # pressure layer has one route per weight and q.
+    takers = sorted(
+        name
+        for path in sorted((SRC / "carpetmf").glob("*.py"))
+        for name, _, names in _parameters(path)
+        if "method" in names
+    )
+    assert takers == ["_routed_row_sums", "log_total_mass", "row_sum_log_any"]
+    psi = reference_weight()
+    for call in (
+        lambda method: row_sum_log_any(psi, np.zeros((1, 2), dtype=np.int64), 1.0, method=method),
+        lambda method: log_total_mass(psi, 2, method=method),
+    ):
+        assert call("auto") == pytest.approx(call("enumerate"), rel=1e-12)
+        with pytest.raises(ValueError, match="unknown method 'transfer'"):
+            call("transfer")
 
 
 def _resolves(module: str, name: str) -> bool:
@@ -191,6 +224,7 @@ def test_config_load_skips_jsonschema_and_the_pipeline(tmp_path):
     )
     assert "carpetmf.config" in loaded
     assert "jsonschema" not in loaded
+    assert "numpy.ma" not in loaded
     assert not loaded & {"carpetmf.pressure", "carpetmf.transfer", *PIPELINE}
 
 

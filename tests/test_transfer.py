@@ -25,7 +25,6 @@ from carpetmf import (
     CellSystem,
     SkewProductWeight,
     finite_T,
-    finite_beta,
     log_total_mass,
     make_auxiliary,
     make_constant_cell,
@@ -42,6 +41,21 @@ from carpetmf.transfer import TailMemo, split_point, split_transfer_log
 from carpetmf.weights import MAX_TRANSFER_TABLE, row_sum_log_any
 
 Q_VALUES = (-1.5, 0.0, 0.7, 1.0, 2.0, 3.0)
+
+
+def pressures_by_definition(psi, q: float, n: int) -> dict[str, float]:
+    """``T_n(q) = -lse(s log I_q) / (n log r1)`` and
+    ``beta_n(q) = -lse(q(1-s) log I_1 + s log I_q) / (n log r1)`` over the
+    row sums of every depth-n column word, enumerated row by row."""
+    system = psi.system
+    words = digits_of_indices(np.arange(system.r1**n), system.r1, n)
+    log_iq, log_i1 = row_sum_log_any(psi, words, [q, 1.0], method="enumerate").T
+    s, scale = system.s, n * np.log(system.r1)
+    s_log_iq = scaled_powers(s, log_iq)
+    return {
+        "T": -lse(s_log_iq) / scale,
+        "beta": -lse(scaled_powers(q * (1.0 - s), log_i1) + s_log_iq) / scale,
+    }
 
 
 @st.composite
@@ -214,9 +228,7 @@ def test_pressure_curves_per_q_values(psi, grid, keep):
                 # Bit-identical whatever other q share the grid and for any
                 # number of workers.
                 assert whole[kind].finite_value_at(n, q) == part[kind].finite_value_at(n, q)
-                oracle = (finite_T if kind == "T" else finite_beta)(
-                    psi, q, n, method="enumerate"
-                )
+                oracle = pressures_by_definition(psi, q, n)[kind]
                 got = whole[kind].finite_value_at(n, q)
                 assert abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
             assert whole[kind].value_at(q) == part[kind].value_at(q)
@@ -234,8 +246,9 @@ def test_preflight_raises_before_any_depth(ref_system, monkeypatch):
     # Integer q have a transfer route, so the same stage fits.
     curves = pressure_curves(psi, [1.0, 2.0], (2, 4, 6))
     assert curves["T"].depths == (2, 4, 6)
+    # A single pressure value runs the same preflight.
     with pytest.raises(CapExceededError, match="depth 6"):
-        finite_T(psi, 1.0, 6, method="enumerate")
+        finite_T(psi, 0.5, 6)
 
 
 def test_preflight_counts_the_row_sums_a_tilt_reads(ref_system):
@@ -562,8 +575,9 @@ def test_skew_rows_read_rho_once_per_column_word(ref_system):
     # cells for them, not one word per tilt row (1.6e9 cells).
     mats = np.random.default_rng(3).uniform(0.05, 1.0, (ref_system.n_cells, 2, 2))
     aux = make_auxiliary(make_matrix_cocycle(ref_system, 2, mats), 0.5, 0.0, VARIANT_PSI_TILDE_Q)
-    curves = pressure_curves(aux, [1.0], (2, 4, 6), method="enumerate")
-    assert curves["T"].depths == (2, 4, 6)
+    for n in (2, 4, 6):
+        want = pressures_by_definition(aux, 1.0, n)
+        assert finite_T(aux, 1.0, n) == pytest.approx(want["T"], rel=1e-12)
     # Rows that share their column words, one with an out-of-range letter:
     # the batch's log weights are the per-row ones, bit for bit.
     rng = np.random.default_rng(0)
