@@ -388,12 +388,8 @@ def cmd_verify(config_path, workers, out_dir, seed, depth_max) -> None:
 
     del workers, seed, depth_max  # every criterion fixes its own worker count
     try:
-        cfg = (
-            _load_experiment(config_path, out_dir, None, None)
-            if config_path
-            else None
-        )
-    except ConfigError as exc:
+        cfg = _load_experiment(config_path, out_dir, None, None) if config_path else None
+    except (ConfigError, CapExceededError, ValueError) as exc:
         _fail(str(exc))
     results = run_all(cfg)
     width = max(len(r.name) for r in results)

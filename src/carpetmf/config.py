@@ -27,7 +27,6 @@ from .weights import (
     SkewProductWeight,
     make_constant_cell,
     make_matrix_cocycle,
-    normalize_to_gibbs,
 )
 
 __all__ = [
@@ -456,15 +455,12 @@ def build_weight(
     }
     weight = builders[kind](block, system)
     if block.get("normalize", False):
-        from .pressure import extrapolate_pressure, finite_pressure
+        from .pressure import CALIBRATION_WORDS, calibrate_to_gibbs
 
-        feasible = [n for n in depth_schedule if row_word_count(system, n) <= 1 << 20]
+        feasible = [n for n in depth_schedule if row_word_count(system, n) <= CALIBRATION_WORDS]
         if len(feasible) < 2:
             raise ConfigError("weight.normalize: depth schedule too shallow to estimate pressure")
-        estimate = extrapolate_pressure(
-            {n: finite_pressure(weight, n) for n in feasible[-3:]}
-        )
-        weight = normalize_to_gibbs(weight, estimate.value)
+        weight = calibrate_to_gibbs(weight, feasible[-3:])
     return weight
 
 

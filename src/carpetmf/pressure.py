@@ -52,7 +52,13 @@ from .symbolic import (
     check_budget,
     row_word_count,
 )
-from .weights import METHODS, CylinderWeight, row_sum_log_any, row_sum_log_ranks
+from .weights import (
+    METHODS,
+    CylinderWeight,
+    normalize_to_gibbs,
+    row_sum_log_any,
+    row_sum_log_ranks,
+)
 
 #: Relative tolerance for the concavity sanity check on pressure slices.
 CONCAVITY_RTOL = 1e-9
@@ -70,6 +76,10 @@ PART_BLOCK = 16
 #: make numpy calls short enough that two threads lose more to the
 #: interpreter lock than they gain (``tools/ladders.py``, dim-2 cocycle).
 CHUNK_WORDS = 1 << 16
+
+#: Most column words of a depth that a pressure calibration runs on: for a
+#: ``normalize: true`` weight and in the normalization check of ``verify``.
+CALIBRATION_WORDS = 1 << 20
 
 
 def row_sum(psi: CylinderWeight, w1: Sequence[int], q: float) -> float:
@@ -313,6 +323,14 @@ def extrapolate_pressure(values: Mapping[int, float]) -> Extrapolation:
         worst = max(worst, abs(S[c] - predicted))
     error = max(worst / n2, float(np.finfo(float).eps))
     return Extrapolation(value=value, error=error, depths=(n1, n2))
+
+
+def calibrate_to_gibbs(psi: CylinderWeight, depths: Sequence[int]) -> CylinderWeight:
+    """``psi`` shifted to (approximately) zero pressure: :func:`finite_pressure`
+    over ``depths``, extrapolated, removed by
+    :func:`carpetmf.weights.normalize_to_gibbs`."""
+    estimate = extrapolate_pressure({n: finite_pressure(psi, n) for n in depths})
+    return normalize_to_gibbs(psi, estimate.value)
 
 
 # ---------------------------------------------------------------------------

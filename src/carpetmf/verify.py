@@ -4,8 +4,9 @@ Each criterion exercises one pillar of the engine against an independent
 route — closed forms against finite sums, transfer recursions against brute
 enumeration, Monte Carlo means against derivative oracles, and reruns
 against byte-identical outputs.  ``run_all`` executes every criterion and
-reports measured defects; a criterion that does not apply to a custom
-configuration is reported as skipped rather than passed.
+reports measured defects.  Criteria 3 and 5 are functions of a weight, which
+``run_all(config)`` runs on the configured one; the reference-bound criteria
+are then reported as not applicable rather than passed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -29,6 +31,7 @@ from .numerics import (
     mean_and_stderr,
     run_chunked_arrays,
     scaled_powers,
+    sorted_unique,
 )
 from .reference import (
     DEFAULT_MASTER_SEED,
@@ -39,19 +42,16 @@ from .reference import (
     reference_weight,
     zero_potential_weight,
 )
-from .symbolic import row_word_count, row_words_range
-from .weights import (
-    CylinderWeight,
-    make_constant_cell,
-    make_matrix_cocycle,
-    normalize_to_gibbs,
-    row_sum_log_any,
-)
+from .symbolic import CapExceededError, check_budget, row_word_count, row_words_range
+from .weights import CylinderWeight, make_constant_cell, make_matrix_cocycle, row_sum_log_any
 
 __all__ = ["CriterionResult", "run_all"]
 
 #: Reference cell masses regrouped so the two fibers sum to 0.6 and 0.4.
 _SKEWED_MASSES = (0.3, 0.3, 0.1, 0.15, 0.15)
+
+#: Depths at which criterion 5 enumerates every row of every column word.
+_ORACLE_DEPTHS = (3, 5)
 
 
 @dataclass
@@ -116,20 +116,41 @@ def _criterion_support_dimension() -> tuple[bool, str]:
     return worst <= 1e-10, f"worst defect {worst:.2e} against log2(sqrt2+sqrt3)"
 
 
+def _beta_limit(psi: CylinderWeight, q: float, depths) -> float:
+    """``beta(q)`` of ``psi`` extrapolated over ``depths``."""
+    values = {n: pressure.finite_beta(psi, q, n) for n in depths}
+    return pressure.extrapolate_pressure(values).value
+
+
+def _normalization_residual(raw: CylinderWeight, calibration, test) -> float:
+    """Extrapolated ``beta(1)`` over the ``test`` depths of ``raw`` normalized
+    by :func:`pressure.calibrate_to_gibbs` over the ``calibration`` depths.
+    The two sets are disjoint: with a shared schedule the residual would
+    cancel algebraically."""
+    return _beta_limit(pressure.calibrate_to_gibbs(raw, calibration), 1.0, test)
+
+
 def _criterion_normalization() -> tuple[bool, str]:
     exact = abs(pressure.finite_beta(reference_weight(), 1.0, 6))
-    raw = random_depth2_weight()
-    # Estimate the pressure on odd depths, test the residual on even ones —
-    # with a shared schedule the residual would cancel algebraically.
-    estimate = pressure.extrapolate_pressure(
-        {n: pressure.finite_pressure(raw, n) for n in (5, 7, 9, 11)}
-    )
-    norm = normalize_to_gibbs(raw, estimate.value)
-    ext = pressure.extrapolate_pressure(
-        {n: pressure.finite_beta(norm, 1.0, n) for n in (6, 8, 10, 12)}
-    )
-    ok = exact <= 1e-9 and abs(ext.value) <= 1e-3
-    return ok, f"depth-1 residual {exact:.2e}, depth-2 extrapolated {ext.value:.2e}"
+    residual = _normalization_residual(random_depth2_weight(), (5, 7, 9, 11), (6, 8, 10, 12))
+    ok = exact <= 1e-9 and abs(residual) <= 1e-3
+    return ok, f"depth-1 residual {exact:.2e}, depth-2 extrapolated {residual:.2e}"
+
+
+def _config_normalization(config: ExperimentConfig) -> tuple[bool | None, str]:
+    """Criterion 3 on the configured weight: calibrated on the odd depths
+    and tested on the even ones, from one below the depth schedule to one
+    above it, among those with at most ``CALIBRATION_WORDS`` column words."""
+    schedule, limit = config.depth_schedule, pressure.CALIBRATION_WORDS
+    span = range(max(1, schedule[0] - 1), schedule[-1] + 2)
+    depths = [n for n in span if row_word_count(config.system, n) <= limit]
+    calibration = [n for n in depths if n % 2]
+    test = [n for n in depths if not n % 2]
+    if min(len(calibration), len(test)) < 2:
+        return None, f"needs two odd and two even depths of <= {limit} column words: {depths}"
+    residual = _normalization_residual(config.weight, calibration, test)
+    detail = f"extrapolated beta(1) {residual:.2e}, calibrated on {calibration}, tested on {test}"
+    return abs(residual) <= 1e-3, detail
 
 
 def _identity_defect(
@@ -157,21 +178,11 @@ def _criterion_tilt_identities() -> tuple[bool, str]:
             ),
         )
     # Depth-2 weight: the identity against the *limit* curve decays like 1/n.
-    raw = random_depth2_weight()
-    deep = normalize_to_gibbs(
-        raw,
-        pressure.extrapolate_pressure(
-            {n: pressure.finite_pressure(raw, n) for n in (8, 10, 12)}
-        ).value,
-    )
+    deep = pressure.calibrate_to_gibbs(random_depth2_weight(), (8, 10, 12))
     q, r = 2.0, 0.5
     schedule = (4, 6, 8, 10, 12)
-    level = pressure.extrapolate_pressure(
-        {n: pressure.finite_beta(deep, q, n) for n in schedule}
-    ).value
-    limit_qr = pressure.extrapolate_pressure(
-        {n: pressure.finite_beta(deep, q * r, n) for n in schedule}
-    ).value
+    level = _beta_limit(deep, q, schedule)
+    limit_qr = _beta_limit(deep, q * r, schedule)
     aux = gibbs.make_auxiliary(deep, q, level, gibbs.VARIANT_PSI_Q)
     defects = {
         n: abs(pressure.finite_beta(aux, r, n) - (limit_qr - r * level))
@@ -189,6 +200,34 @@ def _criterion_tilt_identities() -> tuple[bool, str]:
     )
 
 
+def _transfer_oracle_defect(psi: CylinderWeight, depths, row_qs, pressure_qs) -> float:
+    """Worst relative disagreement, over ``depths``, of the row sums at
+    ``row_qs`` with row enumeration, and of ``finite_T``/``finite_beta`` at
+    ``pressure_qs`` with their definition over the enumerated row sums.
+    ``row_qs`` holds q = 1 and every q of ``pressure_qs``."""
+    system = psi.system
+    worst = 0.0
+    for n in depths:
+        words = row_words_range(system, n, 0, row_word_count(system, n))
+        fast = row_sum_log_any(psi, words, row_qs)
+        slow = row_sum_log_any(psi, words, row_qs, method="enumerate")
+        finite = np.isfinite(fast) | np.isfinite(slow)
+        gap = np.abs(fast[finite] - slow[finite]) / np.maximum(1.0, np.abs(slow[finite]))
+        worst = max(worst, float(gap.max()))
+        s, scale = system.s, n * math.log(system.r1)
+        log_i1 = slow[:, row_qs.index(1.0)]
+        for q in pressure_qs:
+            s_log_iq = scaled_powers(s, slow[:, row_qs.index(q)])
+            t_n = -float(lse(s_log_iq)) / scale
+            beta_n = -float(lse(scaled_powers(q * (1.0 - s), log_i1) + s_log_iq)) / scale
+            worst = max(
+                worst,
+                _rel_err(pressure.finite_T(psi, q, n), t_n),
+                _rel_err(pressure.finite_beta(psi, q, n), beta_n),
+            )
+    return worst
+
+
 def _criterion_transfer_oracle() -> tuple[bool, str]:
     n_cells = reference_system().n_cells
     matrices = np.random.default_rng(DEFAULT_MASTER_SEED).uniform(0.05, 1.0, (n_cells, 2, 2))
@@ -202,55 +241,54 @@ def _criterion_transfer_oracle() -> tuple[bool, str]:
         (cocycle, (0.0, 1.0, 2.0), (0.0, 1.0, 2.0)),
     )
     routed = all(psi.transfer_mask(np.array(qs)).all() for psi, qs, _ in cases)
-    worst = 0.0
-    for psi, row_qs, pressure_qs in cases:
-        system = psi.system
-        for n in (3, 5):
-            words = row_words_range(system, n, 0, row_word_count(system, n))
-            fast = row_sum_log_any(psi, words, row_qs)
-            slow = row_sum_log_any(psi, words, row_qs, method="enumerate")
-            finite = np.isfinite(fast) | np.isfinite(slow)
-            gap = np.abs(fast[finite] - slow[finite]) / np.maximum(1.0, np.abs(slow[finite]))
-            worst = max(worst, float(gap.max()))
-            # The pass against the definition of T_n and beta_n over the
-            # enumerated row sums.
-            s, scale = system.s, n * math.log(system.r1)
-            log_i1 = slow[:, row_qs.index(1.0)]
-            for q in pressure_qs:
-                s_log_iq = scaled_powers(s, slow[:, row_qs.index(q)])
-                t_n = -float(lse(s_log_iq)) / scale
-                beta_n = -float(lse(scaled_powers(q * (1.0 - s), log_i1) + s_log_iq)) / scale
-                worst = max(
-                    worst,
-                    _rel_err(pressure.finite_T(psi, q, n), t_n),
-                    _rel_err(pressure.finite_beta(psi, q, n), beta_n),
-                )
+    worst = max(_transfer_oracle_defect(psi, _ORACLE_DEPTHS, *qs) for psi, *qs in cases)
     detail = f"worst relative route disagreement {worst:.2e}"
     return routed and worst <= 1e-12, detail + ("" if routed else "; a q lost its transfer route")
 
 
-def _closed_T_curve(psi, grid) -> pressure.PressureCurve:
-    vals = np.array([pressure.closed_form_T(psi, float(q)) for q in grid])
+def _config_transfer_oracle(config: ExperimentConfig) -> tuple[bool | None, str]:
+    """Criterion 5 on the configured weight, at q = 1 and the q values of the
+    grid that take a transfer route, and at the depths of ``_ORACLE_DEPTHS``
+    whose row enumeration fits the enumeration cap."""
+    psi, system = config.weight, config.system
+    routed = config.q_grid[psi.transfer_mask(config.q_grid)]
+    qs = tuple(float(q) for q in sorted_unique(np.append(routed, 1.0)))
+    depths, refused = [], []
+    for n in _ORACLE_DEPTHS:
+        volume = row_word_count(system, n) * system.r2**n * n
+        try:
+            check_budget(volume, f"depth {n}: row enumeration builds {volume} digit cells")
+        except CapExceededError as exc:
+            refused.append(str(exc))
+        else:
+            depths.append(n)
+    if not depths:
+        return None, "; ".join(refused)
+    worst = _transfer_oracle_defect(psi, depths, qs, qs)
+    detail = f"worst relative route disagreement {worst:.2e} at depths {depths}, q = {list(qs)}"
+    return worst <= 1e-12, "; ".join([detail, *refused])
+
+
+def _exact_T_curve(grid, vals) -> pressure.PressureCurve:
+    """A ``T`` curve known exactly: ``vals`` at every depth, errors at epsilon."""
+    grid, vals = np.asarray(grid, dtype=float), np.asarray(vals, dtype=float)
     return pressure.PressureCurve(
         kind="T",
-        q_grid=np.asarray(grid, dtype=float),
+        q_grid=grid,
         finite_values={1: vals, 2: vals},
         extrapolated=vals,
-        error_estimate=np.full(len(grid), np.finfo(float).eps),
+        error_estimate=np.full(grid.size, np.finfo(float).eps),
         monotone_within_error=True,
     )
+
+
+def _closed_T_curve(psi, grid) -> pressure.PressureCurve:
+    return _exact_T_curve(grid, [pressure.closed_form_T(psi, float(q)) for q in grid])
 
 
 def _criterion_involution() -> tuple[bool, str]:
     grid = np.linspace(-3.0, 3.0, 61)
-    parabola = pressure.PressureCurve(
-        kind="T",
-        q_grid=grid,
-        finite_values={1: -grid**2 / 2.0, 2: -grid**2 / 2.0},
-        extrapolated=-grid**2 / 2.0,
-        error_estimate=np.full(grid.size, np.finfo(float).eps),
-        monotone_within_error=True,
-    )
+    parabola = _exact_T_curve(grid, -grid**2 / 2.0)
     step = float(grid[1] - grid[0])
     parabola_defect = spectra.legendre_involution_check(parabola)
     curve = _closed_T_curve(reference_weight(), default_q_grid())
@@ -401,85 +439,34 @@ CRITERIA: tuple[tuple[int, str, float, Callable[[], tuple[bool, str]]], ...] = (
 )
 
 
-def _config_criterion_rows(config: ExperimentConfig) -> list[CriterionResult]:
-    """Generic checks that make sense for an arbitrary configured weight."""
-    rows: list[CriterionResult] = []
-    psi = config.weight
-    system = config.system
+#: Bodies of the criteria that also run on a configured weight, by index:
+#: they take the config and return (passed, or None if not applicable, detail).
+CONFIG_BODIES = {3: _config_normalization, 5: _config_transfer_oracle}
 
-    start = time.perf_counter()
-    worst = 0.0
-    n = min(4, max(config.depth_schedule[0], 2))
-    words = row_words_range(system, n, 0, row_word_count(system, n))
-    for q in (0.7, 2.0):
-        fast = row_sum_log_any(psi, words, q)
-        slow = row_sum_log_any(psi, words, q, method="enumerate")
-        finite = np.isfinite(fast) | np.isfinite(slow)
-        if finite.any():
-            worst = max(worst, float(np.max(np.abs(fast[finite] - slow[finite]))))
-    rows.append(
-        CriterionResult(
-            5, "transfer vs enumeration (config weight)", worst <= 1e-12,
-            f"worst disagreement {worst:.2e} at depth {n}",
-            time.perf_counter() - start, 10.0,
-        )
-    )
 
-    start = time.perf_counter()
-    # Shift the schedule by one so the residual is measured at depths disjoint
-    # from the ones a `normalize: true` weight was calibrated on.
-    shifted = sorted({max(2, m - 1) for m in config.depth_schedule})
-    feasible = [m for m in shifted if row_word_count(system, m) <= 1 << 16]
-    if len(feasible) >= 2:
-        ext = pressure.extrapolate_pressure(
-            {m: pressure.finite_beta(psi, 1.0, m) for m in feasible}
-        )
-        band = max(1e-3, 10.0 * ext.error)
-        rows.append(
-            CriterionResult(
-                3, "normalization residual (config weight)", abs(ext.value) <= band,
-                f"extrapolated beta(1) = {ext.value:.2e} (band {band:.1e})",
-                time.perf_counter() - start, 30.0,
-            )
-        )
-    else:
-        rows.append(
-            CriterionResult(
-                3, "normalization residual (config weight)", None,
-                "depth schedule infeasible for this alphabet", 0.0, 30.0,
-            )
-        )
-    return rows
+def _reference_only(config: ExperimentConfig) -> tuple[None, str]:
+    return None, "reference-system criterion; run without --config"
 
 
 def run_all(config: ExperimentConfig | None = None) -> list[CriterionResult]:
     """Execute the verification suite and return per-criterion results.
 
     Without a config the full ten-criterion reference suite runs.  With a
-    config, only the weight-agnostic checks run against the configured
-    system; reference-bound criteria are reported as not applicable.
+    config, the bodies of ``CONFIG_BODIES`` run on the configured weight and
+    the other criteria are not applicable.  A body that raises or overruns
+    its time budget fails, with the cause in its detail; one that refuses
+    the configured size with :class:`CapExceededError` is not applicable.
     """
     results: list[CriterionResult] = []
-    if config is not None:
-        generic = {r.index: r for r in _config_criterion_rows(config)}
-        for index, name, budget, _body in CRITERIA:
-            if index in generic:
-                results.append(generic[index])
-            else:
-                results.append(
-                    CriterionResult(
-                        index, name, None,
-                        "reference-system criterion; run without --config",
-                        0.0, budget,
-                    )
-                )
-        return results
     for index, name, budget, body in CRITERIA:
+        if config is not None:
+            body = partial(CONFIG_BODIES.get(index, _reference_only), config)
         start = time.perf_counter()
         try:
             passed, detail = body()
-        except Exception as exc:  # a crash is a failure, not an abort
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        except Exception as exc:  # a crash fails; a refused configured size is n/a
+            refused = config is not None and isinstance(exc, CapExceededError)
+            passed, detail = (None if refused else False), f"raised {type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
         if elapsed > budget:
             passed = False

@@ -21,11 +21,11 @@ when its structure allows — fast row-fiber power sums
 ``I_q(w1) = sum_{w2} psi(w1 x w2)^q`` via transfer recursions, so the deep
 regimes never enumerate the row alphabet.  Depth-1 weights factorize over
 column letters; window weights of depth >= 2 and matrix cocycles at integer
-``q >= 0`` share one transfer kernel,
-:func:`carpetmf.transfer.split_transfer_log`, which splits each column word
-into a forward prefix state and a backward tail vector memoized on the
-weight.  Row sums take a vector of q values: one pass over a batch serves
-the whole vector.
+``q >= 0`` share the split kernel of :mod:`carpetmf.transfer`: a forward
+prefix state times a backward tail vector memoized on the weight, entered by
+:func:`~carpetmf.transfer.split_transfer_range` for a complete range of
+column word ranks and by :func:`~carpetmf.transfer.split_transfer_log` for
+any batch of digit rows.  One pass over a batch serves a vector of q values.
 """
 
 from __future__ import annotations

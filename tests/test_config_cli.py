@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import json
 import math
 import re
 import shutil
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -18,18 +21,22 @@ from carpetmf import (
     log_total_mass,
     make_constant_cell,
 )
-from carpetmf import verify
+from carpetmf import pressure, verify
 from carpetmf.cli import main
 from carpetmf.config import (
     ConfigError,
+    ExperimentConfig,
     config_sha256,
     load_config,
     load_raw,
     parse_config,
 )
 from carpetmf.reference import default_config
+from carpetmf.symbolic import CapExceededError
 
 SHA_HEX = re.compile(r"^[0-9a-f]{64}$")
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def small_config(**overrides) -> dict:
@@ -562,3 +569,115 @@ def test_cli_verify_fails_on_a_numpy_bool_verdict(monkeypatch):
     assert "[FAIL]" in result.output
     assert "0/1 applicable criteria passed" in result.output
     assert result.exit_code == 1
+
+
+@pytest.fixture
+def bench_config(monkeypatch) -> Callable[[str], ExperimentConfig]:
+    """The seed-1 config of a benchmark workload, as ``bench/workloads.py``
+    builds it."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    return lambda name: parse_config(workloads.build(name, 1).config)
+
+
+@pytest.mark.parametrize("name", ["window-d2", "cocycle-d2"])
+def test_verify_config_passes_on_bench_weights(name, bench_config):
+    # Criterion 3 normalizes the configured weight before it tests the
+    # residual, so a raw weight passes it.
+    results = verify.run_all(bench_config(name))
+    applicable = {r.index: r for r in results if r.passed is not None}
+    assert sorted(applicable) == [3, 5]
+    assert all(r.passed for r in applicable.values()), [r.detail for r in applicable.values()]
+
+
+@pytest.mark.parametrize("name", ["window-d2", "cocycle-d2"])
+def test_verify_config_criterion_5_catches_a_wrong_pass(name, monkeypatch, bench_config):
+    cfg = bench_config(name)
+    real = pressure.column_log_sums
+
+    def shifted(*args, **kwargs):
+        return {kind: logs + 1e-9 for kind, logs in real(*args, **kwargs).items()}
+
+    monkeypatch.setattr(pressure, "column_log_sums", shifted)
+    criterion_5 = next(r for r in verify.run_all(cfg) if r.index == 5)
+    assert criterion_5.passed is False, criterion_5.detail
+
+
+def test_cli_verify_config_enumerates_at_the_depths_that_fit(tmp_path):
+    # 3x40 cells: enumerating every row fits the enumeration cap at depth 3
+    # and not at depth 5.
+    allowed = [[a, b] for a in range(3) for b in range(40) if (a + b) % 2 == 0]
+    rng = np.random.default_rng(1)
+    data = small_config(
+        cellSystem={"r1": 3, "r2": 40, "allowed": allowed},
+        weight={
+            "kind": "matrixCocycle",
+            "dimension": 2,
+            "matrices": rng.uniform(0.05, 1.0, (len(allowed), 4)).tolist(),
+        },
+        grids={"qGrid": [1.0, 2.0], "depthSchedule": [4, 5, 6]},
+    )
+    cfgfile = write_config(tmp_path, data)
+    result = invoke("verify", "--config", str(cfgfile), "--out", str(tmp_path / "out"))
+    rows = [ln for ln in result.output.splitlines() if re.match(r"\[( n/a|pass|FAIL)\]", ln)]
+    assert len(rows) == len(verify.CRITERIA)
+    assert "at depths [3]" in rows[4] and "depth 5: row enumeration" in rows[4]
+    assert result.exit_code == 0, result.output
+
+
+#: 5x10 cells, two per column: a depth-4 window has 10**4 values, and its
+#: 5**4 x 10**4 transfer table is over its budget.
+SPARSE_5X10 = {"r1": 5, "r2": 10, "allowed": [[a, b] for a in range(5) for b in (a, a + 5)]}
+
+
+def test_cli_verify_config_reports_a_refused_size(tmp_path):
+    data = small_config(
+        cellSystem=SPARSE_5X10,
+        weight={"kind": "constantCell", "depth": 4, "values": [1.0] * 10**4},
+        grids={"qGrid": [0.0, 1.0, 2.0], "depthSchedule": [4, 5, 6]},
+    )
+    cfgfile = write_config(tmp_path, data)
+    result = invoke("verify", "--config", str(cfgfile), "--out", str(tmp_path / "out"))
+    assert result.exit_code == 0, result.output
+    rows = result.output.splitlines()
+    assert rows[2].startswith("[ n/a]  3. ") and "window transfer table too large" in rows[2]
+    assert rows[4].startswith("[pass]  5. ") and "at depths [3]" in rows[4]
+
+
+def test_verify_runner_reports_a_raising_body(monkeypatch):
+    # A crash fails a criterion and names the cause; a configured weight's
+    # refusal of its size is not applicable.
+    def refuse(*args):
+        raise CapExceededError("too big")
+
+    def crash(*args):
+        raise ZeroDivisionError("oops")
+
+    monkeypatch.setattr(verify, "CRITERIA", ((1, "refuse", 1.0, refuse), (2, "crash", 1.0, crash)))
+    monkeypatch.setattr(verify, "CONFIG_BODIES", {1: refuse, 2: crash})
+    assert [r.passed for r in verify.run_all()] == [False, False]
+    configured = verify.run_all(parse_config(small_config()))
+    assert [(r.passed, r.detail) for r in configured] == [
+        (None, "raised CapExceededError: too big"),
+        (False, "raised ZeroDivisionError: oops"),
+    ]
+
+
+@pytest.mark.parametrize("command", ["pressure", "verify"])
+def test_cli_reports_a_weight_it_cannot_normalize(tmp_path, command):
+    # normalize: true computes the pressure while the config loads, through
+    # the rho window's transfer table.
+    data = small_config(
+        cellSystem=SPARSE_5X10,
+        weight={
+            "kind": "skewProduct",
+            "normalize": True,
+            "rho": {"depth": 4, "values": [1.0] * 10**4},
+            "theta1": {"kind": "rowSum", "q": 2.0},
+        },
+        grids={"qGrid": [0.0, 1.0], "depthSchedule": [4, 5]},
+    )
+    cfgfile = write_config(tmp_path, data)
+    result = invoke(command, "--config", str(cfgfile), "--out", str(tmp_path / "out"))
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: window transfer table too large: 5**4 x 10**4")

@@ -9,7 +9,8 @@ silently break ``bench/run.py --trace 1``.
 
 The start-up tests check, in fresh interpreters, which modules loading a
 config and running ``pressure`` import, and that the lazy package namespace
-still resolves every public name.
+still resolves every public name.  Source checks keep worker pools in
+``numerics`` and every ``verify`` result on the one guarded runner.
 """
 
 from __future__ import annotations
@@ -194,6 +195,26 @@ def test_only_numerics_starts_worker_pools():
                 assert "ThreadPoolExecutor" not in names, (
                     f"{path.name} imports ThreadPoolExecutor; use numerics.map_chunks"
                 )
+
+
+def test_verify_results_come_from_one_runner():
+    # Reference and config criteria report through the one guarded loop, so
+    # a crash or an overrun of the budget fails either of them the same way.
+    tree = ast.parse((SRC / "carpetmf" / "verify.py").read_text(encoding="utf-8"))
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "CriterionResult"
+    ]
+    builders = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(node in calls for node in ast.walk(fn))
+    ]
+    assert len(calls) == 1 and builders == ["run_all"], builders
 
 
 # -- start-up: what a command imports ---------------------------------------------
