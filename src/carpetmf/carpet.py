@@ -13,6 +13,7 @@ half-open grid cell; cell boundaries on the torus carry no mass here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -148,17 +149,20 @@ def birkhoff_average_on_carpet(
 
 @dataclass(frozen=True)
 class CarpetRender:
-    """Log masses of the depth-``n`` balls on the projected grid.
+    """Log masses of the charged depth-``n`` balls on the projected grid.
 
-    ``log_masses[column, row]`` is the log mass of the ball whose column
-    cylinder projects to ``[column / r1**g, (column+1) / r1**g)`` and whose
-    row cylinder projects to ``[row / r2**n, (row+1) / r2**n)``; empty cells
-    hold ``-inf``.
+    Cell ``(column, row)`` is the ball whose column cylinder projects to
+    ``[column / r1**g, (column+1) / r1**g)`` and whose row cylinder projects
+    to ``[row / r2**n, (row+1) / r2**n)``.  Only the charged cells are held:
+    ``cells`` are their flat indices ``column * row_count + row`` in
+    increasing order, ``cell_log_masses`` their log masses.  Memory scales
+    with the support, not the grid.
     """
 
     system: CellSystem
     depth: int
-    log_masses: np.ndarray
+    cells: np.ndarray
+    cell_log_masses: np.ndarray
 
     @property
     def column_depth(self) -> int:
@@ -166,14 +170,21 @@ class CarpetRender:
 
     @property
     def column_count(self) -> int:
-        return self.log_masses.shape[0]
+        return self.system.r1**self.column_depth
 
     @property
     def row_count(self) -> int:
-        return self.log_masses.shape[1]
+        return self.system.r2**self.depth
+
+    @cached_property
+    def log_masses(self) -> np.ndarray:
+        """Dense ``(column_count, row_count)`` view, ``-inf`` on empty cells."""
+        grid = np.full(self.column_count * self.row_count, NEG_INF)
+        grid[self.cells] = self.cell_log_masses
+        return grid.reshape(self.column_count, self.row_count)
 
     def total_log_mass(self) -> float:
-        return lse(self.log_masses.ravel())
+        return lse(self.cell_log_masses)
 
 
 def render_measure(
@@ -181,7 +192,8 @@ def render_measure(
     n: int,
     workers: int = 1,
 ) -> CarpetRender:
-    """Fill the depth-``n`` grid with ball masses of a normalized weight.
+    """The charged cells of the depth-``n`` grid with the ball masses of a
+    normalized weight.
 
     Each grid cell receives ``log psi([w1] x [w2]) + log I_1(suffix) - log Z``
     -- exactly the per-ball mass surrogate used by the sampler, so grids and
@@ -201,24 +213,24 @@ def render_measure(
     else:
         marginals = row_sum_log_ranks(psi, m, 0, system.r1**m, 1.0)
         suffix_marginals = marginals - log_total_mass(psi, m)
-
-    total_words = admissible_word_count(system, n)
-    grid = np.full((n_cols, n_rows), NEG_INF)
     n_suffix = suffix_marginals.size
+    offsets = np.arange(n_suffix, dtype=np.int64) * n_rows
 
-    def fill_chunk(start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def fill_chunk(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         a1s, a2s = admissible_words_range(system, n, start, stop)
         lw = psi.log_weight_arrays(a1s, a2s)
-        base_cols = pack_digits(a1s, system.r1) * n_suffix
-        rows = pack_digits(a2s, system.r2)
-        block = lw[:, None] + suffix_marginals[None, :]
-        return base_cols, rows, block
+        base = pack_digits(a1s, system.r1) * (n_suffix * n_rows) + pack_digits(a2s, system.r2)
+        cells = base[:, None] + offsets[None, :]
+        values = lw[:, None] + suffix_marginals[None, :]
+        charged = np.isfinite(values)
+        return cells[charged], values[charged]
 
-    offsets = np.arange(n_suffix, dtype=np.int64)
-    for base_cols, rows, block in map_chunks(fill_chunk, total_words, workers):
-        grid[base_cols[:, None] + offsets[None, :], rows[:, None]] = block
-
-    return CarpetRender(system=system, depth=n, log_masses=grid)
+    cells, values = (
+        np.concatenate(parts)
+        for parts in zip(*map_chunks(fill_chunk, admissible_word_count(system, n), workers))
+    )
+    order = np.argsort(cells)  # no two balls share a cell
+    return CarpetRender(system, n, cells[order], values[order])
 
 
 def write_pgm16(
@@ -231,29 +243,34 @@ def write_pgm16(
     origin is bottom-left (row index increases upward).
     """
     path = Path(path)
-    grid = render.log_masses
-    finite = np.isfinite(grid)
-    gray = np.zeros(grid.shape, dtype=np.uint16)
-    if finite.any():
-        lo = float(grid[finite].min())
-        hi = float(grid[finite].max())
+    values = render.cell_log_masses
+    width, height = render.column_count, render.row_count
+    # The image as the file stores it: big-endian, rows top to bottom while
+    # grid rows index y upward, so cell (column, row) is pixel
+    # (height - 1 - row, column).
+    image = np.zeros((height, width), dtype=">u2")
+    if values.size:
+        lo = float(values.min())
+        hi = float(values.max())
         span = hi - lo
         if span > 0.0:
-            scaled = 1.0 + (grid[finite] - lo) * (65534.0 / span)
+            gray = np.round(1.0 + (values - lo) * (65534.0 / span))
         else:
-            scaled = np.full(int(finite.sum()), 65535.0)
-        gray[finite] = np.round(scaled).astype(np.uint16)
-    # Image rows run top to bottom; grid rows index y upward.
-    image = gray.T[::-1, :]
-    height, width = image.shape
+            gray = 65535.0
+        columns, rows = np.divmod(render.cells, height)
+        image[height - 1 - rows, columns] = gray
     with open(path, "wb") as fh:
         fh.write(b"P5\n")
         for line in comments:
             fh.write(f"# {line}\n".encode())
         fh.write(b"# origin: bottom-left; gray 0 = empty cell\n")
         fh.write(f"{width} {height}\n65535\n".encode())
-        fh.write(image.astype(">u2").tobytes())
+        fh.write(image.data)
     return path
+
+
+#: Lines of the grid CSV formatted and written at once.
+CSV_BLOCK = 4096
 
 
 def write_grid_csv(
@@ -261,14 +278,22 @@ def write_grid_csv(
 ) -> Path:
     """Write the charged grid cells as ``columnIndex,rowIndex,logMass``."""
     path = Path(path)
-    cols, rows = np.nonzero(np.isfinite(render.log_masses))
+    # Each distinct log mass is formatted once; the bit patterns tell 0.0
+    # from -0.0, whose reprs differ.
+    bits, which = np.unique(render.cell_log_masses.view(np.int64), return_inverse=True)
+    texts = [repr(v) for v in bits.view(np.float64).tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(f"# grid {render.column_count} x {render.row_count}, depth {render.depth}\n")
         fh.write("columnIndex,rowIndex,logMass\n")
-        for c, r in zip(cols, rows):
-            fh.write(f"{c},{r},{float(render.log_masses[c, r])!r}\n")
+        for start in range(0, render.cells.size, CSV_BLOCK):
+            block = slice(start, start + CSV_BLOCK)
+            columns, rows = np.divmod(render.cells[block], render.row_count)
+            fh.write("".join(
+                f"{c},{r},{texts[k]}\n"
+                for c, r, k in zip(columns.tolist(), rows.tolist(), which[block].tolist())
+            ))
     return path
 
 
@@ -279,8 +304,7 @@ def box_count_tau(render: CarpetRender, q_grid: Iterable[float]) -> np.ndarray:
     ``q``, with the empty cells contributing nothing at every ``q`` (so
     ``q = 0`` counts charged cells).
     """
-    grid = render.log_masses.ravel()
-    charged = grid[np.isfinite(grid)]
+    charged = render.cell_log_masses
     n = render.depth
     scale = n * np.log(render.system.r2)
     qs = np.asarray(tuple(q_grid), dtype=float)

@@ -54,7 +54,8 @@ def scaled_powers(exponent, log_values: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         out = exponent * log_values
     if np.any(np.asarray(exponent) <= 0.0):
-        out = np.where(np.isneginf(log_values), NEG_INF, out)
+        out = np.asarray(out)
+        np.copyto(out, NEG_INF, where=np.isneginf(log_values))
     return out
 
 
@@ -87,7 +88,8 @@ def parts_from_rows(log_values: np.ndarray) -> list[LogSumPart]:
     if np.isnan(peaks).any():
         raise FloatingPointError("NaN encountered in log-space reduction")
     live = peaks != NEG_INF
-    totals = np.sum(np.exp(v - np.where(live, peaks, 0.0)[:, None]), axis=1)
+    shifted = v - np.where(live, peaks, 0.0)[:, None]
+    totals = np.sum(np.exp(shifted, out=shifted), axis=1)
     return [
         LogSumPart(float(p), float(t)) if ok else EMPTY_PART
         for p, t, ok in zip(peaks, totals, live)

@@ -175,9 +175,11 @@ def column_log_sums(
     The terms are ``I_q^s`` (``T``), ``I_1^{q(1-s)} I_q^s`` (``beta``),
     ``I_q`` (``rows``) and ``I_1^q`` (``marginal``).  The chunks of
     :func:`pass_chunks` are ranges of column word ranks: whole blocks of
-    words that share their first letters.  Each gets one row-sum call for
-    the q values the kinds need, through
-    :func:`carpetmf.weights.row_sum_log_ranks`.  Windows of depth >= 2 and
+    words that share their first letters.  Each reads the row sums of the
+    q values the kinds need through
+    :func:`carpetmf.weights.row_sum_log_ranks`: one call for all the q
+    values that enumerate rows, and one per ``PART_BLOCK`` q for the
+    others.  Windows of depth >= 2 and
     integer-q cocycles read their row sums from the split kernel's tables
     by rank (:func:`carpetmf.transfer.split_transfer_range`, the entry for
     complete ranges); the other routes, and the split kernel's entry for
@@ -192,25 +194,49 @@ def column_log_sums(
     s = psi.system.s
     row_qs = _pass_row_qs(psi, n, q_grid, kinds)
     one = np.flatnonzero(row_qs == 1.0)[:1]  # the row of I_1, if a kind reads it
+    listed = np.flatnonzero(psi.row_enumeration_mask(row_qs))
+    reads_grid = bool({"T", "beta", "rows"} & set(kinds))
 
     def partial(start: int, stop: int):
-        li = np.ascontiguousarray(row_sum_log_ranks(psi, n, start, stop, row_qs).T)
+        # The q values that enumerate rows share one enumeration of the
+        # chunk's rows; the others are routed PART_BLOCK q at a time, so the
+        # row sums held stay (PART_BLOCK, W) however long the grid.
+        held = {}
+        if listed.size:
+            sums = row_sum_log_ranks(psi, n, start, stop, row_qs[listed]).T
+            held = dict(zip(listed.tolist(), sums))
+
+        def row_sums(idx: np.ndarray) -> np.ndarray:
+            """``(len(idx), W)`` log I_q of ``row_qs[idx]``, q-major."""
+            fresh = [i for i in idx.tolist() if i not in held]
+            sums = row_sum_log_ranks(psi, n, start, stop, row_qs[fresh]).T if fresh else ()
+            if len(fresh) == idx.size:
+                return np.ascontiguousarray(sums)
+            found = {**held, **dict(zip(fresh, sums))}
+            return np.stack([found[i] for i in idx.tolist()])
+
+        li_one = row_sums(one) if one.size else None
         parts = {kind: [] for kind in kinds}
-        # Terms are reduced PART_BLOCK q at a time, so the transients stay
-        # (PART_BLOCK, W) however long the grid; each row reduces alone.
+        # Each q's terms are reduced in rows of their own, so its partial sums
+        # do not depend on its block.
         for j in range(0, Q, PART_BLOCK):
-            block = slice(j, min(j + PART_BLOCK, Q))
+            block = np.arange(j, min(j + PART_BLOCK, Q))
             qs = q_grid[block][:, None]
-            if "T" in kinds or "beta" in kinds:
-                t = scaled_powers(s, li[block])
-            if "T" in kinds:
-                parts["T"] += parts_from_rows(t)
-            if "beta" in kinds:
-                parts["beta"] += parts_from_rows(scaled_powers(qs * (1.0 - s), li[one]) + t)
-            if "rows" in kinds:
-                parts["rows"] += parts_from_rows(li[block])
             if "marginal" in kinds:
-                parts["marginal"] += parts_from_rows(scaled_powers(qs, li[one]))
+                parts["marginal"] += parts_from_rows(scaled_powers(qs, li_one))
+            if not reads_grid:
+                continue
+            terms = row_sums(block)  # log I_q
+            if "rows" in kinds:
+                parts["rows"] += parts_from_rows(terms)
+            if "T" in kinds or "beta" in kinds:
+                terms = scaled_powers(s, terms)  # log I_q^s
+                if "T" in kinds:
+                    parts["T"] += parts_from_rows(terms)
+                if "beta" in kinds:
+                    terms += scaled_powers(qs * (1.0 - s), li_one)
+                    parts["beta"] += parts_from_rows(terms)
+            del terms  # before the next block's row sums are built
         return [part for kind in kinds for part in parts[kind]]
 
     chunks = map_ranges(partial, pass_chunks(psi.system.r1, n), workers)

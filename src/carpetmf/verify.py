@@ -249,7 +249,10 @@ def _criterion_transfer_oracle() -> tuple[bool, str]:
 def _config_transfer_oracle(config: ExperimentConfig) -> tuple[bool | None, str]:
     """Criterion 5 on the configured weight, at q = 1 and the q values of the
     grid that take a transfer route, and at the depths of ``_ORACLE_DEPTHS``
-    whose row enumeration fits the enumeration cap."""
+    whose row enumeration fits the enumeration cap.  It is not applicable
+    unless one of those depths is longer than the weight's window: shorter
+    words enumerate their rows, and a word of one window takes a single
+    transfer step."""
     psi, system = config.weight, config.system
     routed = config.q_grid[psi.transfer_mask(config.q_grid)]
     qs = tuple(float(q) for q in sorted_unique(np.append(routed, 1.0)))
@@ -262,8 +265,10 @@ def _config_transfer_oracle(config: ExperimentConfig) -> tuple[bool | None, str]
             refused.append(str(exc))
         else:
             depths.append(n)
-    if not depths:
-        return None, "; ".join(refused)
+    window = psi.dependence_depth or 1
+    if not any(n > window for n in depths):
+        needs = f"needs a depth over the window depth {window} whose rows fit the enumeration cap"
+        return None, "; ".join([needs, *refused])
     worst = _transfer_oracle_defect(psi, depths, qs, qs)
     detail = f"worst relative route disagreement {worst:.2e} at depths {depths}, q = {list(qs)}"
     return worst <= 1e-12, "; ".join([detail, *refused])

@@ -257,7 +257,9 @@ class ConstantCellWeight(CylinderWeight):
         return np.where((cidx >= 0).all(axis=2), 0.0, NEG_INF)
 
     def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
-        return np.ones(len(qs), dtype=bool)
+        # The window grid must fit, as the cocycle's Kronecker tables must.
+        r1, r2, k = self.system.r1, self.system.r2, self.depth
+        return np.full(len(qs), (r1**k) * (r2**k) <= MAX_TRANSFER_TABLE)
 
     def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
         a1s = np.asarray(a1s, dtype=np.int64)

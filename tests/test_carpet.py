@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from carpetmf import numerics
 from carpetmf import (
     CapExceededError,
+    CarpetRender,
     CellSystem,
     ball_mass,
     birkhoff_average_on_carpet,
@@ -30,6 +36,10 @@ from carpetmf import (
     write_grid_csv,
     write_pgm16,
 )
+from carpetmf.numerics import NEG_INF
+from carpetmf.pressure import log_total_mass
+from carpetmf.symbolic import admissible_word_count, admissible_words_range, pack_digits
+from carpetmf.weights import row_sum_log_ranks
 
 P3_REFERENCE_DEFECT = 0.31365755885504143  # log(0.13 / 0.095)
 
@@ -252,6 +262,120 @@ def test_grid_csv_round_trip(ref_weight, tmp_path):
     for ln in body[1:]:
         c, r, lm = ln.split(",")
         assert float(lm) == render.log_masses[int(c), int(r)]
+
+
+# -- the sparse render against a dense fill ------------------------------------------
+
+
+def dense_fill(psi, n):
+    """The whole ``(r1**g, r2**n)`` grid of log masses, -inf on empty cells,
+    filled in one block: the dense oracle of ``render_measure``."""
+    system = psi.system
+    g = depth_map(system, n)
+    m = g - n
+    if m == 0:
+        suffix = np.zeros(1)
+    else:
+        suffix = row_sum_log_ranks(psi, m, 0, system.r1**m, 1.0) - log_total_mass(psi, m)
+    a1s, a2s = admissible_words_range(system, n, 0, admissible_word_count(system, n))
+    grid = np.full((system.r1**g, system.r2**n), NEG_INF)
+    cols = pack_digits(a1s, system.r1)[:, None] * suffix.size + np.arange(suffix.size)
+    rows = pack_digits(a2s, system.r2)[:, None]
+    grid[cols, rows] = psi.log_weight_arrays(a1s, a2s)[:, None] + suffix[None, :]
+    return grid
+
+
+def dense_pgm(grid, comments):
+    """Graymap bytes of a dense grid: the oracle of ``write_pgm16``."""
+    finite = np.isfinite(grid)
+    gray = np.zeros(grid.shape, dtype=np.uint16)
+    if finite.any():
+        lo, hi = float(grid[finite].min()), float(grid[finite].max())
+        if hi > lo:
+            scaled = 1.0 + (grid[finite] - lo) * (65534.0 / (hi - lo))
+        else:
+            scaled = np.full(int(finite.sum()), 65535.0)
+        gray[finite] = np.round(scaled).astype(np.uint16)
+    image = gray.T[::-1, :]
+    head = "P5\n" + "".join(f"# {line}\n" for line in comments)
+    head += "# origin: bottom-left; gray 0 = empty cell\n"
+    head += f"{image.shape[1]} {image.shape[0]}\n65535\n"
+    return head.encode() + image.astype(">u2").tobytes()
+
+
+def dense_csv(grid, depth, comments):
+    """Grid CSV bytes of a dense grid, one cell formatted at a time: the
+    oracle of ``write_grid_csv``."""
+    lines = [f"# {line}\n" for line in comments]
+    lines.append(f"# grid {grid.shape[0]} x {grid.shape[1]}, depth {depth}\n")
+    lines.append("columnIndex,rowIndex,logMass\n")
+    for c, r in zip(*np.nonzero(np.isfinite(grid))):
+        lines.append(f"{c},{r},{float(grid[c, r])!r}\n")
+    return "".join(lines).encode()
+
+
+@st.composite
+def render_weights(draw):
+    """Depth-1 windows with few distinct values (so masses repeat), depth-2
+    windows and dim-2 cocycles on random systems with some empty cells."""
+    r1 = draw(st.integers(2, 3))
+    r2 = draw(st.integers(r1, 4))
+    cells = [(a1, a2) for a1 in range(r1) for a2 in range(r2)]
+    keep = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    allowed = tuple(cell for cell, k in zip(cells, keep) if k)
+    assume(len(allowed) >= 2)
+    system = CellSystem(r1, r2, allowed)
+    nc = system.n_cells
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("depth1", "depth2", "cocycle")))
+    if kind == "depth1":
+        return make_constant_cell(system, 1, rng.choice([-1.0, -0.5, 0.0], nc))
+    if kind == "depth2":
+        return make_constant_cell(system, 2, rng.uniform(-1.0, 1.0, (nc, nc)))
+    return make_matrix_cocycle(system, 2, rng.uniform(0.05, 1.0, (nc, 2, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(psi=render_weights(), n=st.integers(1, 3), workers=st.sampled_from((1, 2)))
+def test_sparse_render_matches_the_dense_fill(psi, n, workers, tmp_path_factory):
+    # Small chunks, so that several chunks' cells are merged into grid order.
+    with mock.patch.object(numerics, "MIN_CHUNK_SIZE", 4):
+        render = render_measure(psi, n, workers=workers)
+    grid = dense_fill(psi, n)
+    assert render.log_masses.tobytes() == grid.tobytes()
+    assert np.all(np.diff(render.cells) > 0)
+    out = tmp_path_factory.mktemp("render")
+    comments = ["config sha256 x"]
+    pgm = write_pgm16(render, out / "render.pgm", comments)
+    assert pgm.read_bytes() == dense_pgm(grid, comments)
+    csv = write_grid_csv(render, out / "render.csv", comments)
+    assert csv.read_bytes() == dense_csv(grid, n, comments)
+
+
+def test_grid_csv_tells_signed_zeros_apart(ref_system, tmp_path):
+    # Formatting each distinct value once must not merge 0.0 and -0.0.
+    render = CarpetRender(ref_system, 1, np.array([0, 1, 5]), np.array([0.0, -0.0, 0.0]))
+    out = write_grid_csv(render, tmp_path / "zeros.csv")
+    body = out.read_text().splitlines()[-3:]
+    assert body == ["0,0,0.0", "0,1,-0.0", "1,1,0.0"]
+
+
+def test_render_memory_scales_with_the_charged_cells(ref_weight, tmp_path):
+    # The reference at depth 5 charges 100,000 of the 2**10 x 4**5 cells; the
+    # dense float64 grid alone would take 8 MiB.
+    dense_bytes = 2**10 * 4**5 * 8
+    tracemalloc.start()
+    try:
+        render = render_measure(ref_weight, 5)
+        write_pgm16(render, tmp_path / "render_n5.pgm")
+        write_grid_csv(render, tmp_path / "render_n5.csv")
+        total = render.total_log_mass()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert render.cells.size == 5**5 * 2**5
+    assert total == pytest.approx(0.0, abs=1e-9)
+    assert peak < dense_bytes
 
 
 # -- box counting ---------------------------------------------------------------------

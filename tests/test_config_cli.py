@@ -631,6 +631,8 @@ SPARSE_5X10 = {"r1": 5, "r2": 10, "allowed": [[a, b] for a in range(5) for b in 
 
 
 def test_cli_verify_config_reports_a_refused_size(tmp_path):
+    # Without the window's transfer table every q enumerates rows: the
+    # pressure passes refuse depth 4, and no depth past the window fits.
     data = small_config(
         cellSystem=SPARSE_5X10,
         weight={"kind": "constantCell", "depth": 4, "values": [1.0] * 10**4},
@@ -640,8 +642,22 @@ def test_cli_verify_config_reports_a_refused_size(tmp_path):
     result = invoke("verify", "--config", str(cfgfile), "--out", str(tmp_path / "out"))
     assert result.exit_code == 0, result.output
     rows = result.output.splitlines()
-    assert rows[2].startswith("[ n/a]  3. ") and "window transfer table too large" in rows[2]
-    assert rows[4].startswith("[pass]  5. ") and "at depths [3]" in rows[4]
+    assert rows[2].startswith("[ n/a]  3. ") and "depth 4: row enumeration for q = 1" in rows[2]
+    assert rows[4].startswith("[ n/a]  5. ") and "over the window depth 4" in rows[4]
+
+
+def test_verify_config_criterion_5_needs_a_depth_past_the_window():
+    # A depth-3 window over 5x10 cells: only depth 3 fits the enumeration
+    # cap, where a word is one window and the transfer route one step.
+    data = small_config(
+        cellSystem=SPARSE_5X10,
+        weight={"kind": "constantCell", "depth": 3, "values": [1.0] * 10**3},
+        grids={"qGrid": [0.0, 1.0, 2.0], "depthSchedule": [4, 5, 6]},
+    )
+    criterion_5 = next(r for r in verify.run_all(parse_config(data)) if r.index == 5)
+    assert criterion_5.passed is None
+    assert "needs a depth over the window depth 3" in criterion_5.detail
+    assert "depth 5: row enumeration builds" in criterion_5.detail
 
 
 def test_verify_runner_reports_a_raising_body(monkeypatch):
@@ -665,8 +681,9 @@ def test_verify_runner_reports_a_raising_body(monkeypatch):
 
 @pytest.mark.parametrize("command", ["pressure", "verify"])
 def test_cli_reports_a_weight_it_cannot_normalize(tmp_path, command):
-    # normalize: true computes the pressure while the config loads, through
-    # the rho window's transfer table.
+    # normalize: true computes the pressure while the config loads.  The rho
+    # window's transfer table is over its budget, so the pass would enumerate
+    # rho's rows, and its preflight refuses that at the first depth.
     data = small_config(
         cellSystem=SPARSE_5X10,
         weight={
@@ -680,4 +697,4 @@ def test_cli_reports_a_weight_it_cannot_normalize(tmp_path, command):
     cfgfile = write_config(tmp_path, data)
     result = invoke(command, "--config", str(cfgfile), "--out", str(tmp_path / "out"))
     assert result.exit_code == 1
-    assert result.stderr.startswith("error: window transfer table too large: 5**4 x 10**4")
+    assert result.stderr.startswith("error: depth 4: row enumeration for q = 1 builds 25000000")

@@ -10,6 +10,7 @@ out-of-range digits.
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -234,6 +235,39 @@ def test_pressure_curves_per_q_values(psi, grid, keep):
             assert whole[kind].value_at(q) == part[kind].value_at(q)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    psi=weights() | factored_weights(),
+    grid=st.lists(st.sampled_from(Q_VALUES), min_size=1, max_size=6, unique=True),
+    n=st.integers(1, 3),
+    block=st.sampled_from((1, 2, 4)),
+)
+def test_column_sums_do_not_depend_on_the_q_block(psi, grid, n, block):
+    # The pass routes PART_BLOCK q at a time; the q values that enumerate
+    # rows share one enumeration per chunk.  Each q keeps its bytes.
+    kinds = pressure.COLUMN_KINDS
+    whole = pressure.column_log_sums(psi, grid, n, kinds)
+    with mock.patch.object(pressure, "PART_BLOCK", block):
+        split = pressure.column_log_sums(psi, grid, n, kinds)
+    for kind in kinds:
+        assert split[kind].tobytes() == whole[kind].tobytes()
+
+
+def test_column_pass_holds_a_block_of_row_sums():
+    # 93 q over the 2**16 column words of one chunk: the whole (93, 2**16)
+    # table of row sums would take 48 MB.
+    psi = random_depth2_weight(1)
+    grid = default_q_grid()
+    full = grid.size * 2**16 * 8
+    tracemalloc.start()
+    try:
+        pressure.finite_values(psi, grid, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full / 2
+
+
 def test_preflight_raises_before_any_depth(ref_system, monkeypatch):
     # q = 0.5 has no Kronecker route, so every depth enumerates its rows;
     # depth 6 builds 2**6 * 4**6 * 6 digit cells, over the cap.
@@ -432,6 +466,23 @@ def test_window_table_error_names_its_size():
             CapExceededError, match=r"2\*\*2 x 4\*\*2 = 64 floats, over MAX_TRANSFER_TABLE 32$"
         ):
             psi.row_sum_log_batch(np.zeros((1, 3), dtype=np.int64), np.array([1.0]))
+
+
+def test_oversized_window_is_refused_before_its_table():
+    # A depth-4 window over 5x10 cells: its 5**4 x 10**4 transfer table is
+    # over MAX_TRANSFER_TABLE, so no q takes the transfer route, and the
+    # pass preflight refuses the 625 x 10**4 rows of depth 4 up front.
+    system = CellSystem(5, 10, tuple((a, b) for a in range(5) for b in (a, a + 5)))
+    psi = make_constant_cell(system, 4, np.zeros((10,) * 4))
+    assert 5**4 * 10**4 > MAX_TRANSFER_TABLE
+    assert not psi.transfer_mask(np.array([0.0, 1.0, 2.0])).any()
+    with mock.patch.object(pressure, "finite_values", side_effect=AssertionError("ran")):
+        with pytest.raises(CapExceededError, match=r"^depth 4: row enumeration for q = 1, 2 "):
+            pressure_curves(psi, [1.0, 2.0], (3, 4))
+    assert "_window_grid" not in vars(psi)
+    # Depth 3 enumerates its rows: each of the 5**3 column words has 2**3.
+    want = -(1.0 + system.s * np.log(2) / np.log(5))
+    assert finite_T(psi, 1.0, 3) == pytest.approx(want, abs=1e-12)
 
 
 def test_long_words_keep_distinct_prefixes_and_tails():
