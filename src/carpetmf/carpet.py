@@ -36,6 +36,7 @@ __all__ = [
     "CarpetRender",
     "P3Report",
     "birkhoff_average_on_carpet",
+    "birkhoff_averages_on_carpet",
     "box_count_tau",
     "carpet_digits",
     "check_P1",
@@ -126,20 +127,32 @@ def birkhoff_average_on_carpet(
     For a depth-``k`` window potential the sum over ``steps`` shift steps is
     the log-weight of the first ``steps + k - 1`` recovered cells.
     """
+    return float(birkhoff_averages_on_carpet(psi, _cells_of(cells)[None], steps)[0])
+
+
+def birkhoff_averages_on_carpet(
+    psi: CylinderWeight, paths, steps: int | None = None
+) -> np.ndarray:
+    """:func:`birkhoff_average_on_carpet` of each ``(B, n, 2)`` path: every
+    path keeps its own exact round trip, and one ``log_weight_arrays`` call
+    evaluates the recovered digits of the whole batch."""
     system = psi.system
-    cells = _cells_of(cells)
+    paths = np.asarray(paths, dtype=np.int64)
+    if paths.ndim != 3 or paths.shape[2] != 2:
+        raise ValueError("expected a (B, n, 2) array of paths")
     k = psi.dependence_depth or 1
     if steps is None:
-        steps = cells.shape[0] - (k - 1)
+        steps = paths.shape[1] - (k - 1)
     if steps < 1:
         raise ValueError("need at least one shift step")
     length = steps + k - 1
-    if length > cells.shape[0]:
+    if length > paths.shape[1]:
         raise ValueError(f"path too short: need {length} cells for {steps} steps")
-    x_num, y_num, p = project_numerators(system, cells)
-    recovered = carpet_digits(system, x_num, y_num, p, length)
-    total = float(psi.log_weight_arrays(recovered[None, :, 0], recovered[None, :, 1])[0])
-    return total / steps
+    recovered = np.empty((paths.shape[0], length, 2), dtype=np.int64)
+    for row, cells in enumerate(paths):
+        x_num, y_num, p = project_numerators(system, cells)
+        recovered[row] = carpet_digits(system, x_num, y_num, p, length)
+    return psi.log_weight_arrays(recovered[:, :, 0], recovered[:, :, 1]) / steps
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ provenance stamp.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
@@ -19,6 +18,14 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
+
+try:  # the builtin SHA-256: hashlib loads OpenSSL's libcrypto
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .reference import DEFAULT_DEPTH_SCHEDULE, default_config, q_grid_from_spec
 from .symbolic import CellSystem, row_word_count
@@ -326,7 +333,7 @@ def _reject_non_finite_q(data: dict) -> None:
 def config_sha256(data: dict) -> str:
     """Hash of the canonical (sorted, compact) JSON serialization."""
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _sha256(canonical.encode()).hexdigest()
 
 
 def build_system(block: dict) -> CellSystem:

@@ -219,10 +219,10 @@ def _enumerate_route(weight: CylinderWeight, m: int) -> Advance:
     total = nc**m
     check_budget(total, f"sampling this weight needs {total} extension evaluations")
     cells = system.cells_array
-    # Words are built ENUMERATION_BLOCK at a time; only their log weights
-    # persist.  Word index = packed cell indices, so the extensions of a
-    # depth-pos prefix are one contiguous (nc, nc**rem) slice.
-    block = weights_module.ENUMERATION_BLOCK
+    # Words are built ENUMERATION_BLOCK digit cells at a time; only their
+    # log weights persist.  Word index = packed cell indices, so the
+    # extensions of a depth-pos prefix are one contiguous (nc, nc**rem) slice.
+    block = max(1, weights_module.ENUMERATION_BLOCK // m)
     lw = np.empty(total)
     for lo in range(0, total, block):
         digits = digits_of_indices(np.arange(lo, min(lo + block, total)), nc, m)

@@ -146,6 +146,8 @@ def _pass_row_qs(psi, n, q_grid, kinds) -> np.ndarray:
     cap, or if some q enumerates rows, on ``psi``'s route or on the row sums
     a skew product reads, and enumerating the ``r2**n`` rows of every
     column word once (``r1**n * r2**n * n`` digit cells) would exceed it.
+    The refusal names the transfer table that sent those q to enumeration,
+    if one did.
     """
     if not kinds or any(kind not in COLUMN_KINDS for kind in kinds):
         raise ValueError(f"column sum kinds must be among {COLUMN_KINDS}")
@@ -158,12 +160,19 @@ def _pass_row_qs(psi, n, q_grid, kinds) -> np.ndarray:
     enumerated = psi.row_enumeration_mask(row_qs)
     if enumerated.any():
         volume = total * system.r2**n * n
-        qs = ", ".join(f"{q:g}" for q in sorted_unique(row_qs[enumerated]))
-        check_budget(
-            volume,
-            f"depth {n}: row enumeration for q = {qs} builds {volume} digit cells "
-            f"({total} column words x {system.r2}**{n} rows)",
-        )
+        listed = sorted_unique(row_qs[enumerated])
+        qs = ", ".join(f"{q:g}" for q in listed)
+        try:
+            check_budget(
+                volume,
+                f"depth {n}: row enumeration for q = {qs} builds {volume} digit cells "
+                f"({total} column words x {system.r2}**{n} rows)",
+            )
+        except CapExceededError as exc:
+            refusal = psi.transfer_refusal(listed)
+            if refusal is None:
+                raise
+            raise CapExceededError(f"{exc}; rows are enumerated because {refusal}") from None
     return row_qs
 
 

@@ -358,12 +358,8 @@ def _criterion_carpet_birkhoff() -> tuple[bool, str]:
         )
 
         def chunk(lo: int, hi: int) -> np.ndarray:
-            return np.array(
-                [
-                    carpet.birkhoff_average_on_carpet(psi, cells)
-                    for cells in gibbs.sample_paths(aux, depth, DEFAULT_MASTER_SEED, lo, hi)
-                ]
-            )
+            paths = gibbs.sample_paths(aux, depth, DEFAULT_MASTER_SEED, lo, hi)
+            return carpet.birkhoff_averages_on_carpet(psi, paths)
 
         averages = run_chunked_arrays(chunk, n_samples)
         mean, stderr = mean_and_stderr(averages)

@@ -59,8 +59,9 @@ MAX_TRANSFER_TABLE = 1 << 22
 #: route, ``enumerate`` the enumeration oracle it is checked against.
 METHODS = ("auto", "enumerate")
 
-#: Rows (or gathered letters) whose digits are built at once when row sums
-#: enumerate rows or gather depth-1 letter sums; bounds the transient.
+#: Digit cells built at once when row sums enumerate rows (rows x depth) or
+#: gather depth-1 letter sums (words x depth); bounds the transient at any
+#: depth.
 ENUMERATION_BLOCK = 1 << 16
 
 
@@ -106,6 +107,12 @@ class CylinderWeight:
         this weight's own route or on the row sums of a weight its transfer
         route reads."""
         return ~self.transfer_mask(qs)
+
+    def transfer_refusal(self, qs: np.ndarray) -> str | None:
+        """Why a q of ``qs`` that :meth:`row_enumeration_mask` flags lost
+        its transfer route to a table over ``MAX_TRANSFER_TABLE``, for error
+        messages; None when no table is the reason."""
+        return None
 
     def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """``(W, Q)`` array of ``log I_q`` for a batch of column words and a
@@ -258,8 +265,16 @@ class ConstantCellWeight(CylinderWeight):
 
     def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
         # The window grid must fit, as the cocycle's Kronecker tables must.
+        return np.full(len(qs), self.transfer_refusal(qs) is None)
+
+    def transfer_refusal(self, qs: np.ndarray) -> str | None:
         r1, r2, k = self.system.r1, self.system.r2, self.depth
-        return np.full(len(qs), (r1**k) * (r2**k) <= MAX_TRANSFER_TABLE)
+        if (r1**k) * (r2**k) <= MAX_TRANSFER_TABLE:
+            return None
+        return (
+            f"the window transfer table of {r1}**{k} x {r2}**{k} = {r1**k * r2**k} floats "
+            f"is over MAX_TRANSFER_TABLE {MAX_TRANSFER_TABLE}"
+        )
 
     def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
         a1s = np.asarray(a1s, dtype=np.int64)
@@ -451,16 +466,33 @@ class MatrixCocycleWeight(CylinderWeight):
 
     def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
         # Kronecker powers exist at integer q >= 0; their tables must fit.
-        size = max(self.system.n_cells, self.system.r1)
         return np.array(
             [
                 self.dim == 1
                 or (q >= 0 and float(q).is_integer()
-                    and size * self.dim ** (2 * int(q)) <= MAX_TRANSFER_TABLE)
+                    and self._kronecker_floats(q) <= MAX_TRANSFER_TABLE)
                 for q in qs
             ],
             dtype=bool,
         )
+
+    def transfer_refusal(self, qs: np.ndarray) -> str | None:
+        over = [
+            q for q in qs
+            if self.dim > 1 and q >= 0 and float(q).is_integer()
+            and self._kronecker_floats(q) > MAX_TRANSFER_TABLE
+        ]
+        if not over:
+            return None
+        q = min(over)
+        return (
+            f"the Kronecker table at q = {q:g} of {self._kronecker_floats(q)} floats "
+            f"is over MAX_TRANSFER_TABLE {MAX_TRANSFER_TABLE}"
+        )
+
+    def _kronecker_floats(self, q: float) -> int:
+        """Floats in the Kronecker-power tables of an integer ``q >= 0``."""
+        return max(self.system.n_cells, self.system.r1) * self.dim ** (2 * int(q))
 
     def _letter_tables(self, q: float) -> np.ndarray:
         """``(r1, D, D)`` log tables with ``D = dim**q``:
@@ -661,6 +693,10 @@ class SkewProductWeight(CylinderWeight):
         inner = self.rho.row_enumeration_mask(rho_qs)
         return inner[:shared].any() | inner[shared:]
 
+    def transfer_refusal(self, rs: np.ndarray) -> str | None:
+        moments = [p for p, _ in self.moments]
+        return self.rho.transfer_refusal(np.array([self.q, *moments, *(self.q * rs)]))
+
     def row_sum_log_batch(self, a1s: np.ndarray, rs: np.ndarray) -> np.ndarray:
         """``I_r = theta1^r I_{rho,qr} / I_{rho,q}^r``: one batch of rho row sums."""
         liq, lt, liqr = self._column_terms(a1s, self.q * rs)
@@ -742,6 +778,9 @@ class ShiftedWeight(CylinderWeight):
 
     def row_enumeration_mask(self, qs: np.ndarray) -> np.ndarray:
         return self.base.row_enumeration_mask(qs)
+
+    def transfer_refusal(self, qs: np.ndarray) -> str | None:
+        return self.base.transfer_refusal(qs)
 
     def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
         n = np.asarray(a1s).shape[1]
@@ -844,9 +883,10 @@ def _routed_row_sums(weight, q, method, fast, words) -> np.ndarray:
 def _enumerate_row_sums(weight, a1s, qs) -> np.ndarray:
     """``(W, Q)`` row sums by enumerating all ``r2**n`` rows of each word.
 
-    Row digits are built ``ENUMERATION_BLOCK`` rows at a time, and the log
-    weights held for the lse span at most that many rows or one word, so
-    the transient has a fixed bound however large the batch.
+    Row digits are built ``ENUMERATION_BLOCK // n`` rows, so
+    ``ENUMERATION_BLOCK`` digit cells, at a time: their transient has a
+    fixed bound however large the batch or deep the word.  The log weights
+    held for the lse span at most that many rows or one word.
     """
     W, n = a1s.shape
     if n == 0:
@@ -859,7 +899,8 @@ def _enumerate_row_sums(weight, a1s, qs) -> np.ndarray:
         cells, f"row enumeration of {W} column words x {r2}**{n} rows builds {cells} digit cells"
     )
     out = np.empty((W, qs.size))
-    words_per_block = max(1, ENUMERATION_BLOCK // total)
+    rows = max(1, ENUMERATION_BLOCK // n)
+    words_per_block = max(1, rows // total)
     for lo in range(0, W, words_per_block):
         hi = min(W, lo + words_per_block)
         lw = np.concatenate(
@@ -868,8 +909,8 @@ def _enumerate_row_sums(weight, a1s, qs) -> np.ndarray:
                     a1s[pairs // total], digits_of_indices(pairs % total, r2, n)
                 )
                 for pairs in (
-                    np.arange(start, min(start + ENUMERATION_BLOCK, hi * total))
-                    for start in range(lo * total, hi * total, ENUMERATION_BLOCK)
+                    np.arange(start, min(start + rows, hi * total))
+                    for start in range(lo * total, hi * total, rows)
                 )
             ]
         )

@@ -18,6 +18,7 @@ from carpetmf import (
     CellSystem,
     ball_mass,
     birkhoff_average_on_carpet,
+    birkhoff_averages_on_carpet,
     box_count_tau,
     carpet_digits,
     check_P1,
@@ -110,6 +111,17 @@ def test_birkhoff_average_depth2_window(depth2_weight, ref_weight):
     assert got == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError):
         birkhoff_average_on_carpet(depth2_weight, path, steps=10)
+
+
+@pytest.mark.parametrize("steps", [None, 5])
+def test_birkhoff_averages_batch_matches_each_path(ref_weight, depth2_weight, steps):
+    # One log_weight_arrays call over a batch gives each path's own bytes.
+    paths = sample_paths(ref_weight, 12, 5, 0, 40)
+    for psi in (ref_weight, depth2_weight):
+        want = np.array([birkhoff_average_on_carpet(psi, cells, steps) for cells in paths])
+        assert birkhoff_averages_on_carpet(psi, paths, steps).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="paths"):
+        birkhoff_averages_on_carpet(ref_weight, paths[0])
 
 
 # -- rendering -----------------------------------------------------------------------

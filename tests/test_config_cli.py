@@ -698,3 +698,8 @@ def test_cli_reports_a_weight_it_cannot_normalize(tmp_path, command):
     result = invoke(command, "--config", str(cfgfile), "--out", str(tmp_path / "out"))
     assert result.exit_code == 1
     assert result.stderr.startswith("error: depth 4: row enumeration for q = 1 builds 25000000")
+    # ... and says that the window's table is why q = 1 enumerates.
+    assert result.stderr.rstrip().endswith(
+        "; rows are enumerated because the window transfer table of 5**4 x 10**4 = 6250000 "
+        "floats is over MAX_TRANSFER_TABLE 4194304"
+    )

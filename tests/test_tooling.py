@@ -8,8 +8,8 @@ argument position still resolves, so a refactor of the package cannot
 silently break ``bench/run.py --trace 1``.
 
 The start-up tests check, in fresh interpreters, which modules loading a
-config and running ``pressure`` import, and that the lazy package namespace
-still resolves every public name.  Source checks keep worker pools in
+config and running ``pressure`` import (neither loads OpenSSL), and that the
+lazy package namespace still resolves every public name.  Source checks keep worker pools in
 ``numerics`` and every ``verify`` result on the one guarded runner.
 """
 
@@ -259,6 +259,40 @@ def test_pressure_command_skips_the_pipeline(tmp_path):
     assert not loaded & set(PIPELINE)
 
 
+def test_config_path_loads_no_openssl(tmp_path):
+    # hashlib would load OpenSSL's libcrypto (_hashlib, about 4 MB of RSS);
+    # the config hash takes the interpreter's builtin SHA-256 instead.
+    from carpetmf.reference import default_config
+
+    (tmp_path / "config.json").write_text(json.dumps(default_config()))
+    loaded = _loaded_after(
+        "import carpetmf.cli\nfrom carpetmf.config import load_config\n"
+        "load_config('config.json')\n"
+        "carpetmf.cli.main(['pressure', '--config', 'config.json', '--depth-max', '4',"
+        " '--out', 'out'], standalone_mode=False)",
+        tmp_path,
+    )
+    assert (tmp_path / "out" / "pressure_T.csv").is_file()
+    assert "_hashlib" not in loaded
+
+
+def test_config_hash_is_sha256():
+    import hashlib
+
+    from carpetmf.config import config_sha256
+    from carpetmf.reference import default_config, random_depth2_weight
+
+    window = default_config()
+    window["weight"] = {
+        "kind": "constantCell",
+        "depth": 2,
+        "values": np.exp(random_depth2_weight(1).window_log).ravel().tolist(),
+    }
+    for data in (default_config(), window):
+        canonical = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+        assert config_sha256(data) == hashlib.sha256(canonical).hexdigest()
+
+
 def test_lazy_package_namespace(tmp_path):
     # A plain import binds little; every public name and submodule then
     # resolves, including through circular first imports.
@@ -266,7 +300,7 @@ def test_lazy_package_namespace(tmp_path):
     assert not loaded & {"carpetmf.weights", *PIPELINE}
     _loaded_after(
         "import carpetmf\n"
-        "assert len(carpetmf.__all__) == 77\n"
+        "assert len(carpetmf.__all__) == 78\n"
         "for name in carpetmf.__all__: getattr(carpetmf, name)\n"
         "carpetmf.numerics.lse, carpetmf.gibbs.path_uniforms\n"
         "from carpetmf import *",

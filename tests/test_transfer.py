@@ -317,6 +317,30 @@ def test_enumeration_blocks_are_exact(data, psi, block):
     assert fast.tobytes() == row_sum_log_any(psi, words, qs).tobytes()
 
 
+@pytest.mark.parametrize("n", [6, 8])
+def test_enumeration_transient_is_bounded_in_digit_cells(ref_system, n):
+    # A block holds ENUMERATION_BLOCK = 2**16 digit cells, 512 KiB per int64
+    # array of them; a dim-2 cocycle's log weights keep about five such
+    # arrays alive at once (column letters, row digits, cell indices and
+    # their clipped copies).  Add one word's 4**n row log weights and their
+    # lse (512 KiB each at n = 8): eight block arrays, 4 MiB, bound the peak
+    # at both depths.  Blocks of 2**16 rows would build 2**19 cells at
+    # n = 8, and peak near 21 MB.
+    mats = np.random.default_rng(1).uniform(0.05, 1.0, (ref_system.n_cells, 2, 2))
+    psi = make_matrix_cocycle(ref_system, 2, mats)
+    words = np.ones((1, n), dtype=np.int64)
+    qs = np.array([0.5, 1.0])
+    want = row_sum_log_any(psi, words, qs, method="enumerate")
+    tracemalloc.start()
+    try:
+        got = row_sum_log_any(psi, words, qs, method="enumerate")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 8 * weights_module.ENUMERATION_BLOCK * 8
+
+
 @settings(max_examples=80, deadline=None)
 @given(psi=weights() | factored_weights(), m=st.integers(1, 4))
 def test_total_mass_matches_enumeration(psi, m):
@@ -466,6 +490,22 @@ def test_window_table_error_names_its_size():
             CapExceededError, match=r"2\*\*2 x 4\*\*2 = 64 floats, over MAX_TRANSFER_TABLE 32$"
         ):
             psi.row_sum_log_batch(np.zeros((1, 3), dtype=np.int64), np.array([1.0]))
+
+
+def test_preflight_names_the_table_it_refuses(ref_system, monkeypatch):
+    # q = 2 needs a Kronecker table of 5 x 2**4 = 80 floats, over a table
+    # budget of 20, so it enumerates rows; the refusal says why.
+    mats = np.random.default_rng(3).uniform(0.05, 1.0, (ref_system.n_cells, 2, 2))
+    psi = make_matrix_cocycle(ref_system, 2, mats)
+    monkeypatch.setattr("carpetmf.symbolic.ENUMERATION_CAP", 100)
+    monkeypatch.setattr(weights_module, "MAX_TRANSFER_TABLE", 20)
+    because = "because the Kronecker table at q = 2 of 80 floats is over MAX_TRANSFER_TABLE 20$"
+    for weight in (psi, normalize_to_gibbs(psi, 0.5)):
+        with pytest.raises(CapExceededError, match=rf"^depth 3: .*; rows are enumerated {because}"):
+            pressure_curves(weight, [1.0, 2.0], (3, 4))
+    # q = 0.5 has no Kronecker route at any size: nothing to name.
+    with pytest.raises(CapExceededError, match=r"over the enumeration cap 100$"):
+        pressure_curves(psi, [0.5], (3, 4))
 
 
 def test_oversized_window_is_refused_before_its_table():
