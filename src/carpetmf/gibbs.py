@@ -18,11 +18,11 @@ level constant) and the row-sum moments ``((1, q(1-s)), (q, s))`` or
 one q-batched call.
 
 At q = 1 with the pressure of psi as level constant, ``psiQ`` reproduces the
-normalized weight itself.  Sampling draws cell paths whose cylinder
-probabilities are the exact weight conditionals (closed form for depth-1
-weights, backward transfer tables for wider windows, enumeration otherwise),
-with one counter-based RNG stream per sample index so runs are reproducible
-for any worker count.
+normalized weight itself.  Sampling draws cell paths from the exact
+cylinder law: i.i.d. cells for depth-1 weights; for wider windows and their
+skew products, the column word from its marginal and then its rows; else
+each cell from the enumerated extensions.  Each sample index has its own
+counter-based RNG stream, so runs are reproducible for any worker count.
 
 The streams are numpy's Philox4x64-10 under the key
 ``SeedSequence(master_seed).generate_state(2, uint64)``: uniform ``j`` of
@@ -41,9 +41,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import weights as weights_module
-from .numerics import NEG_INF, lse, mean_and_stderr, run_chunked_arrays
-from .pressure import log_total_mass, row_sum
-from .symbolic import CellSystem, check_budget, depth_map, digits_of_indices
+from .numerics import NEG_INF, lse, map_ranges, mean_and_stderr, run_chunked_arrays
+from .pressure import log_total_mass, pass_chunks, row_sum
+from .symbolic import CellSystem, check_budget, depth_map, digits_of_indices, pack_digits
+from .transfer import _transfer_level, _window_keys
 from .weights import (
     ConstantCellWeight,
     CylinderWeight,
@@ -163,51 +164,66 @@ def _cdf(log_probs: np.ndarray) -> np.ndarray:
         raise ValueError("no admissible continuation has positive weight")
     p = np.exp(log_probs - peak)
     p /= p.sum(axis=-1, keepdims=True)
-    return np.cumsum(p, axis=-1)
+    return np.cumsum(p, axis=-1, out=p)
 
 
-def _draw_rows(log_probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-cdf draw from each row of ``(B, K)`` log-probabilities."""
-    # Counting the cdf entries <= u is searchsorted(side="right") per row.
-    idx = np.sum(_cdf(log_probs) <= uniforms[:, None], axis=1)
-    return np.minimum(idx, log_probs.shape[1] - 1)
+def _draw(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-cdf draw of one index per uniform, from one shared 1-d cdf or
+    from each row of a ``(B, K)`` cdf."""
+    if cdf.ndim == 1:
+        idx = np.searchsorted(cdf, uniforms, side="right")
+    else:  # counting the cdf entries <= u is searchsorted(side="right") per row
+        idx = np.sum(cdf <= uniforms[:, None], axis=1)
+    return np.minimum(idx, cdf.shape[-1] - 1)
 
 
 def _iid_route(system: CellSystem, table: np.ndarray) -> Advance:
     """Depth-1 weights: i.i.d. cells from one normalized cell cdf."""
-    cells = system.cells_array
-    cdf = _cdf(table[cells[:, 0], cells[:, 1]])
+    cdf = _cdf(table[system.cells_array[:, 0], system.cells_array[:, 1]])
+    return lambda uniforms: _draw(cdf, uniforms)
+
+
+def _column_first_route(
+    core: CylinderWeight, window: ConstantCellWeight, q: float, m: int, workers: int
+) -> Advance:
+    """Skew products with exponent q of a window of depth ``2 <= k <= m``,
+    and the window itself (q = 1, marginal ``I_1``): the column word from
+    the exact marginal of all ``r1**m`` column words, then its rows from the
+    backward vectors of the window's steps at q along it; a path takes
+    ``m - k + 3`` uniforms."""
+    k, r1, r2 = window.depth, window.system.r1, window.system.r2
+    check_budget(r1**m, f"sampling this weight needs {r1**m} column words")
+    start, steps = window.step_tables(np.array([q]))  # (r1**k, 1, S, r2) steps
+    steps_t = np.ascontiguousarray(steps.swapaxes(2, 3))  # for backward levels
+    S = start.shape[1]
+    marginal = np.empty(r1**m)
+
+    def fill(lo: int, hi: int) -> None:
+        marginal[lo:hi] = weights_module.row_sum_log_ranks(core, m, lo, hi, 1.0)
+
+    map_ranges(fill, pass_chunks(r1, m), workers)
+    columns = _cdf(marginal)
 
     def advance(uniforms: np.ndarray) -> np.ndarray:
-        return np.minimum(np.searchsorted(cdf, uniforms, side="right"), system.n_cells - 1)
-
-    return advance
-
-
-def _window_route(weight: ConstantCellWeight, m: int) -> Advance:
-    """Window weights (depth k >= 2): one set of backward completion tables;
-    a path takes ``m - k + 2`` uniforms."""
-    nc = weight.system.n_cells
-    k = weight.depth
-    tables = weight.backward_completion_tables(m)  # R[j], j = 0 .. m-k+1
-    drop = nc ** (k - 2)
-    flat = weight.window_log.reshape(nc ** (k - 1), nc)
-    head = tables[m - k + 1]
-    conts = [t.reshape(drop, nc) for t in tables]
-
-    def advance(uniforms: np.ndarray) -> np.ndarray:
-        B = uniforms.shape[0]
-        # The first k-1 cells carry no window of their own: draw the block
-        # jointly from the total weight of its completions.
-        state = _draw_rows(np.broadcast_to(head, (B, head.size)), uniforms[:, 0])
-        idx = np.empty((B, m), dtype=np.int64)
-        idx[:, : k - 1] = digits_of_indices(state, nc, k - 1)
-        for pos in range(k - 1, m):
-            tail = state % drop
-            c = _draw_rows(flat[state] + conts[m - pos - 1][tail], uniforms[:, pos - k + 2])
-            idx[:, pos] = c
-            state = tail * nc + c
-        return idx
+        paths = np.arange(uniforms.shape[0])
+        w1 = digits_of_indices(_draw(columns, uniforms[:, 0]), r1, m)
+        keys = _window_keys(w1, k, r1)
+        # back[j][i, 0, s] = log weight of all the rows after path i's first
+        # j windows, from row state s.
+        back = [np.zeros((paths.size, 1, S))]
+        for j in range(m - k, -1, -1):
+            back.insert(0, _transfer_level(back[0], paths, keys[:, j], steps_t, backward=True))
+        # The first k-1 row digits carry no window of their own: draw them
+        # jointly from the start table times the first backward vector.
+        state = _draw(_cdf(start[pack_digits(w1[:, : k - 1], r1)] + back[0][:, 0]), uniforms[:, 1])
+        w2 = np.empty_like(w1)
+        w2[:, : k - 1] = digits_of_indices(state, r2, k - 1)
+        for j in range(m - k + 1):
+            tail = state % (S // r2) * r2  # the next state, less its new digit
+            ahead = np.take_along_axis(back[j + 1][:, 0], tail[:, None] + np.arange(r2), axis=1)
+            y = _draw(_cdf(steps[keys[:, j], 0, state] + ahead), uniforms[:, j + 2])
+            w2[:, j + k - 1], state = y, tail + y
+        return window.system.cell_index[w1, w2]
 
     return advance
 
@@ -236,17 +252,18 @@ def _enumerate_route(weight: CylinderWeight, m: int) -> Advance:
     def advance(uniforms: np.ndarray) -> np.ndarray:
         prefix = np.zeros(uniforms.shape[0], dtype=np.int64)
         for pos, level in enumerate(levels):
-            prefix = prefix * nc + _draw_rows(level[prefix], uniforms[:, pos])
+            prefix = prefix * nc + _draw(_cdf(level[prefix]), uniforms[:, pos])
         return digits_of_indices(prefix, nc, m)
 
     return advance
 
 
 def _path_sampler(
-    weight: CylinderWeight, horizon: int, master_seed: int
+    weight: CylinderWeight, horizon: int, master_seed: int, workers: int = 1
 ) -> Callable[[int, int], np.ndarray]:
     """``draw(lo, hi)`` -> the ``(hi - lo, horizon, 2)`` cells of paths
-    ``lo .. hi-1``, with the route chosen and its tables built once here.
+    ``lo .. hi-1``, with the route chosen and its tables built once here
+    (on ``workers`` threads, which change no byte).
 
     Path ``i`` draws all its uniforms from stream ``i`` up front, so it is
     the same whatever chunk it is drawn in.
@@ -256,12 +273,14 @@ def _path_sampler(
     system = weight.system
     core = unwrap_shift(weight)
     table = core.depth1_log_table()
+    skew = isinstance(core, SkewProductWeight)
+    window, q = (unwrap_shift(core.rho), core.q) if skew else (core, 1.0)
     n_draws = horizon
     if table is not None:
         advance = _iid_route(system, table)
-    elif isinstance(core, ConstantCellWeight) and horizon >= core.depth - 1:
-        advance = _window_route(core, horizon)
-        n_draws = horizon - core.depth + 2
+    elif isinstance(window, ConstantCellWeight) and 2 <= window.depth <= horizon:
+        advance = _column_first_route(core, window, q, horizon, workers)
+        n_draws = horizon - window.depth + 3
     else:
         advance = _enumerate_route(core, horizon)
 
@@ -283,10 +302,10 @@ def sample_paths(
     """The ``(hi - lo, horizon, 2)`` cells of paths ``lo .. hi-1`` drawn from
     ``weight``'s exact cylinder process, path ``i`` on RNG stream ``i``.
 
-    The cylinder conditionals ``P(c | u) = Z(uc) / Z(u)`` (Z = total weight
-    of the depth-``horizon`` extensions) come from the normalized cell
-    weights for depth-1 weights, backward completion tables for window
-    weights, and enumeration of all extensions otherwise.
+    Depth-1 weights draw i.i.d. cells, windows of depth ``k >= 2`` and skew
+    products (tilts) of them the column word and then its rows, and other
+    weights each cell from ``P(c | u) = Z(uc) / Z(u)`` (Z = total weight of
+    the depth-``horizon`` extensions) over all enumerated extensions.
     """
     return _path_sampler(weight, horizon, master_seed)(lo, hi)
 
@@ -328,7 +347,7 @@ def sampled_log_masses(
     m = g - n
     log_z = log_total_mass(psi, m) if (with_ball and m > 0) else 0.0
 
-    draw = _path_sampler(weight, horizon, master_seed)
+    draw = _path_sampler(weight, horizon, master_seed, workers)
 
     def chunk(lo: int, hi: int) -> np.ndarray:
         paths = draw(lo, hi)  # (B, horizon, 2)

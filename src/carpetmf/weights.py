@@ -293,28 +293,30 @@ class ConstantCellWeight(CylinderWeight):
             return super().row_sum_log_range(n, lo, hi, qs)
         return self._split_row_sums((n, lo, hi), qs)
 
-    def _split_row_sums(self, words, qs: np.ndarray, a: int | None = None):
-        """Row sums of words of at least ``k`` letters from the split kernel
-        (see :func:`_split_kernel` for ``words`` and ``a``).
+    def step_tables(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The split kernel's ``(r1**(k-1), S)`` log start states and
+        ``(r1**k, Q, S, r2)`` log steps at a block of q, ``S = r2**(k-1)``.
 
         The state is the last ``k-1`` row digits; the window table picked by
         the packed column window steps it as a shift register of base-``r2``
         digits.
         """
-        k = self.depth
-        r1, r2 = self.system.r1, self.system.r2
-        S = r2 ** (k - 1)
-        grid = self._window_grid
+        k, r1, r2 = self.depth, self.system.r1, self.system.r2
+        tables = scaled_powers(qs[:, None, None], self._window_grid)
+        tables = tables.reshape(qs.size, r1**k, r2 ** (k - 1), r2)
+        return self._start_table, np.ascontiguousarray(tables.transpose(1, 0, 2, 3))
+
+    def _split_row_sums(self, words, qs: np.ndarray, a: int | None = None):
+        """Row sums of words of at least ``k`` letters from the split kernel
+        (see :func:`_split_kernel` for ``words`` and ``a``) on the tables of
+        :meth:`step_tables`."""
         # Blocks of q keep the stacked tables within MAX_TRANSFER_TABLE.
-        block = max(1, MAX_TRANSFER_TABLE // grid.size)
+        block = max(1, MAX_TRANSFER_TABLE // self._window_grid.size)
+        k, r1 = self.depth, self.system.r1
         columns = []
         for j in range(0, qs.size, block):
             qb = qs[j : j + block]
-            tables = scaled_powers(qb[:, None, None], grid).reshape(qb.size, r1**k, S, r2)
-            steps = np.ascontiguousarray(tables.transpose(1, 0, 2, 3))
-            columns.append(
-                _split_kernel(words, qb, k, r1, self._start_table, steps, self._tails, a)
-            )
+            columns.append(_split_kernel(words, qb, k, r1, *self.step_tables(qb), self._tails, a))
         return _join_q_blocks(columns)
 
     # -- totals over full product words ----------------------------------
@@ -335,27 +337,6 @@ class ConstantCellWeight(CylinderWeight):
             x = (v[:, None] + flat).reshape(nc, drop, nc)
             v = lse(x, axis=0).reshape(nc ** (k - 1))
         return float(lse(v))
-
-    def backward_completion_tables(self, m: int) -> list[np.ndarray]:
-        """``R[j][state]`` = log-sum of window weights over all length-``j``
-        continuations of a full state (the last ``k-1`` cells, packed), for
-        ``j = 0 .. m - k + 1``.  Used by exact path sampling."""
-        k = self.depth
-        if k < 2:
-            raise ValueError("backward tables require window depth >= 2")
-        if m < k - 1:
-            raise ValueError("horizon shorter than one state")
-        nc = self.system.n_cells
-        flat = self.window_log.reshape(nc ** (k - 1), nc)  # [state, next cell]
-        drop = nc ** (k - 2)
-        tables = [np.zeros(nc ** (k - 1))]
-        for _ in range(m - k + 1):
-            prev = tables[-1]
-            # R_j(s) = lse over c of window(s, c) + R_{j-1}(shift(s, c)) where
-            # shift(s, c) = (s mod drop) * nc + c; write s = (h, t).
-            contrib = flat.reshape(nc, drop, nc) + prev.reshape(drop, nc)[None, :, :]
-            tables.append(lse(contrib, axis=2).reshape(nc ** (k - 1)))
-        return tables
 
 
 def make_constant_cell(

@@ -31,7 +31,7 @@ from carpetmf.config import (
     load_raw,
     parse_config,
 )
-from carpetmf.reference import default_config
+from carpetmf.reference import default_config, random_depth2_weight
 from carpetmf.symbolic import CapExceededError
 
 SHA_HEX = re.compile(r"^[0-9a-f]{64}$")
@@ -435,6 +435,45 @@ def test_cli_sample_workers_deterministic(tmp_path):
     assert len(data_lines(out / "samples.csv")) == 1 + 1100
     assert outputs[0]["samples.csv"] == outputs[1]["samples.csv"]
     assert outputs[0]["summary.json"] == outputs[1]["summary.json"]
+
+
+def _depth2_tilts() -> dict[str, dict]:
+    """The window-d2 weight, ``random_depth2_weight(1)``, and a dim-2
+    cocycle on the reference system, as config weights."""
+    window = np.exp(random_depth2_weight(1).window_log).ravel()
+    matrices = np.random.default_rng(1).uniform(0.05, 1.0, (5, 4))
+    return {
+        "window": {"kind": "constantCell", "depth": 2, "values": window.tolist()},
+        "cocycle": {"kind": "matrixCocycle", "dimension": 2, "matrices": matrices.tolist()},
+    }
+
+
+def test_cli_sample_window_tilt_past_the_enumeration_cap(tmp_path):
+    # psiQ tilts at sampling depth 6, horizon g(6) = 12: a window's tilt
+    # draws from its 2**12 column words, on any worker count; a cocycle's
+    # would enumerate 5**12 words and is refused.  Every run writes to the
+    # same --out string, which is part of the stamped config hash.
+    sampling = {"nSamples": 40, "depth": 6, "masterSeed": 7, "q": 2.0, "variant": "psiQ"}
+    out = tmp_path / "out"
+    outputs = []
+    for kind, weight in _depth2_tilts().items():
+        cfgfile = write_config(tmp_path, small_config(weight=weight, sampling=sampling), kind)
+        for workers in ("1", "2") if kind == "window" else ("1",):
+            shutil.rmtree(out, ignore_errors=True)
+            result = invoke(
+                "sample", "--config", str(cfgfile), "--out", str(out), "--workers", workers
+            )
+            if kind == "cocycle":
+                assert result.exit_code == 1
+                assert result.stderr.strip() == (
+                    "error: sampling this weight needs 244140625 extension evaluations, "
+                    "over the enumeration cap 16777216"
+                )
+                continue
+            assert result.exit_code == 0, result.output
+            outputs.append([(out / name).read_bytes() for name in ("samples.csv", "summary.json")])
+    assert len(outputs) == 2 and outputs[0] == outputs[1]
+    assert len(outputs[0][0].decode().splitlines()) == 3 + 40
 
 
 def test_cli_sample_empty(tmp_path):

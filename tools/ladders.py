@@ -1,4 +1,4 @@
-"""In-process depth ladders of the transfer row-sum route.
+"""In-process depth ladders of the transfer row-sum route and the sampler.
 
     python3 tools/ladders.py
 
@@ -11,16 +11,26 @@ kinds) at ``workers=1`` and ``workers=2`` for three ladders:
 * the dim-2 cocycle of the ``cocycle-d2`` benchmark config (seed 1, built
   with ``bench/workloads.py``) at q in {1, 2} and n = 14 ... 20.
 
-Each ladder uses one weight object, so the first depth also pays the
-weight's cached tables (in its ``workers=1`` column).  A ladder point whose
-``workers=2`` time is above its ``workers=1`` time loses to the interpreter
-lock.  Run it on two checkouts on the same host to compare them.
+Each of these ladders uses one weight object, so the first depth also pays
+the weight's cached tables (in its ``workers=1`` column).  A ladder point
+whose ``workers=2`` time is above its ``workers=1`` time loses to the
+interpreter lock.
+
+A fourth ladder times ``gibbs.sampled_log_masses`` as the ``sample`` command
+runs it: 200 paths of the psiQ tilt at q = 2 of the same window weight, at
+horizons 6, 10, 14 and 20 (sampling depth ``n = horizon / 2``, so each path
+also gets its ball mass), with ``beta_8(2)`` as level constant.  Each run
+builds the weight afresh, so every run pays its tables; it prints the best
+of three wall times and the ``tracemalloc`` peak of one more run.
+
+Run the script on two checkouts on the same host to compare them.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,7 +38,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
 from carpetmf.config import parse_config  # noqa: E402
-from carpetmf.pressure import finite_values  # noqa: E402
+from carpetmf.gibbs import VARIANT_PSI_Q, make_auxiliary, sampled_log_masses  # noqa: E402
+from carpetmf.pressure import finite_beta, finite_values  # noqa: E402
 from carpetmf.reference import default_q_grid, random_depth2_weight  # noqa: E402
 
 REPEATS = 3
@@ -42,6 +53,27 @@ def _best(psi, q_grid, n: int, workers: int) -> float:
         finite_values(psi, q_grid, n, workers=workers)
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def _sample(horizon: int, workers: int, level: float) -> None:
+    """The ``sample`` command's draw of 200 psiQ paths at q = 2 from a fresh
+    weight, with the level constant ``level``."""
+    window = random_depth2_weight(1)
+    aux = make_auxiliary(window, 2.0, level, VARIANT_PSI_Q)
+    sampled_log_masses(window, aux, horizon // 2, horizon, 200, 1, workers)
+
+
+def _sampler_point(horizon: int, workers: int, level: float) -> str:
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        _sample(horizon, workers, level)
+        times.append(time.perf_counter() - start)
+    tracemalloc.start()
+    _sample(horizon, workers, level)
+    peak = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    return f"workers={workers} {min(times):7.3f} s {peak:7.1f} MB"
 
 
 def main() -> int:
@@ -58,6 +90,10 @@ def main() -> int:
                 f"workers={workers} {_best(psi, q_grid, n, workers):7.3f} s" for workers in WORKERS
             )
             print(f"{label:32s} n = {n:2d}  {times}", flush=True)
+    level = finite_beta(window, 2.0, 8)
+    for horizon in (6, 10, 14, 20):
+        points = "  ".join(_sampler_point(horizon, workers, level) for workers in WORKERS)
+        print(f"{'sample psiQ q = 2, 200 paths':32s} horizon = {horizon:2d}  {points}", flush=True)
     return 0
 
 
