@@ -158,11 +158,12 @@ Advance = Callable[[np.ndarray], np.ndarray]
 
 
 def _cdf(log_probs: np.ndarray) -> np.ndarray:
-    """Normalized cumulative probabilities along the last axis."""
+    """Normalized cumulative probabilities along the last axis, computed in
+    (and returned as) the buffer of ``log_probs``, a caller's temporary."""
     peak = np.max(log_probs, axis=-1, keepdims=True)
     if np.any(peak == NEG_INF):
         raise ValueError("no admissible continuation has positive weight")
-    p = np.exp(log_probs - peak)
+    p = np.exp(np.subtract(log_probs, peak, out=log_probs), out=log_probs)
     p /= p.sum(axis=-1, keepdims=True)
     return np.cumsum(p, axis=-1, out=p)
 
@@ -191,9 +192,9 @@ def _column_first_route(
     the exact marginal of all ``r1**m`` column words, then its rows from the
     backward vectors of the window's steps at q along it; a path takes
     ``m - k + 3`` uniforms."""
-    k, r1, r2 = window.depth, window.system.r1, window.system.r2
+    r1, r2 = window.system.r1, window.system.r2
     check_budget(r1**m, f"sampling this weight needs {r1**m} column words")
-    start, steps = window.step_tables(np.array([q]))  # (r1**k, 1, S, r2) steps
+    k, start, steps = window.step_tables(np.array([q]))  # (r1**k, 1, S, r2) steps
     steps_t = np.ascontiguousarray(steps.swapaxes(2, 3))  # for backward levels
     S = start.shape[1]
     marginal = np.empty(r1**m)

@@ -11,7 +11,6 @@ setting.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
@@ -167,8 +166,20 @@ def map_ranges(
     """
     if workers <= 1 or len(ranges) <= 1:
         return [fn(a, b) for a, b in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool_class = globals().get("ThreadPoolExecutor") or __getattr__("ThreadPoolExecutor")
+    with pool_class(max_workers=workers) as pool:
         return list(pool.map(lambda r: fn(*r), ranges))
+
+
+def __getattr__(name: str):
+    # ThreadPoolExecutor loads when first read, so only threaded passes load
+    # concurrent.futures; map_ranges uses any pool class set on the module.
+    if name != "ThreadPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ThreadPoolExecutor
+
+    globals()[name] = ThreadPoolExecutor
+    return ThreadPoolExecutor
 
 
 def chunked_logsumexp(

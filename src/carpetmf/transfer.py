@@ -3,10 +3,11 @@
 
 A row sum ``I_q(w1)`` of a window weight of depth ``k >= 2`` or of a matrix
 cocycle at integer q is a product of transfer matrices picked by the column
-letters.  The kernel splits each column word after :func:`split_point`
-letters and takes the dot product of the forward state of its prefix with
-the backward vector of its tail.  It has two entry points, which give a
-word the same bytes:
+letters, which the weight's ``step_tables(qs)`` supply (a cocycle's steps
+read one letter, so its window length ``k`` is 1).  The kernel splits each
+column word after :func:`split_point` letters and takes the dot product of
+the forward state of its prefix with the backward vector of its tail.  It
+has two entry points, which give a word the same bytes:
 
 * :func:`split_transfer_range` serves a complete range of column word
   ranks, as :func:`carpetmf.pressure.column_log_sums` passes them: chunks

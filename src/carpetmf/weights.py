@@ -19,10 +19,13 @@ constructions are provided:
 Every weight exposes batched evaluation over digit-row arrays, and —
 when its structure allows — fast row-fiber power sums
 ``I_q(w1) = sum_{w2} psi(w1 x w2)^q`` via transfer recursions, so the deep
-regimes never enumerate the row alphabet.  Depth-1 weights factorize over
-column letters; window weights of depth >= 2 and matrix cocycles at integer
-``q >= 0`` share the split kernel of :mod:`carpetmf.transfer`: a forward
-prefix state times a backward tail vector memoized on the weight, entered by
+regimes never enumerate the row alphabet.  :class:`CylinderWeight` routes
+them for every class; a weight supplies only ``transfer_floats(q)``, its
+table size at q (None: no transfer route), and a depth-1 table, whose row
+sums factor over column letters, or ``step_tables(qs)``.  Windows of depth
+>= 2 and matrix cocycles at integer ``q >= 0`` thus share the split kernel
+of :mod:`carpetmf.transfer`: a forward prefix state times a backward tail
+vector memoized on the weight, entered by
 :func:`~carpetmf.transfer.split_transfer_range` for a complete range of
 column word ranks and by :func:`~carpetmf.transfer.split_transfer_log` for
 any batch of digit rows.  One pass over a batch serves a vector of q values.
@@ -30,6 +33,7 @@ any batch of digit rows.  One pass over a batch serves a vector of q values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,10 +101,28 @@ class CylinderWeight:
         """Exact ``(r1, r2)`` per-cell log table for depth-1 weights."""
         return None
 
+    def transfer_floats(self, q: float) -> int | None:
+        """Floats in the transfer table of one q, which must fit
+        ``MAX_TRANSFER_TABLE``; None when q has no transfer route.  A weight
+        that returns a size supplies :meth:`step_tables` or a
+        :meth:`depth1_log_table`, and names the table in ``_transfer_table``."""
+        return None
+
+    def step_tables(self, qs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+        """The split kernel's tables for a block of q of one
+        :meth:`transfer_floats`: the window length ``k`` its steps read,
+        ``(r1**(k-1), S)`` log start states and ``(r1**k, Q, S, C)`` log
+        steps (see :func:`carpetmf.transfer.split_transfer_log`)."""
+        raise NotImplementedError
+
+    # -- transfer routing ------------------------------------------------
+
     def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
-        """Boolean mask of the q values :meth:`row_sum_log_batch` serves;
-        callers enumerate rows for the others."""
-        return np.zeros(len(qs), dtype=bool)
+        """Boolean mask of the q values :meth:`row_sum_log_batch` serves,
+        those whose transfer table fits; callers enumerate rows for the
+        others."""
+        floats = [self.transfer_floats(q) for q in qs]
+        return np.array([f is not None and f <= MAX_TRANSFER_TABLE for f in floats], dtype=bool)
 
     def row_enumeration_mask(self, qs: np.ndarray) -> np.ndarray:
         """Boolean mask of the q values whose row sums enumerate rows, on
@@ -111,21 +133,62 @@ class CylinderWeight:
     def transfer_refusal(self, qs: np.ndarray) -> str | None:
         """Why a q of ``qs`` that :meth:`row_enumeration_mask` flags lost
         its transfer route to a table over ``MAX_TRANSFER_TABLE``, for error
-        messages; None when no table is the reason."""
-        return None
+        messages (the smallest such q); None when no table is the reason."""
+        over = [
+            q for q in qs
+            if (f := self.transfer_floats(q)) is not None and f > MAX_TRANSFER_TABLE
+        ]
+        if not over:
+            return None
+        return f"{self._transfer_table(min(over))} is over MAX_TRANSFER_TABLE {MAX_TRANSFER_TABLE}"
 
     def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """``(W, Q)`` array of ``log I_q`` for a batch of column words and a
         1-d array of q values inside :meth:`transfer_mask`, without
-        enumerating rows."""
-        raise NotImplementedError
+        enumerating rows: a depth-1 weight gathers per-letter fiber sums,
+        any other runs the split kernel."""
+        a1s = np.asarray(a1s, dtype=np.int64)
+        table = self.depth1_log_table()
+        if table is not None:
+            return _depth1_row_sums(self.system, table, a1s, qs)
+        if a1s.shape[1] < (self.dependence_depth or 1):  # shorter than a window: few rows
+            return _enumerate_row_sums(self, a1s, qs)
+        return self._split_row_sums(a1s, qs)
 
     def row_sum_log_range(self, n: int, lo: int, hi: int, qs: np.ndarray) -> np.ndarray:
         """:meth:`row_sum_log_batch` of the depth-``n`` column words of
-        ranks ``lo .. hi - 1``, with the same bytes.  Weights on the split
-        kernel read these from its tables without digit rows; the default
-        builds the digit rows."""
+        ranks ``lo .. hi - 1``, with the same bytes.  The split kernel reads
+        these from its tables without digit rows; the other routes build the
+        digit rows."""
+        if self.depth1_log_table() is None and n >= (self.dependence_depth or 1):
+            return self._split_row_sums((n, lo, hi), qs)
         return self.row_sum_log_batch(row_words_range(self.system, n, lo, hi), qs)
+
+    def _split_row_sums(self, words, qs: np.ndarray, a: int | None = None):
+        """Row sums from the split kernel of :mod:`carpetmf.transfer` on the
+        tables of :meth:`step_tables`.  ``words`` is a ``(W, n)`` batch of
+        column words, split after ``a`` letters (by default at the split
+        point), or ``(n, lo, hi)``, the depth-``n`` column words of ranks
+        ``lo .. hi - 1``, split at the split point.  Consecutive q of one
+        table size share their tables, in blocks of at most
+        ``MAX_TRANSFER_TABLE`` floats."""
+        from .transfer import split_transfer_log, split_transfer_range
+
+        r1, columns, j = self.system.r1, [], 0
+        for floats, run in itertools.groupby(self.transfer_floats(q) for q in qs):
+            end = j + len(list(run))
+            block = max(1, MAX_TRANSFER_TABLE // floats)
+            for i in range(j, end, block):
+                qb = qs[i : min(i + block, end)]
+                k, start, steps = self.step_tables(qb)
+                args = (qb, k, r1, start, steps, self._tails)
+                columns.append(
+                    split_transfer_range(*words, *args)
+                    if isinstance(words, tuple)
+                    else split_transfer_log(words, *args, a)
+                )
+            j = end
+        return _join_q_blocks(columns)
 
     def log_total_mass(self, m: int) -> float | None:
         """``log sum_{|w|=m} psi(w)`` when computable without row-word
@@ -263,38 +326,16 @@ class ConstantCellWeight(CylinderWeight):
         cidx = self.system.cell_index[a1grid[:, None, :], a2grid[None, :, :]]
         return np.where((cidx >= 0).all(axis=2), 0.0, NEG_INF)
 
-    def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
-        # The window grid must fit, as the cocycle's Kronecker tables must.
-        return np.full(len(qs), self.transfer_refusal(qs) is None)
+    def transfer_floats(self, q: float) -> int:
+        # One window grid serves every q; at depth 1 it is the cell table.
+        return (self.system.r1 * self.system.r2) ** self.depth
 
-    def transfer_refusal(self, qs: np.ndarray) -> str | None:
+    def _transfer_table(self, q: float) -> str:
         r1, r2, k = self.system.r1, self.system.r2, self.depth
-        if (r1**k) * (r2**k) <= MAX_TRANSFER_TABLE:
-            return None
-        return (
-            f"the window transfer table of {r1}**{k} x {r2}**{k} = {r1**k * r2**k} floats "
-            f"is over MAX_TRANSFER_TABLE {MAX_TRANSFER_TABLE}"
-        )
+        return f"the window transfer table of {r1}**{k} x {r2}**{k} = {r1**k * r2**k} floats"
 
-    def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        a1s = np.asarray(a1s, dtype=np.int64)
-        W, n = a1s.shape
-        if n == 0:
-            return np.zeros((W, qs.size))
-        k = self.depth
-        if n < k:  # shorter than the window: few rows, enumerate them
-            return _enumerate_row_sums(self, a1s, qs)
-        if k == 1:  # the window grid is then the per-cell log table
-            return _depth1_row_sums(self.system, self._window_grid, a1s, qs)
-        return self._split_row_sums(a1s, qs)
-
-    def row_sum_log_range(self, n: int, lo: int, hi: int, qs: np.ndarray) -> np.ndarray:
-        if self.depth < 2 or n < self.depth:
-            return super().row_sum_log_range(n, lo, hi, qs)
-        return self._split_row_sums((n, lo, hi), qs)
-
-    def step_tables(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The split kernel's ``(r1**(k-1), S)`` log start states and
+    def step_tables(self, qs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+        """``k``, the ``(r1**(k-1), S)`` log start states and the
         ``(r1**k, Q, S, r2)`` log steps at a block of q, ``S = r2**(k-1)``.
 
         The state is the last ``k-1`` row digits; the window table picked by
@@ -304,20 +345,7 @@ class ConstantCellWeight(CylinderWeight):
         k, r1, r2 = self.depth, self.system.r1, self.system.r2
         tables = scaled_powers(qs[:, None, None], self._window_grid)
         tables = tables.reshape(qs.size, r1**k, r2 ** (k - 1), r2)
-        return self._start_table, np.ascontiguousarray(tables.transpose(1, 0, 2, 3))
-
-    def _split_row_sums(self, words, qs: np.ndarray, a: int | None = None):
-        """Row sums of words of at least ``k`` letters from the split kernel
-        (see :func:`_split_kernel` for ``words`` and ``a``) on the tables of
-        :meth:`step_tables`."""
-        # Blocks of q keep the stacked tables within MAX_TRANSFER_TABLE.
-        block = max(1, MAX_TRANSFER_TABLE // self._window_grid.size)
-        k, r1 = self.depth, self.system.r1
-        columns = []
-        for j in range(0, qs.size, block):
-            qb = qs[j : j + block]
-            columns.append(_split_kernel(words, qb, k, r1, *self.step_tables(qb), self._tails, a))
-        return _join_q_blocks(columns)
+        return k, self._start_table, np.ascontiguousarray(tables.transpose(1, 0, 2, 3))
 
     # -- totals over full product words ----------------------------------
 
@@ -445,35 +473,24 @@ class MatrixCocycleWeight(CylinderWeight):
         table[cells[:, 0], cells[:, 1]] = np.log(self.matrices[:, 0, 0])
         return table
 
-    def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
-        # Kronecker powers exist at integer q >= 0; their tables must fit.
-        return np.array(
-            [
-                self.dim == 1
-                or (q >= 0 and float(q).is_integer()
-                    and self._kronecker_floats(q) <= MAX_TRANSFER_TABLE)
-                for q in qs
-            ],
-            dtype=bool,
-        )
-
-    def transfer_refusal(self, qs: np.ndarray) -> str | None:
-        over = [
-            q for q in qs
-            if self.dim > 1 and q >= 0 and float(q).is_integer()
-            and self._kronecker_floats(q) > MAX_TRANSFER_TABLE
-        ]
-        if not over:
+    def transfer_floats(self, q: float) -> int | None:
+        # Dimension 1 is depth 1, with no table to bound; otherwise the
+        # Kronecker powers exist at integer q >= 0.
+        if self.dim == 1:
+            return 0
+        if q < 0 or not float(q).is_integer():
             return None
-        q = min(over)
-        return (
-            f"the Kronecker table at q = {q:g} of {self._kronecker_floats(q)} floats "
-            f"is over MAX_TRANSFER_TABLE {MAX_TRANSFER_TABLE}"
-        )
-
-    def _kronecker_floats(self, q: float) -> int:
-        """Floats in the Kronecker-power tables of an integer ``q >= 0``."""
         return max(self.system.n_cells, self.system.r1) * self.dim ** (2 * int(q))
+
+    def _transfer_table(self, q: float) -> str:
+        return f"the Kronecker table at q = {q:g} of {self.transfer_floats(q)} floats"
+
+    def step_tables(self, qs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+        """The :meth:`_letter_tables` of a block of equal-size q as dense
+        steps that read one letter (``k = 1``); the state starts at
+        ``1^{(x)q}``."""
+        steps = np.stack([self._letter_tables(q) for q in qs], axis=1)
+        return 1, np.zeros((1, steps.shape[-1])), steps
 
     def _letter_tables(self, q: float) -> np.ndarray:
         """``(r1, D, D)`` log tables with ``D = dim**q``:
@@ -500,35 +517,6 @@ class MatrixCocycleWeight(CylinderWeight):
             if fiber.shape[0]:
                 tables[a1] = lse(fiber, axis=0)
         return tables
-
-    def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        if self.dim == 1:
-            return _depth1_row_sums(self.system, self.depth1_log_table(), a1s, qs)
-        a1s = np.asarray(a1s, dtype=np.int64)
-        W, n = a1s.shape
-        if n == 0:
-            return np.zeros((W, qs.size))
-        return self._split_row_sums(a1s, qs)
-
-    def row_sum_log_range(self, n: int, lo: int, hi: int, qs: np.ndarray) -> np.ndarray:
-        if self.dim == 1 or n == 0:
-            return super().row_sum_log_range(n, lo, hi, qs)
-        return self._split_row_sums((n, lo, hi), qs)
-
-    def _split_row_sums(self, words, qs: np.ndarray, a: int | None = None):
-        """Row sums from the split kernel (see :func:`_split_kernel` for
-        ``words`` and ``a``).  Each q keeps its own Kronecker route (the
-        state size ``d**q`` differs); the state starts at ``1^{(x)q}``."""
-        columns = []
-        for q in qs:
-            steps = self._letter_tables(q)[:, None]
-            start = np.zeros((1, steps.shape[-1]))
-            columns.append(
-                _split_kernel(
-                    words, np.array([q]), 1, self.system.r1, start, steps, self._tails, a
-                )
-            )
-        return _join_q_blocks(columns)
 
     def log_total_mass(self, m: int) -> float | None:
         if m == 0:
@@ -559,18 +547,6 @@ def make_matrix_cocycle(
             stack.append(np.asarray(matrices[cell], dtype=float))
         matrices = np.stack(stack)
     return MatrixCocycleWeight(system, dim, np.asarray(matrices, dtype=float))
-
-
-def _split_kernel(words, qs, k, r1, start, steps, tails, a):
-    """The split kernel of :mod:`carpetmf.transfer` on ``words``: a
-    ``(W, n)`` batch of column words, split after ``a`` letters (by default
-    at the split point), or ``(n, lo, hi)``, the depth-``n`` column words of
-    ranks ``lo .. hi - 1``, split at the split point."""
-    from . import transfer
-
-    if isinstance(words, tuple):
-        return transfer.split_transfer_range(*words, qs, k, r1, start, steps, tails)
-    return transfer.split_transfer_log(words, qs, k, r1, start, steps, tails, a)
 
 
 def _join_q_blocks(blocks: list[np.ndarray]) -> np.ndarray:
@@ -686,6 +662,10 @@ class SkewProductWeight(CylinderWeight):
         with np.errstate(invalid="ignore"):
             out = scaled_powers(rs, lt) - scaled_powers(rs, liq) + liqr
         return np.where(dead, NEG_INF, out)
+
+    def row_sum_log_range(self, n: int, lo: int, hi: int, rs: np.ndarray) -> np.ndarray:
+        # rho's row sums, on rho's own route, read the words' digit rows.
+        return self.row_sum_log_batch(row_words_range(self.system, n, lo, hi), rs)
 
     def _letter_marginal(self) -> tuple[np.ndarray, np.ndarray] | None:
         """rho's depth-1 table and the per-letter ``log theta1``, when rho is

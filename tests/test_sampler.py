@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carpetmf import (
     VARIANT_PSI_Q,
@@ -278,3 +281,46 @@ def test_only_opaque_tilts_sample_by_enumeration(tilt, enumerations):
     with mock.patch.object(gibbs, "_enumerate_route", wraps=gibbs._enumerate_route) as spy:
         sampled_log_masses(aux.base, aux, 3, 6, 40, 1, workers=2)
     assert spy.call_count == enumerations
+
+
+# -- the inverse-cdf table ---------------------------------------------------
+
+
+def _cdf_with_temporaries(log_probs: np.ndarray) -> np.ndarray:
+    """The cdf as it was computed before it worked in place: the shifted
+    logs and their exponentials as new arrays."""
+    peak = np.max(log_probs, axis=-1, keepdims=True)
+    p = np.exp(log_probs - peak)
+    p /= p.sum(axis=-1, keepdims=True)
+    return np.cumsum(p, axis=-1, out=p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(((1,), (7,), (1000,), (5, 3), (64, 33), (3, 1001))),
+    scale=st.sampled_from((1e-3, 1.0, 40.0, 800.0)),
+)
+def test_cdf_in_place_keeps_the_bytes(seed, shape, scale):
+    rng = np.random.default_rng(seed)
+    log_probs = rng.normal(0.0, scale, shape)
+    log_probs[rng.random(shape) < 0.2] = -np.inf
+    log_probs[..., 0] = rng.normal(0.0, scale, shape[:-1])  # a finite entry per row
+    want = _cdf_with_temporaries(log_probs.copy())
+    got = gibbs._cdf(log_probs)
+    assert np.shares_memory(got, log_probs)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cdf_holds_no_copy_of_its_input():
+    # 2**20 entries: the shifted logs and their exponentials live in the
+    # input's buffer, so the peak stays near the input's own 8 MB.
+    tracemalloc.start()
+    try:
+        log_probs = np.random.default_rng(0).normal(0.0, 3.0, 2**20)
+        tracemalloc.reset_peak()
+        gibbs._cdf(log_probs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * log_probs.nbytes

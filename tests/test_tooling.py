@@ -217,6 +217,32 @@ def test_verify_results_come_from_one_runner():
     assert len(calls) == 1 and builders == ["run_all"], builders
 
 
+
+#: The transfer routing :class:`CylinderWeight` runs for every weight that
+#: supplies step tables.
+ROUTING = (
+    "transfer_mask", "transfer_refusal", "row_sum_log_batch", "row_sum_log_range", "_split_row_sums"
+)
+
+
+def test_transfer_weights_supply_only_their_tables():
+    # Windows and cocycles define their step tables and table sizes; the
+    # routing around the split kernel is written once, on the base class.
+    tree = ast.parse((SRC / "carpetmf" / "weights.py").read_text(encoding="utf-8"))
+    methods = {
+        node.name: {fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)}
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    for cls in ("ConstantCellWeight", "MatrixCocycleWeight"):
+        assert {"step_tables", "transfer_floats"} <= methods[cls], cls
+        assert not methods[cls] & set(ROUTING), (cls, methods[cls] & set(ROUTING))
+    assert set(ROUTING) <= methods["CylinderWeight"]
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_split_kernel" not in functions
+    assert not any("_kronecker_floats" in names for names in methods.values())
+
+
 # -- start-up: what a command imports ---------------------------------------------
 
 #: Modules a command may not load unless it uses them.
@@ -274,6 +300,51 @@ def test_config_path_loads_no_openssl(tmp_path):
     )
     assert (tmp_path / "out" / "pressure_T.csv").is_file()
     assert "_hashlib" not in loaded
+
+
+
+def test_serial_pressure_loads_no_thread_pool(tmp_path):
+    # concurrent.futures (and logging with it) loads only when a pass runs
+    # on threads; a one-chunk pressure pass runs on the calling thread.  The
+    # dim-2 cocycle's row sums take the split kernel, which loads
+    # carpetmf.transfer and nothing else of the package.
+    from carpetmf.reference import default_config
+
+    config = default_config()
+    matrices = np.random.default_rng(1).uniform(0.05, 1.0, (5, 4))
+    config["weight"] = {"kind": "matrixCocycle", "dimension": 2, "matrices": matrices.tolist()}
+    config["grids"] = {"qGrid": [1.0, 2.0], "depthSchedule": [2, 3, 4]}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    loaded = _loaded_after(
+        "import carpetmf.cli\nfrom carpetmf.config import load_config\n"
+        "load_config('config.json')\n"
+        "carpetmf.cli.main(['pressure', '--config', 'config.json', '--depth-max', '4',"
+        " '--out', 'out'], standalone_mode=False)",
+        tmp_path,
+    )
+    assert (tmp_path / "out" / "pressure_T.csv").is_file()
+    assert "carpetmf.transfer" in loaded
+    assert not loaded & {"concurrent.futures", *PIPELINE}
+
+
+def test_threaded_passes_use_the_module_pool_class(monkeypatch):
+    # map_ranges reads numerics.ThreadPoolExecutor when it starts a pool, so
+    # a tracer that replaces it (bench/tracer.py) sees every threaded pass.
+    import concurrent.futures
+
+    from carpetmf import numerics
+
+    assert numerics.ThreadPoolExecutor is concurrent.futures.ThreadPoolExecutor
+    started = []
+
+    class Counting(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "ThreadPoolExecutor", Counting)
+    assert numerics.map_ranges(lambda a, b: b - a, [(0, 2), (2, 5)], workers=2) == [2, 3]
+    assert started == [2]
 
 
 def test_config_hash_is_sha256():
@@ -343,3 +414,36 @@ def test_column_pass_builds_no_digit_rows(monkeypatch):
     for kind in pressure.COLUMN_KINDS:
         assert np.all(np.isfinite(serial[kind]))
         np.testing.assert_allclose(threaded[kind], serial[kind], rtol=1e-13)
+
+
+# -- tools/output_sha256.py ------------------------------------------------------
+
+
+def test_output_listing_comparison(monkeypatch, tmp_path, capsys):
+    # Synthetic listings: a changed digest shows both lines, a file in one
+    # listing only shows its own line, equal lines and blank lines none.
+    import importlib.util
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/ and bench/
+    path = Path(__file__).resolve().parent.parent / "tools" / "output_sha256.py"
+    spec = importlib.util.spec_from_file_location("output_sha256", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    saved = ["aa  ref-d1/a.csv", "bb  ref-d1/b.csv", "cc  window-d2/c.json", ""]
+    current = ["aa  ref-d1/a.csv", "bd  ref-d1/b.csv", "dd  cocycle-d2/d.csv"]
+    assert tool.differences(saved, saved) == []
+    assert tool.differences(saved, current) == [
+        "+ dd  cocycle-d2/d.csv",
+        "- bb  ref-d1/b.csv",
+        "+ bd  ref-d1/b.csv",
+        "- cc  window-d2/c.json",
+    ]
+    # --compare prints only the differing lines and exits 1 if there are any.
+    listing = tmp_path / "listing.txt"
+    listing.write_text("\n".join(saved), encoding="utf-8")
+    monkeypatch.setattr(tool, "listing", lambda: iter(current))
+    assert tool.main(["--compare", str(listing)]) == 1
+    assert capsys.readouterr().out.splitlines() == tool.differences(saved, current)
+    monkeypatch.setattr(tool, "listing", lambda: iter(saved))
+    assert tool.main(["--compare", str(listing)]) == 0
+    assert capsys.readouterr().out == ""

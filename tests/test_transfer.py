@@ -702,3 +702,172 @@ def test_words_through_an_empty_column_skip_the_log_space_walk():
         slow = row_sum_log_any(psi, words, qs, method="enumerate")
         assert np.isneginf(fast[dead]).all() and np.isneginf(slow[dead]).all()
         np.testing.assert_allclose(fast[~dead], slow[~dead], rtol=1e-12)
+
+
+# -- one transfer route on CylinderWeight ------------------------------------
+
+
+def _per_class_mask(psi, qs) -> np.ndarray:
+    """Each class's own transfer mask, the oracle of the shared routing: a
+    window's grid of ``r1**k x r2**k`` floats must fit, for every q alike; a
+    cocycle of dimension >= 2 has Kronecker tables at integer q >= 0 only,
+    and they must fit too."""
+    if isinstance(psi, weights_module.ConstantCellWeight):
+        r1, r2, k = psi.system.r1, psi.system.r2, psi.depth
+        return np.full(len(qs), r1**k * r2**k <= weights_module.MAX_TRANSFER_TABLE)
+    return np.array(
+        [
+            psi.dim == 1
+            or (q >= 0 and float(q).is_integer()
+                and _per_class_kronecker(psi, q) <= weights_module.MAX_TRANSFER_TABLE)
+            for q in qs
+        ],
+        dtype=bool,
+    )
+
+
+def _per_class_kronecker(psi, q) -> int:
+    return max(psi.system.n_cells, psi.system.r1) * psi.dim ** (2 * int(q))
+
+
+def _per_class_refusal(psi, qs) -> str | None:
+    cap = weights_module.MAX_TRANSFER_TABLE
+    if isinstance(psi, weights_module.ConstantCellWeight):
+        r1, r2, k = psi.system.r1, psi.system.r2, psi.depth
+        if r1**k * r2**k <= cap:
+            return None
+        return (
+            f"the window transfer table of {r1}**{k} x {r2}**{k} = {r1**k * r2**k} floats "
+            f"is over MAX_TRANSFER_TABLE {cap}"
+        )
+    over = [
+        q for q in qs
+        if psi.dim > 1 and q >= 0 and float(q).is_integer() and _per_class_kronecker(psi, q) > cap
+    ]
+    if not over:
+        return None
+    q = min(over)
+    return (
+        f"the Kronecker table at q = {q:g} of {_per_class_kronecker(psi, q)} floats "
+        f"is over MAX_TRANSFER_TABLE {cap}"
+    )
+
+
+def _per_class_kernel_blocks(psi, qs):
+    """``(k, start, steps, qb)`` per q block as each class builds them on
+    its own: a window's blocks of ``MAX_TRANSFER_TABLE // grid`` q on its scaled grid,
+    a cocycle's one q at a time on its letter tables."""
+    if isinstance(psi, weights_module.ConstantCellWeight):
+        k, r1, r2 = psi.depth, psi.system.r1, psi.system.r2
+        block = max(1, weights_module.MAX_TRANSFER_TABLE // psi._window_grid.size)
+        for j in range(0, qs.size, block):
+            qb = qs[j : j + block]
+            tables = scaled_powers(qb[:, None, None], psi._window_grid)
+            tables = tables.reshape(qb.size, r1**k, r2 ** (k - 1), r2)
+            yield k, psi._start_table, np.ascontiguousarray(tables.transpose(1, 0, 2, 3)), qb
+    else:
+        for q in qs:
+            steps = psi._letter_tables(q)[:, None]
+            yield 1, np.zeros((1, steps.shape[-1])), steps, np.array([q])
+
+
+def _per_class_batch(psi, words, qs) -> np.ndarray:
+    W, n = words.shape
+    k = getattr(psi, "depth", 1)
+    if getattr(psi, "dim", 1) == 1 and k == 1:
+        return weights_module._depth1_row_sums(psi.system, psi.depth1_log_table(), words, qs)
+    if n == 0:
+        return np.zeros((W, qs.size))
+    if n < k:
+        return weights_module._enumerate_row_sums(psi, words, qs)
+    return np.concatenate(
+        [
+            split_transfer_log(words, qb, k, psi.system.r1, start, steps, TailMemo())
+            for k, start, steps, qb in _per_class_kernel_blocks(psi, qs)
+        ],
+        axis=1,
+    )
+
+
+def _per_class_range(psi, n, lo, hi, qs) -> np.ndarray:
+    k = getattr(psi, "depth", 1)
+    if (getattr(psi, "dim", 1) == 1 and k == 1) or n < max(k, 1) or n == 0:
+        return _per_class_batch(psi, digits_of_indices(np.arange(lo, hi), psi.system.r1, n), qs)
+    return np.concatenate(
+        [
+            transfer.split_transfer_range(n, lo, hi, qb, k, psi.system.r1, start, steps, TailMemo())
+            for k, start, steps, qb in _per_class_kernel_blocks(psi, qs)
+        ],
+        axis=1,
+    )
+
+
+@st.composite
+def transfer_weights(draw):
+    """Windows of depth 1-3 and cocycles of dimension 1-2."""
+    system = draw(small_systems())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nc = system.n_cells
+    if draw(st.booleans()):
+        depth = draw(st.integers(1, 3))
+        return make_constant_cell(system, depth, rng.uniform(-1.0, 1.0, (nc,) * depth))
+    dim = draw(st.integers(1, 2))
+    return make_matrix_cocycle(system, dim, rng.uniform(0.05, 1.0, (nc, dim, dim)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    psi=transfer_weights(),
+    cap=st.sampled_from((4, 16, 40, 100, 300, 2000)),
+    qs=st.lists(st.sampled_from(Q_VALUES), min_size=1, max_size=6, unique=True).map(sorted),
+)
+def test_shared_routing_keeps_the_per_class_rules(data, psi, cap, qs):
+    """Under a small table budget, the routing on :class:`CylinderWeight`
+    gives each window and cocycle the mask, refusal text and row-sum bytes
+    of its class's own rules, kept above as the oracle."""
+    qs = np.array(qs)
+    r1 = psi.system.r1
+    with mock.patch.object(weights_module, "MAX_TRANSFER_TABLE", cap):
+        mask = psi.transfer_mask(qs)
+        np.testing.assert_array_equal(mask, _per_class_mask(psi, qs))
+        assert psi.transfer_refusal(qs) == _per_class_refusal(psi, qs)
+        routed = qs[mask]
+        if not routed.size:
+            return
+        empty = st.just(np.zeros((3, 0), dtype=np.int64))  # words of no letter
+        words = data.draw(batches(r1, n_max=5) | empty)
+        psi._tails = TailMemo()
+        got = psi.row_sum_log_batch(words, routed)
+        assert got.shape == (words.shape[0], routed.size)
+        assert got.tobytes() == _per_class_batch(psi, words, routed).tobytes()
+        n = data.draw(st.integers(0, 6 if r1 == 2 else 4))
+        lo = data.draw(st.integers(0, r1**n))
+        hi = data.draw(st.integers(lo, r1**n))
+        got = psi.row_sum_log_range(n, lo, hi, routed)
+        assert got.tobytes() == _per_class_range(psi, n, lo, hi, routed).tobytes()
+
+
+def test_memo_store_holds_its_lock():
+    # Eight threads store into one memo whose bound holds no entry, so each
+    # store evicts the entries it and the others just made, with a switch
+    # interval short enough that two evictions interleave.  Unlocked, one
+    # thread's eviction runs into another's: the dictionary changes size
+    # under an iteration, or a key is popped twice.
+    memo = TailMemo()
+    entry = (np.zeros(4),)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(weights_module, "MAX_TRANSFER_TABLE", 2):
+
+            def store(thread: int) -> None:
+                for i in range(2000):
+                    memo._store(("backward", thread, float(i)), entry)
+
+            with ThreadPoolExecutor(8) as pool:
+                for call in [pool.submit(store, t) for t in range(8)]:
+                    call.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert memo.floats == 0 and not memo._entries

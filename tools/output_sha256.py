@@ -1,6 +1,7 @@
 """sha256 of every output of the three benchmark workloads.
 
     python3 tools/output_sha256.py
+    python3 tools/output_sha256.py --compare listing.txt
 
 Builds the ``ref-d1``, ``window-d2`` and ``cocycle-d2`` configs with
 ``bench/workloads.py`` (seed 1, full size), runs each workload's CLI
@@ -9,11 +10,14 @@ commands with ``--workers 2`` in a temporary directory, and prints one
 (``<command>.stdout``).  The elapsed times in ``verify``'s report are
 masked, so two runs of the same sources print the same lines.  Compare the
 listing before and after a refactor: any line that moves names an output
-that changed.
+that changed.  ``--compare FILE`` checks the run against a saved listing:
+it prints only the lines that differ (``- `` the saved line, ``+ `` the new
+one) and exits 1 if any do.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -60,14 +64,42 @@ def _run_workload(name: str, work: Path) -> dict[str, bytes]:
     return outputs
 
 
-def main() -> int:
+def listing():
+    """The ``sha256  workload/file`` lines, one workload at a time."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in workloads.BUILDERS:
             outputs = _run_workload(name, Path(tmp) / name)
             for filename in sorted(outputs):
-                digest = hashlib.sha256(outputs[filename]).hexdigest()
-                print(f"{digest}  {name}/{filename}", flush=True)
-    return 0
+                yield f"{hashlib.sha256(outputs[filename]).hexdigest()}  {name}/{filename}"
+
+
+def differences(saved: list[str], current: list[str]) -> list[str]:
+    """The lines of two listings that differ, sorted by the file they name:
+    ``- line`` for a saved line and ``+ line`` for a current one (a file in
+    one listing only has one of the two)."""
+    old = {line.split("  ", 1)[-1]: line for line in saved if line.strip()}
+    new = {line.split("  ", 1)[-1]: line for line in current if line.strip()}
+    out = []
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) != new.get(name):
+            out += [f"- {old[name]}"] if name in old else []
+            out += [f"+ {new[name]}"] if name in new else []
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", metavar="FILE", type=Path, help="a saved listing")
+    args = parser.parse_args(argv)
+    if args.compare is None:
+        for line in listing():
+            print(line, flush=True)
+        return 0
+    saved = args.compare.read_text(encoding="utf-8").splitlines()
+    changed = differences(saved, list(listing()))
+    for line in changed:
+        print(line)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
