@@ -24,12 +24,14 @@ skew products, the column word from its marginal and then its rows; else
 each cell from the enumerated extensions.  Each sample index has its own
 counter-based RNG stream, so runs are reproducible for any worker count.
 
-The streams are numpy's Philox4x64-10 under the key
-``SeedSequence(master_seed).generate_state(2, uint64)``: uniform ``j`` of
-path ``i`` is word ``j % 4`` of the block at counter ``(i, j // 4, 0, 0)``,
-lowest word first, read as ``(word >> 11) * 2**-53``.  A path's uniforms
-depend neither on its chunk nor on how many are drawn, and path indices stop
-at ``2**64``, where the path word would carry into the block word.
+The streams are SplitMix64 counter streams (Steele, Lea and Flood, OOPSLA
+2014), computed with numpy ``uint64`` arithmetic mod ``2**64``.  With
+``gamma = 0x9E3779B97F4A7C15`` and ``mix64`` SplitMix64's finalizer, the
+key ``K`` folds every 64-bit word of the master seed, lowest first, as
+``K = mix64(K ^ word)`` from ``K = 0``; path ``i`` has the base ``b_i =
+mix64(K + (i + 1) gamma)``, and its uniform ``j`` is ``(mix64(b_i + (j + 1)
+gamma) >> 11) * 2**-53``.  A path's uniforms depend neither on its chunk nor
+on how many are drawn, and path indices stop at ``2**64``.
 """
 
 from __future__ import annotations
@@ -136,21 +138,42 @@ def ball_mass(
 # ---------------------------------------------------------------------------
 
 
+#: SplitMix64's increment and the multipliers of its finalizer.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, applied to the ``uint64`` array ``z`` in
+    place, with ``scratch`` (same shape) for the shifted words."""
+    for shift, factor in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, shift, out=scratch)
+        z *= factor
+    z ^= np.right_shift(z, 31, out=scratch)
+    return z
+
+
 def path_uniforms(master_seed: int, lo: int, hi: int, n_draws: int) -> np.ndarray:
-    """``(hi - lo, n_draws)`` uniforms of paths ``lo .. hi-1``, laid out as
-    the module docstring says: one generator per block of four draws serves
-    every path of the range."""
+    """``(hi - lo, n_draws)`` uniforms of paths ``lo .. hi-1``: the
+    SplitMix64 counter streams of the module docstring, mixed and turned
+    into floats in one ``uint64`` buffer."""
     if master_seed < 0:
         raise ValueError("master seed must be >= 0")
     if hi > 2**64:
         raise ValueError("path indices must be < 2**64")
-    key = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
-    out = np.empty((hi - lo, -(-n_draws // 4) * 4))
-    start = int(lo) - 1  # numpy steps the counter before each block
-    for b in range(out.shape[1] // 4):
-        bits = np.random.Philox(key=key, counter=((b << 64) + start) % 2**256)
-        out[:, 4 * b : 4 * b + 4] = np.random.Generator(bits).random((hi - lo, 4))
-    return out[:, :n_draws]
+    master_seed, lo, hi = int(master_seed), int(lo), int(hi)
+    key = np.zeros(1, dtype=np.uint64)
+    for shift in range(0, max(master_seed.bit_length(), 1), 64):
+        key ^= np.uint64((master_seed >> shift) % 2**64)
+        _mix64(key, np.empty_like(key))
+    base = np.arange(hi - lo, dtype=np.uint64) * _GAMMA
+    base += key + np.uint64((lo + 1) * int(_GAMMA) % 2**64)
+    _mix64(base, np.empty_like(base))
+    words = base[:, None] + np.arange(1, n_draws + 1, dtype=np.uint64) * _GAMMA
+    _mix64(words, np.empty_like(words))
+    words >>= np.uint64(11)
+    return np.multiply(words, 2.0**-53, out=words.view(np.float64))
 
 
 #: A route's draw: ``(B, n_draws)`` uniforms -> ``(B, horizon)`` cell indices.

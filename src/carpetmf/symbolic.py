@@ -26,6 +26,12 @@ import numpy as np
 #: may build; every check reads it at call time through :func:`check_budget`.
 ENUMERATION_CAP = 1 << 24
 
+#: Largest transient table a transfer recursion may allocate, and the most
+#: floats a weight's memo of transfer tail vectors holds.  Both readers,
+#: :mod:`carpetmf.weights` and :mod:`carpetmf.transfer`, read it here at call
+#: time, so a patch of this one name reaches both.
+MAX_TRANSFER_TABLE = 1 << 22
+
 
 class CapExceededError(RuntimeError):
     """Requested enumeration or table is larger than its budget."""

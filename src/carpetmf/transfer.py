@@ -33,9 +33,9 @@ import threading
 
 import numpy as np
 
-from . import weights
 from .numerics import NEG_INF, lse
 from .symbolic import digits_of_indices, distinct_rows, pack_digits
+from . import symbolic  # loaded by the line above: binds it, imports nothing more
 
 #: Row dot products below this fall back to log space: an entry that
 #: underflowed in a linear state then cannot move the result by an ulp.
@@ -44,7 +44,7 @@ _LINEAR_FLOOR = 2.0**-900
 #: Most floats in the tail table of one q: the memo holds 64 of the largest
 #: tables (more of smaller ones), so a q-grid reads its tables back from
 #: chunk to chunk.
-MAX_TAIL_TABLE = weights.MAX_TRANSFER_TABLE // 64
+MAX_TAIL_TABLE = symbolic.MAX_TRANSFER_TABLE // 64
 
 #: Most word-q pairs one block of :func:`split_transfer_range` computes at
 #: once: the block's grids of floats then stay in cache.
@@ -73,7 +73,7 @@ class TailMemo:
       ``a``-letter prefix.  A range scales only the prefixes it reads, and
       its log-space redo reads the log states.
 
-    Entries hold at most ``weights.MAX_TRANSFER_TABLE`` floats in total;
+    Entries hold at most ``symbolic.MAX_TRANSFER_TABLE`` floats in total;
     the oldest entry is dropped first.  Two threads that build the same
     entry store the same bytes.
     """
@@ -108,7 +108,7 @@ class TailMemo:
             self._entries.pop(key, None)
             self._entries[key] = entry
             total = self.floats
-            while total > weights.MAX_TRANSFER_TABLE:
+            while total > symbolic.MAX_TRANSFER_TABLE:
                 total -= sum(part.size for part in self._entries.pop(next(iter(self._entries))))
 
 
@@ -155,7 +155,7 @@ def _transfer_level(
     Q = steps.shape[1]
     S = states.shape[2]
     C = steps[0, 0].size // S
-    block = max(1, weights.MAX_TRANSFER_TABLE // steps[0].size)  # nodes per transient
+    block = max(1, symbolic.MAX_TRANSFER_TABLE // steps[0].size)  # nodes per transient
     parts = []
     for i in range(0, max(keys.size, 1), block):  # one empty part for no nodes
         part = slice(i, i + block)
@@ -314,14 +314,14 @@ def split_transfer_range(
     and no vector is gathered.  Both tables, of all ``r1**a`` prefixes and
     all ``r1**m = C * T`` tails, come from the ``tails`` memo, built once
     per ``(length, q)``.  When the tail holds no window (``a == n``) or the
-    tables of ``qs`` would pass ``weights.MAX_TRANSFER_TABLE`` floats
+    tables of ``qs`` would pass ``symbolic.MAX_TRANSFER_TABLE`` floats
     together, the range runs :func:`split_transfer_log` on its digit rows
     instead.
     """
     S = start.shape[1]
     a = split_point(n, k, r1, S)
     m = n - a + k - 1
-    if a == n or qs.size * (r1**a * S + r1**m * (S + 1)) > weights.MAX_TRANSFER_TABLE:
+    if a == n or qs.size * (r1**a * S + r1**m * (S + 1)) > symbolic.MAX_TRANSFER_TABLE:
         words = digits_of_indices(np.arange(lo, hi, dtype=np.int64), r1, n)
         return split_transfer_log(words, qs, k, r1, start, steps, tails, a)
     C, T = r1 ** (k - 1), r1 ** (n - a)
@@ -383,7 +383,7 @@ def split_transfer_log(
       letters (the windows ending after the prefix), read from the
       ``tails`` memo of all ``r1**m`` tails, built once per ``(m, q)`` by
       :func:`_level_table`.  When the tables of all ``qs`` would pass
-      ``weights.MAX_TRANSFER_TABLE`` floats, none is kept, and the
+      ``symbolic.MAX_TRANSFER_TABLE`` floats, none is kept, and the
       batch's distinct tails are walked instead.
     * :func:`_split_dot` takes the dot products.  With ``a = n`` (deep
       windows, see :func:`split_point`) the tail holds no window, and the
@@ -407,11 +407,11 @@ def split_transfer_log(
     tail_letters = letters[:, a - k + 1 :]
     # The tables of every q must fit the memo together, or each q block
     # would evict the tables the next chunk needs.
-    tabled = qs.size * r1**m * (S + 1) <= weights.MAX_TRANSFER_TABLE
+    tabled = qs.size * r1**m * (S + 1) <= symbolic.MAX_TRANSFER_TABLE
     if tabled:
         tid = pack_digits(tail_letters, r1)
-    # Blocks of q keep the gathered vectors within weights.MAX_TRANSFER_TABLE.
-    block = max(1, weights.MAX_TRANSFER_TABLE // max(1, W * S))
+    # Blocks of q keep the gathered vectors within symbolic.MAX_TRANSFER_TABLE.
+    block = max(1, symbolic.MAX_TRANSFER_TABLE // max(1, W * S))
     out = np.empty((W, qs.size))
     for j in range(0, qs.size, block):
         qb, steps_b = qs[j : j + block], steps[:, j : j + block]

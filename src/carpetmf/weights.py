@@ -53,10 +53,7 @@ from .symbolic import (
     distinct_rows,
     row_words_range,
 )
-
-#: Largest transient table a transfer recursion may allocate, and the most
-#: floats a weight's memo of transfer tail vectors holds.
-MAX_TRANSFER_TABLE = 1 << 22
+from . import symbolic  # loaded by the line above: binds it, imports nothing more
 
 #: The routes of the two oracle entries, :func:`row_sum_log_any` and
 #: :func:`carpetmf.pressure.log_total_mass`: ``auto`` is the production
@@ -121,8 +118,9 @@ class CylinderWeight:
         """Boolean mask of the q values :meth:`row_sum_log_batch` serves,
         those whose transfer table fits; callers enumerate rows for the
         others."""
+        cap = symbolic.MAX_TRANSFER_TABLE
         floats = [self.transfer_floats(q) for q in qs]
-        return np.array([f is not None and f <= MAX_TRANSFER_TABLE for f in floats], dtype=bool)
+        return np.array([f is not None and f <= cap for f in floats], dtype=bool)
 
     def row_enumeration_mask(self, qs: np.ndarray) -> np.ndarray:
         """Boolean mask of the q values whose row sums enumerate rows, on
@@ -134,13 +132,11 @@ class CylinderWeight:
         """Why a q of ``qs`` that :meth:`row_enumeration_mask` flags lost
         its transfer route to a table over ``MAX_TRANSFER_TABLE``, for error
         messages (the smallest such q); None when no table is the reason."""
-        over = [
-            q for q in qs
-            if (f := self.transfer_floats(q)) is not None and f > MAX_TRANSFER_TABLE
-        ]
+        cap = symbolic.MAX_TRANSFER_TABLE
+        over = [q for q in qs if (f := self.transfer_floats(q)) is not None and f > cap]
         if not over:
             return None
-        return f"{self._transfer_table(min(over))} is over MAX_TRANSFER_TABLE {MAX_TRANSFER_TABLE}"
+        return f"{self._transfer_table(min(over))} is over MAX_TRANSFER_TABLE {cap}"
 
     def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """``(W, Q)`` array of ``log I_q`` for a batch of column words and a
@@ -177,7 +173,7 @@ class CylinderWeight:
         r1, columns, j = self.system.r1, [], 0
         for floats, run in itertools.groupby(self.transfer_floats(q) for q in qs):
             end = j + len(list(run))
-            block = max(1, MAX_TRANSFER_TABLE // floats)
+            block = max(1, symbolic.MAX_TRANSFER_TABLE // floats)
             for i in range(j, end, block):
                 qb = qs[i : min(i + block, end)]
                 k, start, steps = self.step_tables(qb)
@@ -301,10 +297,10 @@ class ConstantCellWeight(CylinderWeight):
         the allowed cells; rows/cols indexed by packed digits."""
         k = self.depth
         r1, r2 = self.system.r1, self.system.r2
-        if (r1**k) * (r2**k) > MAX_TRANSFER_TABLE:
+        if (r1**k) * (r2**k) > symbolic.MAX_TRANSFER_TABLE:
             raise CapExceededError(
                 f"window transfer table too large: {r1}**{k} x {r2}**{k} = "
-                f"{r1**k * r2**k} floats, over MAX_TRANSFER_TABLE {MAX_TRANSFER_TABLE}"
+                f"{r1**k * r2**k} floats, over MAX_TRANSFER_TABLE {symbolic.MAX_TRANSFER_TABLE}"
             )
         a1grid = digits_of_indices(np.arange(r1**k), r1, k)
         a2grid = digits_of_indices(np.arange(r2**k), r2, k)

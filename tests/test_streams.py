@@ -1,4 +1,4 @@
-"""Per-path uniform streams against a pure-Python Philox4x64-10."""
+"""Per-path uniform streams against a pure-Python SplitMix64."""
 
 from __future__ import annotations
 
@@ -9,24 +9,29 @@ from carpetmf.gibbs import path_uniforms
 
 SEEDS = (0, 1, 12345, 2**40 + 7)
 MASK = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
 
 
-def _philox(key: tuple[int, int], counter: tuple[int, int, int, int]) -> tuple[int, ...]:
-    """One Philox4x64-10 block (Salmon et al., SC'11)."""
-    k0, k1 = key
-    c0, c1, c2, c3 = counter
-    for _ in range(10):
-        p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
-        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & MASK, (p0 >> 64) ^ c3 ^ k1, p0 & MASK
-        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & MASK, (k1 + 0xBB67AE8584CAA73B) & MASK
-    return c0, c1, c2, c3
+def _mix64(z: int) -> int:
+    """SplitMix64's finalizer (Steele, Lea and Flood, OOPSLA 2014)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def _key(master_seed: int) -> int:
+    """Every 64-bit word of the seed, lowest first, folded by ``mix64``."""
+    key = 0
+    for shift in range(0, max(master_seed.bit_length(), 1), 64):
+        key = _mix64(key ^ ((master_seed >> shift) & MASK))
+    return key
 
 
 def _oracle(master_seed: int, path: int, draw: int) -> float:
-    """Uniform ``draw`` of ``path``: word ``draw % 4`` of block ``(path,
-    draw // 4, 0, 0)``, as ``Generator.random`` reads it."""
-    key = tuple(int(k) for k in np.random.SeedSequence(master_seed).generate_state(2, np.uint64))
-    return (_philox(key, (path, draw // 4, 0, 0))[draw % 4] >> 11) * 2.0**-53
+    """Uniform ``draw`` of ``path``: the top 53 bits of ``mix64(b + (draw +
+    1) gamma)`` for the path's base ``b = mix64(K + (path + 1) gamma)``."""
+    base = _mix64((_key(master_seed) + (path + 1) * GAMMA) & MASK)
+    return (_mix64((base + (draw + 1) * GAMMA) & MASK) >> 11) * 2.0**-53
 
 
 def _oracle_rows(master_seed: int, lo: int, hi: int, n_draws: int) -> np.ndarray:
@@ -35,12 +40,14 @@ def _oracle_rows(master_seed: int, lo: int, hi: int, n_draws: int) -> np.ndarray
 
 
 def test_oracle_known_answer():
-    # The Random123 known-answer vector for key 0, counter 0.
-    want = (0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B)
-    assert _philox((0, 0), (0, 0, 0, 0)) == want
+    # The first three outputs of SplitMix64 from state 0.
+    want = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+    assert tuple(_mix64(k * GAMMA & MASK) for k in (1, 2, 3)) == want
+    # Seed 0 has key 0, so path 0's base is the first of them.
+    assert _key(0) == 0 and _key(2**64) != _key(0)
 
 
-def test_matches_philox_oracle():
+def test_matches_splitmix_oracle():
     for seed in SEEDS:
         got = path_uniforms(seed, 3, 8, 9)
         assert got.shape == (5, 9)
@@ -80,7 +87,30 @@ def test_edges():
     assert np.array_equal(path_uniforms(5, np.int64(2), np.int64(4), 6), path_uniforms(5, 2, 4, 6))
     big_seed = 2**130 + 5  # more entropy than one 64-bit word
     assert path_uniforms(big_seed, 0, 9, 2).tobytes() == _oracle_rows(big_seed, 0, 9, 2).tobytes()
+    # The high words of a seed reach the key: not the low word's stream.
+    assert not np.array_equal(path_uniforms(2**64 + 5, 0, 4, 3), path_uniforms(5, 0, 4, 3))
     with pytest.raises(ValueError, match="master seed"):
         path_uniforms(-1, 0, 1, 1)
     with pytest.raises(ValueError, match="2\\*\\*64"):
         path_uniforms(5, 2**64 - 1, 2**64 + 1, 1)
+
+
+def test_uniforms_look_independent():
+    # 2**16 paths x 8 draws.  Each of the 18 statistics below is, for i.i.d.
+    # uniforms, close to normal with the stated standard deviation; a bound
+    # of 5 standard deviations is passed by chance with probability 5.7e-7
+    # each, so a correct stream fails this test at a given seed with
+    # probability below 18 * 5.7e-7 = 1.1e-5.
+    n, d = 2**16, 8
+    u = path_uniforms(2024, 0, n, d)
+    assert u.min() >= 0.0 and u.max() < 1.0
+    # Per draw: the mean (sd sqrt(1/12 / n)) and the variance about 1/2
+    # (sd sqrt(1/180 / n)).
+    assert np.all(np.abs(u.mean(axis=0) - 0.5) < 5 * np.sqrt(1 / 12 / n))
+    assert np.all(np.abs(((u - 0.5) ** 2).mean(axis=0) - 1 / 12) < 5 * np.sqrt(1 / 180 / n))
+    # Lag-1 correlation between adjacent paths (same draw) and between
+    # adjacent draws (same path), pooled: sd 1 / sqrt(pairs).
+    c = u - 0.5
+    for a, b in ((c[:-1], c[1:]), (c[:, :-1], c[:, 1:])):
+        corr = (a * b).mean() * 12
+        assert abs(corr) < 5 / np.sqrt(a.size), corr

@@ -8,8 +8,9 @@ argument position still resolves, so a refactor of the package cannot
 silently break ``bench/run.py --trace 1``.
 
 The start-up tests check, in fresh interpreters, which modules loading a
-config and running ``pressure`` import (neither loads OpenSSL), and that the
-lazy package namespace still resolves every public name.  Source checks keep worker pools in
+config and running ``pressure`` or ``sample`` import (none loads OpenSSL, and
+``sample`` does not load ``numpy.random``), and that the lazy package
+namespace still resolves every public name.  Source checks keep worker pools in
 ``numerics`` and every ``verify`` result on the one guarded runner.
 """
 
@@ -302,6 +303,30 @@ def test_config_path_loads_no_openssl(tmp_path):
     assert "_hashlib" not in loaded
 
 
+@pytest.mark.parametrize("weight", ["reference", "window"])
+def test_sample_command_loads_no_numpy_random(tmp_path, weight):
+    # The sampler's streams are numpy uint64 arithmetic: numpy.random (and
+    # OpenSSL, which it loads through secrets and hmac) stays out of sample.
+    from carpetmf.reference import default_config, random_depth2_weight
+
+    config = default_config()
+    config["grids"] = {"qGrid": [0.0, 1.0, 2.0], "depthSchedule": [2, 3, 4]}
+    config["sampling"].update(nSamples=8, depth=2)
+    if weight == "window":
+        values = np.exp(random_depth2_weight(1).window_log).ravel().tolist()
+        config["weight"] = {"kind": "constantCell", "depth": 2, "values": values}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    loaded = _loaded_after(
+        "import carpetmf.cli\n"
+        "carpetmf.cli.main(['sample', '--config', 'config.json', '--out', 'out'],"
+        " standalone_mode=False)",
+        tmp_path,
+    )
+    assert (tmp_path / "out" / "samples.csv").is_file()
+    assert "carpetmf.gibbs" in loaded
+    assert not loaded & {"numpy.random", "_hashlib"}
+
+
 
 def test_serial_pressure_loads_no_thread_pool(tmp_path):
     # concurrent.futures (and logging with it) loads only when a pass runs
@@ -383,6 +408,14 @@ def test_lazy_package_namespace(tmp_path):
             tmp_path,
         )
         assert set(PIPELINE) <= loaded
+
+
+def test_transfer_imports_first(tmp_path):
+    # The split kernel reads its table budget from symbolic, so it loads as
+    # the first module of the package without weights.
+    loaded = _loaded_after("from carpetmf.transfer import TailMemo", tmp_path)
+    assert "carpetmf.transfer" in loaded
+    assert not loaded & {"carpetmf.weights", *PIPELINE}
 
 
 # -- the column pass reads row sums by rank ------------------------------------

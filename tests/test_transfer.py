@@ -34,12 +34,12 @@ from carpetmf import (
     pressure_curves,
     random_depth2_weight,
 )
-from carpetmf import gibbs, numerics, pressure, transfer, weights as weights_module
+from carpetmf import gibbs, numerics, pressure, symbolic, transfer, weights as weights_module
 from carpetmf.numerics import lse, scaled_powers
 from carpetmf.reference import default_q_grid
-from carpetmf.symbolic import digits_of_indices
+from carpetmf.symbolic import MAX_TRANSFER_TABLE, digits_of_indices
 from carpetmf.transfer import TailMemo, split_point, split_transfer_log
-from carpetmf.weights import MAX_TRANSFER_TABLE, row_sum_log_any
+from carpetmf.weights import row_sum_log_any
 
 Q_VALUES = (-1.5, 0.0, 0.7, 1.0, 2.0, 3.0)
 
@@ -470,7 +470,7 @@ def test_untabled_tails_and_evicted_memo_keep_bytes():
     want = psi.row_sum_log_batch(words, qs)
     # Room for three tables: five q keep none (each block would evict what
     # the next chunk needs), and the batch's tails are walked.
-    with mock.patch.object(weights_module, "MAX_TRANSFER_TABLE", 1000):
+    with mock.patch.object(symbolic, "MAX_TRANSFER_TABLE", 1000):
         psi._tails = TailMemo()
         assert psi.row_sum_log_batch(words, qs).tobytes() == want.tobytes()
         assert psi._tails.floats == 0
@@ -483,9 +483,25 @@ def test_untabled_tails_and_evicted_memo_keep_bytes():
         assert psi.row_sum_log_batch(words, qs).tobytes() == want.tobytes()
 
 
+def test_one_table_budget_reaches_both_readers():
+    # symbolic.MAX_TRANSFER_TABLE is read at call time by weights (which q
+    # keep the transfer route) and by transfer (what a memo keeps).  The
+    # window's table is 2**2 x 4**2 = 64 floats.
+    psi = random_depth2_weight(1)
+    q = np.array([1.0])
+    memo = TailMemo()
+    with mock.patch.object(symbolic, "MAX_TRANSFER_TABLE", 63):
+        assert not psi.transfer_mask(q).any()
+        memo._store(("backward", 2, 1.0), (np.zeros(64),))
+        assert memo.floats == 0
+    assert psi.transfer_mask(q).all()
+    memo._store(("backward", 2, 1.0), (np.zeros(64),))
+    assert memo.floats == 64
+
+
 def test_window_table_error_names_its_size():
     psi = random_depth2_weight(1)
-    with mock.patch.object(weights_module, "MAX_TRANSFER_TABLE", 32):
+    with mock.patch.object(symbolic, "MAX_TRANSFER_TABLE", 32):
         with pytest.raises(
             CapExceededError, match=r"2\*\*2 x 4\*\*2 = 64 floats, over MAX_TRANSFER_TABLE 32$"
         ):
@@ -498,7 +514,7 @@ def test_preflight_names_the_table_it_refuses(ref_system, monkeypatch):
     mats = np.random.default_rng(3).uniform(0.05, 1.0, (ref_system.n_cells, 2, 2))
     psi = make_matrix_cocycle(ref_system, 2, mats)
     monkeypatch.setattr("carpetmf.symbolic.ENUMERATION_CAP", 100)
-    monkeypatch.setattr(weights_module, "MAX_TRANSFER_TABLE", 20)
+    monkeypatch.setattr(symbolic, "MAX_TRANSFER_TABLE", 20)
     because = "because the Kronecker table at q = 2 of 80 floats is over MAX_TRANSFER_TABLE 20$"
     for weight in (psi, normalize_to_gibbs(psi, 0.5)):
         with pytest.raises(CapExceededError, match=rf"^depth 3: .*; rows are enumerated {because}"):
@@ -555,7 +571,7 @@ def test_memo_shared_by_threads_keeps_bytes():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(weights_module, "MAX_TRANSFER_TABLE", 1500):
+        with mock.patch.object(symbolic, "MAX_TRANSFER_TABLE", 1500):
             psi._tails = TailMemo()
             with ThreadPoolExecutor(8) as pool:
                 calls = [
@@ -714,12 +730,12 @@ def _per_class_mask(psi, qs) -> np.ndarray:
     and they must fit too."""
     if isinstance(psi, weights_module.ConstantCellWeight):
         r1, r2, k = psi.system.r1, psi.system.r2, psi.depth
-        return np.full(len(qs), r1**k * r2**k <= weights_module.MAX_TRANSFER_TABLE)
+        return np.full(len(qs), r1**k * r2**k <= symbolic.MAX_TRANSFER_TABLE)
     return np.array(
         [
             psi.dim == 1
             or (q >= 0 and float(q).is_integer()
-                and _per_class_kronecker(psi, q) <= weights_module.MAX_TRANSFER_TABLE)
+                and _per_class_kronecker(psi, q) <= symbolic.MAX_TRANSFER_TABLE)
             for q in qs
         ],
         dtype=bool,
@@ -731,7 +747,7 @@ def _per_class_kronecker(psi, q) -> int:
 
 
 def _per_class_refusal(psi, qs) -> str | None:
-    cap = weights_module.MAX_TRANSFER_TABLE
+    cap = symbolic.MAX_TRANSFER_TABLE
     if isinstance(psi, weights_module.ConstantCellWeight):
         r1, r2, k = psi.system.r1, psi.system.r2, psi.depth
         if r1**k * r2**k <= cap:
@@ -759,7 +775,7 @@ def _per_class_kernel_blocks(psi, qs):
     a cocycle's one q at a time on its letter tables."""
     if isinstance(psi, weights_module.ConstantCellWeight):
         k, r1, r2 = psi.depth, psi.system.r1, psi.system.r2
-        block = max(1, weights_module.MAX_TRANSFER_TABLE // psi._window_grid.size)
+        block = max(1, symbolic.MAX_TRANSFER_TABLE // psi._window_grid.size)
         for j in range(0, qs.size, block):
             qb = qs[j : j + block]
             tables = scaled_powers(qb[:, None, None], psi._window_grid)
@@ -828,7 +844,7 @@ def test_shared_routing_keeps_the_per_class_rules(data, psi, cap, qs):
     of its class's own rules, kept above as the oracle."""
     qs = np.array(qs)
     r1 = psi.system.r1
-    with mock.patch.object(weights_module, "MAX_TRANSFER_TABLE", cap):
+    with mock.patch.object(symbolic, "MAX_TRANSFER_TABLE", cap):
         mask = psi.transfer_mask(qs)
         np.testing.assert_array_equal(mask, _per_class_mask(psi, qs))
         assert psi.transfer_refusal(qs) == _per_class_refusal(psi, qs)
@@ -859,7 +875,7 @@ def test_memo_store_holds_its_lock():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(weights_module, "MAX_TRANSFER_TABLE", 2):
+        with mock.patch.object(symbolic, "MAX_TRANSFER_TABLE", 2):
 
             def store(thread: int) -> None:
                 for i in range(2000):
