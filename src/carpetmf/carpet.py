@@ -19,15 +19,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numerics import NEG_INF, lse, map_chunks, scaled_powers
+from .numerics import NEG_INF, lse, map_ranges, scaled_powers
 from .pressure import log_total_mass
 from .symbolic import (
     CapExceededError,
     CellSystem,
-    admissible_word_count,
-    admissible_words_range,
     check_budget,
     depth_map,
+    digits_of_indices,
     pack_digits,
 )
 from .weights import CylinderWeight, row_sum_log_any, row_sum_log_ranks
@@ -200,6 +199,11 @@ class CarpetRender:
         return lse(self.cell_log_masses)
 
 
+#: Grid cells a render chunk fills at a time, on average: chunks are
+#: equal ranges of column-word rank, and each holds whole column words.
+RENDER_BLOCK = 1 << 14
+
+
 def render_measure(
     psi: CylinderWeight,
     n: int,
@@ -211,6 +215,11 @@ def render_measure(
     Each grid cell receives ``log psi([w1] x [w2]) + log I_1(suffix) - log Z``
     -- exactly the per-ball mass surrogate used by the sampler, so grids and
     sampled masses agree cell for cell.
+
+    Cell ``(pack(w1) * n_suffix + suffix) * r2**n + pack(w2)`` ascends with
+    the column word ``w1``, then the suffix, then the row word ``w2``.  So
+    chunks over column-word rank, each column word's fiber product walked in
+    mixed radix, fill contiguous runs of the output arrays in grid order.
     """
     system = psi.system
     if n < 1:
@@ -227,23 +236,63 @@ def render_measure(
         marginals = row_sum_log_ranks(psi, m, 0, system.r1**m, 1.0)
         suffix_marginals = marginals - log_total_mass(psi, m)
     n_suffix = suffix_marginals.size
-    offsets = np.arange(n_suffix, dtype=np.int64) * n_rows
+    # A suffix of zero marginal charges no cell.
+    suffixes = np.flatnonzero(np.isfinite(suffix_marginals))
+    suffix_logs = suffix_marginals[suffixes]
+    suffix_rows = suffixes * n_rows
+    letters = np.array(system.row_alphabet, dtype=np.int64)
+    sizes = np.array([len(system.row_fiber(a)) for a in system.row_alphabet], dtype=np.int64)
+    firsts = np.cumsum(sizes) - sizes  # a letter's cells are contiguous in system.allowed
+    total = system.n_cells**n * suffixes.size
+    cells = np.empty(total, dtype=np.int64)
+    values = np.empty(total)
 
-    def fill_chunk(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        a1s, a2s = admissible_words_range(system, n, start, stop)
-        lw = psi.log_weight_arrays(a1s, a2s)
-        base = pack_digits(a1s, system.r1) * (n_suffix * n_rows) + pack_digits(a2s, system.r2)
-        cells = base[:, None] + offsets[None, :]
-        values = lw[:, None] + suffix_marginals[None, :]
+    def words_below(rank: int) -> int:
+        """Admissible words whose column word ranks below ``rank``."""
+        count, prefix = 0, 1
+        for k, d in enumerate(digits_of_indices(np.array([rank]), letters.size, n)[0].tolist()):
+            count += prefix * int(firsts[d]) * system.n_cells ** (n - 1 - k)
+            prefix *= int(sizes[d])
+        return count
+
+    def fill_chunk(start: int, stop: int) -> bool:
+        digits = digits_of_indices(np.arange(start, stop, dtype=np.int64), letters.size, n)
+        counts = sizes[digits].prod(axis=1)
+        word_starts = np.cumsum(counts) - counts
+        owner = np.repeat(np.arange(stop - start), counts)
+        local = np.arange(owner.size) - word_starts[owner]
+        # The fiber product in mixed radix, last cell fastest: row words ascend.
+        cell_rows = np.empty((owner.size, n), dtype=np.int64)
+        rest = local
+        for k in range(n - 1, -1, -1):
+            d = digits[owner, k]
+            rest, cell_rows[:, k] = np.divmod(rest, sizes[d])
+            cell_rows[:, k] += firsts[d]
+        words = letters[digits]
+        a2s = system.cells_array[cell_rows, 1]
+        lw = psi.log_weight_arrays(words[owner], a2s)
+        base = pack_digits(words, system.r1)[owner] * (n_suffix * n_rows)
+        base += pack_digits(a2s, system.r2)
+        # Each column word's run holds its fiber product once per suffix.
+        at = (words_below(start) + word_starts[owner]) * suffixes.size + local
+        at = at[:, None] + counts[owner][:, None] * np.arange(suffixes.size)
+        cells[at] = base[:, None] + suffix_rows
+        chunk_values = lw[:, None] + suffix_logs
+        values[at] = chunk_values
+        return bool(np.isfinite(chunk_values).all())
+
+    n_words = letters.size**n
+    n_chunks = min(n_words, -(-total // RENDER_BLOCK))
+    ranges = [(n_words * i // n_chunks, n_words * (i + 1) // n_chunks) for i in range(n_chunks)]
+    if not all(map_ranges(fill_chunk, ranges, workers)):
         charged = np.isfinite(values)
-        return cells[charged], values[charged]
+        cells, values = cells[charged], values[charged]
+    return CarpetRender(system, n, cells, values)
 
-    cells, values = (
-        np.concatenate(parts)
-        for parts in zip(*map_chunks(fill_chunk, admissible_word_count(system, n), workers))
-    )
-    order = np.argsort(cells)  # no two balls share a cell
-    return CarpetRender(system, n, cells[order], values[order])
+
+#: Pixels of the graymap built and written at a time, in bands of whole
+#: image rows.
+PGM_BAND = 1 << 16
 
 
 def write_pgm16(
@@ -256,34 +305,46 @@ def write_pgm16(
     origin is bottom-left (row index increases upward).
     """
     path = Path(path)
-    values = render.cell_log_masses
+    cells, values = render.cells, render.cell_log_masses
     width, height = render.column_count, render.row_count
+    lo = float(values.min()) if values.size else 0.0
+    span = float(values.max()) - lo if values.size else 0.0
     # The image as the file stores it: big-endian, rows top to bottom while
     # grid rows index y upward, so cell (column, row) is pixel
-    # (height - 1 - row, column).
-    image = np.zeros((height, width), dtype=">u2")
-    if values.size:
-        lo = float(values.min())
-        hi = float(values.max())
-        span = hi - lo
-        if span > 0.0:
-            gray = np.round(1.0 + (values - lo) * (65534.0 / span))
-        else:
-            gray = 65535.0
-        columns, rows = np.divmod(render.cells, height)
-        image[height - 1 - rows, columns] = gray
+    # (height - 1 - row, column).  Each band covers grid rows [bottom, top);
+    # a column's cells in the band are one run of the cells, which ascend.
+    band_rows = max(1, PGM_BAND // width)
+    band = np.empty((band_rows, width), dtype=">u2")
+    column_starts = np.arange(width, dtype=np.int64) * height
+    stop = np.searchsorted(cells, column_starts + height)
     with open(path, "wb") as fh:
         fh.write(b"P5\n")
         for line in comments:
             fh.write(f"# {line}\n".encode())
         fh.write(b"# origin: bottom-left; gray 0 = empty cell\n")
         fh.write(f"{width} {height}\n65535\n".encode())
-        fh.write(image.data)
+        for top in range(height, 0, -band_rows):
+            bottom = max(0, top - band_rows)
+            image = band[: top - bottom]
+            image.fill(0)
+            start = np.searchsorted(cells, column_starts + bottom)
+            counts = stop - start
+            picked = np.repeat(start - (np.cumsum(counts) - counts), counts)
+            picked += np.arange(picked.size)
+            columns, rows = np.divmod(cells[picked], height)
+            if span > 0.0:
+                image[top - 1 - rows, columns] = np.round(
+                    1.0 + (values[picked] - lo) * (65534.0 / span)
+                )
+            else:
+                image[top - 1 - rows, columns] = 65535.0
+            fh.write(image.data)
+            stop = start
     return path
 
 
 #: Lines of the grid CSV formatted and written at once.
-CSV_BLOCK = 4096
+CSV_BLOCK = 1024
 
 
 def write_grid_csv(
@@ -291,10 +352,9 @@ def write_grid_csv(
 ) -> Path:
     """Write the charged grid cells as ``columnIndex,rowIndex,logMass``."""
     path = Path(path)
-    # Each distinct log mass is formatted once; the bit patterns tell 0.0
-    # from -0.0, whose reprs differ.
-    bits, which = np.unique(render.cell_log_masses.view(np.int64), return_inverse=True)
-    texts = [repr(v) for v in bits.view(np.float64).tolist()]
+    # Each distinct log mass is formatted once, keyed by its bit pattern, so
+    # 0.0 and -0.0, whose reprs differ, stay apart.
+    texts: dict[int, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
@@ -303,10 +363,13 @@ def write_grid_csv(
         for start in range(0, render.cells.size, CSV_BLOCK):
             block = slice(start, start + CSV_BLOCK)
             columns, rows = np.divmod(render.cells[block], render.row_count)
-            fh.write("".join(
-                f"{c},{r},{texts[k]}\n"
-                for c, r, k in zip(columns.tolist(), rows.tolist(), which[block].tolist())
-            ))
+            keys = render.cell_log_masses[block].view(np.int64).tolist()
+            new = list(set(keys).difference(texts))
+            masses = np.array(new, dtype=np.int64).view(np.float64).tolist()
+            texts.update(zip(new, map(repr, masses)))
+            fh.write("".join([
+                f"{c},{r},{texts[k]}\n" for c, r, k in zip(columns.tolist(), rows.tolist(), keys)
+            ]))
     return path
 
 

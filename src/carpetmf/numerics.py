@@ -37,8 +37,10 @@ def lse(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     values = np.asarray(values, dtype=float)
     peak = np.max(values, axis=axis, keepdims=True, initial=NEG_INF)
     peak[~np.isfinite(peak)] = 0.0
+    shifted = values - peak
+    np.exp(shifted, out=shifted)  # in place: one temporary of the input's size
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(values - peak), axis=axis)) + np.squeeze(peak, axis=axis)
+        out = np.log(np.sum(shifted, axis=axis)) + np.squeeze(peak, axis=axis)
     return out if out.ndim else out[()]
 
 

@@ -8,6 +8,8 @@ experiment when no configuration file is given.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .numerics import sorted_unique
@@ -19,6 +21,7 @@ __all__ = [
     "DEFAULT_MASTER_SEED",
     "default_config",
     "default_q_grid",
+    "pcg64_uniform",
     "q_grid_from_spec",
     "random_depth2_weight",
     "reference_cell_masses",
@@ -70,6 +73,90 @@ def zero_potential_weight(system: CellSystem | None = None) -> ConstantCellWeigh
     return make_constant_cell(system, 1, np.zeros(system.n_cells))
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+#: PCG's default 128-bit LCG multiplier.
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_pool(seed: int) -> list[int]:
+    """numpy's ``SeedSequence(seed).pool``: the 32-bit words of ``seed``,
+    lowest first, hashed into four pool words."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [0] if seed == 0 else []
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = (const * 0x931E8875) & _MASK32
+        value = (value * const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _generate_state64(pool: list[int], count: int) -> list[int]:
+    """numpy's ``SeedSequence.generate_state(count, uint64)``: pairs of
+    32-bit words, low word first."""
+    const = 0x8B51F9DD
+    halves = []
+    for i in range(2 * count):
+        value = pool[i % len(pool)] ^ const
+        const = (const * 0x58F38DED) & _MASK32
+        value = (value * const) & _MASK32
+        halves.append(value ^ (value >> 16))
+    return [halves[2 * k] | halves[2 * k + 1] << 32 for k in range(count)]
+
+
+def pcg64_uniform(
+    seed: int, low: float, high: float, size: int | tuple[int, ...]
+) -> np.ndarray:
+    """numpy's ``default_rng(seed).uniform(low, high, size)``, bit for bit,
+    in pure Python (O'Neill, PCG, HMC-CS-2014-0905).
+
+    The seed is hashed as numpy's ``SeedSequence`` does, four 64-bit words
+    seed PCG64's setseq-128 LCG (state and stream), each step's state is read
+    through the XSL-RR output, and the top 53 bits of each output give
+    ``u``; a draw is ``low + (high - low) * u``.  The package's seeded test
+    data come from here, so no command loads numpy's random module.
+    """
+    span = high - low
+    if span < 0:
+        raise ValueError("high - low < 0")
+    state_hi, state_lo, stream_hi, stream_lo = _generate_state64(_seed_pool(int(seed)), 4)
+    inc = ((stream_hi << 64 | stream_lo) << 1 | 1) & _MASK128
+    state = (inc + (state_hi << 64 | state_lo)) & _MASK128  # one step from 0, plus the seed
+    state = (state * _PCG_MULTIPLIER + inc) & _MASK128
+    shape = (size,) if isinstance(size, int) else tuple(size)
+    draws = []
+    for _ in range(math.prod(shape)):
+        state = (state * _PCG_MULTIPLIER + inc) & _MASK128
+        word = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        word = ((word >> rot) | (word << (64 - rot))) & _MASK64
+        draws.append(low + span * ((word >> 11) * 2.0**-53))
+    return np.array(draws, dtype=float).reshape(shape)
+
+
 def random_depth2_weight(seed: int = 7, system: CellSystem | None = None) -> ConstantCellWeight:
     """Seeded random depth-2 window potential on a cell system.
 
@@ -78,9 +165,8 @@ def random_depth2_weight(seed: int = 7, system: CellSystem | None = None) -> Con
     wherever a genuinely non-factorizing weight is needed.
     """
     system = reference_system() if system is None else system
-    rng = np.random.default_rng(seed)
     nc = system.n_cells
-    window = rng.uniform(-WINDOW_SPREAD, WINDOW_SPREAD, size=(nc, nc))
+    window = pcg64_uniform(seed, -WINDOW_SPREAD, WINDOW_SPREAD, (nc, nc))
     return make_constant_cell(system, 2, window)
 
 

@@ -7,18 +7,18 @@ finite depth the natural metric balls are anisotropic: a ball of row depth
 ``n`` constrains the column word to the larger depth ``g(n)`` given by
 :func:`depth_map`.
 
-Enumeration helpers stream words in the lexicographic order of their digit
-(or cell) sequences and refuse to start when the requested volume exceeds
-:data:`ENUMERATION_CAP`, so accidental combinatorial explosions fail fast.
+Enumeration helpers build words by rank, in the lexicographic order of their
+digit (or cell) sequences; callers refuse to start when the requested volume
+exceeds :data:`ENUMERATION_CAP` (:func:`check_budget`), so accidental
+combinatorial explosions fail fast.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -164,15 +164,9 @@ class ProductWord:
     def cells(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.w1, self.w2))
 
-    def concat(self, other: "ProductWord") -> "ProductWord":
-        return ProductWord(self.w1 + other.w1, self.w2 + other.w2)
-
     def shift(self) -> "ProductWord":
         """Drop the first cell (the dynamics on words)."""
         return ProductWord(self.w1[1:], self.w2[1:])
-
-    def is_admissible(self, system: CellSystem) -> bool:
-        return all(system.is_allowed(a1, a2) for a1, a2 in self.cells())
 
 
 @dataclass(frozen=True)
@@ -260,13 +254,6 @@ def row_words_range(system: CellSystem, n: int, start: int, stop: int) -> np.nda
     return digits_of_indices(np.arange(start, stop, dtype=np.int64), system.r1, n)
 
 
-def enumerate_row_words(system: CellSystem, n: int) -> Iterator[tuple[int, ...]]:
-    """All column words of length ``n`` in lexicographic order."""
-    total = row_word_count(system, n)
-    check_budget(total, f"{total} column words of depth {n}")
-    yield from itertools.product(range(system.r1), repeat=n)
-
-
 def admissible_word_count(system: CellSystem, n: int) -> int:
     return system.n_cells**n
 
@@ -284,11 +271,3 @@ def admissible_words_range(
     )
     cells = system.cells_array[cell_rows]  # (W, n, 2)
     return cells[..., 0], cells[..., 1]
-
-
-def enumerate_admissible(system: CellSystem, n: int) -> Iterator[ProductWord]:
-    """All admissible product words of length ``n``, lexicographic in cells."""
-    total = admissible_word_count(system, n)
-    check_budget(total, f"{total} product words of depth {n}")
-    for cells in itertools.product(system.allowed, repeat=n):
-        yield ProductWord.from_cells(cells)

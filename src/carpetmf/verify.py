@@ -37,6 +37,7 @@ from .reference import (
     DEFAULT_MASTER_SEED,
     default_config,
     default_q_grid,
+    pcg64_uniform,
     random_depth2_weight,
     reference_system,
     reference_weight,
@@ -230,7 +231,7 @@ def _transfer_oracle_defect(psi: CylinderWeight, depths, row_qs, pressure_qs) ->
 
 def _criterion_transfer_oracle() -> tuple[bool, str]:
     n_cells = reference_system().n_cells
-    matrices = np.random.default_rng(DEFAULT_MASTER_SEED).uniform(0.05, 1.0, (n_cells, 2, 2))
+    matrices = pcg64_uniform(DEFAULT_MASTER_SEED, 0.05, 1.0, (n_cells, 2, 2))
     cocycle = make_matrix_cocycle(reference_system(), 2, matrices)
     # (weight, row-sum q values, pressure q values); every row-sum q must
     # take a transfer route (the cocycle's Kronecker powers exist at integer

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from carpetmf import numerics
+from carpetmf import carpet
 from carpetmf import (
     CapExceededError,
     CarpetRender,
@@ -40,7 +40,7 @@ from carpetmf import (
 from carpetmf.numerics import NEG_INF
 from carpetmf.pressure import log_total_mass
 from carpetmf.symbolic import admissible_word_count, admissible_words_range, pack_digits
-from carpetmf.weights import row_sum_log_ranks
+from carpetmf.weights import CylinderWeight, row_sum_log_ranks
 
 P3_REFERENCE_DEFECT = 0.31365755885504143  # log(0.13 / 0.095)
 
@@ -326,10 +326,29 @@ def dense_csv(grid, depth, comments):
     return "".join(lines).encode()
 
 
+class ZeroedCells(CylinderWeight):
+    """A depth-1 weight from an ``(r1, r2)`` log table that may hold -inf on
+    allowed cells.  No weight the package builds gives an admissible word
+    zero mass, so this one's renders are the ones with uncharged cells."""
+
+    dependence_depth = 1
+
+    def __init__(self, system, table):
+        self.system = system
+        self.table = table
+
+    def log_weight_arrays(self, a1s, a2s):
+        return self.table[a1s, a2s].sum(axis=1)
+
+    def depth1_log_table(self):
+        return self.table
+
+
 @st.composite
 def render_weights(draw):
-    """Depth-1 windows with few distinct values (so masses repeat), depth-2
-    windows and dim-2 cocycles on random systems with some empty cells."""
+    """Depth-1 windows with few distinct values (so masses repeat), depth-1
+    tables with zero-mass cells, depth-2 windows and dim-2 cocycles on random
+    systems with some empty cells."""
     r1 = draw(st.integers(2, 3))
     r2 = draw(st.integers(r1, 4))
     cells = [(a1, a2) for a1 in range(r1) for a2 in range(r2)]
@@ -339,9 +358,16 @@ def render_weights(draw):
     system = CellSystem(r1, r2, allowed)
     nc = system.n_cells
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(("depth1", "depth2", "cocycle")))
+    kind = draw(st.sampled_from(("depth1", "zeroed", "depth2", "cocycle")))
     if kind == "depth1":
         return make_constant_cell(system, 1, rng.choice([-1.0, -0.5, 0.0], nc))
+    if kind == "zeroed":
+        table = np.full((r1, r2), NEG_INF)
+        table[system.cells_array[:, 0], system.cells_array[:, 1]] = rng.choice(
+            [-1.0, 0.0, NEG_INF], nc
+        )
+        assume(np.isfinite(table).any())  # a measure of total mass 0 has no masses
+        return ZeroedCells(system, table)
     if kind == "depth2":
         return make_constant_cell(system, 2, rng.uniform(-1.0, 1.0, (nc, nc)))
     return make_matrix_cocycle(system, 2, rng.uniform(0.05, 1.0, (nc, 2, 2)))
@@ -350,8 +376,8 @@ def render_weights(draw):
 @settings(max_examples=60, deadline=None)
 @given(psi=render_weights(), n=st.integers(1, 3), workers=st.sampled_from((1, 2)))
 def test_sparse_render_matches_the_dense_fill(psi, n, workers, tmp_path_factory):
-    # Small chunks, so that several chunks' cells are merged into grid order.
-    with mock.patch.object(numerics, "MIN_CHUNK_SIZE", 4):
+    # Small chunks, so that several chunks fill the grid-order arrays.
+    with mock.patch.object(carpet, "RENDER_BLOCK", 4):
         render = render_measure(psi, n, workers=workers)
     grid = dense_fill(psi, n)
     assert render.log_masses.tobytes() == grid.tobytes()
@@ -373,9 +399,10 @@ def test_grid_csv_tells_signed_zeros_apart(ref_system, tmp_path):
 
 
 def test_render_memory_scales_with_the_charged_cells(ref_weight, tmp_path):
-    # The reference at depth 5 charges 100,000 of the 2**10 x 4**5 cells; the
-    # dense float64 grid alone would take 8 MiB.
-    dense_bytes = 2**10 * 4**5 * 8
+    # The reference at depth 5 charges 100,000 of the 2**10 x 4**5 cells: the
+    # render holds 1.6 MB of cell indices and log masses.  Filling it in grid
+    # order, the graymap in bands and the CSV in blocks, and the total, peak
+    # at about 2.55 MB; whole-size fill and image temporaries peaked at 6.9 MB.
     tracemalloc.start()
     try:
         render = render_measure(ref_weight, 5)
@@ -385,9 +412,10 @@ def test_render_memory_scales_with_the_charged_cells(ref_weight, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert render.cells.size == 5**5 * 2**5
+    held = render.cells.nbytes + render.cell_log_masses.nbytes
+    assert render.cells.size == 5**5 * 2**5 and held == 1_600_000
     assert total == pytest.approx(0.0, abs=1e-9)
-    assert peak < dense_bytes
+    assert peak < 2 * held
 
 
 # -- box counting ---------------------------------------------------------------------

@@ -8,10 +8,11 @@ argument position still resolves, so a refactor of the package cannot
 silently break ``bench/run.py --trace 1``.
 
 The start-up tests check, in fresh interpreters, which modules loading a
-config and running ``pressure`` or ``sample`` import (none loads OpenSSL, and
-``sample`` does not load ``numpy.random``), and that the lazy package
-namespace still resolves every public name.  Source checks keep worker pools in
-``numerics`` and every ``verify`` result on the one guarded runner.
+config and running ``pressure``, ``sample`` or ``verify`` import (none loads
+OpenSSL, and neither ``sample`` nor ``verify`` loads ``numpy.random``), and
+that the lazy package namespace still resolves every public name.  Source
+checks keep worker pools in ``numerics`` and every ``verify`` result on the
+one guarded runner.
 """
 
 from __future__ import annotations
@@ -326,6 +327,20 @@ def test_sample_command_loads_no_numpy_random(tmp_path, weight):
     assert "carpetmf.gibbs" in loaded
     assert not loaded & {"numpy.random", "_hashlib"}
 
+
+def test_verify_command_loads_no_numpy_random(tmp_path):
+    # The seeded test data come from reference.pcg64_uniform, numpy's PCG64
+    # stream in pure Python: numpy.random (and OpenSSL with it) stays out of
+    # verify, and out of the package's sources.
+    loaded = _loaded_after(
+        "import carpetmf.cli\n"
+        "carpetmf.cli.main(['verify'], standalone_mode=False)",
+        tmp_path,
+    )
+    assert "carpetmf.verify" in loaded
+    assert not loaded & {"numpy.random", "_hashlib"}
+    for path in sorted((SRC / "carpetmf").glob("*.py")):
+        assert "np.random" not in path.read_text(encoding="utf-8"), path.name
 
 
 def test_serial_pressure_loads_no_thread_pool(tmp_path):
