@@ -29,13 +29,12 @@ __version__ = TOOL_VERSION
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "numerics": (),
     "symbolic": (
-        "Ball", "CapExceededError", "CellSystem", "ENUMERATION_CAP", "ProductWord", "ball",
-        "depth_map",
+        "CapExceededError", "CellSystem", "ENUMERATION_CAP", "depth_map",
     ),
     "weights": (
-        "AmEstimate", "ConstantCellWeight", "CylinderWeight", "MatrixCocycleWeight",
-        "ShiftedWeight", "SkewProductWeight", "estimate_am_constant", "make_constant_cell",
-        "make_matrix_cocycle", "normalize_to_gibbs", "row_sum_log_any",
+        "ConstantCellWeight", "CylinderWeight", "MatrixCocycleWeight", "ShiftedWeight",
+        "SkewProductWeight", "make_constant_cell", "make_matrix_cocycle", "normalize_to_gibbs",
+        "row_sum_log_any",
     ),
     "transfer": (),
     "pressure": (
@@ -45,7 +44,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "spectra": (
         "Spectrum", "birkhoff_spectrum_carpet", "legendre", "legendre_involution_check",
-        "lq_spectrum_empirical", "mcmullen_dimension", "support_dimension",
+        "lq_spectrum_empirical", "mcmullen_dimension",
     ),
     "gibbs": (
         "AuxiliaryWeight", "McEstimate", "VARIANT_PSI_Q", "VARIANT_PSI_TILDE_Q", "ball_mass",
@@ -53,10 +52,9 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "sampled_log_masses",
     ),
     "carpet": (
-        "CarpetRender", "P3Report", "birkhoff_average_on_carpet", "birkhoff_averages_on_carpet",
-        "box_count_tau", "carpet_digits", "check_P1", "check_P2", "p3_scan",
-        "project_numerators", "project_point", "render_measure", "write_grid_csv",
-        "write_pgm16",
+        "CarpetRender", "P3Report", "birkhoff_averages_on_carpet", "box_count_tau",
+        "carpet_digits", "check_P1", "check_P2", "p3_scan", "project_numerators",
+        "render_measure", "write_grid_csv", "write_pgm16",
     ),
     "reference": (
         "DEFAULT_DEPTH_SCHEDULE", "default_config", "default_q_grid", "random_depth2_weight",

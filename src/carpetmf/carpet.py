@@ -31,23 +31,6 @@ from .symbolic import (
 )
 from .weights import CylinderWeight, row_sum_log_any, row_sum_log_ranks
 
-__all__ = [
-    "CarpetRender",
-    "P3Report",
-    "birkhoff_average_on_carpet",
-    "birkhoff_averages_on_carpet",
-    "box_count_tau",
-    "carpet_digits",
-    "check_P1",
-    "check_P2",
-    "p3_scan",
-    "project_numerators",
-    "project_point",
-    "render_measure",
-    "write_grid_csv",
-    "write_pgm16",
-]
-
 
 # ---------------------------------------------------------------------------
 # Projection and exact digit readback
@@ -82,21 +65,6 @@ def project_numerators(
     return x_num, y_num, p
 
 
-def project_point(
-    system: CellSystem, cells, precision: int | None = None
-) -> tuple[float, float]:
-    """Point of ``[0, 1)^2`` under the digit-expansion projection.
-
-    ``x = sum a1_k r1**-k``, ``y = sum a2_k r2**-k`` truncated at
-    ``precision`` digits (default: the full path), so the truncation error
-    is below ``r1**-precision`` and ``r2**-precision`` componentwise.
-    """
-    x_num, y_num, p = project_numerators(system, cells, precision)
-    if p == 0:
-        return 0.0, 0.0
-    return x_num / system.r1**p, y_num / system.r2**p
-
-
 def carpet_digits(
     system: CellSystem, x_num: int, y_num: int, precision: int, depth: int
 ) -> np.ndarray:
@@ -115,26 +83,20 @@ def carpet_digits(
     return out
 
 
-def birkhoff_average_on_carpet(
-    psi: CylinderWeight, cells, steps: int | None = None
-) -> float:
-    """Birkhoff average of the weight's potential read off the projected point.
-
-    The path is projected to the torus and its digits are recovered exactly
-    from the numerators before evaluating the ergodic average, exercising the
-    symbolic <-> geometric dictionary rather than reusing the input digits.
-    For a depth-``k`` window potential the sum over ``steps`` shift steps is
-    the log-weight of the first ``steps + k - 1`` recovered cells.
-    """
-    return float(birkhoff_averages_on_carpet(psi, _cells_of(cells)[None], steps)[0])
-
-
 def birkhoff_averages_on_carpet(
     psi: CylinderWeight, paths, steps: int | None = None
 ) -> np.ndarray:
-    """:func:`birkhoff_average_on_carpet` of each ``(B, n, 2)`` path: every
-    path keeps its own exact round trip, and one ``log_weight_arrays`` call
-    evaluates the recovered digits of the whole batch."""
+    """Birkhoff average of the weight's potential along each ``(B, n, 2)``
+    path, read off its projected point.
+
+    Each path is projected to the torus and its digits are recovered exactly
+    from the numerators before evaluating the ergodic average, exercising the
+    symbolic <-> geometric dictionary rather than reusing the input digits.
+    For a depth-``k`` window potential the sum over ``steps`` shift steps is
+    the log-weight of the first ``steps + k - 1`` recovered cells.  One
+    ``log_weight_arrays`` call evaluates the recovered digits of the whole
+    batch.
+    """
     system = psi.system
     paths = np.asarray(paths, dtype=np.int64)
     if paths.ndim != 3 or paths.shape[2] != 2:

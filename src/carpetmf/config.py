@@ -379,9 +379,8 @@ def _build_constant_cell(block: dict, system: CellSystem) -> CylinderWeight:
             raise ConfigError(
                 f"weight.truncated: length {length} outside 1..{depth - 1}"
             )
-        truncated[length] = _table_or_error(
-            values, nc**length, f"weight.truncated[{key}]"
-        )
+        table = _table_or_error(values, nc**length, f"weight.truncated[{key}]")
+        truncated[length] = table.reshape((nc,) * length)
     try:
         return make_constant_cell(system, depth, window.reshape((nc,) * depth), truncated)
     except ValueError as exc:

@@ -402,9 +402,6 @@ class PressureCurve:
     def value_at(self, q: float) -> float:
         return float(self.extrapolated[self._locate(q)])
 
-    def finite_value_at(self, n: int, q: float) -> float:
-        return float(self.finite_values[n][self._locate(q)])
-
 
 def pressure_curves(
     psi: CylinderWeight,

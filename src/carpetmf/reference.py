@@ -24,7 +24,6 @@ __all__ = [
     "pcg64_uniform",
     "q_grid_from_spec",
     "random_depth2_weight",
-    "reference_cell_masses",
     "reference_system",
     "reference_weight",
     "zero_potential_weight",
@@ -55,11 +54,6 @@ _REFERENCE_MASSES = (0.2, 0.3, 0.1, 0.15, 0.25)
 def reference_system() -> CellSystem:
     """The 2 x 4 system with fibers {0,1} over 0 and {0,1,2} over 1."""
     return CellSystem(r1=2, r2=4, allowed=_REFERENCE_CELLS)
-
-
-def reference_cell_masses() -> dict[tuple[int, int], float]:
-    """Cell -> probability mass for the reference weight."""
-    return dict(zip(_REFERENCE_CELLS, _REFERENCE_MASSES))
 
 
 def reference_weight() -> ConstantCellWeight:

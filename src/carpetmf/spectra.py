@@ -142,11 +142,6 @@ def birkhoff_spectrum_carpet(curve: PressureCurve, system: CellSystem) -> Spectr
     )
 
 
-def support_dimension(curve: PressureCurve) -> float:
-    """Box dimension of the support: ``-f(0)`` for either pressure kind."""
-    return -curve.value_at(0.0)
-
-
 def mcmullen_dimension(system: CellSystem) -> float:
     """``log_{r1} sum_{a1} N(a1)^s`` with N = row-fiber sizes (q = 0 value)."""
     sizes = np.array([len(system.row_fiber(a1)) for a1 in system.row_alphabet], float)

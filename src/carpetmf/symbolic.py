@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -110,11 +109,6 @@ class CellSystem:
         """``(n_cells, 2)`` array of the allowed cells in canonical order."""
         return np.array(self.allowed, dtype=np.int64)
 
-    def is_allowed(self, a1: int, a2: int) -> bool:
-        if not (0 <= a1 < self.r1 and 0 <= a2 < self.r2):
-            return False
-        return bool(self.cell_index[a1, a2] >= 0)
-
 
 def depth_map(system: CellSystem, n: int) -> int:
     """Smallest ``m`` with ``r1**-m <= r2**-n`` (exact integer arithmetic).
@@ -137,70 +131,6 @@ def depth_map(system: CellSystem, n: int) -> int:
         power //= r1
         m -= 1
     return m
-
-
-@dataclass(frozen=True)
-class ProductWord:
-    """Finite word of cells, stored as paired digit tuples of equal length."""
-
-    w1: tuple[int, ...]
-    w2: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        w1 = tuple(int(a) for a in self.w1)
-        w2 = tuple(int(a) for a in self.w2)
-        if len(w1) != len(w2):
-            raise ValueError("component words must have equal length")
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
-
-    def __len__(self) -> int:
-        return len(self.w1)
-
-    @classmethod
-    def from_cells(cls, cells: Sequence[tuple[int, int]]) -> "ProductWord":
-        return cls(tuple(c[0] for c in cells), tuple(c[1] for c in cells))
-
-    def cells(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.w1, self.w2))
-
-    def shift(self) -> "ProductWord":
-        """Drop the first cell (the dynamics on words)."""
-        return ProductWord(self.w1[1:], self.w2[1:])
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Approximate ball: a row word of depth ``n`` and a column word of
-    depth ``g(n)`` (so both sides have comparable geometric size)."""
-
-    column_word: tuple[int, ...]
-    row_word: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "column_word", tuple(int(a) for a in self.column_word))
-        object.__setattr__(self, "row_word", tuple(int(a) for a in self.row_word))
-
-    @property
-    def depth(self) -> int:
-        return len(self.row_word)
-
-
-def ball(system: CellSystem, column_word: Sequence[int], row_word: Sequence[int]) -> Ball:
-    """Validated :class:`Ball` constructor (checks the anisotropic lengths)."""
-    b = Ball(tuple(column_word), tuple(row_word))
-    expected = depth_map(system, b.depth)
-    if len(b.column_word) != expected:
-        raise ValueError(
-            f"column word must have length g({b.depth}) = {expected}, got {len(b.column_word)}"
-        )
-    for a1 in b.column_word:
-        if not (0 <= a1 < system.r1):
-            raise ValueError(f"column digit {a1} outside range")
-    for a2 in b.row_word:
-        if not (0 <= a2 < system.r2):
-            raise ValueError(f"row digit {a2} outside range")
-    return b
 
 
 # ---------------------------------------------------------------------------

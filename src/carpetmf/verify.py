@@ -46,8 +46,6 @@ from .reference import (
 from .symbolic import CapExceededError, check_budget, row_word_count, row_words_range
 from .weights import CylinderWeight, make_constant_cell, make_matrix_cocycle, row_sum_log_any
 
-__all__ = ["CriterionResult", "run_all"]
-
 #: Reference cell masses regrouped so the two fibers sum to 0.6 and 0.4.
 _SKEWED_MASSES = (0.3, 0.3, 0.1, 0.15, 0.15)
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -45,9 +44,6 @@ from .numerics import NEG_INF, lse, scaled_powers
 from .symbolic import (
     CapExceededError,
     CellSystem,
-    ProductWord,
-    admissible_word_count,
-    admissible_words_range,
     check_budget,
     digits_of_indices,
     distinct_rows,
@@ -72,16 +68,6 @@ class CylinderWeight:
     system: CellSystem
 
     # -- evaluation ------------------------------------------------------
-
-    def log_weight(self, word: ProductWord | Sequence[tuple[int, int]]) -> float:
-        """Log weight of one product cylinder (0.0 for the empty word)."""
-        if not isinstance(word, ProductWord):
-            word = ProductWord.from_cells(tuple(word))
-        if len(word) == 0:
-            return 0.0
-        a1s = np.array([word.w1], dtype=np.int64)
-        a2s = np.array([word.w2], dtype=np.int64)
-        return float(self.log_weight_arrays(a1s, a2s)[0])
 
     def log_weight_arrays(self, a1s: np.ndarray, a2s: np.ndarray) -> np.ndarray:
         """Vectorized log weights: ``(W, n)`` digit rows -> ``(W,)`` floats."""
@@ -366,53 +352,22 @@ class ConstantCellWeight(CylinderWeight):
 def make_constant_cell(
     system: CellSystem,
     depth: int,
-    window_table: np.ndarray | Mapping[tuple, float],
-    truncated_tables: Mapping[int, np.ndarray | Mapping[tuple, float]] | None = None,
+    window_table: np.ndarray,
+    truncated_tables: Mapping[int, np.ndarray] | None = None,
 ) -> ConstantCellWeight:
     """Build a finite-window Birkhoff weight from a full window table.
 
-    ``window_table`` is either an array of shape ``(n_cells,) * depth`` (cell
-    order = ``system.allowed``) or a mapping from window tuples (tuples of
-    ``(a1, a2)`` cells) to log values; a mapping must cover every admissible
-    window.  ``truncated_tables`` optionally maps word lengths ``1..depth-1``
-    to tables for short words (default: zero).
+    ``window_table`` is an array of shape ``(n_cells,) * depth`` (cell
+    order = ``system.allowed``).  ``truncated_tables`` optionally maps word
+    lengths ``j = 1..depth-1`` to ``(n_cells,) * j`` tables for short words
+    (default: zero).
     """
     nc = system.n_cells
-    window_log = _coerce_table(system, depth, window_table, "window table")
-    trunc: list[np.ndarray] = []
     truncated_tables = dict(truncated_tables or {})
-    for j in range(1, depth):
-        if j in truncated_tables:
-            trunc.append(_coerce_table(system, j, truncated_tables.pop(j), f"truncated[{j}]"))
-        else:
-            trunc.append(np.zeros((nc,) * j))
+    trunc = [truncated_tables.pop(j, np.zeros((nc,) * j)) for j in range(1, depth)]
     if truncated_tables:
         raise ValueError(f"unexpected truncated table lengths: {sorted(truncated_tables)}")
-    return ConstantCellWeight(system, depth, window_log, trunc)
-
-
-def _coerce_table(system: CellSystem, depth: int, table, label: str) -> np.ndarray:
-    nc = system.n_cells
-    if isinstance(table, Mapping):
-        out = np.full((nc,) * depth, np.nan)
-        index = {cell: i for i, cell in enumerate(system.allowed)}
-        for window, value in table.items():
-            if len(window) != depth:
-                raise ValueError(f"{label}: window {window} has wrong length")
-            try:
-                pos = tuple(index[tuple(c)] for c in window)
-            except KeyError as exc:
-                raise ValueError(f"{label}: window {window} uses a forbidden cell") from exc
-            out[pos] = float(value)
-        if np.any(np.isnan(out)):
-            raise ValueError(f"{label}: missing entries for admissible windows")
-        return out
-    out = np.asarray(table, dtype=float)
-    if out.shape == (nc**depth,):
-        out = out.reshape((nc,) * depth)
-    if out.shape != (nc,) * depth:
-        raise ValueError(f"{label}: expected shape {(nc,) * depth}, got {out.shape}")
-    return out
+    return ConstantCellWeight(system, depth, window_table, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +487,10 @@ class MatrixCocycleWeight(CylinderWeight):
 
 
 def make_matrix_cocycle(
-    system: CellSystem, dim: int, matrices: np.ndarray | Mapping[tuple[int, int], np.ndarray]
+    system: CellSystem, dim: int, matrices: np.ndarray
 ) -> MatrixCocycleWeight:
     """Build a positive-cone cocycle weight from per-cell matrices."""
-    if isinstance(matrices, Mapping):
-        stack = []
-        for cell in system.allowed:
-            if cell not in matrices:
-                raise ValueError(f"missing matrix for cell {cell}")
-            stack.append(np.asarray(matrices[cell], dtype=float))
-        matrices = np.stack(stack)
-    return MatrixCocycleWeight(system, dim, np.asarray(matrices, dtype=float))
+    return MatrixCocycleWeight(system, dim, matrices)
 
 
 def _join_q_blocks(blocks: list[np.ndarray]) -> np.ndarray:
@@ -873,58 +821,3 @@ def _enumerate_row_sums(weight, a1s, qs) -> np.ndarray:
         )
         out[lo:hi] = _lse_each_q(lw.reshape(hi - lo, total), qs)
     return out
-
-
-@dataclass(frozen=True)
-class AmEstimate:
-    """Scanned lower bound for the almost-multiplicativity constant log C."""
-
-    log_c: float
-    split: tuple[int, int]
-    max_depth: int
-
-
-def estimate_am_constant(psi: CylinderWeight, max_depth: int) -> AmEstimate:
-    """Max of ``|log psi(uv) - log psi(u) - log psi(v)|`` over admissible
-    ``u, v`` with ``|u| + |v| <= max_depth`` (a certified lower bound for the
-    almost-multiplicativity constant, reported with the split attaining it).
-    """
-    if max_depth < 2:
-        raise ValueError("max_depth must be >= 2")
-    system = psi.system
-    nc = system.n_cells
-    best = 0.0
-    best_split = (1, 1)
-    for nu in range(1, max_depth):
-        for nv in range(1, max_depth - nu + 1):
-            pairs = nc ** (nu + nv)
-            check_budget(pairs, f"{pairs} word pairs at split ({nu}, {nv})")
-            a1u, a2u = _all_admissible(system, nu)
-            a1v, a2v = _all_admissible(system, nv)
-            lwu = psi.log_weight_arrays(a1u, a2u)
-            lwv = psi.log_weight_arrays(a1v, a2v)
-            Wu, Wv = a1u.shape[0], a1v.shape[0]
-            a1c = np.concatenate(
-                [np.repeat(a1u, Wv, axis=0), np.tile(a1v, (Wu, 1))], axis=1
-            )
-            a2c = np.concatenate(
-                [np.repeat(a2u, Wv, axis=0), np.tile(a2v, (Wu, 1))], axis=1
-            )
-            lwc = psi.log_weight_arrays(a1c, a2c).reshape(Wu, Wv)
-            with np.errstate(invalid="ignore"):
-                defect = np.abs(lwc - (lwu[:, None] + lwv[None, :]))
-            finite = (
-                np.isfinite(lwc)
-                & np.isfinite(lwu)[:, None]
-                & np.isfinite(lwv)[None, :]
-            )
-            if np.any(finite):
-                local = float(np.max(defect[finite]))
-                if local > best:
-                    best = local
-                    best_split = (nu, nv)
-    return AmEstimate(log_c=best, split=best_split, max_depth=max_depth)
-
-
-def _all_admissible(system: CellSystem, n: int) -> tuple[np.ndarray, np.ndarray]:
-    return admissible_words_range(system, n, 0, admissible_word_count(system, n))

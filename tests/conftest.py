@@ -9,10 +9,9 @@ import math
 
 import pytest
 
-from carpetmf import normalize_to_gibbs
+from carpetmf import normalize_to_gibbs, reference
 from carpetmf.reference import (
     random_depth2_weight,
-    reference_cell_masses,
     reference_system,
     reference_weight,
     zero_potential_weight,
@@ -33,7 +32,7 @@ def ref_weight():
 @pytest.fixture(scope="session")
 def ref_masses():
     """Cell -> probability mass of the reference weight."""
-    return reference_cell_masses()
+    return dict(zip(reference._REFERENCE_CELLS, reference._REFERENCE_MASSES))
 
 
 @pytest.fixture(scope="session")

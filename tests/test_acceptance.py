@@ -21,7 +21,7 @@ from carpetmf import (
     VARIANT_PSI_Q,
     VARIANT_PSI_TILDE_Q,
     PressureCurve,
-    birkhoff_average_on_carpet,
+    birkhoff_averages_on_carpet,
     birkhoff_spectrum_carpet,
     extrapolate_pressure,
     finite_T,
@@ -264,10 +264,11 @@ def test_criterion_7_mc_local_dimension():
     with budget(60.0):
         reference = reference_weight()
         cells = [(a1, a2) for a1, fiber in SKEWED_FIBERS.items() for a2 in range(len(fiber))]
+        masses = dict(zip(cells, sum(SKEWED_FIBERS.values(), ())))
         skewed = make_constant_cell(
             reference.system,
             1,
-            {(cell,): math.log(m) for cell, m in zip(cells, sum(SKEWED_FIBERS.values(), ()))},
+            np.array([math.log(masses[cell]) for cell in reference.system.allowed]),
         )
         n_samples, depth = 10_000, 30
         cases = [(reference, ROW_FIBERS, q) for q in (0.0, 1.0, 2.0)]
@@ -303,11 +304,8 @@ def test_criterion_9_carpet_birkhoff():
         for q in (0.0, 2.0):
             target = -oracle_derivative(oracle_T, q) * math.log(4)
             aux = make_auxiliary(psi, q, oracle_T(q), VARIANT_PSI_TILDE_Q)
-            averages = np.array(
-                [
-                    birkhoff_average_on_carpet(psi, cells)
-                    for cells in sample_paths(aux, depth, DEFAULT_MASTER_SEED, 0, n_samples)
-                ]
+            averages = birkhoff_averages_on_carpet(
+                psi, sample_paths(aux, depth, DEFAULT_MASTER_SEED, 0, n_samples)
             )
             mean, stderr = mean_and_stderr(averages)
             assert abs(mean - target) <= 3 * stderr, (

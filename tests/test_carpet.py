@@ -17,7 +17,6 @@ from carpetmf import (
     CarpetRender,
     CellSystem,
     ball_mass,
-    birkhoff_average_on_carpet,
     birkhoff_averages_on_carpet,
     box_count_tau,
     carpet_digits,
@@ -30,7 +29,6 @@ from carpetmf import (
     normalize_to_gibbs,
     p3_scan,
     project_numerators,
-    project_point,
     render_measure,
     sample_path,
     sample_paths,
@@ -41,6 +39,8 @@ from carpetmf.numerics import NEG_INF
 from carpetmf.pressure import log_total_mass
 from carpetmf.symbolic import admissible_word_count, admissible_words_range, pack_digits
 from carpetmf.weights import CylinderWeight, row_sum_log_ranks
+
+from oracles import log_weight, project_point
 
 P3_REFERENCE_DEFECT = 0.31365755885504143  # log(0.13 / 0.095)
 
@@ -95,10 +95,10 @@ def test_digit_round_trip_depth30(ref_system, ref_weight):
 def test_birkhoff_average_on_carpet(ref_weight, ref_masses):
     path = sample_path(ref_weight, 25, master_seed=12, sample_index=0)
     logs = [math.log(ref_masses[tuple(int(x) for x in cell)]) for cell in path]
-    got = birkhoff_average_on_carpet(ref_weight, path)
+    (got,) = birkhoff_averages_on_carpet(ref_weight, path[None])
     assert got == pytest.approx(float(np.mean(logs)), abs=1e-12)
     # truncated-step variant averages the first few digits only
-    first5 = birkhoff_average_on_carpet(ref_weight, path, steps=5)
+    (first5,) = birkhoff_averages_on_carpet(ref_weight, path[None], steps=5)
     assert first5 == pytest.approx(float(np.mean(logs[:5])), abs=1e-12)
 
 
@@ -106,11 +106,11 @@ def test_birkhoff_average_depth2_window(depth2_weight, ref_weight):
     # a depth-2 window needs steps + 1 cells; the average is the window
     # log-weight of the recovered digits over the step count
     path = sample_path(ref_weight, 10, master_seed=14, sample_index=1)
-    got = birkhoff_average_on_carpet(depth2_weight, path, steps=9)
-    want = depth2_weight.log_weight([tuple(int(x) for x in c) for c in path]) / 9
+    (got,) = birkhoff_averages_on_carpet(depth2_weight, path[None], steps=9)
+    want = log_weight(depth2_weight, [tuple(int(x) for x in c) for c in path]) / 9
     assert got == pytest.approx(want, abs=1e-12)
     with pytest.raises(ValueError):
-        birkhoff_average_on_carpet(depth2_weight, path, steps=10)
+        birkhoff_averages_on_carpet(depth2_weight, path[None], steps=10)
 
 
 @pytest.mark.parametrize("steps", [None, 5])
@@ -118,7 +118,7 @@ def test_birkhoff_averages_batch_matches_each_path(ref_weight, depth2_weight, st
     # One log_weight_arrays call over a batch gives each path's own bytes.
     paths = sample_paths(ref_weight, 12, 5, 0, 40)
     for psi in (ref_weight, depth2_weight):
-        want = np.array([birkhoff_average_on_carpet(psi, cells, steps) for cells in paths])
+        want = np.concatenate([birkhoff_averages_on_carpet(psi, p, steps) for p in paths[:, None]])
         assert birkhoff_averages_on_carpet(psi, paths, steps).tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="paths"):
         birkhoff_averages_on_carpet(ref_weight, paths[0])
@@ -459,7 +459,7 @@ def test_box_count_depth_stability(ref_weight):
 
 def test_box_count_empty_render():
     sys_ = CellSystem(3, 3, ((0, 0), (2, 1)))
-    psi = make_constant_cell(sys_, 1, {((0, 0),): -1.0, ((2, 1),): -2.0})
+    psi = make_constant_cell(sys_, 1, np.array([-1.0, -2.0]))
     render = render_measure(psi, 1)
     # charged cells only contribute; uncharged q = 0 count excludes them
     count = np.isfinite(render.log_masses).sum()

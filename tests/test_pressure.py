@@ -12,7 +12,6 @@ from carpetmf import (
     CellSystem,
     closed_form_T,
     closed_form_beta,
-    estimate_am_constant,
     extrapolate_pressure,
     finite_T,
     finite_beta,
@@ -29,6 +28,8 @@ from carpetmf import (
 from carpetmf import pressure, verify
 from carpetmf.numerics import concavity_defect
 from carpetmf.reference import default_q_grid
+
+from oracles import estimate_am_constant
 
 
 def closed_T_reference(q: float) -> float:
@@ -314,7 +315,7 @@ def test_curve_accessors(ref_weight):
     curve = pressure_curves(ref_weight, np.linspace(-1, 1, 9), (4, 6), ("beta",))["beta"]
     assert curve.depths == (4, 6)
     assert curve.value_at(0.0) == pytest.approx(closed_form_beta(ref_weight, 0.0), abs=1e-10)
-    assert curve.finite_value_at(4, 0.5) == pytest.approx(
+    assert curve.finite_values[4][6] == pytest.approx(  # q_grid[6] == 0.5
         finite_beta(ref_weight, 0.5, 4), abs=1e-13
     )
     with pytest.raises(KeyError):

@@ -21,7 +21,6 @@ from carpetmf import (
     make_constant_cell,
     mcmullen_dimension,
     pressure_curves,
-    support_dimension,
 )
 from carpetmf import verify
 from carpetmf.gibbs import ball_mass
@@ -257,7 +256,7 @@ def test_derivative_match_at_one(ref_weight):
 def test_support_dimension_reference(ref_weight, ref_system):
     curve = pressure_curves(ref_weight, np.array([0.0]), (4, 6), ("T",))["T"]
     want = math.log2(math.sqrt(2) + math.sqrt(3))
-    assert support_dimension(curve) == pytest.approx(want, abs=1e-10)
+    assert -curve.value_at(0.0) == pytest.approx(want, abs=1e-10)
     assert mcmullen_dimension(ref_system) == pytest.approx(want, abs=1e-14)
 
 
@@ -265,13 +264,13 @@ def test_support_dimension_full_grid():
     sys_ = CellSystem(2, 4, tuple((a1, a2) for a1 in range(2) for a2 in range(4)))
     psi = make_constant_cell(sys_, 1, np.zeros(8))
     curve = pressure_curves(psi, np.array([0.0]), (3, 5), ("T",))["T"]
-    assert support_dimension(curve) == pytest.approx(2.0, abs=1e-12)
+    assert -curve.value_at(0.0) == pytest.approx(2.0, abs=1e-12)
     assert mcmullen_dimension(sys_) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_support_dimension_routes_agree(depth2_weight, ref_system):
     curve = pressure_curves(depth2_weight, np.array([0.0]), (4, 6, 8), ("beta",))["beta"]
-    assert support_dimension(curve) == pytest.approx(
+    assert -curve.value_at(0.0) == pytest.approx(
         mcmullen_dimension(ref_system), abs=1e-9
     )
 

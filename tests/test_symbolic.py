@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carpetmf import CapExceededError, CellSystem, ProductWord, ball, depth_map
+from carpetmf import CapExceededError, CellSystem, depth_map
 from carpetmf.carpet import p3_scan, render_measure
 from carpetmf.gibbs import sample_paths
 from carpetmf.pressure import finite_pressure, log_total_mass, pressure_curves
@@ -22,9 +22,16 @@ from carpetmf.symbolic import (
     row_word_count,
     row_words_range,
 )
-from carpetmf.weights import estimate_am_constant, make_matrix_cocycle, row_sum_log_any
+from carpetmf.weights import make_matrix_cocycle, row_sum_log_any
 
-from oracles import concat, enumerate_admissible, enumerate_row_words, is_admissible
+from oracles import (
+    ProductWord,
+    concat,
+    enumerate_admissible,
+    enumerate_row_words,
+    estimate_am_constant,
+    is_admissible,
+)
 
 DIAGONAL = CellSystem(2, 2, ((0, 0), (1, 1)))
 
@@ -123,7 +130,7 @@ def test_cell_system_rejections():
         CellSystem(2, 4, ((0, 0), (0, 4)))
 
 
-# -- ProductWord and Ball ----------------------------------------------------
+# -- ProductWord -------------------------------------------------------------
 
 
 def test_product_word_contracts(ref_system):
@@ -132,19 +139,9 @@ def test_product_word_contracts(ref_system):
     assert w.cells() == ((0, 1), (1, 2))
     assert is_admissible(w, ref_system)
     assert not is_admissible(ProductWord((0,), (2,)), ref_system)
-    assert w.shift() == ProductWord((1,), (2,))
     assert concat(w, w).w1 == (0, 1, 0, 1)
     with pytest.raises(ValueError):
         ProductWord((0, 1), (1,))
-
-
-def test_ball_lengths(ref_system):
-    b = ball(ref_system, (0, 1, 0, 1), (3, 2))
-    assert b.column_word == (0, 1, 0, 1) and b.row_word == (3, 2)
-    with pytest.raises(ValueError):
-        ball(ref_system, (0, 1), (3, 2))  # needs g(2) = 4 column letters
-    with pytest.raises(ValueError):
-        ball(ref_system, (0, 1, 0, 2), (3, 2))  # column digit outside base
 
 
 # -- enumeration -------------------------------------------------------------
