@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numerics import NEG_INF, lse, map_ranges, scaled_powers
+from .numerics import NEG_INF, lse, scaled_powers
 from .pressure import log_total_mass
 from .symbolic import (
     CapExceededError,
@@ -166,11 +166,7 @@ class CarpetRender:
 RENDER_BLOCK = 1 << 14
 
 
-def render_measure(
-    psi: CylinderWeight,
-    n: int,
-    workers: int = 1,
-) -> CarpetRender:
+def render_measure(psi: CylinderWeight, n: int) -> CarpetRender:
     """The charged cells of the depth-``n`` grid with the ball masses of a
     normalized weight.
 
@@ -182,6 +178,8 @@ def render_measure(
     the column word ``w1``, then the suffix, then the row word ``w2``.  So
     chunks over column-word rank, each column word's fiber product walked in
     mixed radix, fill contiguous runs of the output arrays in grid order.
+    The chunks run on the calling thread: the fill is too short for a
+    thread pool to pay for itself.
     """
     system = psi.system
     if n < 1:
@@ -246,7 +244,8 @@ def render_measure(
     n_words = letters.size**n
     n_chunks = min(n_words, -(-total // RENDER_BLOCK))
     ranges = [(n_words * i // n_chunks, n_words * (i + 1) // n_chunks) for i in range(n_chunks)]
-    if not all(map_ranges(fill_chunk, ranges, workers)):
+    finite = [fill_chunk(start, stop) for start, stop in ranges]  # every chunk fills
+    if not all(finite):
         charged = np.isfinite(values)
         cells, values = cells[charged], values[charged]
     return CarpetRender(system, n, cells, values)
@@ -399,7 +398,6 @@ class P3Report:
 
 
 def p3_scan(
-    system: CellSystem,
     psi: CylinderWeight,
     q_set: Sequence[float] = (0.5, 1.0, 2.0),
     depth_schedule: Sequence[int] = (2, 4, 6, 8),
@@ -416,6 +414,7 @@ def p3_scan(
     """
     if any(q <= 0 for q in q_set):
         raise ValueError("the P3 condition concerns q > 0 only")
+    system = psi.system
     depths = tuple(int(n) for n in depth_schedule)
     if not depths or list(depths) != sorted(set(depths)):
         raise ValueError("depth schedule must be strictly increasing and nonempty")

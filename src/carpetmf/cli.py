@@ -299,11 +299,12 @@ def cmd_render(config_path, workers, out_dir, seed, depth_max, render_depth) -> 
     """Render the measure on the r1**g(n) x r2**n grid (PGM + CSV)."""
     from .carpet import render_measure, write_grid_csv, write_pgm16
 
+    del workers  # the fill runs on the calling thread
     try:
         cfg = _load_experiment(config_path, out_dir, seed, depth_max)
         out = Path(cfg.output_dir)
         n = min(render_depth, depth_max) if depth_max else render_depth
-        render = render_measure(cfg.weight, n, workers=workers)
+        render = render_measure(cfg.weight, n)
     except (ConfigError, CapExceededError, ValueError) as exc:
         _fail(str(exc))
     out.mkdir(parents=True, exist_ok=True)
@@ -362,7 +363,7 @@ def cmd_check(config_path, workers, out_dir, seed, depth_max) -> None:
         p1 = check_P1(cfg.system)
         p2 = check_P2(cfg.system)
         schedule = [n for n in cfg.depth_schedule if n <= 16] or [2, 4]
-        report = p3_scan(cfg.system, cfg.weight, depth_schedule=schedule)
+        report = p3_scan(cfg.weight, depth_schedule=schedule)
     except (ConfigError, CapExceededError, ValueError) as exc:
         _fail(str(exc))
     payload = {

@@ -187,13 +187,13 @@ def column_log_sums(
     words that share their first letters.  Each reads the row sums of the
     q values the kinds need through
     :func:`carpetmf.weights.row_sum_log_ranks`: one call for all the q
-    values that enumerate rows, and one per ``PART_BLOCK`` q for the
-    others.  Windows of depth >= 2 and
-    integer-q cocycles read their row sums from the split kernel's tables
-    by rank (:func:`carpetmf.transfer.split_transfer_range`, the entry for
-    complete ranges); the other routes, and the split kernel's entry for
-    arbitrary batches (:func:`carpetmf.transfer.split_transfer_log`) when
-    the range entry falls back, get the chunk's digit rows.  Every
+    values that enumerate rows, one for ``I_1``, and one per ``PART_BLOCK``
+    q for the others, so each q is read once per chunk.  Windows of depth
+    >= 2 and integer-q cocycles read their row sums from the split kernel's
+    tables by rank (:func:`carpetmf.transfer.split_transfer_range`, the
+    entry for complete ranges); the other routes, and the split kernel's
+    entry for arbitrary batches (:func:`carpetmf.transfer.split_transfer_log`)
+    when the range entry falls back, get the chunk's digit rows.  Every
     (kind, q) keeps its own partial sum, combined over the same chunk tree,
     so a value does not depend on ``workers`` or on the other q values of
     the grid.
@@ -224,7 +224,10 @@ def column_log_sums(
             found = {**held, **dict(zip(fresh, sums))}
             return np.stack([found[i] for i in idx.tolist()])
 
-        li_one = row_sums(one) if one.size else None
+        li_one = None
+        if one.size:  # held with the others, so its block reads it back
+            li_one = row_sums(one)
+            held[int(one[0])] = li_one[0]
         parts = {kind: [] for kind in kinds}
         # Each q's terms are reduced in rows of their own, so its partial sums
         # do not depend on its block.

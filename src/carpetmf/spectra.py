@@ -78,17 +78,15 @@ def _level_tolerance(q: np.ndarray, f: np.ndarray) -> float:
     return max(float(np.finfo(float).eps), step * step * curvature)
 
 
-def legendre(curve: PressureCurve, source_kind: str | None = None) -> Spectrum:
+def legendre(curve: PressureCurve) -> Spectrum:
     """Concave conjugate of a pressure curve, in parametric form.
 
     Every grid point yields ``(alpha, dim)``; points with ``dim`` below
     ``-tol`` are flagged ``empty`` (no mass at that level), points with
-    ``|dim| <= tol`` are flagged ``boundary``.
+    ``|dim| <= tol`` are flagged ``boundary``.  A ``T`` curve gives the
+    symbolic Birkhoff spectrum, a ``beta`` curve the symbolic Gibbs one.
     """
-    if source_kind is None:
-        source_kind = (
-            SOURCE_BIRKHOFF_SYMBOLIC if curve.kind == "T" else SOURCE_GIBBS_SYMBOLIC
-        )
+    source_kind = SOURCE_BIRKHOFF_SYMBOLIC if curve.kind == "T" else SOURCE_GIBBS_SYMBOLIC
     q = curve.q_grid
     f = curve.extrapolated
     require_concave(q, f, "conjugating a non-concave curve")
@@ -134,7 +132,7 @@ def birkhoff_spectrum_carpet(curve: PressureCurve, system: CellSystem) -> Spectr
     """
     if curve.kind != "T":
         raise ValueError("the carpet Birkhoff spectrum is built from a 'T' curve")
-    base = legendre(curve, source_kind=SOURCE_BIRKHOFF_SYMBOLIC)
+    base = legendre(curve)
     return replace(
         base,
         source_kind=SOURCE_BIRKHOFF_CARPET,

@@ -9,7 +9,7 @@ constructions are provided:
   tables for words shorter than the window);
 * :func:`make_matrix_cocycle` — norms of products of strictly positive
   matrices driven by the cell sequence, with the positive-cone norm
-  ``|B| = 1^T B 1``;
+  ``|B| = 1^T B 1`` (dimension 1 is the depth-1 window of ``log m``);
 * :class:`SkewProductWeight` — a column marginal times a row-fiber
   conditional built from another cylinder weight raised to an exponent q.
   The marginal is one form for every use: a product of per-letter factors
@@ -21,10 +21,11 @@ when its structure allows — fast row-fiber power sums
 ``I_q(w1) = sum_{w2} psi(w1 x w2)^q`` via transfer recursions, so the deep
 regimes never enumerate the row alphabet.  :class:`CylinderWeight` routes
 them for every class; a weight supplies only ``transfer_floats(q)``, its
-table size at q (None: no transfer route), and a depth-1 table, whose row
-sums factor over column letters, or ``step_tables(qs)``.  Windows of depth
->= 2 and matrix cocycles at integer ``q >= 0`` thus share the split kernel
-of :mod:`carpetmf.transfer`: a forward prefix state times a backward tail
+table size at q (None: no transfer route), and ``step_tables(qs)``.  A
+depth-1 window's steps have one state, the per-letter fiber sums, and its
+row sums gather them letter by letter.  Windows of depth >= 2 and matrix
+cocycles at integer ``q >= 0`` share the split kernel of
+:mod:`carpetmf.transfer`: a forward prefix state times a backward tail
 vector memoized on the weight, entered by
 :func:`~carpetmf.transfer.split_transfer_range` for a complete range of
 column word ranks and by :func:`~carpetmf.transfer.split_transfer_log` for
@@ -87,8 +88,8 @@ class CylinderWeight:
     def transfer_floats(self, q: float) -> int | None:
         """Floats in the transfer table of one q, which must fit
         ``MAX_TRANSFER_TABLE``; None when q has no transfer route.  A weight
-        that returns a size supplies :meth:`step_tables` or a
-        :meth:`depth1_log_table`, and names the table in ``_transfer_table``."""
+        that returns a size supplies :meth:`step_tables`, and names the
+        table in ``_transfer_table``."""
         return None
 
     def step_tables(self, qs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -127,12 +128,11 @@ class CylinderWeight:
     def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
         """``(W, Q)`` array of ``log I_q`` for a batch of column words and a
         1-d array of q values inside :meth:`transfer_mask`, without
-        enumerating rows: a depth-1 weight gathers per-letter fiber sums,
-        any other runs the split kernel."""
+        enumerating rows: a depth-1 weight gathers the one-state steps of
+        its letters, any other runs the split kernel."""
         a1s = np.asarray(a1s, dtype=np.int64)
-        table = self.depth1_log_table()
-        if table is not None:
-            return _depth1_row_sums(self.system, table, a1s, qs)
+        if self.dependence_depth == 1:
+            return _depth1_row_sums(self.system, self.step_tables(qs)[2], a1s)
         if a1s.shape[1] < (self.dependence_depth or 1):  # shorter than a window: few rows
             return _enumerate_row_sums(self, a1s, qs)
         return self._split_row_sums(a1s, qs)
@@ -142,18 +142,16 @@ class CylinderWeight:
         ranks ``lo .. hi - 1``, with the same bytes.  The split kernel reads
         these from its tables without digit rows; the other routes build the
         digit rows."""
-        if self.depth1_log_table() is None and n >= (self.dependence_depth or 1):
+        if self.dependence_depth != 1 and n >= (self.dependence_depth or 1):
             return self._split_row_sums((n, lo, hi), qs)
         return self.row_sum_log_batch(row_words_range(self.system, n, lo, hi), qs)
 
-    def _split_row_sums(self, words, qs: np.ndarray, a: int | None = None):
+    def _split_row_sums(self, words, qs: np.ndarray):
         """Row sums from the split kernel of :mod:`carpetmf.transfer` on the
         tables of :meth:`step_tables`.  ``words`` is a ``(W, n)`` batch of
-        column words, split after ``a`` letters (by default at the split
-        point), or ``(n, lo, hi)``, the depth-``n`` column words of ranks
-        ``lo .. hi - 1``, split at the split point.  Consecutive q of one
-        table size share their tables, in blocks of at most
-        ``MAX_TRANSFER_TABLE`` floats."""
+        column words or ``(n, lo, hi)``, the depth-``n`` column words of
+        ranks ``lo .. hi - 1``.  Consecutive q of one table size share
+        their tables, in blocks of at most ``MAX_TRANSFER_TABLE`` floats."""
         from .transfer import split_transfer_log, split_transfer_range
 
         r1, columns, j = self.system.r1, [], 0
@@ -167,7 +165,7 @@ class CylinderWeight:
                 columns.append(
                     split_transfer_range(*words, *args)
                     if isinstance(words, tuple)
-                    else split_transfer_log(words, *args, a)
+                    else split_transfer_log(words, *args)
                 )
             j = end
         return _join_q_blocks(columns)
@@ -318,15 +316,18 @@ class ConstantCellWeight(CylinderWeight):
 
     def step_tables(self, qs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         """``k``, the ``(r1**(k-1), S)`` log start states and the
-        ``(r1**k, Q, S, r2)`` log steps at a block of q, ``S = r2**(k-1)``.
+        ``(r1**k, Q, S, C)`` log steps at a block of q, ``S = r2**(k-1)``.
 
         The state is the last ``k-1`` row digits; the window table picked by
         the packed column window steps it as a shift register of base-``r2``
-        digits.
+        digits (``C = r2``).  At depth 1 there is one state, and each
+        letter's step is the lse of its fiber (``C = 1``).
         """
         k, r1, r2 = self.depth, self.system.r1, self.system.r2
         tables = scaled_powers(qs[:, None, None], self._window_grid)
-        tables = tables.reshape(qs.size, r1**k, r2 ** (k - 1), r2)
+        if k == 1:
+            tables = lse(tables, axis=2)
+        tables = tables.reshape(qs.size, r1**k, r2 ** (k - 1), -1)
         return k, self._start_table, np.ascontiguousarray(tables.transpose(1, 0, 2, 3))
 
     # -- totals over full product words ----------------------------------
@@ -397,10 +398,6 @@ class MatrixCocycleWeight(CylinderWeight):
         self.dim = dim
         self.matrices = matrices
 
-    @property
-    def dependence_depth(self) -> int | None:
-        return 1 if self.dim == 1 else None
-
     def log_weight_arrays(self, a1s: np.ndarray, a2s: np.ndarray) -> np.ndarray:
         W, n = np.asarray(a1s).shape
         if n == 0:
@@ -416,19 +413,8 @@ class MatrixCocycleWeight(CylinderWeight):
             u /= norm[:, None]
         return np.where(valid, acc, NEG_INF)
 
-    def depth1_log_table(self) -> np.ndarray | None:
-        if self.dim != 1:
-            return None
-        table = np.full((self.system.r1, self.system.r2), NEG_INF)
-        cells = self.system.cells_array
-        table[cells[:, 0], cells[:, 1]] = np.log(self.matrices[:, 0, 0])
-        return table
-
     def transfer_floats(self, q: float) -> int | None:
-        # Dimension 1 is depth 1, with no table to bound; otherwise the
-        # Kronecker powers exist at integer q >= 0.
-        if self.dim == 1:
-            return 0
+        # The Kronecker powers exist at integer q >= 0.
         if q < 0 or not float(q).is_integer():
             return None
         return max(self.system.n_cells, self.system.r1) * self.dim ** (2 * int(q))
@@ -472,8 +458,6 @@ class MatrixCocycleWeight(CylinderWeight):
     def log_total_mass(self, m: int) -> float | None:
         if m == 0:
             return 0.0
-        if self.dim == 1:
-            return m * float(lse(np.log(self.matrices[:, 0, 0])))
         # 1^T (sum_c M_c)^m 1 by scaled matrix-vector passes.
         total = self.matrices.sum(axis=0)
         u = np.ones(self.dim)
@@ -488,9 +472,14 @@ class MatrixCocycleWeight(CylinderWeight):
 
 def make_matrix_cocycle(
     system: CellSystem, dim: int, matrices: np.ndarray
-) -> MatrixCocycleWeight:
-    """Build a positive-cone cocycle weight from per-cell matrices."""
-    return MatrixCocycleWeight(system, dim, matrices)
+) -> CylinderWeight:
+    """Build a positive-cone cocycle weight from per-cell matrices.  A
+    dimension-1 cocycle is exactly multiplicative: it is built as the
+    depth-1 window of ``log m``."""
+    cocycle = MatrixCocycleWeight(system, dim, matrices)
+    if dim == 1:
+        return ConstantCellWeight(system, 1, np.log(cocycle.matrices[:, 0, 0]))
+    return cocycle
 
 
 def _join_q_blocks(blocks: list[np.ndarray]) -> np.ndarray:
@@ -499,20 +488,18 @@ def _join_q_blocks(blocks: list[np.ndarray]) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.concatenate([b.T for b in blocks]).T
 
 
-def _depth1_row_sums(
-    system: CellSystem, table: np.ndarray, a1s: np.ndarray, qs: np.ndarray
-) -> np.ndarray:
-    """``(W, Q)`` sums of per-letter fiber lse's, gathered for blocks of q."""
-    letter = np.full((qs.size, system.r1 + 1), NEG_INF)
-    letter[:, :-1] = lse(scaled_powers(qs[:, None, None], table), axis=2)
-    a1s = np.asarray(a1s, dtype=np.int64)
+def _depth1_row_sums(system: CellSystem, steps: np.ndarray, a1s: np.ndarray) -> np.ndarray:
+    """``(W, Q)`` sums of the letters' one-state ``(r1, Q, 1, 1)`` log steps,
+    gathered for blocks of q."""
+    Q = steps.shape[1]
+    letter = np.full((Q, system.r1 + 1), NEG_INF)
+    letter[:, :-1] = steps[:, :, 0, 0].T
     pos = np.where((a1s >= 0) & (a1s < system.r1), a1s, system.r1)
     block = max(1, ENUMERATION_BLOCK // max(1, pos.size))
     # np.take lays out each (q, word) row of letters contiguously, so it sums
     # in the same order as for a single q.
     sums = [
-        np.take(letter[j : j + block], pos, axis=1).sum(axis=2)
-        for j in range(0, qs.size, block)
+        np.take(letter[j : j + block], pos, axis=1).sum(axis=2) for j in range(0, Q, block)
     ]
     return np.concatenate(sums).T
 

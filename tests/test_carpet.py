@@ -152,12 +152,6 @@ def test_render_total_mass(ref_weight):
         )
 
 
-def test_render_workers_agree(ref_weight):
-    one = render_measure(ref_weight, 3, workers=1)
-    four = render_measure(ref_weight, 3, workers=4)
-    assert np.array_equal(one.log_masses, four.log_masses)
-
-
 def test_render_cap(ref_weight, monkeypatch):
     monkeypatch.setattr("carpetmf.symbolic.ENUMERATION_CAP", 2**10)
     with pytest.raises(CapExceededError):
@@ -374,11 +368,11 @@ def render_weights(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(psi=render_weights(), n=st.integers(1, 3), workers=st.sampled_from((1, 2)))
-def test_sparse_render_matches_the_dense_fill(psi, n, workers, tmp_path_factory):
+@given(psi=render_weights(), n=st.integers(1, 3))
+def test_sparse_render_matches_the_dense_fill(psi, n, tmp_path_factory):
     # Small chunks, so that several chunks fill the grid-order arrays.
     with mock.patch.object(carpet, "RENDER_BLOCK", 4):
-        render = render_measure(psi, n, workers=workers)
+        render = render_measure(psi, n)
     grid = dense_fill(psi, n)
     assert render.log_masses.tobytes() == grid.tobytes()
     assert np.all(np.diff(render.cells) > 0)
@@ -486,13 +480,13 @@ def test_p2_examples(ref_system):
 def test_p3_symmetric_rows_exact():
     sys_ = CellSystem(2, 4, ((0, 0), (0, 1), (1, 0), (1, 1)))
     psi = make_constant_cell(sys_, 1, np.zeros(4))
-    report = p3_scan(sys_, psi)
+    report = p3_scan(psi)
     assert report.holds is True
     assert report.terminal_defect == 0.0
 
 
-def test_p3_reference_defect(ref_weight, ref_system):
-    report = p3_scan(ref_system, ref_weight)
+def test_p3_reference_defect(ref_weight):
+    report = p3_scan(ref_weight)
     assert report.subset_holds is True
     assert not report.holds
     assert report.terminal_defect == pytest.approx(P3_REFERENCE_DEFECT, abs=1e-12)
@@ -505,21 +499,21 @@ def test_p3_reference_defect(ref_weight, ref_system):
 def test_p3_missing_boundary_letter():
     sys_ = CellSystem(3, 3, ((0, 0), (1, 1)))
     psi = make_constant_cell(sys_, 1, np.zeros(2))
-    report = p3_scan(sys_, psi)
+    report = p3_scan(psi)
     assert report.subset_holds is False
     assert not report.holds
     assert math.isinf(report.terminal_defect)
 
 
-def test_p3_scan_validation(ref_weight, ref_system):
+def test_p3_scan_validation(ref_weight):
     with pytest.raises(ValueError):
-        p3_scan(ref_system, ref_weight, q_set=(0.0, 1.0))
+        p3_scan(ref_weight, q_set=(0.0, 1.0))
     with pytest.raises(ValueError):
-        p3_scan(ref_system, ref_weight, q_set=(-1.0,))
+        p3_scan(ref_weight, q_set=(-1.0,))
     with pytest.raises(ValueError):
-        p3_scan(ref_system, ref_weight, depth_schedule=(4, 2))
+        p3_scan(ref_weight, depth_schedule=(4, 2))
     with pytest.raises(ValueError):
-        p3_scan(ref_system, ref_weight, depth_schedule=())
+        p3_scan(ref_weight, depth_schedule=())
 
 
 def test_p3_scan_stops_at_cap(ref_system, monkeypatch):
@@ -528,10 +522,10 @@ def test_p3_scan_stops_at_cap(ref_system, monkeypatch):
     monkeypatch.setattr("carpetmf.symbolic.ENUMERATION_CAP", 2**14)
     matrices = np.random.default_rng(3).uniform(0.05, 1.0, (ref_system.n_cells, 2, 2))
     psi = make_matrix_cocycle(ref_system, 2, matrices)
-    report = p3_scan(ref_system, psi, depth_schedule=(2, 4, 6, 8))
+    report = p3_scan(psi, depth_schedule=(2, 4, 6, 8))
     assert report.depths == (2, 4)
     assert len(report.defects) == 2
-    full = p3_scan(ref_system, psi, depth_schedule=(2, 4))
+    full = p3_scan(psi, depth_schedule=(2, 4))
     assert full == report
     with pytest.raises(CapExceededError, match="24576 digit cells"):
-        p3_scan(ref_system, psi, depth_schedule=(6, 8))
+        p3_scan(psi, depth_schedule=(6, 8))

@@ -209,7 +209,7 @@ BUDGET_SITES = [
     ("am constant", lambda: estimate_am_constant(reference_weight(), 5), 5**5),
     ("column words", lambda: list(enumerate_row_words(reference_system(), 10)), 2**10),
     ("product words", lambda: list(enumerate_admissible(reference_system(), 5)), 5**5),
-    ("p3 probe", lambda: p3_scan(reference_system(), _cocycle(), (0.5,), (5, 6)), 4**5 * 5),
+    ("p3 probe", lambda: p3_scan(_cocycle(), (0.5,), (5, 6)), 4**5 * 5),
 ]
 
 

@@ -229,17 +229,24 @@ ROUTING = (
 
 def test_transfer_weights_supply_only_their_tables():
     # Windows and cocycles define their step tables and table sizes; the
-    # routing around the split kernel is written once, on the base class.
+    # routing around the split kernel is written once, on the base class,
+    # and reads those alone.  A dimension-1 cocycle is built as a depth-1
+    # window, so the cocycle class has no depth-1 case of its own.
     tree = ast.parse((SRC / "carpetmf" / "weights.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
     methods = {
-        node.name: {fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)}
-        for node in tree.body
-        if isinstance(node, ast.ClassDef)
+        name: {fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)}
+        for name, node in classes.items()
     }
     for cls in ("ConstantCellWeight", "MatrixCocycleWeight"):
         assert {"step_tables", "transfer_floats"} <= methods[cls], cls
         assert not methods[cls] & set(ROUTING), (cls, methods[cls] & set(ROUTING))
     assert set(ROUTING) <= methods["CylinderWeight"]
+    assert not methods["MatrixCocycleWeight"] & {"depth1_log_table", "dependence_depth"}
+    for fn in classes["CylinderWeight"].body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in ROUTING:
+            reads = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+            assert "depth1_log_table" not in reads, fn.name
     functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "_split_kernel" not in functions
     assert not any("_kronecker_floats" in names for names in methods.values())
@@ -367,6 +374,34 @@ def test_serial_pressure_loads_no_thread_pool(tmp_path):
     assert not loaded & {"concurrent.futures", *PIPELINE}
 
 
+def test_render_runs_serially(tmp_path):
+    # The render fill runs on the calling thread whatever --workers says, so
+    # the reference render loads no thread pool; its depth-1 row sums
+    # gather letter steps and load no split kernel.
+    loaded = _loaded_after(
+        "import carpetmf.cli\n"
+        "carpetmf.cli.main(['render', '--depth', '5', '--workers', '2', '--out', 'out'],"
+        " standalone_mode=False)",
+        tmp_path,
+    )
+    assert (tmp_path / "out" / "render_n5.pgm").is_file()
+    assert "carpetmf.carpet" in loaded
+    assert not loaded & {"concurrent.futures", "carpetmf.transfer"}
+
+
+def test_depth1_pressure_loads_no_split_kernel(tmp_path):
+    # The reference weight is a depth-1 window: its row sums gather the
+    # one-state steps of its letters, without carpetmf.transfer.
+    loaded = _loaded_after(
+        "import carpetmf.cli\n"
+        "carpetmf.cli.main(['pressure', '--depth-max', '6', '--out', 'out'],"
+        " standalone_mode=False)",
+        tmp_path,
+    )
+    assert (tmp_path / "out" / "pressure_T.csv").is_file()
+    assert "carpetmf.weights" in loaded and "carpetmf.transfer" not in loaded
+
+
 def test_threaded_passes_use_the_module_pool_class(monkeypatch):
     # map_ranges reads numerics.ThreadPoolExecutor when it starts a pool, so
     # a tracer that replaces it (bench/tracer.py) sees every threaded pass.
@@ -474,6 +509,33 @@ def test_column_pass_builds_no_digit_rows(monkeypatch):
     for kind in pressure.COLUMN_KINDS:
         assert np.all(np.isfinite(serial[kind]))
         np.testing.assert_allclose(threaded[kind], serial[kind], rtol=1e-13)
+
+
+def test_column_pass_reads_each_row_q_once_per_chunk(monkeypatch):
+    # q = 1 is read first for the I_1 terms, and its PART_BLOCK reuses those
+    # row sums: one chunk of the window-d2 weight at n = 10 routes each row
+    # q once.
+    from carpetmf import pressure
+    from carpetmf.reference import random_depth2_weight
+
+    psi = random_depth2_weight(1)
+    qs = np.array([-2.0, 0.0, 1.0, 2.0, 4.0])
+    assert pressure.pass_chunks(psi.system.r1, 10) == [(0, 2**10)]
+    routed = pressure.row_sum_log_ranks
+    calls = []
+
+    def spy(weight, n, lo, hi, q):
+        calls.append(np.atleast_1d(q).tolist())
+        return routed(weight, n, lo, hi, q)
+
+    monkeypatch.setattr(pressure, "row_sum_log_ranks", spy)
+    spied = pressure.column_log_sums(psi, qs, 10, pressure.COLUMN_KINDS)
+    read = [q for call in calls for q in call]
+    assert sorted(read) == sorted(qs.tolist()), calls
+    monkeypatch.undo()
+    plain = pressure.column_log_sums(psi, qs, 10, pressure.COLUMN_KINDS)
+    for kind in pressure.COLUMN_KINDS:
+        assert spied[kind].tobytes() == plain[kind].tobytes()
 
 
 # -- tools/output_sha256.py ------------------------------------------------------

@@ -9,6 +9,7 @@ out-of-range digits.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -39,7 +40,7 @@ from carpetmf.numerics import lse, scaled_powers
 from carpetmf.reference import default_q_grid
 from carpetmf.symbolic import MAX_TRANSFER_TABLE, digits_of_indices
 from carpetmf.transfer import TailMemo, split_point, split_transfer_log
-from carpetmf.weights import row_sum_log_any
+from carpetmf.weights import MatrixCocycleWeight, row_sum_log_any
 
 Q_VALUES = (-1.5, 0.0, 0.7, 1.0, 2.0, 3.0)
 
@@ -367,6 +368,18 @@ def test_total_mass_fallback_matches_enumeration(case):
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
 
 
+def _split_at(psi, words, qs, a) -> np.ndarray:
+    """``split_transfer_log`` after ``a`` letters on the weight's
+    ``step_tables``, one call per run of q of one table size."""
+    columns, j = [], 0
+    for _, run in itertools.groupby(psi.transfer_floats(q) for q in qs):
+        qb = qs[j : j + len(list(run))]
+        k, start, steps = psi.step_tables(qb)
+        columns.append(split_transfer_log(words, qb, k, psi.system.r1, start, steps, psi._tails, a))
+        j += qb.size
+    return np.concatenate(columns, axis=1)
+
+
 def _kernel_window(psi) -> int | None:
     """The window span ``k`` of the split kernel's steps, or None when the
     weight's row sums take another route."""
@@ -390,18 +403,18 @@ def test_split_points_match_enumeration(data, psi):
     a = data.draw(st.integers(k - 1, n))
     qs = np.array(Q_VALUES if k > 1 else [q for q in Q_VALUES if q >= 0 and q.is_integer()])
     psi._tails = TailMemo()
-    cold = psi._split_row_sums(words, qs, a)
+    cold = _split_at(psi, words, qs, a)
     slow = row_sum_log_any(psi, words, qs, method="enumerate")
     np.testing.assert_array_equal(np.isneginf(cold), np.isneginf(slow))
     finite = np.isfinite(slow)
     assert np.all(
         np.abs(cold[finite] - slow[finite]) <= 1e-12 * np.maximum(1.0, np.abs(slow[finite]))
     )
-    assert psi._split_row_sums(words, qs, a).tobytes() == cold.tobytes()  # memo warm
-    assert psi._split_row_sums(words[::-1], qs, a).tobytes() == cold[::-1].tobytes()
+    assert _split_at(psi, words, qs, a).tobytes() == cold.tobytes()  # memo warm
+    assert _split_at(psi, words[::-1], qs, a).tobytes() == cold[::-1].tobytes()
     split = data.draw(st.integers(0, words.shape[0]))
     halves = np.concatenate(
-        [psi._split_row_sums(words[:split], qs, a), psi._split_row_sums(words[split:], qs, a)]
+        [_split_at(psi, words[:split], qs, a), _split_at(psi, words[split:], qs, a)]
     )
     assert halves.tobytes() == cold.tobytes()
     # Production splits at split_point; a cocycle's state count is dim**q.
@@ -553,8 +566,10 @@ def test_long_words_keep_distinct_prefixes_and_tails():
     qs = np.array([1.0, 2.0])
     want = psi.row_sum_log_batch(words, qs)
     assert np.unique(want[:, 0]).size == 16
+    k, start, steps = psi.step_tables(qs)
     for a in (1, 2, 69, 70):
-        np.testing.assert_allclose(psi._split_row_sums(words, qs, a), want, rtol=1e-13)
+        got = split_transfer_log(words, qs, k, 2, start, steps, psi._tails, a)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def test_memo_shared_by_threads_keeps_bytes():
@@ -788,11 +803,26 @@ def _per_class_kernel_blocks(psi, qs):
             yield 1, np.zeros((1, steps.shape[-1])), steps, np.array([q])
 
 
+def _per_class_gather(system, table, a1s, qs) -> np.ndarray:
+    """A depth-1 weight's row sums as its class gathered them from its
+    ``(r1, r2)`` log table: ``(W, Q)`` sums of per-letter fiber lse's."""
+    letter = np.full((qs.size, system.r1 + 1), -np.inf)
+    letter[:, :-1] = lse(scaled_powers(qs[:, None, None], table), axis=2)
+    a1s = np.asarray(a1s, dtype=np.int64)
+    pos = np.where((a1s >= 0) & (a1s < system.r1), a1s, system.r1)
+    block = max(1, weights_module.ENUMERATION_BLOCK // max(1, pos.size))
+    sums = [
+        np.take(letter[j : j + block], pos, axis=1).sum(axis=2)
+        for j in range(0, qs.size, block)
+    ]
+    return np.concatenate(sums).T
+
+
 def _per_class_batch(psi, words, qs) -> np.ndarray:
     W, n = words.shape
     k = getattr(psi, "depth", 1)
     if getattr(psi, "dim", 1) == 1 and k == 1:
-        return weights_module._depth1_row_sums(psi.system, psi.depth1_log_table(), words, qs)
+        return _per_class_gather(psi.system, psi.depth1_log_table(), words, qs)
     if n == 0:
         return np.zeros((W, qs.size))
     if n < k:
@@ -863,6 +893,40 @@ def test_shared_routing_keeps_the_per_class_rules(data, psi, cap, qs):
         hi = data.draw(st.integers(lo, r1**n))
         got = psi.row_sum_log_range(n, lo, hi, routed)
         assert got.tobytes() == _per_class_range(psi, n, lo, hi, routed).tobytes()
+
+
+@st.composite
+def table_weights(draw):
+    """Windows of depth 1-3, dim-2 cocycles and a directly built dim-1
+    cocycle (the factory builds dimension 1 as a depth-1 window)."""
+    system = draw(small_systems())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nc = system.n_cells
+    kind = draw(st.sampled_from(("window", "cocycle", "dim1")))
+    if kind == "window":
+        depth = draw(st.integers(1, 3))
+        return make_constant_cell(system, depth, rng.uniform(-1.0, 1.0, (nc,) * depth))
+    dim = 2 if kind == "cocycle" else 1
+    return MatrixCocycleWeight(system, dim, rng.uniform(0.05, 1.0, (nc, dim, dim)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), psi=table_weights(), q=st.sampled_from((-1.5, 0.0, 0.5, 1.0, 2.0, 3.0)))
+def test_step_tables_are_the_transfer_contract(data, psi, q):
+    """Wherever a weight reports a transfer table at q, the split kernel on
+    its ``step_tables`` gives the enumerated row sums, so code that reads
+    only ``transfer_floats`` and ``step_tables`` is exact at every depth."""
+    assume(psi.transfer_floats(q) is not None)
+    qs = np.array([q])
+    k, start, steps = psi.step_tables(qs)
+    words = data.draw(batches(psi.system.r1, n_min=k, n_max=k + 3))
+    got = split_transfer_log(words, qs, k, psi.system.r1, start, steps, TailMemo())
+    want = row_sum_log_any(psi, words, qs, method="enumerate")
+    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    assert np.all(
+        np.abs(got[finite] - want[finite]) <= 1e-12 * np.maximum(1.0, np.abs(want[finite]))
+    )
 
 
 def test_memo_store_holds_its_lock():

@@ -10,15 +10,20 @@ import pytest
 
 from carpetmf import (
     CellSystem,
+    ConstantCellWeight,
     SkewProductWeight,
     finite_T,
     finite_beta,
     finite_pressure,
+    log_total_mass,
     make_constant_cell,
     make_matrix_cocycle,
     normalize_to_gibbs,
     row_sum,
+    sample_paths,
 )
+from carpetmf.symbolic import digits_of_indices
+from carpetmf.weights import row_sum_log_any, row_sum_log_ranks
 
 from oracles import concat, enumerate_admissible, estimate_am_constant, log_weight
 
@@ -100,6 +105,29 @@ def test_matrix_cocycle_dim1_reduces_to_constant_cell(ref_system):
     got = cocycle.log_weight_arrays(a1s, a2s)
     want = birkhoff.log_weight_arrays(a1s, a2s)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_dim1_cocycle_is_a_depth1_window(ref_system):
+    # A dimension-1 cocycle is exactly multiplicative: the factory builds
+    # the depth-1 window of log m, with its row sums, total masses and
+    # sample paths to the byte.
+    m = np.random.default_rng(5).uniform(0.05, 1.0, (5, 1, 1))
+    cocycle = make_matrix_cocycle(ref_system, 1, m)
+    window = make_constant_cell(ref_system, 1, np.log(m[:, 0, 0]))
+    assert isinstance(cocycle, ConstantCellWeight) and cocycle.depth == 1
+    words = digits_of_indices(np.arange(2**6), 2, 6)
+    qs = np.array([-1.5, 0.0, 0.5, 1.0, 2.0, 3.0])
+
+
+    def outputs(psi):
+        return (
+            row_sum_log_any(psi, words, qs).tobytes(),
+            row_sum_log_ranks(psi, 6, 3, 50, qs).tobytes(),
+            [log_total_mass(psi, n) for n in range(6)],
+            sample_paths(psi, 8, 3, 0, 100).tobytes(),
+        )
+
+    assert outputs(cocycle) == outputs(window)
 
 
 def test_matrix_cocycle_all_ones_power(ref_system):

@@ -1,4 +1,5 @@
-"""In-process depth ladders of the transfer row-sum route and the sampler.
+"""In-process depth ladders of the transfer row-sum route, the sampler and
+the render fill.
 
     python3 tools/ladders.py
 
@@ -23,12 +24,19 @@ also gets its ball mass), with ``beta_8(2)`` as level constant.  Each run
 builds the weight afresh, so every run pays its tables; it prints the best
 of three wall times and the ``tracemalloc`` peak of one more run.
 
+A fifth ladder times the ``render`` command's work in process: the
+``carpet.render_measure`` fill of the reference weight plus both writers,
+``write_pgm16`` and ``write_grid_csv``, into a temporary directory, at
+depth 5 (100,000 charged cells) and depth 6 (1,000,000).  It prints the
+best of three wall times and the ``tracemalloc`` peak of one more run.
+
 Run the script on two checkouts on the same host to compare them.
 """
 
 from __future__ import annotations
 
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -37,10 +45,15 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
+from carpetmf.carpet import render_measure, write_grid_csv, write_pgm16  # noqa: E402
 from carpetmf.config import parse_config  # noqa: E402
 from carpetmf.gibbs import VARIANT_PSI_Q, make_auxiliary, sampled_log_masses  # noqa: E402
 from carpetmf.pressure import finite_beta, finite_values  # noqa: E402
-from carpetmf.reference import default_q_grid, random_depth2_weight  # noqa: E402
+from carpetmf.reference import (  # noqa: E402
+    default_q_grid,
+    random_depth2_weight,
+    reference_weight,
+)
 
 REPEATS = 3
 WORKERS = (1, 2)
@@ -63,17 +76,26 @@ def _sample(horizon: int, workers: int, level: float) -> None:
     sampled_log_masses(window, aux, horizon // 2, horizon, 200, 1, workers)
 
 
-def _sampler_point(horizon: int, workers: int, level: float) -> str:
+def _timed_point(run) -> str:
+    """Best of ``REPEATS`` wall times of ``run()`` and the ``tracemalloc``
+    peak of one more run."""
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        _sample(horizon, workers, level)
+        run()
         times.append(time.perf_counter() - start)
     tracemalloc.start()
-    _sample(horizon, workers, level)
+    run()
     peak = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
-    return f"workers={workers} {min(times):7.3f} s {peak:7.1f} MB"
+    return f"{min(times):7.3f} s {peak:7.1f} MB"
+
+
+def _render(psi, n: int, out: Path) -> None:
+    """The ``render`` command's fill and files at depth ``n``."""
+    render = render_measure(psi, n)
+    write_pgm16(render, out / f"render_n{n}.pgm")
+    write_grid_csv(render, out / f"render_n{n}.csv")
 
 
 def main() -> int:
@@ -92,8 +114,16 @@ def main() -> int:
             print(f"{label:32s} n = {n:2d}  {times}", flush=True)
     level = finite_beta(window, 2.0, 8)
     for horizon in (6, 10, 14, 20):
-        points = "  ".join(_sampler_point(horizon, workers, level) for workers in WORKERS)
+        points = "  ".join(
+            f"workers={workers} " + _timed_point(lambda: _sample(horizon, workers, level))
+            for workers in WORKERS
+        )
         print(f"{'sample psiQ q = 2, 200 paths':32s} horizon = {horizon:2d}  {points}", flush=True)
+    reference = reference_weight()
+    with tempfile.TemporaryDirectory() as out:
+        for n in (5, 6):
+            point = _timed_point(lambda: _render(reference, n, Path(out)))
+            print(f"{'render reference, fill + files':32s} n = {n:2d}  {point}", flush=True)
     return 0
 
 
