@@ -75,7 +75,6 @@ class AuxiliaryWeight(SkewProductWeight):
     ) -> None:
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        self.base = base
         self.level_constant = float(level_constant)
         self.variant = variant
         q, s = float(q), base.system.s
@@ -298,7 +297,7 @@ def _path_sampler(
     core = unwrap_shift(weight)
     table = core.depth1_log_table()
     skew = isinstance(core, SkewProductWeight)
-    window, q = (unwrap_shift(core.rho), core.q) if skew else (core, 1.0)
+    window, q = (unwrap_shift(core.base), core.q) if skew else (core, 1.0)
     n_draws = horizon
     if table is not None:
         advance = _iid_route(system, table)

@@ -144,7 +144,7 @@ def _pass_row_qs(psi, n, q_grid, kinds) -> np.ndarray:
 
     Raises first if the pass has more column words than the enumeration
     cap, or if some q enumerates rows, on ``psi``'s route or on the row sums
-    a skew product reads, and enumerating the ``r2**n`` rows of every
+    of the base a wrapper reads, and enumerating the ``r2**n`` rows of every
     column word once (``r1**n * r2**n * n`` digit cells) would exceed it.
     The refusal names the transfer table that sent those q to enumeration,
     if one did.
@@ -189,11 +189,11 @@ def column_log_sums(
     :func:`carpetmf.weights.row_sum_log_ranks`: one call for all the q
     values that enumerate rows, one for ``I_1``, and one per ``PART_BLOCK``
     q for the others, so each q is read once per chunk.  Windows of depth
-    >= 2 and integer-q cocycles read their row sums from the split kernel's
-    tables by rank (:func:`carpetmf.transfer.split_transfer_range`, the
-    entry for complete ranges); the other routes, and the split kernel's
-    entry for arbitrary batches (:func:`carpetmf.transfer.split_transfer_log`)
-    when the range entry falls back, get the chunk's digit rows.  Every
+    >= 2 and integer-q cocycles, and the wrappers over them, read their row
+    sums from the split kernel's tables by rank
+    (:func:`carpetmf.transfer.split_transfer_range`); the other routes, and
+    :func:`carpetmf.transfer.split_transfer_log` when the range entry falls
+    back, get the chunk's digit rows.  Every
     (kind, q) keeps its own partial sum, combined over the same chunk tree,
     so a value does not depend on ``workers`` or on the other q values of
     the grid.

@@ -16,20 +16,20 @@ constructions are provided:
   times powers of the other weight's row sums (the config's ``theta1``
   kinds and both moment tilts of :mod:`carpetmf.gibbs`).
 
-Every weight exposes batched evaluation over digit-row arrays, and —
-when its structure allows — fast row-fiber power sums
-``I_q(w1) = sum_{w2} psi(w1 x w2)^q`` via transfer recursions, so the deep
-regimes never enumerate the row alphabet.  :class:`CylinderWeight` routes
-them for every class; a weight supplies only ``transfer_floats(q)``, its
-table size at q (None: no transfer route), and ``step_tables(qs)``.  A
-depth-1 window's steps have one state, the per-letter fiber sums, and its
-row sums gather them letter by letter.  Windows of depth >= 2 and matrix
-cocycles at integer ``q >= 0`` share the split kernel of
-:mod:`carpetmf.transfer`: a forward prefix state times a backward tail
-vector memoized on the weight, entered by
-:func:`~carpetmf.transfer.split_transfer_range` for a complete range of
-column word ranks and by :func:`~carpetmf.transfer.split_transfer_log` for
-any batch of digit rows.  One pass over a batch serves a vector of q values.
+Every weight exposes batched evaluation over digit-row arrays and the
+row-fiber power sums ``I_q(w1) = sum_{w2} psi(w1 x w2)^q``, routed so the
+deep regimes never enumerate the row alphabet.  Two contracts, each routed
+once, cover every class.  A weight with tables supplies ``transfer_floats(q)``,
+its table size at q (None: no transfer route), and ``step_tables(qs)``, and
+:class:`CylinderWeight` routes them: a depth-1 window's steps have one state,
+the per-letter fiber sums, gathered letter by letter; windows of depth >= 2
+and matrix cocycles at integer ``q >= 0`` share the split kernel of
+:mod:`carpetmf.transfer`, entered by rank for a complete range of column
+words and by digit rows for any batch.  A wrapper, a skew product or a
+pressure shift, supplies ``base_qs(qs)``, the q values of its ``base`` that
+its q read, and ``combine``, which turns those row sums into its own, and
+:class:`WrappedWeight` routes them: one q-batched read of the base on the
+base's own route, by rank for a range, and no rows of its own enumerated.
 """
 
 from __future__ import annotations
@@ -168,7 +168,8 @@ class CylinderWeight:
                     else split_transfer_log(words, *args)
                 )
             j = end
-        return _join_q_blocks(columns)
+        # Stored q-major, so a column pass reads each q as one contiguous row.
+        return columns[0] if len(columns) == 1 else np.concatenate([c.T for c in columns]).T
 
     def log_total_mass(self, m: int) -> float | None:
         """``log sum_{|w|=m} psi(w)`` when computable without row-word
@@ -482,12 +483,6 @@ def make_matrix_cocycle(
     return cocycle
 
 
-def _join_q_blocks(blocks: list[np.ndarray]) -> np.ndarray:
-    """The ``(W, Q)`` row sums of ``(W, Qb)`` blocks of q, stored q-major,
-    so a column pass reads each q as one contiguous row."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate([b.T for b in blocks]).T
-
-
 def _depth1_row_sums(system: CellSystem, steps: np.ndarray, a1s: np.ndarray) -> np.ndarray:
     """``(W, Q)`` sums of the letters' one-state ``(r1, Q, 1, 1)`` log steps,
     gathered for blocks of q."""
@@ -504,19 +499,52 @@ def _depth1_row_sums(system: CellSystem, steps: np.ndarray, a1s: np.ndarray) -> 
     return np.concatenate(sums).T
 
 
-def _lse_each_q(lw: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """``(W, Q)``: each q applied to the same ``(W, R)`` row log-weights."""
-    return np.column_stack([lse(scaled_powers(q, lw), axis=1) for q in qs])
-
-
 # ---------------------------------------------------------------------------
-# Skew products
+# Wrappers: skew products and pressure shifts
 # ---------------------------------------------------------------------------
 
 
-class SkewProductWeight(CylinderWeight):
-    """``psi(w1 x w2) = theta1(w1) * rho(w1 x w2)^q / I_{rho,q}(w1)`` with
-    the column marginal
+class WrappedWeight(CylinderWeight):
+    """A weight whose row sums, by :meth:`combine`, are those of its ``base``
+    at :meth:`base_qs`: read in one q-batched call on the base's own route,
+    by rank for a range, and never from rows of its own."""
+
+    base: CylinderWeight
+
+    def base_qs(self, qs: np.ndarray) -> np.ndarray:
+        """The base q values ``qs`` read: any that all share, then one per q."""
+        raise NotImplementedError
+
+    def combine(self, n: int, words, sums: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        """``(W, Q)`` row sums at ``qs`` from the base's at :meth:`base_qs`,
+        of ``words``: a ``(W, n)`` batch or ``(n, lo, hi)``, the depth-``n``
+        column words of ranks ``lo .. hi - 1``."""
+        raise NotImplementedError
+
+    def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
+        return np.ones(len(qs), dtype=bool)
+
+    def row_enumeration_mask(self, qs: np.ndarray) -> np.ndarray:
+        inner = self.base.row_enumeration_mask(self.base_qs(qs))
+        shared = inner.size - len(qs)
+        return inner[:shared].any() | inner[shared:]
+
+    def transfer_refusal(self, qs: np.ndarray) -> str | None:
+        return self.base.transfer_refusal(self.base_qs(qs))
+
+    def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        words, inverse = distinct_rows(np.asarray(a1s, dtype=np.int64), self.system.r1)
+        sums = row_sum_log_any(self.base, words, self.base_qs(qs))
+        return self.combine(words.shape[1], words, sums, qs)[inverse]
+
+    def row_sum_log_range(self, n: int, lo: int, hi: int, qs: np.ndarray) -> np.ndarray:
+        sums = row_sum_log_ranks(self.base, n, lo, hi, self.base_qs(qs))
+        return self.combine(n, (n, lo, hi), sums, qs)
+
+
+class SkewProductWeight(WrappedWeight):
+    """``psi(w1 x w2) = theta1(w1) * rho(w1 x w2)^q / I_{rho,q}(w1)``, with
+    ``rho`` the ``base``, and the column marginal
 
     ``log theta1(w1) = sum_i letters[w1_i] + sum_j e_j log I_{rho,p_j}(w1)``.
 
@@ -531,77 +559,78 @@ class SkewProductWeight(CylinderWeight):
 
     def __init__(
         self,
-        rho: CylinderWeight,
+        base: CylinderWeight,
         letters: float | np.ndarray = 0.0,
         moments: Sequence[tuple[float, float]] = (),
         q: float = 1.0,
     ) -> None:
-        r1 = rho.system.r1
+        r1 = base.system.r1
         letters = np.asarray(letters, dtype=float)
         if letters.shape not in ((), (r1,)):
             raise ValueError(f"need one value per column letter ({r1}), got shape {letters.shape}")
         if not np.all(np.isfinite(letters)):
             raise ValueError("column letter table must be finite")
-        self.system = rho.system
-        self.rho = rho
+        self.system = base.system
+        self.base = base
         self.letters = np.broadcast_to(letters, (r1,)).copy()
         self.moments = tuple((float(p), float(e)) for p, e in moments)
         self.q = float(q)
 
-    def _column_terms(self, a1s: np.ndarray, extra_qs: Sequence[float] = ()):
-        """``log I_{rho,q}``, ``log theta1`` and the ``(W, len(extra_qs))``
-        ``log I_{rho,p}`` at ``extra_qs``, from one batch of rho row sums
-        over the distinct column words (the enumerated rows of a word all
-        repeat it; a row sum does not depend on its batch)."""
-        r1 = self.system.r1
-        words, inverse = distinct_rows(np.asarray(a1s, dtype=np.int64), r1)
-        ps = [p for p, _ in self.moments]
-        li = row_sum_log_any(self.rho, words, np.array([self.q, *ps, *extra_qs]))
-        padded = np.append(self.letters, NEG_INF)  # out-of-range letters weigh 0
-        lt = padded[np.where((words >= 0) & (words < r1), words, r1)].sum(axis=1)
+    def base_qs(self, rs: np.ndarray) -> np.ndarray:
+        # Every r reads rho's row sums at q and each p_j; r itself at q * r.
+        return np.array([self.q, *(p for p, _ in self.moments), *(self.q * rs)])
+
+    def _log_theta(self, words, li: np.ndarray) -> np.ndarray:
+        """``log theta1`` of ``words`` (see :meth:`combine`) from rho's row
+        sums ``li``.  A range fills its letter matrix from the letters of each
+        block of ``P = r1**(n // 2)`` ranks and of each offset in a block, not
+        from digit rows, and sums it as a batch does, for the same bytes; with
+        one letter value, every word's sum is that of one row."""
+        letters, r1 = self.letters, self.system.r1
+        if not isinstance(words, tuple):  # out-of-range letters weigh 0
+            padded = np.append(letters, NEG_INF)
+            lt = padded[np.where((words >= 0) & (words < r1), words, r1)].sum(axis=1)
+        elif (letters == letters[0]).all():
+            n, lo, hi = words
+            lt = np.full(hi - lo, np.full((1, n), letters[0]).sum(axis=1)[0])
+        else:
+            n, lo, hi = words
+            m, P = n // 2, r1 ** (n // 2)
+            first, last = lo // P, -(-hi // P)  # the blocks that cover the range
+            head = np.arange(first, last)[:, None] // r1 ** np.arange(n - m - 1, -1, -1) % r1
+            tail = np.arange(P)[:, None] // r1 ** np.arange(m - 1, -1, -1) % r1
+            cells = np.empty(((last - first) * P, n))
+            blocks = cells.reshape(last - first, P, n)
+            blocks[:, :, : n - m], blocks[:, :, n - m :] = letters[head][:, None], letters[tail]
+            lt = cells[lo - first * P : hi - first * P].sum(axis=1)
         for j, (_, e) in enumerate(self.moments, start=1):
             lt = lt + scaled_powers(e, li[:, j])
-        li, lt = li[inverse], lt[inverse]
-        return li[:, 0], lt, li[:, 1 + len(ps) :]
+        return lt
 
-    def log_weight_arrays(self, a1s: np.ndarray, a2s: np.ndarray) -> np.ndarray:
-        lr = scaled_powers(self.q, self.rho.log_weight_arrays(a1s, a2s))
-        li, lt, _ = self._column_terms(a1s)
-        with np.errstate(invalid="ignore"):
-            out = lt + lr - li
-        return np.where(np.isneginf(lr) | np.isneginf(lt), NEG_INF, out)
-
-    def transfer_mask(self, rs: np.ndarray) -> np.ndarray:
-        return np.ones(len(rs), dtype=bool)
-
-    def row_enumeration_mask(self, rs: np.ndarray) -> np.ndarray:
-        # Every r reads rho's row sums at q and each p_j; r itself at q * r.
-        shared = 1 + len(self.moments)
-        rho_qs = np.array([self.q, *(p for p, _ in self.moments), *(self.q * rs)])
-        inner = self.rho.row_enumeration_mask(rho_qs)
-        return inner[:shared].any() | inner[shared:]
-
-    def transfer_refusal(self, rs: np.ndarray) -> str | None:
-        moments = [p for p, _ in self.moments]
-        return self.rho.transfer_refusal(np.array([self.q, *moments, *(self.q * rs)]))
-
-    def row_sum_log_batch(self, a1s: np.ndarray, rs: np.ndarray) -> np.ndarray:
-        """``I_r = theta1^r I_{rho,qr} / I_{rho,q}^r``: one batch of rho row sums."""
-        liq, lt, liqr = self._column_terms(a1s, self.q * rs)
-        liq, lt = liq[:, None], lt[:, None]
+    def combine(self, n: int, words, li: np.ndarray, rs: np.ndarray) -> np.ndarray:
+        """``I_r = theta1^r I_{rho,qr} / I_{rho,q}^r``, 0 where theta1 or
+        ``I_{rho,qr}`` is."""
+        liq, lt = li[:, :1], self._log_theta(words, li)[:, None]
+        liqr = li[:, 1 + len(self.moments) :]
         dead = np.isneginf(liqr) | np.isneginf(lt)
         with np.errstate(invalid="ignore"):
             out = scaled_powers(rs, lt) - scaled_powers(rs, liq) + liqr
         return np.where(dead, NEG_INF, out)
 
-    def row_sum_log_range(self, n: int, lo: int, hi: int, rs: np.ndarray) -> np.ndarray:
-        # rho's row sums, on rho's own route, read the words' digit rows.
-        return self.row_sum_log_batch(row_words_range(self.system, n, lo, hi), rs)
+    def log_weight_arrays(self, a1s: np.ndarray, a2s: np.ndarray) -> np.ndarray:
+        lr = scaled_powers(self.q, self.base.log_weight_arrays(a1s, a2s))
+        # Enumerated rows repeat their word: rho is read once per distinct word.
+        words, inverse = distinct_rows(np.asarray(a1s, dtype=np.int64), self.system.r1)
+        li = row_sum_log_any(self.base, words, self.base_qs(np.empty(0)))
+        liq, lt = li[inverse, 0], self._log_theta(words, li)[inverse]
+        with np.errstate(invalid="ignore"):
+            out = lt + lr - liq
+        return np.where(np.isneginf(lr) | np.isneginf(lt), NEG_INF, out)
 
     def _letter_marginal(self) -> tuple[np.ndarray, np.ndarray] | None:
         """rho's depth-1 table and the per-letter ``log theta1``, when rho is
         depth 1 (its row sums then factor over letters exactly), else None."""
-        rt = self.rho.depth1_log_table()
+        rt = self.base.depth1_log_table()
         if rt is None:
             return None
         tt = self.letters
@@ -638,12 +667,7 @@ class SkewProductWeight(CylinderWeight):
         return m * float(lse(np.where(charged, tt, NEG_INF)))
 
 
-# ---------------------------------------------------------------------------
-# Pressure-shift normalization
-# ---------------------------------------------------------------------------
-
-
-class ShiftedWeight(CylinderWeight):
+class ShiftedWeight(WrappedWeight):
     """``log psi_hat(w) = log psi(w) - len(w) * shift`` (Gibbs normalization)."""
 
     def __init__(self, base: CylinderWeight, shift: float) -> None:
@@ -665,21 +689,11 @@ class ShiftedWeight(CylinderWeight):
             return None
         return table - self.shift
 
-    def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
-        return self.base.transfer_mask(qs)
+    def base_qs(self, qs: np.ndarray) -> np.ndarray:
+        return qs
 
-    def row_enumeration_mask(self, qs: np.ndarray) -> np.ndarray:
-        return self.base.row_enumeration_mask(qs)
-
-    def transfer_refusal(self, qs: np.ndarray) -> str | None:
-        return self.base.transfer_refusal(qs)
-
-    def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        n = np.asarray(a1s).shape[1]
-        return self.base.row_sum_log_batch(a1s, qs) - n * qs * self.shift
-
-    def row_sum_log_range(self, n: int, lo: int, hi: int, qs: np.ndarray) -> np.ndarray:
-        return self.base.row_sum_log_range(n, lo, hi, qs) - n * qs * self.shift
+    def combine(self, n: int, words, sums: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        return sums - n * qs * self.shift
 
     def log_total_mass(self, m: int) -> float | None:
         inner = self.base.log_total_mass(m)
@@ -806,5 +820,6 @@ def _enumerate_row_sums(weight, a1s, qs) -> np.ndarray:
                 )
             ]
         )
-        out[lo:hi] = _lse_each_q(lw.reshape(hi - lo, total), qs)
+        lw = lw.reshape(hi - lo, total)
+        out[lo:hi] = np.column_stack([lse(scaled_powers(q, lw), axis=1) for q in qs])
     return out

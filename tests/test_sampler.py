@@ -261,11 +261,14 @@ def test_tables_are_built_once_per_call(n_samples):
     # 1,100 samples split into two chunks; no count may grow with it.  At
     # depth = horizon there is no ball, so a chunk reads only psi's log
     # weights: the window's step tables are built once for the column
-    # marginal's one pass and once for the rows.
-    for weight in (random_depth2_weight(), _tilt()):
-        window = unwrap_shift(getattr(weight, "rho", weight))
+    # marginal's one pass and once for the rows.  The tilt's marginal reads
+    # its base's by rank, and that pressure shift reads the window's: one
+    # ranked read per layer and chunk.
+    for weight, layers in ((random_depth2_weight(), 1), (_tilt(), 3)):
+        window = unwrap_shift(getattr(weight, "base", weight))
         run = partial(sampled_log_masses, window, weight, 4, 4, n_samples, 1)
-        assert _calls(weights_module, "row_sum_log_ranks", run) == len(pass_chunks(2, 4)) == 1
+        reads = _calls(weights_module, "row_sum_log_ranks", run)
+        assert reads == layers * len(pass_chunks(2, 4)) == layers
         assert _calls(window, "step_tables", run) == 2
     tilt = _cocycle_tilt()
     run = partial(sampled_log_masses, tilt.base, tilt, 2, 4, n_samples, 1)

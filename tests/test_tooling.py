@@ -220,34 +220,55 @@ def test_verify_results_come_from_one_runner():
 
 
 
-#: The transfer routing :class:`CylinderWeight` runs for every weight that
-#: supplies step tables.
+#: The routing :class:`CylinderWeight` runs for every weight that supplies
+#: step tables, and :class:`WrappedWeight` for every wrapper.
 ROUTING = (
-    "transfer_mask", "transfer_refusal", "row_sum_log_batch", "row_sum_log_range", "_split_row_sums"
+    "transfer_mask",
+    "row_enumeration_mask",
+    "transfer_refusal",
+    "row_sum_log_batch",
+    "row_sum_log_range",
+    "_split_row_sums",
 )
 
 
 def test_transfer_weights_supply_only_their_tables():
-    # Windows and cocycles define their step tables and table sizes; the
-    # routing around the split kernel is written once, on the base class,
-    # and reads those alone.  A dimension-1 cocycle is built as a depth-1
-    # window, so the cocycle class has no depth-1 case of its own.
-    tree = ast.parse((SRC / "carpetmf" / "weights.py").read_text(encoding="utf-8"))
-    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    # Windows and cocycles define their step tables and table sizes, and
+    # wrappers (skew products, tilts and pressure shifts) the base q values
+    # they read and how they combine them; the routing around each contract
+    # is written once, on a base class, and never reads a depth-1 table.
+    # A dimension-1 cocycle is built as a depth-1 window, so the cocycle
+    # class has no depth-1 case of its own.
+    trees = {
+        module: ast.parse((SRC / "carpetmf" / f"{module}.py").read_text(encoding="utf-8"))
+        for module in ("weights", "gibbs")
+    }
+    classes = {
+        node.name: node
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
     methods = {
         name: {fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)}
         for name, node in classes.items()
     }
     for cls in ("ConstantCellWeight", "MatrixCocycleWeight"):
         assert {"step_tables", "transfer_floats"} <= methods[cls], cls
+    for cls in ("ShiftedWeight", "SkewProductWeight"):
+        assert {"base_qs", "combine"} <= methods[cls], cls
+    wrappers = ("ShiftedWeight", "SkewProductWeight", "AuxiliaryWeight")
+    for cls in ("ConstantCellWeight", "MatrixCocycleWeight", *wrappers):
         assert not methods[cls] & set(ROUTING), (cls, methods[cls] & set(ROUTING))
     assert set(ROUTING) <= methods["CylinderWeight"]
+    assert set(ROUTING) - {"_split_row_sums"} <= methods["WrappedWeight"]
     assert not methods["MatrixCocycleWeight"] & {"depth1_log_table", "dependence_depth"}
-    for fn in classes["CylinderWeight"].body:
-        if isinstance(fn, ast.FunctionDef) and fn.name in ROUTING:
-            reads = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
-            assert "depth1_log_table" not in reads, fn.name
-    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for cls in ("CylinderWeight", "WrappedWeight"):
+        for fn in classes[cls].body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in ROUTING:
+                reads = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+                assert "depth1_log_table" not in reads, (cls, fn.name)
+    functions = {node.name for node in trees["weights"].body if isinstance(node, ast.FunctionDef)}
     assert "_split_kernel" not in functions
     assert not any("_kronecker_floats" in names for names in methods.values())
 

@@ -9,6 +9,7 @@ out-of-range digits.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import sys
 import tracemalloc
@@ -37,7 +38,7 @@ from carpetmf import (
 )
 from carpetmf import gibbs, numerics, pressure, symbolic, transfer, weights as weights_module
 from carpetmf.numerics import lse, scaled_powers
-from carpetmf.reference import default_q_grid
+from carpetmf.reference import default_q_grid, reference_system
 from carpetmf.symbolic import MAX_TRANSFER_TABLE, digits_of_indices
 from carpetmf.transfer import TailMemo, split_point, split_transfer_log
 from carpetmf.weights import MatrixCocycleWeight, row_sum_log_any
@@ -97,11 +98,12 @@ FACTOR_QS = (0.0, 1.0, 1.5, 2.0)
 
 
 @st.composite
-def factored_weights(draw):
+def factored_weights(draw, bases=None, qs=FACTOR_QS):
     """``theta(w1) * rho(w1 x w2)^q / I_{rho,q}(w1)`` over a :func:`weights`
-    base: skew products with each kind of row marginal, and both tilts."""
-    rho = draw(weights())
-    q = draw(st.sampled_from(FACTOR_QS))
+    base (or one of ``bases``), with exponents among ``qs``: skew products
+    with each kind of row marginal, and both tilts."""
+    rho = draw(weights() if bases is None else bases)
+    q = draw(st.sampled_from(qs))
     r1 = rho.system.r1
     tilts = (VARIANT_PSI_Q, VARIANT_PSI_TILDE_Q)
     kind = draw(st.sampled_from(("uniform", "letters", "rowSum", *tilts)))
@@ -112,7 +114,7 @@ def factored_weights(draw):
     if kind == "letters":
         seed = draw(st.integers(0, 2**32 - 1))
         return SkewProductWeight(rho, np.random.default_rng(seed).uniform(-1.0, 1.0, r1), q=q)
-    return SkewProductWeight(rho, moments=((draw(st.sampled_from(FACTOR_QS)), 1.0),), q=q)
+    return SkewProductWeight(rho, moments=((draw(st.sampled_from(qs)), 1.0),), q=q)
 
 
 @st.composite
@@ -168,15 +170,40 @@ def test_repeated_q_runs_once():
     tilt = make_auxiliary(random_depth2_weight(1), 2.0, 0.0, VARIANT_PSI_Q)
     words = np.array([[0, 1, 1], [1, 0, 1]])
     seen = []
-    original = type(tilt.rho).row_sum_log_batch
+    original = type(tilt.base).row_sum_log_batch
 
     def spy(self, a1s, qs):
         seen.append(list(qs))
         return original(self, a1s, qs)
 
-    with mock.patch.object(type(tilt.rho), "row_sum_log_batch", spy):
+    with mock.patch.object(type(tilt.base), "row_sum_log_batch", spy):
         row_sum_log_any(tilt, words, np.array([0.5, 1.0]))
     assert seen and all(batch == [1.0, 2.0] for batch in seen)
+
+
+#: What builds, packs or de-duplicates digit rows.
+DIGIT_BUILDERS = ("digits_of_indices", "pack_digits", "distinct_rows", "row_words_range")
+
+
+def test_tilt_passes_read_no_digits():
+    # A tilt's pressure pass and the column-first sampler's marginal read
+    # the window's row sums and the tilt's letter sums by rank.  The
+    # window's cached grids, built from digits, are built first.
+    window = random_depth2_weight(1)
+    window.step_tables(np.array([1.0]))
+    with contextlib.ExitStack() as stack:
+        spies = [
+            stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name)))
+            for module in (symbolic, weights_module, transfer, pressure, gibbs)
+            for name in DIGIT_BUILDERS
+            if hasattr(module, name)
+        ]
+        for variant in (VARIANT_PSI_Q, VARIANT_PSI_TILDE_Q):
+            tilt = make_auxiliary(window, 2.0, 0.1, variant)
+            pressure.finite_values(tilt, np.array([-1.0, 0.0, 1.0, 2.0]), 10, workers=2)
+            gibbs._column_first_route(tilt, window, 2.0, 10, 2)
+    assert len(spies) >= len(DIGIT_BUILDERS)
+    assert not [spy for spy in spies if spy.called]
 
 
 @pytest.mark.parametrize("kind", ["psiQ", "rowSum"])
@@ -426,7 +453,7 @@ def test_split_points_match_enumeration(data, psi):
 
 
 @st.composite
-def range_weights(draw):
+def kernel_weights(draw):
     """Weights whose complete ranges take the split kernel's range route:
     windows of depth 2-3 and dim-2 cocycles, on random small systems and on
     a system whose column 2 holds no cell (-inf rows)."""
@@ -439,6 +466,38 @@ def range_weights(draw):
     return make_matrix_cocycle(system, 2, rng.uniform(0.05, 1.0, (nc, 2, 2)))
 
 
+@st.composite
+def lettered_skews(draw):
+    """Skew products with distinct letter values over a depth-2 window on
+    the two-column reference system."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    system = reference_system()
+    rho = make_constant_cell(system, 2, rng.uniform(-1.0, 1.0, (system.n_cells,) * 2))
+    moments = draw(st.sampled_from(((), ((1.0, 0.5),))))
+    q = draw(st.sampled_from(FACTOR_QS))
+    return SkewProductWeight(rho, rng.uniform(-1.0, 1.0, 2), moments, q)
+
+
+@st.composite
+def range_weights(draw):
+    """Weights whose complete ranges read no digit rows: the
+    :func:`kernel_weights`, the skew products of each kind and both tilts
+    over them (integer exponents, which a cocycle routes), the
+    :func:`lettered_skews`, and a pressure shift of any of these."""
+    factored = factored_weights(kernel_weights(), (0.0, 1.0, 2.0))
+    psi = draw(kernel_weights() | factored | lettered_skews())
+    if draw(st.booleans()):
+        psi = normalize_to_gibbs(psi, draw(st.floats(-1.0, 1.0)))
+    return psi
+
+
+def _core(psi):
+    """The weight with step tables under any wrappers."""
+    while hasattr(psi, "base"):
+        psi = psi.base
+    return psi
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     data=st.data(),
@@ -448,11 +507,16 @@ def range_weights(draw):
 def test_ranges_match_the_batch_kernel(data, psi, block):
     """Any range of column word ranks, in q blocks of any size, gets the
     bytes of the batch kernel on its digit rows at the same split point,
-    and the enumerated row sums.  ``psi = None`` is the kernel of
+    and the enumerated row sums.  A wrapper reaches depth 12 on two
+    columns, where distinct letters cross numpy's 8-wide pairwise sum.
+    ``psi = None`` is the kernel of
     :func:`test_underflowing_dot_product_is_redone_in_log_space`, whose
     products underflow and are redone in log space."""
-    k, r1 = (1, 2) if psi is None else (_kernel_window(psi), psi.system.r1)
-    n = data.draw(st.integers(max(k, 2), 8 if r1 == 2 else 5))
+    k, r1 = (1, 2) if psi is None else (_kernel_window(_core(psi)), psi.system.r1)
+    wrapped = psi is not None and _core(psi) is not psi
+    top = (12 if wrapped else 8) if r1 == 2 else 5
+    deep = top > 8 and data.draw(st.booleans())
+    n = data.draw(st.integers(9 if deep else max(k, 2), top))
     lo = data.draw(st.integers(0, r1**n))
     hi = data.draw(st.integers(lo, r1**n))
     words = digits_of_indices(np.arange(lo, hi), r1, n)
@@ -463,7 +527,7 @@ def test_ranges_match_the_batch_kernel(data, psi, block):
             assert got.tobytes() == split_transfer_log(words, *kernel, TailMemo()).tobytes()
             return
         qs = np.array([0.0, 1.0, 2.0])
-        psi._tails = TailMemo()
+        _core(psi)._tails = TailMemo()
         got = psi.row_sum_log_range(n, lo, hi, qs)
     assert got.tobytes() == psi.row_sum_log_batch(words, qs).tobytes()
     if n <= 4:

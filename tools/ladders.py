@@ -4,27 +4,31 @@ the render fill.
     python3 tools/ladders.py
 
 Prints the best of three wall times of ``pressure.finite_values`` (both
-kinds) at ``workers=1`` and ``workers=2`` for three ladders:
+kinds) at ``workers=1`` and ``workers=2`` for four ladders:
 
 * ``random_depth2_weight(1)``, the window-d2 weight, at q in
   {-2, 0, 1, 2, 4} and n = 14 ... 22;
-* the same weight on the default 93-point q-grid at n = 14 ... 18;
+* the psiQ tilt at q = 2 of that window (``gibbs.make_auxiliary``, with
+  ``beta_8(2)`` as level constant) at the same five q and n = 16, 18, 20:
+  a skew product's pass, which reads its base's row sums at ``2``, ``1``
+  and ``2 q``;
+* the window on the default 93-point q-grid at n = 14 ... 18;
 * the dim-2 cocycle of the ``cocycle-d2`` benchmark config (seed 1, built
   with ``bench/workloads.py``) at q in {1, 2} and n = 14 ... 20.
 
 Each of these ladders uses one weight object, so the first depth also pays
-the weight's cached tables (in its ``workers=1`` column).  A ladder point
-whose ``workers=2`` time is above its ``workers=1`` time loses to the
-interpreter lock.
+the weight's cached tables (in its ``workers=1`` column); the tilt reads
+its window's tables.  A ladder point whose ``workers=2`` time is above its
+``workers=1`` time loses to the interpreter lock.
 
-A fourth ladder times ``gibbs.sampled_log_masses`` as the ``sample`` command
+A fifth ladder times ``gibbs.sampled_log_masses`` as the ``sample`` command
 runs it: 200 paths of the psiQ tilt at q = 2 of the same window weight, at
 horizons 6, 10, 14 and 20 (sampling depth ``n = horizon / 2``, so each path
 also gets its ball mass), with ``beta_8(2)`` as level constant.  Each run
 builds the weight afresh, so every run pays its tables; it prints the best
 of three wall times and the ``tracemalloc`` peak of one more run.
 
-A fifth ladder times the ``render`` command's work in process: the
+A sixth ladder times the ``render`` command's work in process: the
 ``carpet.render_measure`` fill of the reference weight plus both writers,
 ``write_pgm16`` and ``write_grid_csv``, into a temporary directory, at
 depth 5 (100,000 charged cells) and depth 6 (1,000,000).  It prints the
@@ -101,8 +105,12 @@ def _render(psi, n: int, out: Path) -> None:
 def main() -> int:
     window = random_depth2_weight(1)
     cocycle = parse_config(workloads.build("cocycle-d2", 1).config).weight
+    level = finite_beta(window, 2.0, 8)
+    tilt = make_auxiliary(window, 2.0, level, VARIANT_PSI_Q)
+    five = [-2.0, 0.0, 1.0, 2.0, 4.0]
     ladders = (
-        ("window depth 2, 5 q", window, [-2.0, 0.0, 1.0, 2.0, 4.0], range(14, 23, 2)),
+        ("window depth 2, 5 q", window, five, range(14, 23, 2)),
+        ("psiQ tilt q = 2 of it, 5 q", tilt, five, range(16, 21, 2)),
         ("window depth 2, default grid", window, default_q_grid(), range(14, 19, 2)),
         ("cocycle dim 2, q in {1, 2}", cocycle, [1.0, 2.0], range(14, 21, 2)),
     )
@@ -112,7 +120,6 @@ def main() -> int:
                 f"workers={workers} {_best(psi, q_grid, n, workers):7.3f} s" for workers in WORKERS
             )
             print(f"{label:32s} n = {n:2d}  {times}", flush=True)
-    level = finite_beta(window, 2.0, 8)
     for horizon in (6, 10, 14, 20):
         points = "  ".join(
             f"workers={workers} " + _timed_point(lambda: _sample(horizon, workers, level))
