@@ -246,12 +246,12 @@ def _criterion_transfer_oracle() -> tuple[bool, str]:
 
 
 def _config_transfer_oracle(config: ExperimentConfig) -> tuple[bool | None, str]:
-    """Criterion 5 on the configured weight, at q = 1 and the q values of the
-    grid that take a transfer route, and at the depths of ``_ORACLE_DEPTHS``
-    whose row enumeration fits the enumeration cap.  It is not applicable
-    unless one of those depths is longer than the weight's window: shorter
-    words enumerate their rows, and a word of one window takes a single
-    transfer step."""
+    """Criterion 5 on the configured weight, at q = 1 and the grid's q inside
+    its transfer mask (every q of a wrapper, whose route reads its base's row
+    sums), and at the depths of ``_ORACLE_DEPTHS`` whose row enumeration fits
+    the enumeration cap.  It is not applicable unless one of those depths is
+    longer than the weight's window: shorter words enumerate their rows, and
+    a word of one window takes a single transfer step."""
     psi, system = config.weight, config.system
     routed = config.q_grid[psi.transfer_mask(config.q_grid)]
     qs = tuple(float(q) for q in sorted_unique(np.append(routed, 1.0)))

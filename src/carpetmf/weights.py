@@ -505,21 +505,15 @@ def _depth1_row_sums(system: CellSystem, steps: np.ndarray, a1s: np.ndarray) -> 
 
 
 class WrappedWeight(CylinderWeight):
-    """A weight whose row sums, by :meth:`combine`, are those of its ``base``
-    at :meth:`base_qs`: read in one q-batched call on the base's own route,
-    by rank for a range, and never from rows of its own."""
+    """A weight whose row sums are those of its ``base``, read in one
+    q-batched call on the base's own route (by rank for a range) and never
+    from rows of its own.  A subclass supplies ``base_qs(qs)``, the base q
+    values ``qs`` read (any that all share, then one per q), and
+    ``combine(n, words, sums, qs)``, the ``(W, Q)`` row sums at ``qs`` from
+    the base's ``sums`` at ``base_qs(qs)``, of ``words``: a ``(W, n)`` batch
+    or ``(n, lo, hi)``, the depth-``n`` column words of ranks ``lo .. hi - 1``."""
 
     base: CylinderWeight
-
-    def base_qs(self, qs: np.ndarray) -> np.ndarray:
-        """The base q values ``qs`` read: any that all share, then one per q."""
-        raise NotImplementedError
-
-    def combine(self, n: int, words, sums: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        """``(W, Q)`` row sums at ``qs`` from the base's at :meth:`base_qs`,
-        of ``words``: a ``(W, n)`` batch or ``(n, lo, hi)``, the depth-``n``
-        column words of ranks ``lo .. hi - 1``."""
-        raise NotImplementedError
 
     def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
         return np.ones(len(qs), dtype=bool)
@@ -532,9 +526,13 @@ class WrappedWeight(CylinderWeight):
     def transfer_refusal(self, qs: np.ndarray) -> str | None:
         return self.base.transfer_refusal(self.base_qs(qs))
 
-    def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    def _base_sums(self, a1s: np.ndarray, qs: np.ndarray):
+        """Distinct words of ``a1s``, their inverse, base row sums at ``base_qs(qs)``."""
         words, inverse = distinct_rows(np.asarray(a1s, dtype=np.int64), self.system.r1)
-        sums = row_sum_log_any(self.base, words, self.base_qs(qs))
+        return words, inverse, row_sum_log_any(self.base, words, self.base_qs(qs))
+
+    def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        words, inverse, sums = self._base_sums(a1s, qs)
         return self.combine(words.shape[1], words, sums, qs)[inverse]
 
     def row_sum_log_range(self, n: int, lo: int, hi: int, qs: np.ndarray) -> np.ndarray:
@@ -582,27 +580,14 @@ class SkewProductWeight(WrappedWeight):
 
     def _log_theta(self, words, li: np.ndarray) -> np.ndarray:
         """``log theta1`` of ``words`` (see :meth:`combine`) from rho's row
-        sums ``li``.  A range fills its letter matrix from the letters of each
-        block of ``P = r1**(n // 2)`` ranks and of each offset in a block, not
-        from digit rows, and sums it as a batch does, for the same bytes; with
-        one letter value, every word's sum is that of one row."""
+        sums ``li``.  With one letter value, a range sums one row of it,
+        which broadcasts over the range's words, and builds no digit rows."""
         letters, r1 = self.letters, self.system.r1
-        if not isinstance(words, tuple):  # out-of-range letters weigh 0
-            padded = np.append(letters, NEG_INF)
-            lt = padded[np.where((words >= 0) & (words < r1), words, r1)].sum(axis=1)
-        elif (letters == letters[0]).all():
-            n, lo, hi = words
-            lt = np.full(hi - lo, np.full((1, n), letters[0]).sum(axis=1)[0])
-        else:
-            n, lo, hi = words
-            m, P = n // 2, r1 ** (n // 2)
-            first, last = lo // P, -(-hi // P)  # the blocks that cover the range
-            head = np.arange(first, last)[:, None] // r1 ** np.arange(n - m - 1, -1, -1) % r1
-            tail = np.arange(P)[:, None] // r1 ** np.arange(m - 1, -1, -1) % r1
-            cells = np.empty(((last - first) * P, n))
-            blocks = cells.reshape(last - first, P, n)
-            blocks[:, :, : n - m], blocks[:, :, n - m :] = letters[head][:, None], letters[tail]
-            lt = cells[lo - first * P : hi - first * P].sum(axis=1)
+        if isinstance(words, tuple):
+            one = (letters == letters[0]).all()
+            words = np.zeros((1, words[0]), int) if one else row_words_range(self.system, *words)
+        padded = np.append(letters, NEG_INF)  # out-of-range letters weigh 0
+        lt = padded[np.where((words >= 0) & (words < r1), words, r1)].sum(axis=1)
         for j, (_, e) in enumerate(self.moments, start=1):
             lt = lt + scaled_powers(e, li[:, j])
         return lt
@@ -620,8 +605,7 @@ class SkewProductWeight(WrappedWeight):
     def log_weight_arrays(self, a1s: np.ndarray, a2s: np.ndarray) -> np.ndarray:
         lr = scaled_powers(self.q, self.base.log_weight_arrays(a1s, a2s))
         # Enumerated rows repeat their word: rho is read once per distinct word.
-        words, inverse = distinct_rows(np.asarray(a1s, dtype=np.int64), self.system.r1)
-        li = row_sum_log_any(self.base, words, self.base_qs(np.empty(0)))
+        words, inverse, li = self._base_sums(a1s, np.empty(0))
         liq, lt = li[inverse, 0], self._log_theta(words, li)[inverse]
         with np.errstate(invalid="ignore"):
             out = lt + lr - liq

@@ -468,21 +468,21 @@ def kernel_weights(draw):
 
 @st.composite
 def lettered_skews(draw):
-    """Skew products with distinct letter values over a depth-2 window on
-    the two-column reference system."""
+    """Skew products with random letter values, one per letter or one for
+    both, over a depth-2 window on the two-column reference system."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     system = reference_system()
     rho = make_constant_cell(system, 2, rng.uniform(-1.0, 1.0, (system.n_cells,) * 2))
     moments = draw(st.sampled_from(((), ((1.0, 0.5),))))
     q = draw(st.sampled_from(FACTOR_QS))
-    return SkewProductWeight(rho, rng.uniform(-1.0, 1.0, 2), moments, q)
+    letters = rng.uniform(-1.0, 1.0, draw(st.sampled_from(((), (2,)))))
+    return SkewProductWeight(rho, letters, moments, q)
 
 
 @st.composite
 def range_weights(draw):
-    """Weights whose complete ranges read no digit rows: the
-    :func:`kernel_weights`, the skew products of each kind and both tilts
-    over them (integer exponents, which a cocycle routes), the
+    """The :func:`kernel_weights`, the skew products of each kind and both
+    tilts over them (integer exponents, which a cocycle routes), the
     :func:`lettered_skews`, and a pressure shift of any of these."""
     factored = factored_weights(kernel_weights(), (0.0, 1.0, 2.0))
     psi = draw(kernel_weights() | factored | lettered_skews())
