@@ -52,9 +52,8 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "sampled_log_masses",
     ),
     "carpet": (
-        "CarpetRender", "P3Report", "birkhoff_averages_on_carpet", "box_count_tau",
-        "carpet_digits", "check_P1", "check_P2", "p3_scan", "project_numerators",
-        "render_measure", "write_grid_csv", "write_pgm16",
+        "CarpetRender", "P3Report", "birkhoff_averages_on_carpet", "box_count_tau", "check_P1",
+        "check_P2", "p3_scan", "render_measure", "write_grid_csv", "write_pgm16",
     ),
     "reference": (
         "DEFAULT_DEPTH_SCHEDULE", "default_config", "default_q_grid", "random_depth2_weight",

@@ -37,52 +37,6 @@ from .weights import CylinderWeight, row_sum_log_any, row_sum_log_ranks
 # ---------------------------------------------------------------------------
 
 
-def _cells_of(cells) -> np.ndarray:
-    arr = np.asarray(cells, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("expected an (n, 2) sequence of cells")
-    return arr
-
-
-def project_numerators(
-    system: CellSystem, cells, precision: int | None = None
-) -> tuple[int, int, int]:
-    """Exact truncated expansions as integer numerators.
-
-    Returns ``(x_num, y_num, p)`` with ``x = x_num / r1**p`` and
-    ``y = y_num / r2**p`` where ``p`` is the truncation depth.  Kept in
-    arbitrary-precision integers so digits can be read back without loss.
-    """
-    cells = _cells_of(cells)
-    p = cells.shape[0] if precision is None else int(precision)
-    if p < 0 or p > cells.shape[0]:
-        raise ValueError(f"precision must lie in [0, {cells.shape[0]}]")
-    x_num = 0
-    y_num = 0
-    for a1, a2 in cells[:p]:
-        x_num = x_num * system.r1 + int(a1)
-        y_num = y_num * system.r2 + int(a2)
-    return x_num, y_num, p
-
-
-def carpet_digits(
-    system: CellSystem, x_num: int, y_num: int, precision: int, depth: int
-) -> np.ndarray:
-    """Read back the first ``depth`` digit pairs from exact numerators.
-
-    Inverse of :func:`project_numerators`: digit ``k`` of ``x`` is
-    ``floor(x * r1**k) mod r1``, evaluated in integer arithmetic so the
-    round trip path -> point -> digits is lossless.
-    """
-    if depth > precision:
-        raise ValueError("cannot read more digits than the stored precision")
-    out = np.empty((depth, 2), dtype=np.int64)
-    for k in range(1, depth + 1):
-        out[k - 1, 0] = (x_num // system.r1 ** (precision - k)) % system.r1
-        out[k - 1, 1] = (y_num // system.r2 ** (precision - k)) % system.r2
-    return out
-
-
 def birkhoff_averages_on_carpet(
     psi: CylinderWeight, paths, steps: int | None = None
 ) -> np.ndarray:
@@ -109,10 +63,19 @@ def birkhoff_averages_on_carpet(
     length = steps + k - 1
     if length > paths.shape[1]:
         raise ValueError(f"path too short: need {length} cells for {steps} steps")
+    # Exact numerators x = x_num / r1**p, y = y_num / r2**p of every path,
+    # one Horner step per digit on Python-int columns, so no depth overflows.
+    p = paths.shape[1]
+    x_num = np.zeros(paths.shape[0], dtype=object)
+    y_num = np.zeros(paths.shape[0], dtype=object)
+    for a1, a2 in paths.astype(object).transpose(1, 2, 0):
+        x_num = x_num * system.r1 + a1
+        y_num = y_num * system.r2 + a2
+    # Digit j (from 1) of x is floor(x * r1**j) mod r1, and likewise for y.
     recovered = np.empty((paths.shape[0], length, 2), dtype=np.int64)
-    for row, cells in enumerate(paths):
-        x_num, y_num, p = project_numerators(system, cells)
-        recovered[row] = carpet_digits(system, x_num, y_num, p, length)
+    for j in range(1, length + 1):
+        recovered[:, j - 1, 0] = x_num // system.r1 ** (p - j) % system.r1
+        recovered[:, j - 1, 1] = y_num // system.r2 ** (p - j) % system.r2
     return psi.log_weight_arrays(recovered[:, :, 0], recovered[:, :, 1]) / steps
 
 

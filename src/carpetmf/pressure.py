@@ -187,16 +187,15 @@ def column_log_sums(
     words that share their first letters.  Each reads the row sums of the
     q values the kinds need through
     :func:`carpetmf.weights.row_sum_log_ranks`: one call for all the q
-    values that enumerate rows, one for ``I_1``, and one per ``PART_BLOCK``
-    q for the others, so each q is read once per chunk.  Windows of depth
-    >= 2 and integer-q cocycles, and the wrappers over them, read their row
-    sums from the split kernel's tables by rank
+    values that enumerate rows, and one per ``PART_BLOCK`` q for the others,
+    the first of which also reads ``I_1``, so each q is read once per chunk.
+    Windows of depth >= 2 and integer-q cocycles, and the wrappers over
+    them, read their row sums from the split kernel's tables by rank
     (:func:`carpetmf.transfer.split_transfer_range`); the other routes, and
     :func:`carpetmf.transfer.split_transfer_log` when the range entry falls
-    back, get the chunk's digit rows.  Every
-    (kind, q) keeps its own partial sum, combined over the same chunk tree,
-    so a value does not depend on ``workers`` or on the other q values of
-    the grid.
+    back, get the chunk's digit rows.  Every (kind, q) keeps its own partial
+    sum, combined over the same chunk tree, so a value does not depend on
+    ``workers`` or on the other q values of the grid.
     """
     q_grid = np.asarray(q_grid, dtype=float).ravel()
     Q = q_grid.size
@@ -224,10 +223,18 @@ def column_log_sums(
             found = {**held, **dict(zip(fresh, sums))}
             return np.stack([found[i] for i in idx.tolist()])
 
-        li_one = None
-        if one.size:  # held with the others, so its block reads it back
-            li_one = row_sums(one)
+        li_one = terms = None
+        if one.size:
+            # I_1 is read in the first block's call (last, unless the block
+            # holds it), so a wrapper reads its base once per chunk, and held,
+            # so a later block reads it back.
+            first = np.arange(min(PART_BLOCK, Q) if reads_grid else 0)
+            read = first if one[0] < first.size else np.append(first, one)
+            sums = row_sums(read)
+            li_one = sums[read == one[0]]
             held[int(one[0])] = li_one[0]
+            terms = sums[: first.size] if reads_grid else None
+            del sums  # the first block's rows live only as long as terms
         parts = {kind: [] for kind in kinds}
         # Each q's terms are reduced in rows of their own, so its partial sums
         # do not depend on its block.
@@ -238,7 +245,8 @@ def column_log_sums(
                 parts["marginal"] += parts_from_rows(scaled_powers(qs, li_one))
             if not reads_grid:
                 continue
-            terms = row_sums(block)  # log I_q
+            if terms is None:
+                terms = row_sums(block)  # log I_q
             if "rows" in kinds:
                 parts["rows"] += parts_from_rows(terms)
             if "T" in kinds or "beta" in kinds:
@@ -248,7 +256,7 @@ def column_log_sums(
                 if "beta" in kinds:
                     terms += scaled_powers(qs * (1.0 - s), li_one)
                     parts["beta"] += parts_from_rows(terms)
-            del terms  # before the next block's row sums are built
+            terms = None  # before the next block's row sums are built
         return [part for kind in kinds for part in parts[kind]]
 
     chunks = map_ranges(partial, pass_chunks(psi.system.r1, n), workers)

@@ -10,7 +10,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from carpetmf.carpet import project_numerators
 from carpetmf.symbolic import (
     CellSystem,
     admissible_word_count,
@@ -151,7 +150,12 @@ def project_point(
     ``precision`` digits (default: the full path), so the truncation error
     is below ``r1**-precision`` and ``r2**-precision`` componentwise.
     """
-    x_num, y_num, p = project_numerators(system, cells, precision)
+    cells = np.asarray(cells, dtype=np.int64)
+    p = len(cells) if precision is None else precision
+    x_num = y_num = 0
+    for a1, a2 in cells[:p].tolist():
+        x_num = x_num * system.r1 + a1
+        y_num = y_num * system.r2 + a2
     if p == 0:
         return 0.0, 0.0
     return x_num / system.r1**p, y_num / system.r2**p

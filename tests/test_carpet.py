@@ -19,7 +19,6 @@ from carpetmf import (
     ball_mass,
     birkhoff_averages_on_carpet,
     box_count_tau,
-    carpet_digits,
     check_P1,
     check_P2,
     depth_map,
@@ -28,7 +27,6 @@ from carpetmf import (
     make_matrix_cocycle,
     normalize_to_gibbs,
     p3_scan,
-    project_numerators,
     render_measure,
     sample_path,
     sample_paths,
@@ -54,17 +52,6 @@ def test_project_point_examples(ref_system):
     assert project_point(ref_system, [(1, 3), (1, 3)]) == (0.75, 0.9375)
 
 
-def test_project_numerators_geometric(ref_system):
-    # constant digits (1, 2): x = sum 2^-k has numerator 2^p - 1 and
-    # y = sum 2 * 4^-k has numerator 2 (4^p - 1) / 3, exactly
-    for p in (1, 5, 30, 80):
-        cells = [(1, 2)] * p
-        x_num, y_num, depth = project_numerators(ref_system, cells)
-        assert depth == p
-        assert x_num == 2**p - 1
-        assert y_num == 2 * (4**p - 1) // 3
-
-
 def test_project_point_truncation_bound(ref_system, ref_weight):
     path = sample_path(ref_weight, 20, master_seed=6, sample_index=0)
     x_full, y_full = project_point(ref_system, path)
@@ -74,22 +61,23 @@ def test_project_point_truncation_bound(ref_system, ref_weight):
         assert 0.0 <= y_full - y_p < 4.0**-p
 
 
-def test_project_precision_validated(ref_system):
-    with pytest.raises(ValueError):
-        project_numerators(ref_system, [(0, 0)], precision=2)
-    with pytest.raises(ValueError):
-        project_numerators(ref_system, [(0, 0)], precision=-1)
-    with pytest.raises(ValueError):
-        project_numerators(ref_system, np.zeros((3, 3), dtype=np.int64))
+def test_birkhoff_averages_read_digits_back_at_depth45(ref_system, ref_weight):
+    # 4**45 > 2**63: the numerators outgrow int64 and the readback stays exact.
+    rng = np.random.default_rng(45)
+    paths = ref_system.cells_array[rng.integers(0, ref_system.n_cells, (64, 45))]
+    paths[0] = ref_system.cells_array[-1]  # the last cell at every digit
+    want = ref_weight.log_weight_arrays(paths[:, :, 0], paths[:, :, 1]) / 45
+    assert birkhoff_averages_on_carpet(ref_weight, paths).tobytes() == want.tobytes()
 
 
-def test_digit_round_trip_depth30(ref_system, ref_weight):
-    path = sample_path(ref_weight, 30, master_seed=8, sample_index=4)
-    x_num, y_num, p = project_numerators(ref_system, path)
-    recovered = carpet_digits(ref_system, x_num, y_num, p, 30)
-    assert np.array_equal(recovered, path)
-    with pytest.raises(ValueError):
-        carpet_digits(ref_system, x_num, y_num, p, 31)
+@pytest.mark.parametrize("steps", [1, 17, 29])
+def test_birkhoff_averages_depth2_window_at_depth30(ref_system, depth2_weight, steps):
+    rng = np.random.default_rng(30)
+    paths = ref_system.cells_array[rng.integers(0, ref_system.n_cells, (64, 30))]
+    head = paths[:, : steps + 1]
+    want = depth2_weight.log_weight_arrays(head[:, :, 0], head[:, :, 1]) / steps
+    got = birkhoff_averages_on_carpet(depth2_weight, paths, steps)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_birkhoff_average_on_carpet(ref_weight, ref_masses):

@@ -375,7 +375,8 @@ def test_serial_pressure_loads_no_thread_pool(tmp_path):
     # concurrent.futures (and logging with it) loads only when a pass runs
     # on threads; a one-chunk pressure pass runs on the calling thread.  The
     # dim-2 cocycle's row sums take the split kernel, which loads
-    # carpetmf.transfer and nothing else of the package.
+    # carpetmf.transfer and nothing else of the package.  No set routine of
+    # numpy (np.unique, np.union1d) loads numpy.ma into the pass.
     from carpetmf.reference import default_config
 
     config = default_config()
@@ -392,7 +393,7 @@ def test_serial_pressure_loads_no_thread_pool(tmp_path):
     )
     assert (tmp_path / "out" / "pressure_T.csv").is_file()
     assert "carpetmf.transfer" in loaded
-    assert not loaded & {"concurrent.futures", *PIPELINE}
+    assert not loaded & {"concurrent.futures", "numpy.ma", *PIPELINE}
 
 
 def test_render_runs_serially(tmp_path):
@@ -469,7 +470,7 @@ def test_lazy_package_namespace(tmp_path):
     assert not loaded & {"carpetmf.weights", *PIPELINE}
     _loaded_after(
         "import carpetmf\n"
-        "assert len(carpetmf.__all__) == 70\n"
+        "assert len(carpetmf.__all__) == 68\n"
         "for name in carpetmf.__all__: getattr(carpetmf, name)\n"
         "carpetmf.numerics.lse, carpetmf.gibbs.path_uniforms\n"
         "from carpetmf import *",
@@ -556,6 +557,33 @@ def test_column_pass_reads_each_row_q_once_per_chunk(monkeypatch):
     monkeypatch.undo()
     plain = pressure.column_log_sums(psi, qs, 10, pressure.COLUMN_KINDS)
     for kind in pressure.COLUMN_KINDS:
+        assert spied[kind].tobytes() == plain[kind].tobytes()
+
+
+def test_column_pass_reads_a_wrappers_base_once_per_chunk(monkeypatch):
+    # I_1 is read in the same call as the first PART_BLOCK, so the psiQ
+    # tilt's base is read, and its row sums combined, once per chunk.
+    from carpetmf import gibbs, pressure, weights
+    from carpetmf.reference import random_depth2_weight
+
+    window = random_depth2_weight(1)
+    tilt = gibbs.make_auxiliary(window, 2.0, 0.0, gibbs.VARIANT_PSI_Q)
+    qs = np.array([-2.0, 0.0, 1.0, 2.0, 4.0])
+    chunks = pressure.pass_chunks(window.system.r1, 17)
+    assert len(chunks) == 2
+    combine = weights.SkewProductWeight.combine
+    calls = []
+
+    def spy(self, *args):
+        calls.append(args[1])
+        return combine(self, *args)
+
+    monkeypatch.setattr(weights.SkewProductWeight, "combine", spy)
+    spied = pressure.finite_values(tilt, qs, 17)
+    assert sorted(calls) == [(17, *chunk) for chunk in chunks]
+    monkeypatch.undo()
+    plain = pressure.finite_values(tilt, qs, 17)
+    for kind in spied:
         assert spied[kind].tobytes() == plain[kind].tobytes()
 
 

@@ -86,6 +86,25 @@ def test_constant_cell_support(ref_system):
     assert log_weight(psi, [(0, 0), (0, 2), (1, 1)]) == NEG_INF
 
 
+def test_off_grid_and_forbidden_digits_weigh_nothing(ref_system, ref_weight, depth2_weight):
+    # Words with a negative digit, a digit >= r or a forbidden cell weigh
+    # exactly -inf; the others keep the bytes they have in a batch of their own.
+    rng = np.random.default_rng(7)
+    cocycle = make_matrix_cocycle(ref_system, 2, rng.uniform(0.1, 1.0, (5, 2, 2)))
+    a1s = rng.integers(-2, ref_system.r1 + 2, (400, 3))
+    a2s = rng.integers(-2, ref_system.r2 + 2, (400, 3))
+    a1s[0, 0], a2s[1, 2] = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    a1s[2:50], a2s[2:50] = 1, 2  # allowed words, 48 of them
+    allowed = set(ref_system.allowed)
+    valid = np.array([all(cell in allowed for cell in zip(*w)) for w in zip(a1s, a2s)])
+    assert 48 <= valid.sum() < 400 and not valid[:2].any()
+    for psi in (ref_weight, depth2_weight, cocycle):
+        got = psi.log_weight_arrays(a1s, a2s)
+        assert np.all(got[~valid] == NEG_INF)
+        alone = psi.log_weight_arrays(a1s[valid], a2s[valid])
+        assert np.isfinite(alone).all() and got[valid].tobytes() == alone.tobytes()
+
+
 def test_constant_cell_table_shape_errors(ref_system):
     with pytest.raises(ValueError):
         make_constant_cell(ref_system, 1, np.zeros(4))

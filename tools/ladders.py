@@ -28,7 +28,11 @@ also gets its ball mass), with ``beta_8(2)`` as level constant.  Each run
 builds the weight afresh, so every run pays its tables; it prints the best
 of three wall times and the ``tracemalloc`` peak of one more run.
 
-A sixth ladder times the ``render`` command's work in process: the
+A sixth ladder times the i.i.d. route the same way: 10,000 paths of the
+psiQ tilt at q = 2 of the reference weight (``closed_form_beta(2)`` as
+level constant), at depth 30 and horizon 48, so no path gets a ball mass.
+
+A seventh ladder times the ``render`` command's work in process: the
 ``carpet.render_measure`` fill of the reference weight plus both writers,
 ``write_pgm16`` and ``write_grid_csv``, into a temporary directory, at
 depth 5 (100,000 charged cells) and depth 6 (1,000,000).  It prints the
@@ -52,7 +56,7 @@ import workloads  # noqa: E402
 from carpetmf.carpet import render_measure, write_grid_csv, write_pgm16  # noqa: E402
 from carpetmf.config import parse_config  # noqa: E402
 from carpetmf.gibbs import VARIANT_PSI_Q, make_auxiliary, sampled_log_masses  # noqa: E402
-from carpetmf.pressure import finite_beta, finite_values  # noqa: E402
+from carpetmf.pressure import closed_form_beta, finite_beta, finite_values  # noqa: E402
 from carpetmf.reference import (  # noqa: E402
     default_q_grid,
     random_depth2_weight,
@@ -127,6 +131,13 @@ def main() -> int:
         )
         print(f"{'sample psiQ q = 2, 200 paths':32s} horizon = {horizon:2d}  {points}", flush=True)
     reference = reference_weight()
+    iid = make_auxiliary(reference, 2.0, closed_form_beta(reference, 2.0), VARIANT_PSI_Q)
+    points = "  ".join(
+        f"workers={workers} "
+        + _timed_point(lambda: sampled_log_masses(reference, iid, 30, 48, 10_000, 1, workers))
+        for workers in WORKERS
+    )
+    print(f"{'sample i.i.d. psiQ q = 2, 10,000':32s} n = 30  {points}", flush=True)
     with tempfile.TemporaryDirectory() as out:
         for n in (5, 6):
             point = _timed_point(lambda: _render(reference, n, Path(out)))
