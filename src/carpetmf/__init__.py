@@ -40,7 +40,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "pressure": (
         "Extrapolation", "PressureCurve", "closed_form_T", "closed_form_beta",
         "column_log_sums", "extrapolate_pressure", "finite_T", "finite_beta", "finite_pressure",
-        "finite_values", "log_total_mass", "pressure_curves", "row_sum",
+        "finite_values", "log_total_mass", "pressure_curves",
     ),
     "spectra": (
         "Spectrum", "birkhoff_spectrum_carpet", "legendre", "legendre_involution_check",

@@ -33,7 +33,7 @@ from .weights import CylinderWeight, row_sum_log_any, row_sum_log_ranks
 
 
 # ---------------------------------------------------------------------------
-# Projection and exact digit readback
+# Birkhoff averages along paths
 # ---------------------------------------------------------------------------
 
 
@@ -41,17 +41,14 @@ def birkhoff_averages_on_carpet(
     psi: CylinderWeight, paths, steps: int | None = None
 ) -> np.ndarray:
     """Birkhoff average of the weight's potential along each ``(B, n, 2)``
-    path, read off its projected point.
+    path.
 
-    Each path is projected to the torus and its digits are recovered exactly
-    from the numerators before evaluating the ergodic average, exercising the
-    symbolic <-> geometric dictionary rather than reusing the input digits.
     For a depth-``k`` window potential the sum over ``steps`` shift steps is
-    the log-weight of the first ``steps + k - 1`` recovered cells.  One
-    ``log_weight_arrays`` call evaluates the recovered digits of the whole
-    batch.
+    the log-weight of the first ``steps + k - 1`` cells, so one
+    ``log_weight_arrays`` call evaluates the whole batch.  A path's digits
+    are the base-``r1`` / base-``r2`` digits of its projected point, so the
+    average is also the one read off the carpet.
     """
-    system = psi.system
     paths = np.asarray(paths, dtype=np.int64)
     if paths.ndim != 3 or paths.shape[2] != 2:
         raise ValueError("expected a (B, n, 2) array of paths")
@@ -63,20 +60,7 @@ def birkhoff_averages_on_carpet(
     length = steps + k - 1
     if length > paths.shape[1]:
         raise ValueError(f"path too short: need {length} cells for {steps} steps")
-    # Exact numerators x = x_num / r1**p, y = y_num / r2**p of every path,
-    # one Horner step per digit on Python-int columns, so no depth overflows.
-    p = paths.shape[1]
-    x_num = np.zeros(paths.shape[0], dtype=object)
-    y_num = np.zeros(paths.shape[0], dtype=object)
-    for a1, a2 in paths.astype(object).transpose(1, 2, 0):
-        x_num = x_num * system.r1 + a1
-        y_num = y_num * system.r2 + a2
-    # Digit j (from 1) of x is floor(x * r1**j) mod r1, and likewise for y.
-    recovered = np.empty((paths.shape[0], length, 2), dtype=np.int64)
-    for j in range(1, length + 1):
-        recovered[:, j - 1, 0] = x_num // system.r1 ** (p - j) % system.r1
-        recovered[:, j - 1, 1] = y_num // system.r2 ** (p - j) % system.r2
-    return psi.log_weight_arrays(recovered[:, :, 0], recovered[:, :, 1]) / steps
+    return psi.log_weight_arrays(paths[:, :length, 0], paths[:, :length, 1]) / steps
 
 
 # ---------------------------------------------------------------------------

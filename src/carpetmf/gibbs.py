@@ -44,7 +44,7 @@ import numpy as np
 
 from . import weights as weights_module
 from .numerics import NEG_INF, lse, map_ranges, mean_and_stderr, run_chunked_arrays
-from .pressure import log_total_mass, pass_chunks, row_sum
+from .pressure import log_total_mass, pass_chunks
 from .symbolic import CellSystem, check_budget, depth_map, digits_of_indices, pack_digits
 from .transfer import _transfer_level, _window_keys
 from .weights import (
@@ -125,7 +125,7 @@ def ball_mass(
     m = g - n
     if m == 0:
         return lw
-    lmar = row_sum(psi, column_word[n:], 1.0)
+    lmar = float(row_sum_log_any(psi, column_word[None, n:], 1.0)[0])
     if lmar == NEG_INF:
         return NEG_INF
     lz = log_total_mass(psi, m)

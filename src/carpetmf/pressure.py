@@ -56,7 +56,6 @@ from .weights import (
     METHODS,
     CylinderWeight,
     normalize_to_gibbs,
-    row_sum_log_any,
     row_sum_log_ranks,
 )
 
@@ -80,12 +79,6 @@ CHUNK_WORDS = 1 << 16
 #: Most column words of a depth that a pressure calibration runs on: for a
 #: ``normalize: true`` weight and in the normalization check of ``verify``.
 CALIBRATION_WORDS = 1 << 20
-
-
-def row_sum(psi: CylinderWeight, w1: Sequence[int], q: float) -> float:
-    """``log I_q(w1)`` for a single column word."""
-    a1s = np.asarray(w1, dtype=np.int64).reshape(1, -1)
-    return float(row_sum_log_any(psi, a1s, q)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,18 +18,22 @@ constructions are provided:
 
 Every weight exposes batched evaluation over digit-row arrays and the
 row-fiber power sums ``I_q(w1) = sum_{w2} psi(w1 x w2)^q``, routed so the
-deep regimes never enumerate the row alphabet.  Two contracts, each routed
-once, cover every class.  A weight with tables supplies ``transfer_floats(q)``,
-its table size at q (None: no transfer route), and ``step_tables(qs)``, and
-:class:`CylinderWeight` routes them: a depth-1 window's steps have one state,
-the per-letter fiber sums, gathered letter by letter; windows of depth >= 2
-and matrix cocycles at integer ``q >= 0`` share the split kernel of
-:mod:`carpetmf.transfer`, entered by rank for a complete range of column
-words and by digit rows for any batch.  A wrapper, a skew product or a
-pressure shift, supplies ``base_qs(qs)``, the q values of its ``base`` that
-its q read, and ``combine``, which turns those row sums into its own, and
-:class:`WrappedWeight` routes them: one q-batched read of the base on the
-base's own route, by rank for a range, and no rows of its own enumerated.
+deep regimes never enumerate the row alphabet.  Its one structure hook is
+``dependence_depth``: a depth-1 weight is Bernoulli, and
+:class:`CylinderWeight` derives its ``(r1, r2)`` table (for the closed forms
+and the i.i.d. sampler) and its total masses from its one-cell log weights.
+Two contracts, each routed once, cover every class.  A weight with tables
+supplies ``transfer_floats(q)``, its table size at q (None: no transfer
+route), and ``step_tables(qs)``, and :class:`CylinderWeight` routes them: a
+depth-1 window's steps have one state, the per-letter fiber sums, gathered
+letter by letter; windows of depth >= 2 and matrix cocycles at integer
+``q >= 0`` share the split kernel of :mod:`carpetmf.transfer`, entered by
+rank for a complete range of column words and by digit rows for any batch.  A
+wrapper, a skew product or a pressure shift, supplies ``base_qs(qs)``, the q
+values of its ``base`` that its q read, and ``combine``, which turns those
+row sums into its own, and :class:`WrappedWeight` routes them: one q-batched
+read of the base on the base's own route, by rank for a range, and no rows
+of its own enumerated.
 """
 
 from __future__ import annotations
@@ -74,16 +78,28 @@ class CylinderWeight:
         """Vectorized log weights: ``(W, n)`` digit rows -> ``(W,)`` floats."""
         raise NotImplementedError
 
-    # -- structure hooks (None = no fast structure) ----------------------
+    # -- the structure hook (None = no fast structure) -------------------
 
     @property
     def dependence_depth(self) -> int | None:
-        """Window size when the weight is locally constant, else None."""
+        """Window size when the weight is locally constant, else None; at 1
+        the depth-1 table and total masses follow from the one-cell weights."""
         return None
 
+    def _cell_log_weights(self) -> np.ndarray:
+        """``(n_cells,)`` log weights of the one-cell words, in cell order."""
+        cells = self.system.cells_array
+        return self.log_weight_arrays(cells[:, :1], cells[:, 1:])
+
     def depth1_log_table(self) -> np.ndarray | None:
-        """Exact ``(r1, r2)`` per-cell log table for depth-1 weights."""
-        return None
+        """Exact ``(r1, r2)`` per-cell log table for depth-1 weights, -inf
+        off the allowed cells; None at any other depth."""
+        if self.dependence_depth != 1:
+            return None
+        table = np.full((self.system.r1, self.system.r2), NEG_INF)
+        cells = self.system.cells_array
+        table[cells[:, 0], cells[:, 1]] = self._cell_log_weights()
+        return table
 
     def transfer_floats(self, q: float) -> int | None:
         """Floats in the transfer table of one q, which must fit
@@ -173,8 +189,13 @@ class CylinderWeight:
 
     def log_total_mass(self, m: int) -> float | None:
         """``log sum_{|w|=m} psi(w)`` when computable without row-word
-        enumeration, else None."""
-        return None
+        enumeration, else None: ``m`` times the lse of the one-cell log
+        weights at depth 1."""
+        if m == 0:
+            return 0.0
+        if self.dependence_depth != 1:
+            return None
+        return m * float(lse(self._cell_log_weights()))
 
     @cached_property
     def _tails(self):
@@ -266,14 +287,6 @@ class ConstantCellWeight(CylinderWeight):
             vals = windows.sum(axis=1)
         return np.where(valid, vals, NEG_INF)
 
-    def depth1_log_table(self) -> np.ndarray | None:
-        if self.depth != 1:
-            return None
-        table = np.full((self.system.r1, self.system.r2), NEG_INF)
-        cells = self.system.cells_array
-        table[cells[:, 0], cells[:, 1]] = self.window_log
-        return table
-
     # -- row-fiber transfer ----------------------------------------------
 
     @cached_property
@@ -334,14 +347,12 @@ class ConstantCellWeight(CylinderWeight):
     # -- totals over full product words ----------------------------------
 
     def log_total_mass(self, m: int) -> float:
-        if m == 0:
-            return 0.0
         k = self.depth
         nc = self.system.n_cells
+        if m == 0 or k == 1:
+            return super().log_total_mass(m)
         if m < k:
             return float(lse(self.truncated_log[m - 1]))
-        if k == 1:
-            return m * float(lse(self.window_log))
         flat = self.window_log.reshape(nc ** (k - 1), nc)  # [state, next cell]
         v = np.zeros(nc ** (k - 1))
         drop = nc ** (k - 2)
@@ -611,44 +622,10 @@ class SkewProductWeight(WrappedWeight):
             out = lt + lr - liq
         return np.where(np.isneginf(lr) | np.isneginf(lt), NEG_INF, out)
 
-    def _letter_marginal(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """rho's depth-1 table and the per-letter ``log theta1``, when rho is
-        depth 1 (its row sums then factor over letters exactly), else None."""
-        rt = self.base.depth1_log_table()
-        if rt is None:
-            return None
-        tt = self.letters
-        for p, e in self.moments:
-            tt = tt + scaled_powers(e, lse(scaled_powers(p, rt), axis=1))
-        return rt, tt
-
-    def depth1_log_table(self) -> np.ndarray | None:
-        marginal = self._letter_marginal()
-        if marginal is None:
-            return None
-        rt, tt = marginal
-        rq = scaled_powers(self.q, rt)
-        liq = lse(rq, axis=1)  # (r1,)
-        safe_liq = np.where(np.isneginf(liq), 0.0, liq)
-        with np.errstate(invalid="ignore"):
-            table = tt[:, None] + rq - safe_liq[:, None]
-        return np.where(np.isneginf(rt), NEG_INF, table)
-
     @property
     def dependence_depth(self) -> int | None:
-        return 1 if self.depth1_log_table() is not None else None
-
-    def log_total_mass(self, m: int) -> float | None:
-        if m == 0:
-            return 0.0
-        marginal = self._letter_marginal()
-        if marginal is None:
-            return None
-        # Total mass = sum over column words of theta1 (fibers sum to 1 where
-        # rho charges the column word); restrict letters to charged fibers.
-        rt, tt = marginal
-        charged = ~np.isneginf(lse(rt, axis=1))
-        return m * float(lse(np.where(charged, tt, NEG_INF)))
+        # rho's row sums factor over letters exactly when rho is depth 1.
+        return 1 if self.base.dependence_depth == 1 else None
 
 
 class ShiftedWeight(WrappedWeight):
@@ -666,12 +643,6 @@ class ShiftedWeight(WrappedWeight):
     @property
     def dependence_depth(self) -> int | None:
         return self.base.dependence_depth
-
-    def depth1_log_table(self) -> np.ndarray | None:
-        table = self.base.depth1_log_table()
-        if table is None:
-            return None
-        return table - self.shift
 
     def base_qs(self, qs: np.ndarray) -> np.ndarray:
         return qs

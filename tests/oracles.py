@@ -1,6 +1,6 @@
 """Test-only oracles, kept out of the package: the plain enumerations of
-words, product words and their operations, one-word log weights, the
-almost-multiplicativity scan and the float point projection."""
+words, product words and their operations, one-word log weights and row
+sums, the almost-multiplicativity scan and the float point projection."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from carpetmf.symbolic import (
     check_budget,
     row_word_count,
 )
-from carpetmf.weights import CylinderWeight
+from carpetmf.weights import CylinderWeight, row_sum_log_any
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,12 @@ def estimate_am_constant(psi: CylinderWeight, max_depth: int) -> AmEstimate:
 
 def _all_admissible(system: CellSystem, n: int) -> tuple[np.ndarray, np.ndarray]:
     return admissible_words_range(system, n, 0, admissible_word_count(system, n))
+
+
+def row_sum(psi: CylinderWeight, w1: Sequence[int], q: float) -> float:
+    """``log I_q(w1)`` for a single column word."""
+    a1s = np.asarray(w1, dtype=np.int64).reshape(1, -1)
+    return float(row_sum_log_any(psi, a1s, q)[0])
 
 
 def project_point(

@@ -61,8 +61,9 @@ def test_project_point_truncation_bound(ref_system, ref_weight):
         assert 0.0 <= y_full - y_p < 4.0**-p
 
 
-def test_birkhoff_averages_read_digits_back_at_depth45(ref_system, ref_weight):
-    # 4**45 > 2**63: the numerators outgrow int64 and the readback stays exact.
+def test_birkhoff_averages_are_path_log_weights_at_depth45(ref_system, ref_weight):
+    # The average of a path is its log weight over its steps, bit for bit,
+    # on paths whose points need more than 64 bits of digits (4**45 > 2**63).
     rng = np.random.default_rng(45)
     paths = ref_system.cells_array[rng.integers(0, ref_system.n_cells, (64, 45))]
     paths[0] = ref_system.cells_array[-1]  # the last cell at every digit
@@ -321,9 +322,6 @@ class ZeroedCells(CylinderWeight):
 
     def log_weight_arrays(self, a1s, a2s):
         return self.table[a1s, a2s].sum(axis=1)
-
-    def depth1_log_table(self):
-        return self.table
 
 
 @st.composite

@@ -18,7 +18,6 @@ from carpetmf import (
     local_dimension_mc,
     log_total_mass,
     make_auxiliary,
-    row_sum,
     sample_path,
     sample_paths,
     sampled_log_masses,
@@ -26,7 +25,7 @@ from carpetmf import (
 from carpetmf.numerics import central_derivative
 from carpetmf.reference import zero_potential_weight
 
-from oracles import log_weight
+from oracles import log_weight, row_sum
 
 SQRT2 = math.sqrt(2)
 SQRT3 = math.sqrt(3)

@@ -20,7 +20,6 @@ from carpetmf import (
     make_constant_cell,
     make_matrix_cocycle,
     pressure_curves,
-    row_sum,
     row_sum_log_any,
     VARIANT_PSI_Q,
     VARIANT_PSI_TILDE_Q,
@@ -29,7 +28,7 @@ from carpetmf import pressure, verify
 from carpetmf.numerics import concavity_defect
 from carpetmf.reference import default_q_grid
 
-from oracles import estimate_am_constant
+from oracles import estimate_am_constant, row_sum
 
 
 def closed_T_reference(q: float) -> float:

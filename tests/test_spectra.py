@@ -25,10 +25,11 @@ from carpetmf import (
 from carpetmf import verify
 from carpetmf.gibbs import ball_mass
 from carpetmf.numerics import central_derivative, lse
-from carpetmf.pressure import row_sum
 from carpetmf.reference import default_q_grid
 from carpetmf.spectra import FLAG_BOUNDARY, FLAG_EMPTY, FLAG_OK
 from carpetmf.symbolic import digits_of_indices
+
+from oracles import row_sum
 
 
 def synthetic_curve(q_grid: np.ndarray, values: np.ndarray, kind: str = "T") -> PressureCurve:

@@ -263,6 +263,13 @@ def test_transfer_weights_supply_only_their_tables():
     assert set(ROUTING) <= methods["CylinderWeight"]
     assert set(ROUTING) - {"_split_row_sums"} <= methods["WrappedWeight"]
     assert not methods["MatrixCocycleWeight"] & {"depth1_log_table", "dependence_depth"}
+    # dependence_depth is the one depth-1 hook: the depth-1 table and total
+    # mass come from the one-cell log weights, on the base class only.
+    assert [cls for cls, names in methods.items() if "depth1_log_table" in names] == [
+        "CylinderWeight"
+    ]
+    assert not any("_letter_marginal" in names for names in methods.values())
+    assert "log_total_mass" not in methods["SkewProductWeight"]
     for cls in ("CylinderWeight", "WrappedWeight"):
         for fn in classes[cls].body:
             if isinstance(fn, ast.FunctionDef) and fn.name in ROUTING:
@@ -470,7 +477,7 @@ def test_lazy_package_namespace(tmp_path):
     assert not loaded & {"carpetmf.weights", *PIPELINE}
     _loaded_after(
         "import carpetmf\n"
-        "assert len(carpetmf.__all__) == 68\n"
+        "assert len(carpetmf.__all__) == 67\n"
         "for name in carpetmf.__all__: getattr(carpetmf, name)\n"
         "carpetmf.numerics.lse, carpetmf.gibbs.path_uniforms\n"
         "from carpetmf import *",
@@ -609,7 +616,8 @@ def test_output_listing_comparison(monkeypatch, tmp_path, capsys):
         "+ bd  ref-d1/b.csv",
         "- cc  window-d2/c.json",
     ]
-    # --compare prints only the differing lines and exits 1 if there are any.
+    # --compare prints only the differing lines and exits 1 if there are any;
+    # these saved listings name no dispatch, as none did before they could.
     listing = tmp_path / "listing.txt"
     listing.write_text("\n".join(saved), encoding="utf-8")
     monkeypatch.setattr(tool, "listing", lambda: iter(current))
@@ -618,3 +626,22 @@ def test_output_listing_comparison(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(tool, "listing", lambda: iter(saved))
     assert tool.main(["--compare", str(listing)]) == 0
     assert capsys.readouterr().out == ""
+    # The listing opens with the dispatch it ran under; `#` lines are not
+    # compared as digests.
+    assert tool.main([]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("# numpy ") and " dispatch " in printed[0]
+    assert printed[1:] == saved
+    assert tool.differences([printed[0], *saved], saved) == []
+    # A saved listing of the same dispatch compares its digests ...
+    listing.write_text("\n".join(printed), encoding="utf-8")
+    monkeypatch.setattr(tool, "listing", lambda: iter(current))
+    assert tool.main(["--compare", str(listing)]) == 1
+    assert capsys.readouterr().out.splitlines() == tool.differences(saved, current)
+    # ... and one of another dispatch says so and lists no file.  (A saved
+    # listing with no dispatch line, as above, compares its digests.)
+    other = "# numpy 0.0 dispatch X86_V3"
+    listing.write_text("\n".join([other, *saved]), encoding="utf-8")
+    assert tool.main(["--compare", str(listing)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("dispatch differs: ") and "X86_V3" in out and "ref-d1" not in out

@@ -395,6 +395,70 @@ def test_total_mass_fallback_matches_enumeration(case):
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
 
 
+#: The kinds of depth-1 weight: each reads the depth-1 table and the total
+#: mass off its one-cell log weights.
+DEPTH1_KINDS = (
+    "window",
+    "shift",
+    "skew",
+    VARIANT_PSI_Q,
+    VARIANT_PSI_TILDE_Q,
+    "tilt of a shift",
+    "shift of a tilt",
+)
+
+
+@st.composite
+def depth1_weights(draw, kind: str):
+    """A depth-1 weight of ``kind`` over a random depth-1 window."""
+    system = draw(small_systems())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    window = make_constant_cell(system, 1, rng.uniform(-1.0, 1.0, system.n_cells))
+    q, shift = draw(st.sampled_from(FACTOR_QS)), draw(st.floats(-1.0, 1.0))
+    variant = kind if kind in (VARIANT_PSI_Q, VARIANT_PSI_TILDE_Q) else VARIANT_PSI_Q
+    tilt = lambda base: make_auxiliary(base, q, draw(st.floats(-1.0, 1.0)), variant)  # noqa: E731
+    if kind == "window":
+        return window
+    if kind == "shift":
+        return normalize_to_gibbs(window, shift)
+    if kind == "skew":
+        letters = rng.uniform(-1.0, 1.0, system.r1)
+        moments = [(draw(st.sampled_from(FACTOR_QS)), e) for e in rng.uniform(-1.0, 1.0, 2)]
+        return SkewProductWeight(window, letters, moments, q)
+    if kind == "tilt of a shift":
+        return tilt(normalize_to_gibbs(window, shift))
+    if kind == "shift of a tilt":
+        return normalize_to_gibbs(tilt(window), shift)
+    return tilt(window)
+
+
+@pytest.mark.parametrize("kind", DEPTH1_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), q=st.sampled_from(Q_VALUES))
+def test_depth1_hook_gives_closed_forms_and_total_masses(kind, data, q):
+    # dependence_depth is the one depth-1 hook: the closed forms read the
+    # table it gives and must equal T_3 and beta_3 of the enumerated row
+    # sums, and the total masses must equal the enumerated ones.
+    psi = data.draw(depth1_weights(kind))
+    assert psi.dependence_depth == 1
+    finite = pressures_by_definition(psi, q, 3)
+    assert pressure.closed_form_T(psi, q) == pytest.approx(finite["T"], rel=1e-12, abs=1e-12)
+    assert pressure.closed_form_beta(psi, q) == pytest.approx(
+        finite["beta"], rel=1e-12, abs=1e-12
+    )
+    for m in range(1, 5):
+        slow = log_total_mass(psi, m, method="enumerate")
+        assert log_total_mass(psi, m) == pytest.approx(slow, rel=1e-12, abs=1e-12)
+    # Over a depth-2 window the same construction has no depth-1 structure.
+    rho = random_depth2_weight()
+    tilt = make_auxiliary(rho, q, 0.1, VARIANT_PSI_Q)
+    for deep in (SkewProductWeight(rho, moments=((2.0, 0.5),)), tilt):
+        assert deep.dependence_depth is None
+        assert deep.depth1_log_table() is None
+        with pytest.raises(ValueError, match="depth-1"):
+            pressure.closed_form_T(deep, q)
+
+
 def _split_at(psi, words, qs, a) -> np.ndarray:
     """``split_transfer_log`` after ``a`` letters on the weight's
     ``step_tables``, one call per run of q of one table size."""

@@ -19,13 +19,12 @@ from carpetmf import (
     make_constant_cell,
     make_matrix_cocycle,
     normalize_to_gibbs,
-    row_sum,
     sample_paths,
 )
 from carpetmf.symbolic import digits_of_indices
 from carpetmf.weights import row_sum_log_any, row_sum_log_ranks
 
-from oracles import concat, enumerate_admissible, estimate_am_constant, log_weight
+from oracles import concat, enumerate_admissible, estimate_am_constant, log_weight, row_sum
 
 NEG_INF = float("-inf")
 

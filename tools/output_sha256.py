@@ -7,12 +7,18 @@ Builds the ``ref-d1``, ``window-d2`` and ``cocycle-d2`` configs with
 ``bench/workloads.py`` (seed 1, full size), runs each workload's CLI
 commands with ``--workers 2`` in a temporary directory, and prints one
 ``sha256  workload/file`` line per output file and per command stdout
-(``<command>.stdout``).  The elapsed times in ``verify``'s report are
-masked, so two runs of the same sources print the same lines.  Compare the
-listing before and after a refactor: any line that moves names an output
-that changed.  ``--compare FILE`` checks the run against a saved listing:
-it prints only the lines that differ (``- `` the saved line, ``+ `` the new
-one) and exits 1 if any do.
+(``<command>.stdout``), after a first line
+``# numpy <version> dispatch <SIMD targets>``: the dispatch numpy found on
+this host, which the CLI children inherit with the environment.  The
+elapsed times in ``verify``'s report are masked, so two runs of the same
+sources on one dispatch print the same lines.  Compare the listing before
+and after a refactor: any line that moves names an output that changed.
+``--compare FILE`` checks the run against a saved listing: it prints only
+the lines that differ (``- `` the saved line, ``+ `` the new one) and exits
+1 if any do.  When the saved listing names another dispatch it prints
+``dispatch differs: ...`` instead and exits 2, since outputs may then move
+with the host alone; a saved listing without a dispatch line is compared
+as it is.
 """
 
 from __future__ import annotations
@@ -30,10 +36,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 SEED = 1
 WORKERS = 2
+#: The start of the listing's first line, which names numpy's dispatch.
+DISPATCH = "# numpy "
 #: The ``  12.34s  `` column of a ``verify`` report line.
 ELAPSED = re.compile(r"(?m)^(\[[^\]]*\] +\d+\. .*?) *\d+\.\d\ds  ")
 
@@ -64,6 +73,15 @@ def _run_workload(name: str, work: Path) -> dict[str, bytes]:
     return outputs
 
 
+def dispatch_line() -> str:
+    """``# numpy <version> dispatch <targets>``, the SIMD targets of numpy's
+    dispatch found on this host (after ``NPY_DISABLE_CPU_FEATURES``)."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    found = " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+    return f"{DISPATCH}{np.__version__} dispatch {found}"
+
+
 def listing():
     """The ``sha256  workload/file`` lines, one workload at a time."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -76,9 +94,9 @@ def listing():
 def differences(saved: list[str], current: list[str]) -> list[str]:
     """The lines of two listings that differ, sorted by the file they name:
     ``- line`` for a saved line and ``+ line`` for a current one (a file in
-    one listing only has one of the two)."""
-    old = {line.split("  ", 1)[-1]: line for line in saved if line.strip()}
-    new = {line.split("  ", 1)[-1]: line for line in current if line.strip()}
+    one listing only has one of the two).  ``#`` lines are skipped."""
+    old = {line.split("  ", 1)[-1]: line for line in saved if _digest(line)}
+    new = {line.split("  ", 1)[-1]: line for line in current if _digest(line)}
     out = []
     for name in sorted(old.keys() | new.keys()):
         if old.get(name) != new.get(name):
@@ -87,15 +105,26 @@ def differences(saved: list[str], current: list[str]) -> list[str]:
     return out
 
 
+def _digest(line: str) -> bool:
+    """Whether a listing line names a digest (not blank, not a ``#`` line)."""
+    return bool(line.strip()) and not line.startswith("#")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", metavar="FILE", type=Path, help="a saved listing")
     args = parser.parse_args(argv)
+    dispatch = dispatch_line()
     if args.compare is None:
+        print(dispatch, flush=True)
         for line in listing():
             print(line, flush=True)
         return 0
     saved = args.compare.read_text(encoding="utf-8").splitlines()
+    old = next((line for line in saved if line.startswith(DISPATCH)), dispatch)
+    if old != dispatch:
+        print(f"dispatch differs: saved {old[2:]!r}, this run {dispatch[2:]!r}")
+        return 2
     changed = differences(saved, list(listing()))
     for line in changed:
         print(line)
