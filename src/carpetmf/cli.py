@@ -254,9 +254,10 @@ def cmd_sample(config_path, workers, out_dir, seed, depth_max) -> None:
         )
         with np.errstate(invalid="ignore"):
             local = np.where(np.isfinite(ball), ball / (-depth * math.log(cfg.system.r2)), np.nan)
-        # Only window weights have Birkhoff sums: their cylinder log-weights.
+        # Only windows have Birkhoff sums: over the depth - k + 1 windows of k cells.
         window = isinstance(unwrap_shift(psi), ConstantCellWeight)
-        birkhoff = cylinder / depth if window else np.full(cfg.n_samples, np.nan)
+        steps = depth - psi.dependence_depth + 1 if window else 0
+        birkhoff = cylinder / steps if steps >= 1 else np.full(cfg.n_samples, np.nan)
         local_dims = local[np.isfinite(local)]
         birkhoffs = birkhoff[np.isfinite(birkhoff)]
     except (ConfigError, CapExceededError, ValueError) as exc:

@@ -300,30 +300,32 @@ def finite_beta(psi: CylinderWeight, q: float, n: int, workers: int = 1) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _require_depth1(psi: CylinderWeight) -> np.ndarray:
+def _closed_form(psi: CylinderWeight, q: float | np.ndarray, kind: str) -> float | np.ndarray:
+    """``kind``'s closed form at every q of ``q`` from one depth-1 table: the
+    fiber sums of every q, then one sum over the column letters per q."""
     table = psi.depth1_log_table()
     if table is None:
         raise ValueError("closed forms require a depth-1 cell weight")
-    return table
-
-
-def closed_form_T(psi: CylinderWeight, q: float) -> float:
-    """Exact ``T(q) = -log_{r1} sum_{a1} (sum_{a2} e^{q phi})^s`` (depth 1)."""
-    table = _require_depth1(psi)
+    q = np.asarray(q, dtype=float)
+    qs = q.reshape(-1, 1, 1)  # one q per fiber table
     s = psi.system.s
-    fiber = lse(scaled_powers(q, table), axis=1)  # (r1,)
-    total = lse(scaled_powers(s, fiber))
-    return -float(total) / math.log(psi.system.r1)
+    terms = scaled_powers(s, lse(scaled_powers(qs, table), axis=2))  # (Q, r1) log I_q^s
+    if kind == "beta":
+        terms += scaled_powers(qs[:, 0] * (1.0 - s), lse(table, axis=1))
+    values = (-lse(terms, axis=1) / math.log(psi.system.r1)).reshape(q.shape)
+    return float(values) if q.ndim == 0 else values
 
 
-def closed_form_beta(psi: CylinderWeight, q: float) -> float:
-    """Exact ``beta(q) = -log_{r1} sum_{a1} (sum e^phi)^{q(1-s)} (sum e^{q phi})^s``."""
-    table = _require_depth1(psi)
-    s = psi.system.s
-    fiber1 = lse(table, axis=1)
-    fiberq = lse(scaled_powers(q, table), axis=1)
-    total = lse(scaled_powers(q * (1.0 - s), fiber1) + scaled_powers(s, fiberq))
-    return -float(total) / math.log(psi.system.r1)
+def closed_form_T(psi: CylinderWeight, q: float | np.ndarray) -> float | np.ndarray:
+    """Exact ``T(q) = -log_{r1} sum_{a1} (sum_{a2} e^{q phi})^s`` (depth 1)
+    at a scalar q (a float) or at every q of an array (an array)."""
+    return _closed_form(psi, q, "T")
+
+
+def closed_form_beta(psi: CylinderWeight, q: float | np.ndarray) -> float | np.ndarray:
+    """Exact ``beta(q) = -log_{r1} sum_{a1} (sum e^phi)^{q(1-s)} (sum e^{q phi})^s``
+    (depth 1) at a scalar q (a float) or at every q of an array (an array)."""
+    return _closed_form(psi, q, "beta")
 
 
 # ---------------------------------------------------------------------------

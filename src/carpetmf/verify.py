@@ -88,16 +88,14 @@ def _rel_err(value: float, target: float) -> float:
 
 def _criterion_closed_form() -> tuple[bool, str]:
     psi = reference_weight()
+    qs = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
+    closed = dict(zip(qs, pressure.closed_form_T(psi, np.array(qs)).tolist()))
     worst = 0.0
-    for q in (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0):
-        closed = pressure.closed_form_T(psi, q)
+    for q in qs:
         for n in (4, 8):
-            worst = max(worst, _rel_err(pressure.finite_T(psi, q, n), closed))
-    spot1 = abs(pressure.closed_form_T(psi, 1.0) - (-0.5))
-    spot2 = abs(
-        pressure.closed_form_T(psi, 2.0)
-        - (-math.log2(math.sqrt(0.13) + math.sqrt(0.095)))
-    )
+            worst = max(worst, _rel_err(pressure.finite_T(psi, q, n), closed[q]))
+    spot1 = abs(closed[1.0] - (-0.5))
+    spot2 = abs(closed[2.0] - (-math.log2(math.sqrt(0.13) + math.sqrt(0.095))))
     ok = worst <= 1e-10 and spot1 <= 1e-12 and spot2 <= 1e-12
     return ok, f"worst rel defect {worst:.2e}, spot defects {spot1:.1e}/{spot2:.1e}"
 
@@ -286,16 +284,13 @@ def _exact_T_curve(grid, vals) -> pressure.PressureCurve:
     )
 
 
-def _closed_T_curve(psi, grid) -> pressure.PressureCurve:
-    return _exact_T_curve(grid, [pressure.closed_form_T(psi, float(q)) for q in grid])
-
-
 def _criterion_involution() -> tuple[bool, str]:
     grid = np.linspace(-3.0, 3.0, 61)
     parabola = _exact_T_curve(grid, -grid**2 / 2.0)
     step = float(grid[1] - grid[0])
     parabola_defect = spectra.legendre_involution_check(parabola)
-    curve = _closed_T_curve(reference_weight(), default_q_grid())
+    q_grid = default_q_grid()
+    curve = _exact_T_curve(q_grid, pressure.closed_form_T(reference_weight(), q_grid))
     closed_defect = spectra.legendre_involution_check(curve)
     ok = parabola_defect <= step**2 and closed_defect <= 1e-3
     return ok, f"parabola defect {parabola_defect:.2e}, closed-form defect {closed_defect:.2e}"
@@ -346,15 +341,17 @@ def _criterion_carpet_birkhoff() -> tuple[bool, str]:
     psi = reference_weight()
     system = psi.system
     n_samples, depth = 600, 30
+    h = 1.0 / 64
+    # One closed-form call: the curve, each q's level and its derivative stencil.
+    q_grid = default_q_grid()
+    stencil = [q + d for q in (0.0, 2.0) for d in (0.0, h, -h, h / 2.0, -h / 2.0)]
+    values = pressure.closed_form_T(psi, np.concatenate([q_grid, stencil]))
+    closed = dict(zip(stencil, values[q_grid.size :].tolist()))
     ok = True
     details = []
     for q in (0.0, 2.0):
-        target = -central_derivative(
-            lambda x: pressure.closed_form_T(psi, x), q, h=1.0 / 64
-        ) * math.log(system.r2)
-        aux = gibbs.make_auxiliary(
-            psi, q, pressure.closed_form_T(psi, q), gibbs.VARIANT_PSI_TILDE_Q
-        )
+        target = -central_derivative(closed.__getitem__, q, h=h) * math.log(system.r2)
+        aux = gibbs.make_auxiliary(psi, q, closed[q], gibbs.VARIANT_PSI_TILDE_Q)
 
         def chunk(lo: int, hi: int) -> np.ndarray:
             paths = gibbs.sample_paths(aux, depth, DEFAULT_MASTER_SEED, lo, hi)
@@ -366,7 +363,7 @@ def _criterion_carpet_birkhoff() -> tuple[bool, str]:
         # Two 3-sigma pulls: ~0.5% chance failures under a correct sampler.
         ok &= pull <= 3.0
         details.append(f"q={q:g} pull {pull:.2f}")
-    curve = _closed_T_curve(psi, default_q_grid())
+    curve = _exact_T_curve(q_grid, values[: q_grid.size])
     sym = spectra.legendre(curve)
     mapped = spectra.birkhoff_spectrum_carpet(curve, system)
     exact = np.array_equal(

@@ -16,10 +16,14 @@ import pytest
 from click.testing import CliRunner
 
 from carpetmf import (
+    VARIANT_PSI_Q,
     SkewProductWeight,
+    birkhoff_averages_on_carpet,
     finite_beta,
     log_total_mass,
+    make_auxiliary,
     make_constant_cell,
+    sample_paths,
 )
 from carpetmf import pressure, verify
 from carpetmf.cli import main
@@ -476,6 +480,29 @@ def test_cli_sample_window_tilt_past_the_enumeration_cap(tmp_path):
             outputs.append([(out / name).read_bytes() for name in ("samples.csv", "summary.json")])
     assert len(outputs) == 2 and outputs[0] == outputs[1]
     assert len(outputs[0][0].decode().splitlines()) == 3 + 40
+
+
+def test_cli_sample_birkhoff_average_of_a_window(tmp_path):
+    # A depth-k window's Birkhoff average is the sum over the depth - k + 1
+    # windows of the first depth cells over their count: the CSV column is
+    # birkhoff_averages_on_carpet of the same paths, byte for byte.  With
+    # fewer cells than one window it is NaN.
+    weight = _depth2_tilts()["window"]
+    for depth in (3, 1):
+        sampling = {"nSamples": 9, "depth": depth, "masterSeed": 7, "q": 2.0, "variant": "psiQ"}
+        cfgfile = write_config(tmp_path, small_config(weight=weight, sampling=sampling))
+        out = tmp_path / f"out{depth}"
+        result = invoke("sample", "--config", str(cfgfile), "--out", str(out))
+        assert result.exit_code == 0, result.output
+        column = np.array([float(ln.split(",")[1]) for ln in data_lines(out / "samples.csv")[1:]])
+        if depth == 1:
+            assert np.all(np.isnan(column))
+            continue
+        summary = json.loads((out / "summary.json").read_text())
+        psi = load_config(cfgfile).weight
+        aux = make_auxiliary(psi, 2.0, summary["levelConstant"], VARIANT_PSI_Q)
+        paths = sample_paths(aux, summary["horizon"], 7, 0, 9)[:, :depth]
+        assert column.tobytes() == birkhoff_averages_on_carpet(psi, paths).tobytes()
 
 
 def test_cli_sample_empty(tmp_path):

@@ -27,6 +27,7 @@ from carpetmf import (
 from carpetmf import pressure, verify
 from carpetmf.numerics import concavity_defect
 from carpetmf.reference import default_q_grid
+from carpetmf.weights import CylinderWeight
 
 from oracles import estimate_am_constant, row_sum
 
@@ -170,10 +171,27 @@ def test_closed_form_T_single_row():
 
 
 def test_closed_form_requires_depth1(depth2_weight):
-    with pytest.raises(ValueError):
-        closed_form_T(depth2_weight, 1.0)
-    with pytest.raises(ValueError):
-        closed_form_beta(depth2_weight, 1.0)
+    for q in (1.0, default_q_grid()):
+        with pytest.raises(ValueError, match="depth-1"):
+            closed_form_T(depth2_weight, q)
+        with pytest.raises(ValueError, match="depth-1"):
+            closed_form_beta(depth2_weight, q)
+
+
+def test_closed_forms_build_one_table_per_call(ref_weight, monkeypatch):
+    # A whole q-grid reads one depth-1 table, on a window and on a tilt.
+    tilt = make_auxiliary(ref_weight, 2.0, closed_form_beta(ref_weight, 2.0), VARIANT_PSI_Q)
+    table = CylinderWeight.depth1_log_table
+    calls = []
+    monkeypatch.setattr(
+        CylinderWeight, "depth1_log_table", lambda self: calls.append(self) or table(self)
+    )
+    grid = default_q_grid()
+    for psi in (ref_weight, tilt):
+        for closed in (closed_form_T, closed_form_beta):
+            assert closed(psi, grid).shape == grid.shape
+            assert calls == [psi]
+            calls.clear()
 
 
 def test_closed_form_beta(ref_weight):

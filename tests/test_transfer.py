@@ -459,6 +459,21 @@ def test_depth1_hook_gives_closed_forms_and_total_masses(kind, data, q):
             pressure.closed_form_T(deep, q)
 
 
+@pytest.mark.parametrize("kind", DEPTH1_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_closed_forms_on_a_q_grid_match_the_per_q_calls(kind, data):
+    # An array of q gives, byte for byte, the scalar call at each of its q,
+    # and a scalar q gives a float.
+    psi = data.draw(depth1_weights(kind))
+    q_values = st.one_of(st.sampled_from(Q_VALUES), st.floats(-10.0, 10.0))
+    grid = np.array(data.draw(st.lists(q_values, min_size=1, max_size=12)))
+    for closed in (pressure.closed_form_T, pressure.closed_form_beta):
+        scalars = [closed(psi, float(q)) for q in grid]
+        assert all(type(value) is float for value in scalars)
+        assert closed(psi, grid).tobytes() == np.array(scalars).tobytes()
+
+
 def _split_at(psi, words, qs, a) -> np.ndarray:
     """``split_transfer_log`` after ``a`` letters on the weight's
     ``step_tables``, one call per run of q of one table size."""

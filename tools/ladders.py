@@ -1,5 +1,5 @@
 """In-process depth ladders of the transfer row-sum route, the sampler and
-the render fill.
+the render fill, and the closed forms on a whole q-grid.
 
     python3 tools/ladders.py
 
@@ -32,7 +32,12 @@ A sixth ladder times the i.i.d. route the same way: 10,000 paths of the
 psiQ tilt at q = 2 of the reference weight (``closed_form_beta(2)`` as
 level constant), at depth 30 and horizon 48, so no path gets a ball mass.
 
-A seventh ladder times the ``render`` command's work in process: the
+A seventh row times ``closed_form_T`` on the 93-point default q-grid, for
+the reference weight and for that psiQ tilt: as a loop of one call per q,
+and as one call on the whole grid (which builds one depth-1 table).  It
+prints the best of three wall times of each, in milliseconds.
+
+An eighth ladder times the ``render`` command's work in process: the
 ``carpet.render_measure`` fill of the reference weight plus both writers,
 ``write_pgm16`` and ``write_grid_csv``, into a temporary directory, at
 depth 5 (100,000 charged cells) and depth 6 (1,000,000).  It prints the
@@ -56,7 +61,12 @@ import workloads  # noqa: E402
 from carpetmf.carpet import render_measure, write_grid_csv, write_pgm16  # noqa: E402
 from carpetmf.config import parse_config  # noqa: E402
 from carpetmf.gibbs import VARIANT_PSI_Q, make_auxiliary, sampled_log_masses  # noqa: E402
-from carpetmf.pressure import closed_form_beta, finite_beta, finite_values  # noqa: E402
+from carpetmf.pressure import (  # noqa: E402
+    closed_form_beta,
+    closed_form_T,
+    finite_beta,
+    finite_values,
+)
 from carpetmf.reference import (  # noqa: E402
     default_q_grid,
     random_depth2_weight,
@@ -67,11 +77,12 @@ REPEATS = 3
 WORKERS = (1, 2)
 
 
-def _best(psi, q_grid, n: int, workers: int) -> float:
+def _best(run) -> float:
+    """Best of ``REPEATS`` wall times of ``run()``, in seconds."""
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        finite_values(psi, q_grid, n, workers=workers)
+        run()
         times.append(time.perf_counter() - start)
     return min(times)
 
@@ -87,16 +98,12 @@ def _sample(horizon: int, workers: int, level: float) -> None:
 def _timed_point(run) -> str:
     """Best of ``REPEATS`` wall times of ``run()`` and the ``tracemalloc``
     peak of one more run."""
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - start)
+    best = _best(run)
     tracemalloc.start()
     run()
     peak = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
-    return f"{min(times):7.3f} s {peak:7.1f} MB"
+    return f"{best:7.3f} s {peak:7.1f} MB"
 
 
 def _render(psi, n: int, out: Path) -> None:
@@ -121,7 +128,9 @@ def main() -> int:
     for label, psi, q_grid, depths in ladders:
         for n in depths:
             times = "  ".join(
-                f"workers={workers} {_best(psi, q_grid, n, workers):7.3f} s" for workers in WORKERS
+                f"workers={workers} "
+                f"{_best(lambda: finite_values(psi, q_grid, n, workers=workers)):7.3f} s"
+                for workers in WORKERS
             )
             print(f"{label:32s} n = {n:2d}  {times}", flush=True)
     for horizon in (6, 10, 14, 20):
@@ -138,6 +147,14 @@ def main() -> int:
         for workers in WORKERS
     )
     print(f"{'sample i.i.d. psiQ q = 2, 10,000':32s} n = 30  {points}", flush=True)
+    grid = default_q_grid()
+    for label, psi in (("reference", reference), ("its psiQ tilt q = 2", iid)):
+        loop = _best(lambda: [closed_form_T(psi, float(q)) for q in grid]) * 1e3
+        call = _best(lambda: closed_form_T(psi, grid)) * 1e3
+        print(
+            f"{'closed T ' + label:32s} {grid.size} q  per-q {loop:7.3f} ms  one call {call:7.3f} ms",
+            flush=True,
+        )
     with tempfile.TemporaryDirectory() as out:
         for n in (5, 6):
             point = _timed_point(lambda: _render(reference, n, Path(out)))
