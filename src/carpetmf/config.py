@@ -151,7 +151,6 @@ CONFIG_SCHEMA: dict = {
             "properties": {
                 "nSamples": {"type": "integer", "minimum": 0},
                 "depth": {"type": "integer", "minimum": 1},
-                "horizon": {"type": "integer", "minimum": 1},
                 "masterSeed": {"type": "integer", "minimum": 0},
                 "q": {"type": "number"},
                 "variant": {"enum": ["psiQ", "psiTildeQ"]},
@@ -481,7 +480,6 @@ class ExperimentConfig:
     depth_schedule: tuple[int, ...]
     n_samples: int
     sample_depth: int
-    sample_horizon: int | None
     master_seed: int
     sample_q: float
     sample_variant: str
@@ -526,7 +524,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         depth_schedule=schedule,
         n_samples=int(sampling["nSamples"]),
         sample_depth=int(sampling["depth"]),
-        sample_horizon=int(sampling["horizon"]) if "horizon" in sampling else None,
         master_seed=int(sampling["masterSeed"]),
         sample_q=float(sampling["q"]),
         sample_variant=str(sampling["variant"]),

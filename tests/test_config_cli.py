@@ -109,6 +109,9 @@ def test_sha_distinguishes_content():
         (lambda d: d["cellSystem"].update(allowed=[[0, 0], [0, 9]]), "cellSystem"),
         (lambda d: d["grids"].update(depthSchedule=[4, 2]), "grids.depthSchedule"),
         (lambda d: d["weight"].update(matrices=[[1.0]]), "not used by kind"),
+        # The sampling horizon is always g(depth); no key sets it.
+        (lambda d: d["sampling"].update(horizon=8),
+         "sampling: Additional properties are not allowed ('horizon' was unexpected)"),
     ],
 )
 def test_rejections_name_the_block(mutate, fragment):
@@ -326,11 +329,23 @@ def test_cli_pressure_cocycle_default_schedule(tmp_path):
     assert beta4 == pytest.approx(want, rel=1e-10)
 
 
-def test_cli_rejects_malformed_config(tmp_path):
+@pytest.mark.parametrize(
+    "command", ["pressure", "spectrum", "sample", "render", "boxcount", "check", "verify"]
+)
+def test_cli_rejects_malformed_config(tmp_path, command):
     cfgfile = write_config(tmp_path, small_config(surprise=1))
-    result = invoke("pressure", "--config", str(cfgfile), "--out", str(tmp_path / "out"))
+    out = () if command == "verify" else ("--out", str(tmp_path / "out"))
+    result = invoke(command, "--config", str(cfgfile), *out)
     assert result.exit_code == 1
     assert "error:" in result.stderr and "surprise" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option", [("--out", "x"), ("--seed", "1"), ("--depth-max", "2")])
+def test_cli_verify_takes_only_config_and_workers(option):
+    result = invoke("verify", *option)
+    assert result.exit_code == 2
+    assert f"No such option '{option[0]}'" in result.stderr
 
 
 NAN, INF = float("nan"), float("inf")
@@ -505,6 +520,47 @@ def test_cli_sample_birkhoff_average_of_a_window(tmp_path):
         assert column.tobytes() == birkhoff_averages_on_carpet(psi, paths).tobytes()
 
 
+@pytest.mark.parametrize("variant, kind", [("psiQ", "beta"), ("psiTildeQ", "T")])
+def test_cli_sample_level_is_the_extrapolated_pressure(tmp_path, variant, kind):
+    # The tilt's level is the pressure curve of its kind over the last three
+    # depths of the schedule, read at the sampling q, bit for bit; it is
+    # also the two-point extrapolation of the finite pressures there.
+    q, depths = 0.37, (2, 3, 4, 5)
+    sampling = {"nSamples": 4, "depth": 3, "masterSeed": 7, "q": q, "variant": variant}
+    data = small_config(
+        weight=_depth2_tilts()["window"],
+        grids={"qGrid": [0.0, 1.0], "depthSchedule": list(depths)},
+        sampling=sampling,
+    )
+    cfgfile = write_config(tmp_path, data)
+    result = invoke("sample", "--config", str(cfgfile), "--out", str(tmp_path / "out"))
+    assert result.exit_code == 0, result.output
+    level = json.loads((tmp_path / "out" / "summary.json").read_text())["levelConstant"]
+    psi = load_config(cfgfile).weight
+    curve = pressure.pressure_curves(psi, [q], depths[-3:], (kind,))[kind]
+    finite = {"T": pressure.finite_T, "beta": pressure.finite_beta}[kind]
+    by_depth = {n: finite(psi, q, n) for n in depths[-3:]}
+    assert level == curve.value_at(q) == pressure.extrapolate_pressure(by_depth).value
+
+
+def test_cli_sample_level_skips_a_depth_over_the_cap(tmp_path):
+    # Depth 25 has 2**25 column words, over the enumeration cap: pressure
+    # drops it, and sample tilts at the level pressure reports.
+    data = small_config(
+        grids={"qGrid": [0.0, 1.0, 2.0], "depthSchedule": [4, 6, 25]},
+        sampling={"nSamples": 5, "depth": 4, "masterSeed": 7, "q": 2.0, "variant": "psiQ"},
+    )
+    cfgfile = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    for command in ("pressure", "sample"):
+        result = invoke(command, "--config", str(cfgfile), "--out", str(out))
+        assert result.exit_code == 0, result.output
+    curve = json.loads((out / "pressure_beta.json").read_text())
+    assert sorted(curve["finiteValues"]) == ["4", "6"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["levelConstant"] == curve["extrapolated"][curve["qGrid"].index(2.0)]
+
+
 def test_cli_sample_empty(tmp_path):
     cfgfile = write_config(
         tmp_path, small_config(sampling={"nSamples": 0, "depth": 4, "masterSeed": 7})
@@ -617,7 +673,7 @@ def test_cli_verify_scoped_config(tmp_path):
         grids={"qGrid": [0.0, 1.0], "depthSchedule": [2, 3, 4]},
     )
     cfgfile = write_config(tmp_path, data)
-    result = invoke("verify", "--config", str(cfgfile), "--out", str(tmp_path / "out"))
+    result = invoke("verify", "--config", str(cfgfile))
     assert result.exit_code == 0, result.output
     assert "not applicable" in result.output
 
@@ -686,7 +742,7 @@ def test_cli_verify_config_enumerates_at_the_depths_that_fit(tmp_path):
         grids={"qGrid": [1.0, 2.0], "depthSchedule": [4, 5, 6]},
     )
     cfgfile = write_config(tmp_path, data)
-    result = invoke("verify", "--config", str(cfgfile), "--out", str(tmp_path / "out"))
+    result = invoke("verify", "--config", str(cfgfile))
     rows = [ln for ln in result.output.splitlines() if re.match(r"\[( n/a|pass|FAIL)\]", ln)]
     assert len(rows) == len(verify.CRITERIA)
     assert "at depths [3]" in rows[4] and "depth 5: row enumeration" in rows[4]
@@ -707,7 +763,7 @@ def test_cli_verify_config_reports_a_refused_size(tmp_path):
         grids={"qGrid": [0.0, 1.0, 2.0], "depthSchedule": [4, 5, 6]},
     )
     cfgfile = write_config(tmp_path, data)
-    result = invoke("verify", "--config", str(cfgfile), "--out", str(tmp_path / "out"))
+    result = invoke("verify", "--config", str(cfgfile))
     assert result.exit_code == 0, result.output
     rows = result.output.splitlines()
     assert rows[2].startswith("[ n/a]  3. ") and "depth 4: row enumeration for q = 1" in rows[2]
@@ -763,7 +819,8 @@ def test_cli_reports_a_weight_it_cannot_normalize(tmp_path, command):
         grids={"qGrid": [0.0, 1.0], "depthSchedule": [4, 5]},
     )
     cfgfile = write_config(tmp_path, data)
-    result = invoke(command, "--config", str(cfgfile), "--out", str(tmp_path / "out"))
+    out = () if command == "verify" else ("--out", str(tmp_path / "out"))
+    result = invoke(command, "--config", str(cfgfile), *out)
     assert result.exit_code == 1
     assert result.stderr.startswith("error: depth 4: row enumeration for q = 1 builds 25000000")
     # ... and says that the window's table is why q = 1 enumerates.

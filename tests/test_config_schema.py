@@ -31,7 +31,6 @@ def _constant_cell_config() -> dict:
         "normalize": False,
     }
     data["grids"] = {"qGrid": [0.0, 1.0, 2.0], "depthSchedule": [2, 4]}
-    data["sampling"]["horizon"] = 8
     data["output"]["formats"] = ["csv", "json"]
     return data
 
