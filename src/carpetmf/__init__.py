@@ -48,12 +48,12 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "gibbs": (
         "AuxiliaryWeight", "McEstimate", "VARIANT_PSI_Q", "VARIANT_PSI_TILDE_Q", "ball_mass",
-        "local_dimension_mc", "make_auxiliary", "sample_path", "sample_paths",
-        "sampled_log_masses",
+        "birkhoff_averages", "local_dimension_mc", "make_auxiliary", "sample_path",
+        "sample_paths", "sampled_log_masses",
     ),
     "carpet": (
-        "CarpetRender", "P3Report", "birkhoff_averages_on_carpet", "box_count_tau", "check_P1",
-        "check_P2", "p3_scan", "render_measure", "write_grid_csv", "write_pgm16",
+        "CarpetRender", "P3Report", "box_count_tau", "check_P1", "check_P2", "p3_scan",
+        "render_measure", "write_grid_csv", "write_pgm16",
     ),
     "reference": (
         "DEFAULT_DEPTH_SCHEDULE", "default_config", "default_q_grid", "random_depth2_weight",

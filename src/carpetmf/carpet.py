@@ -33,37 +33,6 @@ from .weights import CylinderWeight, row_sum_log_any, row_sum_log_ranks
 
 
 # ---------------------------------------------------------------------------
-# Birkhoff averages along paths
-# ---------------------------------------------------------------------------
-
-
-def birkhoff_averages_on_carpet(
-    psi: CylinderWeight, paths, steps: int | None = None
-) -> np.ndarray:
-    """Birkhoff average of the weight's potential along each ``(B, n, 2)``
-    path.
-
-    For a depth-``k`` window potential the sum over ``steps`` shift steps is
-    the log-weight of the first ``steps + k - 1`` cells, so one
-    ``log_weight_arrays`` call evaluates the whole batch.  A path's digits
-    are the base-``r1`` / base-``r2`` digits of its projected point, so the
-    average is also the one read off the carpet.
-    """
-    paths = np.asarray(paths, dtype=np.int64)
-    if paths.ndim != 3 or paths.shape[2] != 2:
-        raise ValueError("expected a (B, n, 2) array of paths")
-    k = psi.dependence_depth or 1
-    if steps is None:
-        steps = paths.shape[1] - (k - 1)
-    if steps < 1:
-        raise ValueError("need at least one shift step")
-    length = steps + k - 1
-    if length > paths.shape[1]:
-        raise ValueError(f"path too short: need {length} cells for {steps} steps")
-    return psi.log_weight_arrays(paths[:, :length, 0], paths[:, :length, 1]) / steps
-
-
-# ---------------------------------------------------------------------------
 # Measure rendering on the almost-square grid
 # ---------------------------------------------------------------------------
 

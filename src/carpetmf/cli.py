@@ -36,7 +36,6 @@ from .config import (
 from .numerics import mean_and_stderr
 from .reference import default_config
 from .symbolic import CapExceededError, depth_map
-from .weights import ConstantCellWeight, unwrap_shift
 
 if TYPE_CHECKING:
     from .pressure import PressureCurve
@@ -251,8 +250,10 @@ def cmd_sample(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     the ball statistic log mu(B_depth) / (-depth log r2); the variant picks
     only the tilt and its level.  (gibbs.local_dimension_mc, which verify
     criterion 7 runs, reads the cylinder statistic under psiTildeQ.)
+    birkhoffAverage is gibbs.birkhoff_averages of the depth-cell cylinders,
+    NaN unless the weight's dependence_depth is at most depth.
     """
-    from .gibbs import VARIANT_PSI_Q, make_auxiliary, sampled_log_masses
+    from .gibbs import VARIANT_PSI_Q, birkhoff_averages, make_auxiliary, sampled_log_masses
     from .pressure import pressure_curves
 
     psi, q, depth = cfg.weight, cfg.sample_q, cfg.sample_depth
@@ -265,10 +266,7 @@ def cmd_sample(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     )
     with np.errstate(invalid="ignore"):
         local = np.where(np.isfinite(ball), ball / (-depth * math.log(cfg.system.r2)), np.nan)
-    # Only windows have Birkhoff sums: over the depth - k + 1 windows of k cells.
-    window = isinstance(unwrap_shift(psi), ConstantCellWeight)
-    steps = depth - psi.dependence_depth + 1 if window else 0
-    birkhoff = cylinder / steps if steps >= 1 else np.full(cfg.n_samples, np.nan)
+    birkhoff = birkhoff_averages(psi, cylinder, depth)
     io_utils.write_csv(
         out / "samples.csv",
         ["sampleIndex", "birkhoffAverage", "localDimension"],

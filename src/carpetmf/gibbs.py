@@ -19,10 +19,11 @@ one q-batched call.
 
 At q = 1 with the pressure of psi as level constant, ``psiQ`` reproduces the
 normalized weight itself.  Sampling draws cell paths from the exact
-cylinder law: i.i.d. cells for depth-1 weights; for wider windows and their
-skew products, the column word from its marginal and then its rows; else
-each cell from the enumerated extensions.  Each sample index has its own
-counter-based RNG stream, so runs are reproducible for any worker count.
+cylinder law: i.i.d. cells for depth-1 weights; for wider windows under any
+chain of shifts and skew products, the column word from its marginal and
+then its rows; else each cell from the enumerated extensions.  Each sample
+index has its own counter-based RNG stream, so runs are reproducible for
+any worker count.
 
 The streams are SplitMix64 counter streams (Steele, Lea and Flood, OOPSLA
 2014), computed with numpy ``uint64`` arithmetic mod ``2**64``.  With
@@ -51,6 +52,7 @@ from .weights import (
     ConstantCellWeight,
     CylinderWeight,
     SkewProductWeight,
+    WrappedWeight,
     row_sum_log_any,
     unwrap_shift,
 )
@@ -209,11 +211,11 @@ def _iid_route(system: CellSystem, table: np.ndarray) -> Advance:
 def _column_first_route(
     core: CylinderWeight, window: ConstantCellWeight, q: float, m: int, workers: int
 ) -> Advance:
-    """Skew products with exponent q of a window of depth ``2 <= k <= m``,
-    and the window itself (q = 1, marginal ``I_1``): the column word from
-    the exact marginal of all ``r1**m`` column words, then its rows from the
-    backward vectors of the window's steps at q along it; a path takes
-    ``m - k + 3`` uniforms."""
+    """A window of depth ``2 <= k <= m`` under shifts and skew products
+    whose exponents multiply to q, with ``core`` the unshifted outer weight:
+    the column word from ``core``'s exact marginal ``I_1`` over all
+    ``r1**m`` column words, then its rows from the backward vectors of the
+    window's steps at q along it; a path takes ``m - k + 3`` uniforms."""
     r1, r2 = window.system.r1, window.system.r2
     check_budget(r1**m, f"sampling this weight needs {r1**m} column words")
     k, start, steps = window.step_tables(np.array([q]))  # (r1**k, 1, S, r2) steps
@@ -286,8 +288,9 @@ def _path_sampler(
 ) -> Callable[[int, int], np.ndarray]:
     """``draw(lo, hi)`` -> the ``(hi - lo, horizon, 2)`` cells of paths
     ``lo .. hi-1``, with the route chosen and its tables built once here
-    (on ``workers`` threads, which change no byte).
-
+    (on ``workers`` threads, which change no byte).  Under shifts and skew
+    products a window's rows carry it to the product of their ``q``, so any
+    such chain over a window of depth ``2 .. horizon`` goes column first.
     Path ``i`` draws all its uniforms from stream ``i`` up front, so it is
     the same whatever chunk it is drawn in.
     """
@@ -296,8 +299,9 @@ def _path_sampler(
     system = weight.system
     core = unwrap_shift(weight)
     table = core.depth1_log_table()
-    skew = isinstance(core, SkewProductWeight)
-    window, q = (unwrap_shift(core.base), core.q) if skew else (core, 1.0)
+    window, q = core, 1.0
+    while isinstance(window, WrappedWeight):
+        window, q = window.base, q * window.q
     n_draws = horizon
     if table is not None:
         advance = _iid_route(system, table)
@@ -325,10 +329,11 @@ def sample_paths(
     """The ``(hi - lo, horizon, 2)`` cells of paths ``lo .. hi-1`` drawn from
     ``weight``'s exact cylinder process, path ``i`` on RNG stream ``i``.
 
-    Depth-1 weights draw i.i.d. cells, windows of depth ``k >= 2`` and skew
-    products (tilts) of them the column word and then its rows, and other
-    weights each cell from ``P(c | u) = Z(uc) / Z(u)`` (Z = total weight of
-    the depth-``horizon`` extensions) over all enumerated extensions.
+    Depth-1 weights draw i.i.d. cells, windows of depth ``k >= 2`` under
+    any chain of shifts and skew products (tilts) the column word and then
+    its rows, and other weights each cell from ``P(c | u) = Z(uc) / Z(u)``
+    (Z = total weight of the depth-``horizon`` extensions) over all
+    enumerated extensions.
     """
     return _path_sampler(weight, horizon, master_seed)(lo, hi)
 
@@ -385,6 +390,16 @@ def sampled_log_masses(
 
     masses = run_chunked_arrays(chunk, n_samples, workers=workers).reshape(-1, 2)
     return masses[:, 0], masses[:, 1]
+
+
+def birkhoff_averages(psi: CylinderWeight, log_cylinders, n: int) -> np.ndarray:
+    """Birkhoff averages of ``psi``'s potential from paths' depth-``n``
+    cylinder log weights, each the sum over ``n - k + 1`` windows of ``k =
+    psi.dependence_depth`` cells; NaN when k is None or ``n < k``."""
+    k = psi.dependence_depth
+    if k is None or n < k:
+        return np.full(np.shape(log_cylinders), np.nan)
+    return np.asarray(log_cylinders) / (n - k + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import carpet, gibbs, pressure, spectra
+from . import gibbs, pressure, spectra
 from .config import ExperimentConfig
 from .numerics import (
     central_derivative,
     lse,
     mean_and_stderr,
-    run_chunked_arrays,
     scaled_powers,
     sorted_unique,
 )
@@ -352,12 +351,10 @@ def _criterion_carpet_birkhoff() -> tuple[bool, str]:
     for q in (0.0, 2.0):
         target = -central_derivative(closed.__getitem__, q, h=h) * math.log(system.r2)
         aux = gibbs.make_auxiliary(psi, q, closed[q], gibbs.VARIANT_PSI_TILDE_Q)
-
-        def chunk(lo: int, hi: int) -> np.ndarray:
-            paths = gibbs.sample_paths(aux, depth, DEFAULT_MASTER_SEED, lo, hi)
-            return carpet.birkhoff_averages_on_carpet(psi, paths)
-
-        averages = run_chunked_arrays(chunk, n_samples)
+        cylinder, _ = gibbs.sampled_log_masses(
+            psi, aux, depth, depth, n_samples, DEFAULT_MASTER_SEED
+        )
+        averages = gibbs.birkhoff_averages(psi, cylinder, depth)
         mean, stderr = mean_and_stderr(averages)
         pull = abs(mean - target) / stderr
         # Two 3-sigma pulls: ~0.5% chance failures under a correct sampler.

@@ -525,6 +525,7 @@ class WrappedWeight(CylinderWeight):
     or ``(n, lo, hi)``, the depth-``n`` column words of ranks ``lo .. hi - 1``."""
 
     base: CylinderWeight
+    q: float = 1.0  # the exponent its rows take of its base's rows
 
     def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
         return np.ones(len(qs), dtype=bool)

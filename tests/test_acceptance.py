@@ -21,7 +21,6 @@ from carpetmf import (
     VARIANT_PSI_Q,
     VARIANT_PSI_TILDE_Q,
     PressureCurve,
-    birkhoff_averages_on_carpet,
     birkhoff_spectrum_carpet,
     extrapolate_pressure,
     finite_T,
@@ -49,6 +48,7 @@ from carpetmf.reference import (
     zero_potential_weight,
 )
 from carpetmf.symbolic import row_word_count
+from oracles import birkhoff_averages_on_carpet
 
 # Frozen reference data: cells of a 2 x 4 product alphabet with masses
 # row 0 -> (0.2, 0.3) and row 1 -> (0.1, 0.15, 0.25); s = 1/2.

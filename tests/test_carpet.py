@@ -17,7 +17,6 @@ from carpetmf import (
     CarpetRender,
     CellSystem,
     ball_mass,
-    birkhoff_averages_on_carpet,
     box_count_tau,
     check_P1,
     check_P2,
@@ -38,7 +37,7 @@ from carpetmf.pressure import log_total_mass
 from carpetmf.symbolic import admissible_word_count, admissible_words_range, pack_digits
 from carpetmf.weights import CylinderWeight, row_sum_log_ranks
 
-from oracles import log_weight, project_point
+from oracles import birkhoff_averages_on_carpet, log_weight, project_point
 
 P3_REFERENCE_DEFECT = 0.31365755885504143  # log(0.13 / 0.095)
 

@@ -18,7 +18,6 @@ from click.testing import CliRunner
 from carpetmf import (
     VARIANT_PSI_Q,
     SkewProductWeight,
-    birkhoff_averages_on_carpet,
     finite_beta,
     log_total_mass,
     make_auxiliary,
@@ -38,7 +37,7 @@ from carpetmf.config import (
 from carpetmf.reference import default_config, random_depth2_weight
 from carpetmf.symbolic import CapExceededError
 
-from oracles import log_weight
+from oracles import birkhoff_averages_on_carpet, log_weight
 
 SHA_HEX = re.compile(r"^[0-9a-f]{64}$")
 
@@ -459,27 +458,33 @@ def test_cli_sample_workers_deterministic(tmp_path):
 
 
 def _depth2_tilts() -> dict[str, dict]:
-    """The window-d2 weight, ``random_depth2_weight(1)``, and a dim-2
-    cocycle on the reference system, as config weights."""
+    """The window-d2 weight, ``random_depth2_weight(1)``, a skew product
+    over it and a dim-2 cocycle on the reference system, as config weights."""
     window = np.exp(random_depth2_weight(1).window_log).ravel()
     matrices = np.random.default_rng(1).uniform(0.05, 1.0, (5, 4))
     return {
         "window": {"kind": "constantCell", "depth": 2, "values": window.tolist()},
+        "skew": {
+            "kind": "skewProduct",
+            "rho": {"depth": 2, "values": window.tolist()},
+            "theta1": {"kind": "uniform"},
+        },
         "cocycle": {"kind": "matrixCocycle", "dimension": 2, "matrices": matrices.tolist()},
     }
 
 
 def test_cli_sample_window_tilt_past_the_enumeration_cap(tmp_path):
-    # psiQ tilts at sampling depth 6, horizon g(6) = 12: a window's tilt
-    # draws from its 2**12 column words, on any worker count; a cocycle's
-    # would enumerate 5**12 words and is refused.  Every run writes to the
-    # same --out string, which is part of the stamped config hash.
+    # psiQ tilts at sampling depth 6, horizon g(6) = 12: the tilt of a
+    # window, or of a skew product over it, draws from its 2**12 column
+    # words, on any worker count; a cocycle's would enumerate 5**12 words
+    # and is refused.  Every run of a weight writes to the same --out
+    # string, which is part of the stamped config hash.
     sampling = {"nSamples": 40, "depth": 6, "masterSeed": 7, "q": 2.0, "variant": "psiQ"}
     out = tmp_path / "out"
     outputs = []
     for kind, weight in _depth2_tilts().items():
         cfgfile = write_config(tmp_path, small_config(weight=weight, sampling=sampling), kind)
-        for workers in ("1", "2") if kind == "window" else ("1",):
+        for workers in ("1",) if kind == "cocycle" else ("1", "2"):
             shutil.rmtree(out, ignore_errors=True)
             result = invoke(
                 "sample", "--config", str(cfgfile), "--out", str(out), "--workers", workers
@@ -493,16 +498,22 @@ def test_cli_sample_window_tilt_past_the_enumeration_cap(tmp_path):
                 continue
             assert result.exit_code == 0, result.output
             outputs.append([(out / name).read_bytes() for name in ("samples.csv", "summary.json")])
-    assert len(outputs) == 2 and outputs[0] == outputs[1]
-    assert len(outputs[0][0].decode().splitlines()) == 3 + 40
+    assert len(outputs) == 4 and outputs[0] == outputs[1] and outputs[2] == outputs[3]
+    assert outputs[0] != outputs[2]
+    assert all(len(samples.decode().splitlines()) == 3 + 40 for samples, _ in outputs)
 
 
-def test_cli_sample_birkhoff_average_of_a_window(tmp_path):
-    # A depth-k window's Birkhoff average is the sum over the depth - k + 1
-    # windows of the first depth cells over their count: the CSV column is
-    # birkhoff_averages_on_carpet of the same paths, byte for byte.  With
-    # fewer cells than one window it is NaN.
-    weight = _depth2_tilts()["window"]
+@pytest.mark.parametrize("kind", ["window", "skew1", "cocycle"])
+def test_cli_sample_birkhoff_average_of_a_window(tmp_path, kind):
+    # The Birkhoff average of a weight of dependence depth k is the sum over
+    # the depth - k + 1 windows of the first depth cells over their count:
+    # the CSV column is birkhoff_averages_on_carpet of the same paths, byte
+    # for byte, for a depth-2 window and a depth-1 skew product alike.  With
+    # fewer cells than one window, or no finite window (a dim-2 cocycle), it
+    # is NaN.
+    letters = {"kind": "letters", "values": [0.7, 0.3]}
+    skew1 = {"kind": "skewProduct", "rho": SKEW_RHO, "theta1": letters}
+    weight = dict(_depth2_tilts(), skew1=skew1)[kind]
     for depth in (3, 1):
         sampling = {"nSamples": 9, "depth": depth, "masterSeed": 7, "q": 2.0, "variant": "psiQ"}
         cfgfile = write_config(tmp_path, small_config(weight=weight, sampling=sampling))
@@ -510,11 +521,14 @@ def test_cli_sample_birkhoff_average_of_a_window(tmp_path):
         result = invoke("sample", "--config", str(cfgfile), "--out", str(out))
         assert result.exit_code == 0, result.output
         column = np.array([float(ln.split(",")[1]) for ln in data_lines(out / "samples.csv")[1:]])
-        if depth == 1:
+        psi = load_config(cfgfile).weight
+        k = {"window": 2, "skew1": 1, "cocycle": None}[kind]
+        assert psi.dependence_depth == k
+        if k is None or depth < k:
             assert np.all(np.isnan(column))
             continue
+        assert np.all(np.isfinite(column))
         summary = json.loads((out / "summary.json").read_text())
-        psi = load_config(cfgfile).weight
         aux = make_auxiliary(psi, 2.0, summary["levelConstant"], VARIANT_PSI_Q)
         paths = sample_paths(aux, summary["horizon"], 7, 0, 9)[:, :depth]
         assert column.tobytes() == birkhoff_averages_on_carpet(psi, paths).tobytes()

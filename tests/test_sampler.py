@@ -145,14 +145,21 @@ def _route_law(weight: CylinderWeight, k: int, m: int) -> np.ndarray:
 
 
 def _windows(rng: np.random.Generator, system: CellSystem):
-    """``(k, weight)``: random windows of depth 2 and 3, each raw and as
-    psiQ and psiTildeQ tilts of its shifted weight at q in {-1.5, 0.5, 2}."""
+    """``(k, weight)``: random windows of depth 2 and 3, each raw, as psiQ
+    and psiTildeQ tilts of its shifted weight at q in {-1.5, 0.5, 2}, and
+    under chains of skew products, tilts and shifts several levels deep."""
     for k in (2, 3):
         window = make_constant_cell(system, k, rng.normal(size=(system.n_cells,) * k))
         yield k, window
         for q in (-1.5, 0.5, 2.0):
             for variant in (VARIANT_PSI_Q, VARIANT_PSI_TILDE_Q):
                 yield k, make_auxiliary(normalize_to_gibbs(window, 0.3), q, -0.2, variant)
+        skew = SkewProductWeight(window, rng.normal(size=system.r1), ((1.5, 0.5),), q=1.5)
+        yield k, skew
+        yield k, make_auxiliary(skew, 2.0, 0.1, VARIANT_PSI_Q)
+        yield k, make_auxiliary(normalize_to_gibbs(skew, 0.3), -1.5, -0.2, VARIANT_PSI_TILDE_Q)
+        tilt = make_auxiliary(normalize_to_gibbs(window, 0.3), 2.0, -0.2, VARIANT_PSI_Q)
+        yield k, SkewProductWeight(tilt, q=0.5)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -11,8 +11,8 @@ The start-up tests check, in fresh interpreters, which modules loading a
 config and running ``pressure``, ``sample`` or ``verify`` import (none loads
 OpenSSL, and neither ``sample`` nor ``verify`` loads ``numpy.random``), and
 that the lazy package namespace still resolves every public name.  Source
-checks keep worker pools in ``numerics`` and every ``verify`` result on the
-one guarded runner.
+checks keep worker pools in ``numerics``, every ``verify`` result on the
+one guarded runner, and the Birkhoff averages of sampled paths on one rule.
 """
 
 from __future__ import annotations
@@ -218,6 +218,50 @@ def test_verify_results_come_from_one_runner():
     ]
     assert len(calls) == 1 and builders == ["run_all"], builders
 
+
+
+def _package_calls(tree: ast.Module) -> set[str]:
+    """``module.name`` of every call in a package module to a name it
+    imported from a sibling module, by ``from .module import name`` or as
+    ``module.name`` after ``from . import module``."""
+    imported, modules = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules |= {alias.asname or alias.name for alias in node.names}
+            else:
+                imported |= {alias.asname or alias.name: node.module for alias in node.names}
+    calls = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            calls.add(f"{imported[func.id]}.{func.id}")
+        elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in modules:
+            calls.add(f"{func.value.id}.{func.attr}")
+    return calls
+
+
+def test_sampled_paths_have_one_birkhoff_rule():
+    # sample's birkhoffAverage column and verify criterion 9 both divide by
+    # the windows of gibbs.birkhoff_averages; the path-array form of the
+    # rule is a test oracle, and verify reads nothing of carpet.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "carpetmf").glob("*.py"))
+    }
+    for name, tree in trees.items():
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "birkhoff_averages_on_carpet" not in defined, name
+    for name in ("cli.py", "verify.py"):
+        assert "gibbs.birkhoff_averages" in _package_calls(trees[name]), name
+    verify_imports = [
+        {node.module, *(alias.name for alias in node.names)}
+        for node in ast.walk(trees["verify.py"])
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    ]
+    assert not any("carpet" in names for names in verify_imports)
 
 
 #: The routing :class:`CylinderWeight` runs for every weight that supplies

@@ -26,7 +26,11 @@ runs it: 200 paths of the psiQ tilt at q = 2 of the same window weight, at
 horizons 6, 10, 14 and 20 (sampling depth ``n = horizon / 2``, so each path
 also gets its ball mass), with ``beta_8(2)`` as level constant.  Each run
 builds the weight afresh, so every run pays its tables; it prints the best
-of three wall times and the ``tracemalloc`` peak of one more run.
+of three wall times and the ``tracemalloc`` peak of one more run.  The same
+ladder runs on the psiQ tilt at q = 2 of ``SkewProductWeight(window, -log
+2)``, with that skew product's ``beta_8(2)`` as level constant: a chain two
+skew products deep over the window.  A point the sampler refuses prints
+``refused: <message>``.
 
 A sixth ladder times the i.i.d. route the same way: 10,000 paths of the
 psiQ tilt at q = 2 of the reference weight (``closed_form_beta(2)`` as
@@ -48,6 +52,7 @@ Run the script on two checkouts on the same host to compare them.
 
 from __future__ import annotations
 
+import math
 import sys
 import tempfile
 import time
@@ -72,6 +77,8 @@ from carpetmf.reference import (  # noqa: E402
     random_depth2_weight,
     reference_weight,
 )
+from carpetmf.symbolic import CapExceededError  # noqa: E402
+from carpetmf.weights import SkewProductWeight  # noqa: E402
 
 REPEATS = 3
 WORKERS = (1, 2)
@@ -87,12 +94,17 @@ def _best(run) -> float:
     return min(times)
 
 
-def _sample(horizon: int, workers: int, level: float) -> None:
+def _skew() -> SkewProductWeight:
+    """The window-d2 weight under a uniform column marginal."""
+    return SkewProductWeight(random_depth2_weight(1), -math.log(2))
+
+
+def _sample(build, horizon: int, workers: int, level: float) -> None:
     """The ``sample`` command's draw of 200 psiQ paths at q = 2 from a fresh
-    weight, with the level constant ``level``."""
-    window = random_depth2_weight(1)
-    aux = make_auxiliary(window, 2.0, level, VARIANT_PSI_Q)
-    sampled_log_masses(window, aux, horizon // 2, horizon, 200, 1, workers)
+    weight ``build()``, with the level constant ``level``."""
+    psi = build()
+    aux = make_auxiliary(psi, 2.0, level, VARIANT_PSI_Q)
+    sampled_log_masses(psi, aux, horizon // 2, horizon, 200, 1, workers)
 
 
 def _timed_point(run) -> str:
@@ -104,6 +116,14 @@ def _timed_point(run) -> str:
     peak = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
     return f"{best:7.3f} s {peak:7.1f} MB"
+
+
+def _sample_point(run) -> str:
+    """:func:`_timed_point`, or the message of a refused size."""
+    try:
+        return _timed_point(run)
+    except CapExceededError as exc:
+        return f"refused: {exc}"
 
 
 def _render(psi, n: int, out: Path) -> None:
@@ -133,12 +153,18 @@ def main() -> int:
                 for workers in WORKERS
             )
             print(f"{label:32s} n = {n:2d}  {times}", flush=True)
-    for horizon in (6, 10, 14, 20):
-        points = "  ".join(
-            f"workers={workers} " + _timed_point(lambda: _sample(horizon, workers, level))
-            for workers in WORKERS
-        )
-        print(f"{'sample psiQ q = 2, 200 paths':32s} horizon = {horizon:2d}  {points}", flush=True)
+    skew_level = finite_beta(_skew(), 2.0, 8)
+    for label, build, at in (
+        ("sample psiQ q = 2, 200 paths", lambda: random_depth2_weight(1), level),
+        ("sample psiQ q = 2 of a skew", _skew, skew_level),
+    ):
+        for horizon in (6, 10, 14, 20):
+            points = "  ".join(
+                f"workers={workers} "
+                + _sample_point(lambda: _sample(build, horizon, workers, at))
+                for workers in WORKERS
+            )
+            print(f"{label:32s} horizon = {horizon:2d}  {points}", flush=True)
     reference = reference_weight()
     iid = make_auxiliary(reference, 2.0, closed_form_beta(reference, 2.0), VARIANT_PSI_Q)
     points = "  ".join(
