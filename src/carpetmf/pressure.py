@@ -130,10 +130,11 @@ def _check_kinds(kinds: Sequence[str]) -> None:
         raise ValueError("curve kind must be 'T' or 'beta'")
 
 
-def _pass_row_qs(psi, n, q_grid, kinds) -> np.ndarray:
+def _pass_row_qs(psi, n, q_grid, kinds) -> tuple[np.ndarray, np.ndarray]:
     """The row-sum q values of a depth-n pass over ``kinds``: the grid for
     ``T``, ``beta`` and ``rows``, and q = 1 for ``beta`` and ``marginal``,
-    appended unless the grid has it.
+    appended unless the grid has it; and the mask of those that enumerate
+    rows (see :meth:`carpetmf.weights.CylinderWeight.enumerated_rows`).
 
     Raises first if the pass has more column words than the enumeration
     cap, or if some q enumerates rows, on ``psi``'s route or on the row sums
@@ -150,7 +151,7 @@ def _pass_row_qs(psi, n, q_grid, kinds) -> np.ndarray:
     system = psi.system
     total = row_word_count(system, n)
     check_budget(total, f"{total} column words at depth {n}")
-    enumerated = psi.row_enumeration_mask(row_qs)
+    enumerated, refusal = psi.enumerated_rows(row_qs)
     if enumerated.any():
         volume = total * system.r2**n * n
         listed = sorted_unique(row_qs[enumerated])
@@ -162,11 +163,10 @@ def _pass_row_qs(psi, n, q_grid, kinds) -> np.ndarray:
                 f"({total} column words x {system.r2}**{n} rows)",
             )
         except CapExceededError as exc:
-            refusal = psi.transfer_refusal(listed)
             if refusal is None:
                 raise
             raise CapExceededError(f"{exc}; rows are enumerated because {refusal}") from None
-    return row_qs
+    return row_qs, enumerated
 
 
 def column_log_sums(
@@ -179,9 +179,10 @@ def column_log_sums(
     :func:`pass_chunks` are ranges of column word ranks: whole blocks of
     words that share their first letters.  Each reads the row sums of the
     q values the kinds need through
-    :func:`carpetmf.weights.row_sum_log_ranks`: one call for all the q
-    values that enumerate rows, and one per ``PART_BLOCK`` q for the others,
-    the first of which also reads ``I_1``, so each q is read once per chunk.
+    :func:`carpetmf.weights.row_sum_log_ranks`, in reads planned once for
+    the pass: the first holds every q that enumerates rows, so they share
+    one enumeration, ``I_1`` and the first ``PART_BLOCK`` other q; each
+    later read holds ``PART_BLOCK`` more, so each q is read once per chunk.
     Windows of depth >= 2 and integer-q cocycles, and the wrappers over
     them, read their row sums from the split kernel's tables by rank
     (:func:`carpetmf.transfer.split_transfer_range`); the other routes, and
@@ -193,63 +194,46 @@ def column_log_sums(
     q_grid = np.asarray(q_grid, dtype=float).ravel()
     Q = q_grid.size
     s = psi.system.s
-    row_qs = _pass_row_qs(psi, n, q_grid, kinds)
+    row_qs, enumerated = _pass_row_qs(psi, n, q_grid, kinds)
+    grid = Q if {"T", "beta", "rows"} & set(kinds) else 0  # row_qs[:grid] is the grid
     one = np.flatnonzero(row_qs == 1.0)[:1]  # the row of I_1, if a kind reads it
-    listed = np.flatnonzero(psi.row_enumeration_mask(row_qs))
-    reads_grid = bool({"T", "beta", "rows"} & set(kinds))
+    # The reads, as indices of row_qs: the row sums held stay (PART_BLOCK, W)
+    # however long the grid, plus the q that enumerate rows in the first.
+    first = enumerated.copy()
+    first[one] = True
+    routed = np.flatnonzero(~first[:grid])
+    first[routed[:PART_BLOCK]] = True
+    reads = [np.flatnonzero(first)]
+    reads += [routed[j : j + PART_BLOCK] for j in range(PART_BLOCK, routed.size, PART_BLOCK)]
 
     def partial(start: int, stop: int):
-        # The q values that enumerate rows share one enumeration of the
-        # chunk's rows; the others are routed PART_BLOCK q at a time, so the
-        # row sums held stay (PART_BLOCK, W) however long the grid.
-        held = {}
-        if listed.size:
-            sums = row_sum_log_ranks(psi, n, start, stop, row_qs[listed]).T
-            held = dict(zip(listed.tolist(), sums))
-
-        def row_sums(idx: np.ndarray) -> np.ndarray:
-            """``(len(idx), W)`` log I_q of ``row_qs[idx]``, q-major."""
-            fresh = [i for i in idx.tolist() if i not in held]
-            sums = row_sum_log_ranks(psi, n, start, stop, row_qs[fresh]).T if fresh else ()
-            if len(fresh) == idx.size:
-                return np.ascontiguousarray(sums)
-            found = {**held, **dict(zip(fresh, sums))}
-            return np.stack([found[i] for i in idx.tolist()])
-
-        li_one = terms = None
-        if one.size:
-            # I_1 is read in the first block's call (last, unless the block
-            # holds it), so a wrapper reads its base once per chunk, and held,
-            # so a later block reads it back.
-            first = np.arange(min(PART_BLOCK, Q) if reads_grid else 0)
-            read = first if one[0] < first.size else np.append(first, one)
-            sums = row_sums(read)
-            li_one = sums[read == one[0]]
-            held[int(one[0])] = li_one[0]
-            terms = sums[: first.size] if reads_grid else None
-            del sums  # the first block's rows live only as long as terms
-        parts = {kind: [] for kind in kinds}
-        # Each q's terms are reduced in rows of their own, so its partial sums
-        # do not depend on its block.
-        for j in range(0, Q, PART_BLOCK):
-            block = np.arange(j, min(j + PART_BLOCK, Q))
-            qs = q_grid[block][:, None]
-            if "marginal" in kinds:
-                parts["marginal"] += parts_from_rows(scaled_powers(qs, li_one))
-            if not reads_grid:
-                continue
-            if terms is None:
-                terms = row_sums(block)  # log I_q
+        parts = {kind: [None] * Q for kind in kinds}
+        for read in reads:
+            sums = row_sum_log_ranks(psi, n, start, stop, row_qs[read]).T  # q-major
+            if read is reads[0] and one.size:
+                li_one = sums[read == one[0]]
+                for j in range(0, Q if "marginal" in kinds else 0, PART_BLOCK):
+                    marginal = scaled_powers(q_grid[j : j + PART_BLOCK, None], li_one)
+                    parts["marginal"][j : j + PART_BLOCK] = parts_from_rows(marginal)
+            idx = read[read < grid]  # sorted, so the grid's rows lead
+            terms = sums[: idx.size]  # log I_q
+            del sums  # the read's rows live only as long as terms
+            # Each q's terms are reduced in rows of their own, so its partial
+            # sums do not depend on its read.
+            found = {}
             if "rows" in kinds:
-                parts["rows"] += parts_from_rows(terms)
+                found["rows"] = parts_from_rows(terms)
             if "T" in kinds or "beta" in kinds:
                 terms = scaled_powers(s, terms)  # log I_q^s
                 if "T" in kinds:
-                    parts["T"] += parts_from_rows(terms)
+                    found["T"] = parts_from_rows(terms)
                 if "beta" in kinds:
-                    terms += scaled_powers(qs * (1.0 - s), li_one)
-                    parts["beta"] += parts_from_rows(terms)
-            terms = None  # before the next block's row sums are built
+                    terms += scaled_powers(q_grid[idx, None] * (1.0 - s), li_one)
+                    found["beta"] = parts_from_rows(terms)
+            del terms  # before the next read's row sums are built
+            for kind, rows in found.items():
+                for i, part in zip(idx.tolist(), rows):
+                    parts[kind][i] = part
         return [part for kind in kinds for part in parts[kind]]
 
     chunks = map_ranges(partial, pass_chunks(psi.system.r1, n), workers)

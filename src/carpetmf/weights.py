@@ -22,18 +22,20 @@ deep regimes never enumerate the row alphabet.  Its one structure hook is
 ``dependence_depth``: a depth-1 weight is Bernoulli, and
 :class:`CylinderWeight` derives its ``(r1, r2)`` table (for the closed forms
 and the i.i.d. sampler) and its total masses from its one-cell log weights.
-Two contracts, each routed once, cover every class.  A weight with tables
-supplies ``transfer_floats(q)``, its table size at q (None: no transfer
-route), and ``step_tables(qs)``, and :class:`CylinderWeight` routes them: a
-depth-1 window's steps have one state, the per-letter fiber sums, gathered
-letter by letter; windows of depth >= 2 and matrix cocycles at integer
-``q >= 0`` share the split kernel of :mod:`carpetmf.transfer`, entered by
-rank for a complete range of column words and by digit rows for any batch.  A
-wrapper, a skew product or a pressure shift, supplies ``base_qs(qs)``, the q
-values of its ``base`` that its q read, and ``combine``, which turns those
-row sums into its own, and :class:`WrappedWeight` routes them: one q-batched
-read of the base on the base's own route, by rank for a range, and no rows
-of its own enumerated.
+Two contracts, each routed once, cover every class.  Each layer has one
+row-sum entry, ``row_sum_log_batch``, for a batch of column words or a range
+of their ranks, and one query, ``enumerated_rows``, for which q enumerate
+rows and why.  A weight with tables supplies ``transfer_floats(q)``, its
+table size at q (None: no transfer route), and ``step_tables(qs)``, and
+:class:`CylinderWeight` routes them: a depth-1 window's steps have one state,
+the per-letter fiber sums, gathered letter by letter; windows of depth >= 2
+and matrix cocycles at integer ``q >= 0`` share the split kernel of
+:mod:`carpetmf.transfer`, entered by rank for a complete range of column
+words and by digit rows for any batch.  A wrapper, a skew product or a
+pressure shift, supplies ``base_qs(qs)``, the q values of its ``base`` that
+its q read, and ``combine``, which turns those row sums into its own, and
+:class:`WrappedWeight` routes them: one q-batched read of the base on the
+base's own route, by rank for a range, and no rows of its own enumerated.
 """
 
 from __future__ import annotations
@@ -125,42 +127,38 @@ class CylinderWeight:
         floats = [self.transfer_floats(q) for q in qs]
         return np.array([f is not None and f <= cap for f in floats], dtype=bool)
 
-    def row_enumeration_mask(self, qs: np.ndarray) -> np.ndarray:
-        """Boolean mask of the q values whose row sums enumerate rows, on
-        this weight's own route or on the row sums of a weight its transfer
-        route reads."""
-        return ~self.transfer_mask(qs)
-
-    def transfer_refusal(self, qs: np.ndarray) -> str | None:
-        """Why a q of ``qs`` that :meth:`row_enumeration_mask` flags lost
-        its transfer route to a table over ``MAX_TRANSFER_TABLE``, for error
-        messages (the smallest such q); None when no table is the reason."""
-        cap = symbolic.MAX_TRANSFER_TABLE
-        over = [q for q in qs if (f := self.transfer_floats(q)) is not None and f > cap]
+    def enumerated_rows(self, qs: np.ndarray) -> tuple[np.ndarray, str | None]:
+        """The boolean mask of the q values of ``qs`` whose row sums
+        enumerate rows, on this weight's own route or on the row sums of a
+        weight its transfer route reads, and why, for error messages: the
+        transfer table over ``MAX_TRANSFER_TABLE`` of the smallest flagged q
+        that has one (None when no table is the reason)."""
+        mask = ~self.transfer_mask(qs)
+        over = [q for q in qs[mask] if self.transfer_floats(q) is not None]
         if not over:
-            return None
-        return f"{self._transfer_table(min(over))} is over MAX_TRANSFER_TABLE {cap}"
+            return mask, None
+        cap = symbolic.MAX_TRANSFER_TABLE
+        return mask, f"{self._transfer_table(min(over))} is over MAX_TRANSFER_TABLE {cap}"
 
-    def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        """``(W, Q)`` array of ``log I_q`` for a batch of column words and a
-        1-d array of q values inside :meth:`transfer_mask`, without
-        enumerating rows: a depth-1 weight gathers the one-state steps of
-        its letters, any other runs the split kernel."""
-        a1s = np.asarray(a1s, dtype=np.int64)
-        if self.dependence_depth == 1:
+    def row_sum_log_batch(self, words, qs: np.ndarray) -> np.ndarray:
+        """``(W, Q)`` array of ``log I_q`` for a 1-d array of q values inside
+        :meth:`transfer_mask`, without enumerating rows.  ``words`` is a
+        ``(W, n)`` batch of column words or ``(n, lo, hi)``, the depth-``n``
+        column words of ranks ``lo .. hi - 1``, with the same bytes.  A
+        depth-1 weight gathers the one-state steps of its letters, any other
+        runs the split kernel, which reads a range from its tables without
+        digit rows; the other routes build a range's digit rows."""
+        depth = self.dependence_depth
+        if isinstance(words, tuple) and (depth == 1 or words[0] < (depth or 1)):
+            words = row_words_range(self.system, *words)
+        if isinstance(words, tuple):
+            return self._split_row_sums(words, qs)
+        a1s = np.asarray(words, dtype=np.int64)
+        if depth == 1:
             return _depth1_row_sums(self.system, self.step_tables(qs)[2], a1s)
-        if a1s.shape[1] < (self.dependence_depth or 1):  # shorter than a window: few rows
+        if a1s.shape[1] < (depth or 1):  # shorter than a window: few rows
             return _enumerate_row_sums(self, a1s, qs)
         return self._split_row_sums(a1s, qs)
-
-    def row_sum_log_range(self, n: int, lo: int, hi: int, qs: np.ndarray) -> np.ndarray:
-        """:meth:`row_sum_log_batch` of the depth-``n`` column words of
-        ranks ``lo .. hi - 1``, with the same bytes.  The split kernel reads
-        these from its tables without digit rows; the other routes build the
-        digit rows."""
-        if self.dependence_depth != 1 and n >= (self.dependence_depth or 1):
-            return self._split_row_sums((n, lo, hi), qs)
-        return self.row_sum_log_batch(row_words_range(self.system, n, lo, hi), qs)
 
     def _split_row_sums(self, words, qs: np.ndarray):
         """Row sums from the split kernel of :mod:`carpetmf.transfer` on the
@@ -530,26 +528,22 @@ class WrappedWeight(CylinderWeight):
     def transfer_mask(self, qs: np.ndarray) -> np.ndarray:
         return np.ones(len(qs), dtype=bool)
 
-    def row_enumeration_mask(self, qs: np.ndarray) -> np.ndarray:
-        inner = self.base.row_enumeration_mask(self.base_qs(qs))
+    def enumerated_rows(self, qs: np.ndarray) -> tuple[np.ndarray, str | None]:
+        inner, refusal = self.base.enumerated_rows(self.base_qs(qs))
         shared = inner.size - len(qs)
-        return inner[:shared].any() | inner[shared:]
-
-    def transfer_refusal(self, qs: np.ndarray) -> str | None:
-        return self.base.transfer_refusal(self.base_qs(qs))
+        return inner[:shared].any() | inner[shared:], refusal
 
     def _base_sums(self, a1s: np.ndarray, qs: np.ndarray):
         """Distinct words of ``a1s``, their inverse, base row sums at ``base_qs(qs)``."""
         words, inverse = distinct_rows(np.asarray(a1s, dtype=np.int64), self.system.r1)
         return words, inverse, row_sum_log_any(self.base, words, self.base_qs(qs))
 
-    def row_sum_log_batch(self, a1s: np.ndarray, qs: np.ndarray) -> np.ndarray:
-        words, inverse, sums = self._base_sums(a1s, qs)
+    def row_sum_log_batch(self, words, qs: np.ndarray) -> np.ndarray:
+        if isinstance(words, tuple):
+            sums = row_sum_log_ranks(self.base, *words, self.base_qs(qs))
+            return self.combine(words[0], words, sums, qs)
+        words, inverse, sums = self._base_sums(words, qs)
         return self.combine(words.shape[1], words, sums, qs)[inverse]
-
-    def row_sum_log_range(self, n: int, lo: int, hi: int, qs: np.ndarray) -> np.ndarray:
-        sums = row_sum_log_ranks(self.base, n, lo, hi, self.base_qs(qs))
-        return self.combine(n, (n, lo, hi), sums, qs)
 
 
 class SkewProductWeight(WrappedWeight):
@@ -697,32 +691,24 @@ def row_sum_log_any(
     distinct q is computed once, and the q values that enumerate share one
     enumeration of the rows and their log weights.
     """
-    a1s = np.asarray(a1s, dtype=np.int64)
-    return _routed_row_sums(
-        weight, q, method, lambda qs: weight.row_sum_log_batch(a1s, qs), lambda: a1s
-    )
+    return _routed_row_sums(weight, np.asarray(a1s, dtype=np.int64), q, method)
 
 
 def row_sum_log_ranks(
     weight: CylinderWeight, n: int, lo: int, hi: int, q: float | np.ndarray
 ) -> np.ndarray:
     """:func:`row_sum_log_any` of the depth-``n`` column words of ranks
-    ``lo .. hi - 1``: the q values with a transfer route read
-    :meth:`CylinderWeight.row_sum_log_range`, and only the q values that
-    enumerate rows build the words' digit rows."""
-    return _routed_row_sums(
-        weight,
-        q,
-        "auto",
-        lambda qs: weight.row_sum_log_range(n, lo, hi, qs),
-        lambda: row_words_range(weight.system, n, lo, hi),
-    )
+    ``lo .. hi - 1``: only the q values that enumerate rows build the words'
+    digit rows."""
+    return _routed_row_sums(weight, (n, lo, hi), q, "auto")
 
 
-def _routed_row_sums(weight, q, method, fast, words) -> np.ndarray:
-    """The routing of :func:`row_sum_log_any`: ``fast(qs)`` gives the
-    ``(W, Q)`` row sums of q values inside the transfer mask, ``words()``
-    the ``(W, n)`` digit rows whose rows the other q values enumerate."""
+def _routed_row_sums(weight, words, q, method) -> np.ndarray:
+    """The routing of :func:`row_sum_log_any` over ``words``, a ``(W, n)``
+    batch or ``(n, lo, hi)``: the q values inside the transfer mask read
+    :meth:`CylinderWeight.row_sum_log_batch` of ``words``, the others
+    enumerate the rows of the words' digit rows, which a range builds only
+    then."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     qs = np.atleast_1d(np.asarray(q, dtype=float))
@@ -730,14 +716,18 @@ def _routed_row_sums(weight, q, method, fast, words) -> np.ndarray:
     if qs.size > 1 and not (np.diff(qs) > 0).all():
         qs, inverse = np.unique(qs, return_inverse=True)
     enumerated = np.full(qs.size, method == "enumerate") | ~weight.transfer_mask(qs)
-    if not enumerated.any():
-        out = fast(qs)
+    a1s = words
+    if enumerated.any() and isinstance(words, tuple):
+        a1s = row_words_range(weight.system, *words)
+    if not qs.size:
+        out = np.empty((words[2] - words[1] if isinstance(words, tuple) else len(words), 0))
+    elif not enumerated.any():
+        out = weight.row_sum_log_batch(words, qs)
     elif enumerated.all():
-        out = _enumerate_row_sums(weight, words(), qs)
+        out = _enumerate_row_sums(weight, a1s, qs)
     else:
-        a1s = words()
-        out = np.empty((a1s.shape[0], qs.size))
-        out[:, ~enumerated] = fast(qs[~enumerated])
+        out = np.empty((len(a1s), qs.size))
+        out[:, ~enumerated] = weight.row_sum_log_batch(words, qs[~enumerated])
         out[:, enumerated] = _enumerate_row_sums(weight, a1s, qs[enumerated])
     return out[:, 0] if np.ndim(q) == 0 else out[:, inverse]
 

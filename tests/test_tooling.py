@@ -12,7 +12,8 @@ config and running ``pressure``, ``sample`` or ``verify`` import (none loads
 OpenSSL, and neither ``sample`` nor ``verify`` loads ``numpy.random``), and
 that the lazy package namespace still resolves every public name.  Source
 checks keep worker pools in ``numerics``, every ``verify`` result on the
-one guarded runner, and the Birkhoff averages of sampled paths on one rule.
+one guarded runner, the Birkhoff averages of sampled paths on one rule, and
+one row-sum entry per weight layer.
 """
 
 from __future__ import annotations
@@ -268,10 +269,8 @@ def test_sampled_paths_have_one_birkhoff_rule():
 #: step tables, and :class:`WrappedWeight` for every wrapper.
 ROUTING = (
     "transfer_mask",
-    "row_enumeration_mask",
-    "transfer_refusal",
+    "enumerated_rows",
     "row_sum_log_batch",
-    "row_sum_log_range",
     "_split_row_sums",
 )
 
@@ -322,6 +321,45 @@ def test_transfer_weights_supply_only_their_tables():
     functions = {node.name for node in trees["weights"].body if isinstance(node, ast.FunctionDef)}
     assert "_split_kernel" not in functions
     assert not any("_kronecker_floats" in names for names in methods.values())
+    # One row-sum entry per layer and one query for the q that enumerate
+    # rows: no module defines or calls the entries they replaced, and the
+    # column pass asks that query, never the mask under it.
+    retired = {"row_sum_log_range", "row_enumeration_mask", "transfer_refusal"}
+    for path in sorted((SRC / "carpetmf").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+        assert not names & retired, (path.name, names & retired)
+    pressure = ast.parse((SRC / "carpetmf" / "pressure.py").read_text(encoding="utf-8"))
+    called = {
+        node.func.attr
+        for node in ast.walk(pressure)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert "enumerated_rows" in called and "transfer_mask" not in called
+    # The column pass fixes its reads before the pass: its chunk body
+    # defines no helper of its own.
+    (column_pass,) = [
+        node
+        for node in pressure.body
+        if isinstance(node, ast.FunctionDef) and node.name == "column_log_sums"
+    ]
+    (partial,) = [
+        node for node in column_pass.body if isinstance(node, ast.FunctionDef)
+    ]
+    assert partial.name == "partial"
+    nested = [
+        node
+        for node in ast.walk(partial)
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node is not partial
+    ]
+    assert not nested, [getattr(node, "name", "<lambda>") for node in nested]
 
 
 # -- start-up: what a command imports ---------------------------------------------
@@ -584,29 +622,46 @@ def test_column_pass_builds_no_digit_rows(monkeypatch):
         np.testing.assert_allclose(threaded[kind], serial[kind], rtol=1e-13)
 
 
-def test_column_pass_reads_each_row_q_once_per_chunk(monkeypatch):
+@pytest.mark.parametrize("case", ["window", "cocycle"])
+def test_column_pass_reads_each_row_q_once_per_chunk(monkeypatch, case):
     # q = 1 is read first for the I_1 terms, and its PART_BLOCK reuses those
-    # row sums: one chunk of the window-d2 weight at n = 10 routes each row
-    # q once.
-    from carpetmf import pressure
-    from carpetmf.reference import random_depth2_weight
+    # row sums: one chunk routes each row q once.  The q values that
+    # enumerate rows share one enumeration of the chunk's rows: none for the
+    # window-d2 weight at n = 10, and for a dim-2 cocycle at n = 6 on a
+    # 21-point grid its 18 negative and non-integer q, more than PART_BLOCK.
+    from carpetmf import pressure, weights
+    from carpetmf.reference import random_depth2_weight, reference_system
+    from carpetmf.weights import make_matrix_cocycle
 
-    psi = random_depth2_weight(1)
-    qs = np.array([-2.0, 0.0, 1.0, 2.0, 4.0])
-    assert pressure.pass_chunks(psi.system.r1, 10) == [(0, 2**10)]
-    routed = pressure.row_sum_log_ranks
-    calls = []
+    if case == "window":
+        psi, qs, n = random_depth2_weight(1), np.array([-2.0, 0.0, 1.0, 2.0, 4.0]), 10
+    else:
+        mats = np.random.default_rng(1).uniform(0.05, 1.0, (5, 2, 2))
+        psi = make_matrix_cocycle(reference_system(), 2, mats)
+        qs, n = np.linspace(-2.25, 2.75, 21), 6
+    # A cocycle's Kronecker route serves the integer q >= 0.
+    listed = [q for q in qs.tolist() if case == "cocycle" and (q < 0 or not q.is_integer())]
+    assert len(listed) == (18 if case == "cocycle" else 0) and 18 > pressure.PART_BLOCK
+    assert pressure.pass_chunks(psi.system.r1, n) == [(0, 2**n)]
+    routed, enumerate_rows = pressure.row_sum_log_ranks, weights._enumerate_row_sums
+    calls, enumerations = [], []
 
     def spy(weight, n, lo, hi, q):
         calls.append(np.atleast_1d(q).tolist())
         return routed(weight, n, lo, hi, q)
 
+    def enumeration_spy(weight, a1s, q):
+        enumerations.append((len(a1s), q.tolist()))
+        return enumerate_rows(weight, a1s, q)
+
     monkeypatch.setattr(pressure, "row_sum_log_ranks", spy)
-    spied = pressure.column_log_sums(psi, qs, 10, pressure.COLUMN_KINDS)
+    monkeypatch.setattr(weights, "_enumerate_row_sums", enumeration_spy)
+    spied = pressure.column_log_sums(psi, qs, n, pressure.COLUMN_KINDS)
     read = [q for call in calls for q in call]
     assert sorted(read) == sorted(qs.tolist()), calls
+    assert enumerations == ([(2**n, listed)] if listed else []), enumerations
     monkeypatch.undo()
-    plain = pressure.column_log_sums(psi, qs, 10, pressure.COLUMN_KINDS)
+    plain = pressure.column_log_sums(psi, qs, n, pressure.COLUMN_KINDS)
     for kind in pressure.COLUMN_KINDS:
         assert spied[kind].tobytes() == plain[kind].tobytes()
 

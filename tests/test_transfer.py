@@ -607,7 +607,7 @@ def test_ranges_match_the_batch_kernel(data, psi, block):
             return
         qs = np.array([0.0, 1.0, 2.0])
         _core(psi)._tails = TailMemo()
-        got = psi.row_sum_log_range(n, lo, hi, qs)
+        got = psi.row_sum_log_batch((n, lo, hi), qs)
     assert got.tobytes() == psi.row_sum_log_batch(words, qs).tobytes()
     if n <= 4:
         slow = row_sum_log_any(psi, words, qs, method="enumerate")
@@ -736,7 +736,7 @@ def test_memo_shared_by_threads_keeps_bytes():
                 calls = [
                     pool.submit(psi.row_sum_log_batch, batches[i % 4], qs)
                     if i % 8 < 4
-                    else pool.submit(psi.row_sum_log_range, depths[i % 4], 0, 2 ** (8 + i % 4), qs)
+                    else pool.submit(psi.row_sum_log_batch, (depths[i % 4], 0, 2 ** (8 + i % 4)), qs)
                     for i in range(128)
                 ]
                 got = [call.result(timeout=60).tobytes() for call in calls]
@@ -744,7 +744,7 @@ def test_memo_shared_by_threads_keeps_bytes():
             # On a fresh memo the serial range's stores are the only ones,
             # and together they fit the bound.
             psi._tails = TailMemo()
-            assert psi.row_sum_log_range(10, 0, 2**10, qs).tobytes() == want[2]
+            assert psi.row_sum_log_batch((10, 0, 2**10), qs).tobytes() == want[2]
             assert {("forward", 5), ("backward", 6)} <= {key[:2] for key in psi._tails._entries}
     finally:
         sys.setswitchinterval(interval)
@@ -1021,7 +1021,7 @@ def test_shared_routing_keeps_the_per_class_rules(data, psi, cap, qs):
     with mock.patch.object(symbolic, "MAX_TRANSFER_TABLE", cap):
         mask = psi.transfer_mask(qs)
         np.testing.assert_array_equal(mask, _per_class_mask(psi, qs))
-        assert psi.transfer_refusal(qs) == _per_class_refusal(psi, qs)
+        assert psi.enumerated_rows(qs)[1] == _per_class_refusal(psi, qs)
         routed = qs[mask]
         if not routed.size:
             return
@@ -1034,7 +1034,7 @@ def test_shared_routing_keeps_the_per_class_rules(data, psi, cap, qs):
         n = data.draw(st.integers(0, 6 if r1 == 2 else 4))
         lo = data.draw(st.integers(0, r1**n))
         hi = data.draw(st.integers(lo, r1**n))
-        got = psi.row_sum_log_range(n, lo, hi, routed)
+        got = psi.row_sum_log_batch((n, lo, hi), routed)
         assert got.tobytes() == _per_class_range(psi, n, lo, hi, routed).tobytes()
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from carpetmf import (
+    VARIANT_PSI_Q,
     CellSystem,
     ConstantCellWeight,
     SkewProductWeight,
@@ -16,6 +17,7 @@ from carpetmf import (
     finite_beta,
     finite_pressure,
     log_total_mass,
+    make_auxiliary,
     make_constant_cell,
     make_matrix_cocycle,
     normalize_to_gibbs,
@@ -146,6 +148,24 @@ def test_dim1_cocycle_is_a_depth1_window(ref_system):
         )
 
     assert outputs(cocycle) == outputs(window)
+
+
+def test_no_q_gives_no_row_sums(ref_system, ref_weight, depth2_weight):
+    # An empty q array reads no row sums on any route: (W, 0) for a batch,
+    # by either method, and for a range of ranks.
+    mats = np.random.default_rng(5).uniform(0.05, 1.0, (5, 2, 2))
+    weights = (
+        ref_weight,
+        depth2_weight,
+        make_matrix_cocycle(ref_system, 2, mats),
+        normalize_to_gibbs(depth2_weight, 0.5),
+        make_auxiliary(depth2_weight, 2.0, 0.0, VARIANT_PSI_Q),
+    )
+    words = digits_of_indices(np.arange(16), 2, 4)
+    for psi in weights:
+        for method in ("auto", "enumerate"):
+            assert row_sum_log_any(psi, words, np.array([]), method=method).shape == (16, 0)
+        assert row_sum_log_ranks(psi, 4, 0, 16, np.array([])).shape == (16, 0)
 
 
 def test_matrix_cocycle_all_ones_power(ref_system):

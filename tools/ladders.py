@@ -21,6 +21,12 @@ the weight's cached tables (in its ``workers=1`` column); the tilt reads
 its window's tables.  A ladder point whose ``workers=2`` time is above its
 ``workers=1`` time loses to the interpreter lock.
 
+A row of the same call times the column pass's enumerated-q read, which
+none of the benchmark workloads runs: the ``cocycle-d2`` cocycle on the
+default 93-point q-grid, where its negative, non-integer and large integer
+q enumerate rows, at n = 5, 6 and 7.  It prints the best of three wall
+times and the ``tracemalloc`` peak of one more run.
+
 A fifth ladder times ``gibbs.sampled_log_masses`` as the ``sample`` command
 runs it: 200 paths of the psiQ tilt at q = 2 of the same window weight, at
 horizons 6, 10, 14 and 20 (sampling depth ``n = horizon / 2``, so each path
@@ -153,6 +159,14 @@ def main() -> int:
                 for workers in WORKERS
             )
             print(f"{label:32s} n = {n:2d}  {times}", flush=True)
+    grid = default_q_grid()
+    for n in (5, 6, 7):
+        points = "  ".join(
+            f"workers={workers} "
+            + _timed_point(lambda: finite_values(cocycle, grid, n, workers=workers))
+            for workers in WORKERS
+        )
+        print(f"{'cocycle dim 2, default grid':32s} n = {n:2d}  {points}", flush=True)
     skew_level = finite_beta(_skew(), 2.0, 8)
     for label, build, at in (
         ("sample psiQ q = 2, 200 paths", lambda: random_depth2_weight(1), level),
@@ -173,7 +187,6 @@ def main() -> int:
         for workers in WORKERS
     )
     print(f"{'sample i.i.d. psiQ q = 2, 10,000':32s} n = 30  {points}", flush=True)
-    grid = default_q_grid()
     for label, psi in (("reference", reference), ("its psiQ tilt q = 2", iid)):
         loop = _best(lambda: [closed_form_T(psi, float(q)) for q in grid]) * 1e3
         call = _best(lambda: closed_form_T(psi, grid)) * 1e3
